@@ -33,23 +33,10 @@ EOW = ANCHOR_EOW
 EOL = ANCHOR_EOL
 EOT = ANCHOR_EOT
 
-ANCHOR_NAMES = {
-    BOT: "bot",
-    BOL: "bol",
-    BOW: "bow",
-    EOW: "eow",
-    EOL: "eol",
-    EOT: "eot",
-}
-
 # Word characters for boundary detection.  Digits are deliberately not
 # word characters: a letter run next to a digit run carries a word
 # boundary between them.
 WORD_CHARS = frozenset(ascii_letters + "_")
-
-
-def is_word_char(c: str, word_chars: frozenset = WORD_CHARS) -> bool:
-    return c in word_chars
 
 
 @dataclass(frozen=True)
@@ -121,11 +108,6 @@ ANY_STAR = star(_ANY_ONE)
 ANCHOR_RUN = star(Sym(ANCHORS, transparent=False))
 
 _WB = single(BOW).union(single(EOW))
-
-
-def anchor_atom(cp: int) -> Regex:
-    """The transparent single-anchor atom, as written in patterns."""
-    return sym(single(cp), transparent=True)
 
 
 def exactly_symbol(cp: int) -> Regex:

@@ -15,29 +15,24 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .anchors import ANCHOR_RUN, inject_anchors
+from .anchors import inject_anchors
 from .charset import Alphabet, CharSet
-from .engine import MatchResult, Span
-from .semantics import derivative_classes, derive, nu_ways
+from .engine import Candidate, MatchResult, best_way, match_result, offer, start, step
+from .semantics import derivative_classes, nu_ways
+from .semantics import derive  # kept: perfbench/tracing.py wraps this name
 from .submatch import (
     POLICY_POSIX,
-    Cells,
     CopyBank,
-    HIGHER,
     InitBank,
     SetSlot,
     Store,
-    apply_writes,
     apply_ops,
-    bank_compare,
-    extract_submatches,
-    normalize_step,
+    op_banks,
 )
+from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
 from .syntax import (
     EMPTY,
     EPSILON,
-    Bank,
-    BankAlloc,
     Regex,
     TagTable,
     alt,
@@ -98,8 +93,9 @@ class AcceptInfo:
     """Result-bank information of one accepting state.
 
     ``bank``/``ops`` name the construction-preferred result; ``ways``
-    lists every nullable alternative so the run-time comparison sees the
-    same candidates as the lazy engine.
+    lists every nullable alternative, its writes relative to the
+    acceptance position, so the run-time comparison sees the same
+    candidates as the lazy engine.
     """
 
     bank: Optional[int]
@@ -134,37 +130,66 @@ def _sorted_blocks(blocks) -> list[CharSet]:
     return sorted(blocks, key=lambda b: b.bounds)
 
 
+def _build(expr: Regex, store: Store, tags: TagTable, alphabet: Alphabet,
+           state_limit: int):
+    """Worklist construction: ``engine.step`` over derivative-class blocks.
+
+    State identity is the expression alone when no tags are tracked, and
+    the expression plus the signature of its live banks otherwise.
+    Disambiguation compares banks at concrete positions counted from the
+    start expression; the emitted programs are position-relative, so the
+    machine is depth-independent at run time.  Returns the states, their
+    depths and stores, and the rows of (block, target, program).
+    """
+    n_slots = tags.num_tags
+    states: list[Regex] = []
+    depths: list[int] = []
+    stores: list[Store] = []
+    index: dict = {}
+    work: deque[int] = deque()
+
+    def state_id(e: Regex, st: Store, depth: int) -> int:
+        key = e
+        if n_slots:
+            live = banks_in_order(e)
+            st = {b: st[b] for b in live}
+            key = (e, _store_signature(st, live, n_slots, depth))
+        j = index.get(key)
+        if j is None:
+            j = len(states)
+            if j and j >= state_limit:
+                raise StateLimitError(state_limit)
+            index[key] = j
+            states.append(e)
+            depths.append(depth)
+            stores.append(st)
+            work.append(j)
+        return j
+
+    state_id(expr, store, 0)
+    rows: list[tuple] = []
+    while work:
+        i = work.popleft()  # ids are handed out in worklist order
+        e, d = states[i], depths[i]
+        row = []
+        for block in _sorted_blocks(derivative_classes(e, alphabet).blocks):
+            st = dict(stores[i])
+            de, ops = step(e, block.pick(), d, tags, st)
+            row.append((block, state_id(de, st, d + 1), _encode_ops(ops, d + 1)))
+        rows.append(tuple(row))
+    return states, depths, stores, rows
+
+
 def make_dfa(
     r: Regex,
     alphabet: Alphabet = Alphabet(with_anchors=False),
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Dfa:
     """Worklist construction over derivative-class blocks (tag-free)."""
-    states: list[Regex] = [r]
-    index: dict[Regex, int] = {r: 0}
-    transitions: list[list[tuple[CharSet, int]]] = []
-    work: deque[int] = deque([0])
-    while work:
-        i = work.popleft()
-        while len(transitions) <= i:
-            transitions.append([])
-        e = states[i]
-        row: list[tuple[CharSet, int]] = []
-        for block in _sorted_blocks(derivative_classes(e, alphabet).blocks):
-            d = derive(e, block.pick())
-            j = index.get(d)
-            if j is None:
-                j = len(states)
-                if j >= state_limit:
-                    raise StateLimitError(state_limit)
-                index[d] = j
-                states.append(d)
-                work.append(j)
-            row.append((block, j))
-        transitions[i] = row
+    states, _, _, rows = _build(r, {}, TagTable(), alphabet, state_limit)
     accepting = frozenset(i for i, e in enumerate(states) if is_nullable(e))
-    return Dfa(alphabet, tuple(states), tuple(tuple(t) for t in transitions),
-               accepting)
+    transitions = tuple(tuple((block, j) for block, j, _ in row) for row in rows)
+    return Dfa(alphabet, tuple(states), transitions, accepting)
 
 
 def dfa_match(m: Dfa, s) -> bool:
@@ -229,27 +254,16 @@ def _store_signature(store: Store, banks: list[int], n_slots: int, p: int) -> tu
 
 def _accept_info(e: Regex, depth: int, store: Store, tags: TagTable):
     ways = nu_ways(e, depth)
-    if not ways:
+    found = best_way(ways, 0, store, tags)
+    if found is None:
         return None
-    if tags.num_tags == 0:
-        return AcceptInfo(None, ())
-    encoded = []
-    best = None
-    for owner, writes in ways:
-        if owner is None:
-            continue
-        ops = tuple(SetSlotRel(owner, slot, v - depth) for slot, v in writes)
-        for op in ops:
-            if op.offset != 0:
-                raise AssertionError("acceptance writes must be at the current position")
-        encoded.append((owner, ops))
-        cells = apply_writes(store[owner], writes)
-        if best is None or bank_compare(cells, best[1], tags) == HIGHER:
-            best = ((owner, ops), cells)
-    if best is None:
-        return None
-    (owner, ops), _ = best
-    return AcceptInfo(owner, ops, tuple(encoded))
+    rel = tuple((owner, tuple((slot, v - depth) for slot, v in writes))
+                for owner, writes in ways)
+    if any(v for owner, writes in rel if owner is not None for _, v in writes):
+        raise AssertionError("acceptance writes must be at the current position")
+    (owner, writes), _ = found
+    ops = () if owner is None else tuple(SetSlotRel(owner, slot, 0) for slot, _ in writes)
+    return AcceptInfo(owner, ops, rel)
 
 
 def make_tagged_dfa(
@@ -261,85 +275,26 @@ def make_tagged_dfa(
     pad: Optional[bool] = None,
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> TaggedDfa:
-    """Construct a DFA whose transitions carry memory-op programs.
-
-    Disambiguation during construction compares banks using concrete
-    positions counted from the initial expression; the emitted programs
-    are position-relative, so the machine is depth-independent at run
-    time.
-    """
+    """Construct a DFA whose transitions carry memory-op programs."""
     if pad is None:
         pad = anchored
-    n_slots = tags.num_tags
-    tagged = n_slots > 0
-    expr: Regex = cat(r, ANCHOR_RUN) if pad else r
-    store0: Store = {}
-    init_ops: list = []
-    if tagged:
-        expr = Bank(1, (), expr)
-        init_ops.append(InitBank(1))
-        apply_ops(store0, [InitBank(1)], n_slots)
-        expr, ops = normalize_step(expr, tags, store0, 0, BankAlloc.after(expr))
-        init_ops.extend(ops)
-        store0 = {b: store0[b] for b in banks_in_order(expr)}
-
-    sig0 = _store_signature(store0, banks_in_order(expr), n_slots, 0)
-    states: list[Regex] = [expr]
-    index: dict[tuple, int] = {(expr, sig0): 0}
-    depths: list[int] = [0]
-    stores: list[Store] = [store0]
-    transitions: list[list[tuple[CharSet, int, tuple]]] = []
-    max_bank_seen = max(banks_in_order(expr), default=0)
-    work: deque[int] = deque([0])
-    while work:
-        i = work.popleft()
-        while len(transitions) <= i:
-            transitions.append([])
-        e, d, st = states[i], depths[i], stores[i]
-        row: list[tuple[CharSet, int, tuple]] = []
-        for block in _sorted_blocks(derivative_classes(e, alphabet).blocks):
-            alloc = BankAlloc.after(e)
-            de = derive(e, block.pick(), d, alloc)
-            ops: list = []
-            new_store = dict(st)
-            if tagged and de != EMPTY:
-                de, ops = normalize_step(de, tags, new_store, d + 1, alloc)
-            live = banks_in_order(de)
-            new_store = {b: new_store[b] for b in live}
-            key = (de, _store_signature(new_store, live, n_slots, d + 1))
-            j = index.get(key)
-            if j is None:
-                j = len(states)
-                if j >= state_limit:
-                    raise StateLimitError(state_limit)
-                index[key] = j
-                states.append(de)
-                depths.append(d + 1)
-                stores.append(new_store)
-                work.append(j)
-            for op in ops:
-                if isinstance(op, InitBank):
-                    max_bank_seen = max(max_bank_seen, op.bank)
-                elif isinstance(op, CopyBank):
-                    max_bank_seen = max(max_bank_seen, op.dst, op.src)
-                elif isinstance(op, SetSlot):
-                    max_bank_seen = max(max_bank_seen, op.bank)
-            row.append((block, j, _encode_ops(ops, d + 1)))
-        transitions[i] = row
-
+    expr, store, init_ops = start(r, tags, pad)
+    states, depths, stores, rows = _build(expr, store, tags, alphabet, state_limit)
     accepting: dict[int, AcceptInfo] = {}
     for i, e in enumerate(states):
         info = _accept_info(e, depths[i], stores[i], tags)
         if info is not None:
             accepting[i] = info
+    banks = banks_in_order(expr)
+    banks += [b for row in rows for _, _, ops in row for op in ops for b in op_banks(op)]
     return TaggedDfa(
         alphabet=alphabet,
         states=tuple(states),
-        transitions=tuple(tuple(t) for t in transitions),
+        transitions=tuple(rows),
         accepting=accepting,
         initial_ops=_encode_ops(init_ops, 0),
         tags=tags,
-        bank_count=max_bank_seen + 1,
+        bank_count=max(banks, default=0) + 1,
         policy=policy,
         anchored=anchored,
     )
@@ -355,47 +310,18 @@ def tagged_dfa_match(m: TaggedDfa, text: str, stream_offsets: bool = False) -> M
         symbols = tuple(ord(c) for c in text)
         boundary_origin = tuple(range(len(text) + 1))
     n_slots = m.tags.num_tags
-    tagged = n_slots > 0
     store: Store = {}
     _apply_rel_ops(store, m.initial_ops, 0, n_slots)
-
-    best: Optional[tuple[int, Optional[Cells]]] = None
-
-    def consider(state: int, p: int) -> None:
-        nonlocal best
+    best: Optional[Candidate] = None
+    state = 0
+    for p in range(len(symbols) + 1):
+        if p:
+            state, ops = m.step(state, symbols[p - 1])
+            _apply_rel_ops(store, ops, p, n_slots)
         info = m.accepting.get(state)
-        if info is None:
-            return
-        cells: Optional[Cells] = None
-        if tagged:
-            for bank, ops in info.ways:
-                snapshot = dict(store)
-                _apply_rel_ops(snapshot, ops, p, n_slots)
-                c = snapshot[bank]
-                if cells is None or bank_compare(c, cells, m.tags) == HIGHER:
-                    cells = c
-        if best is None or m.policy == POLICY_POSIX:
-            best = (p, cells)
-        elif tagged and bank_compare(cells, best[1], m.tags) == HIGHER:
-            best = (p, cells)
-
-    state, p = 0, 0
-    consider(state, 0)
-    for cp in symbols:
-        state, ops = m.step(state, cp)
-        _apply_rel_ops(store, ops, p + 1, n_slots)
-        p += 1
-        consider(state, p)
-
-    if best is None:
-        return MatchResult(False)
-    end_pos, cells = best
-    origin = None if stream_offsets else boundary_origin
-    end = end_pos if stream_offsets else boundary_origin[end_pos]
-    groups: list[Optional[Span]] = [(0, end)]
-    if tagged:
-        groups.extend(extract_submatches(cells, m.tags, origin))
-    return MatchResult(True, cells, tuple(groups), end_pos)
+        if info is not None:
+            best = offer(best, p, best_way(info.ways, p, store, m.tags)[1], m.policy, m.tags)
+    return match_result(best, m.tags, boundary_origin, stream_offsets)
 
 
 # ---------------------------------------------------------------------------

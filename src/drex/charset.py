@@ -83,12 +83,6 @@ class CharSet:
             raise ValueError("empty symbol set has no members")
         return self.bounds[0]
 
-    def min_anchor_part(self) -> "CharSet":
-        return self.intersect(ANCHORS)
-
-    def base_part(self) -> "CharSet":
-        return self.difference(ANCHORS)
-
     def __str__(self) -> str:
         parts = []
         for lo, hi in self.ranges():
@@ -154,9 +148,6 @@ class Alphabet:
     @property
     def working(self) -> CharSet:
         return self.base.union(ANCHORS) if self.with_anchors else self.base
-
-    def restrict(self, cs: CharSet) -> CharSet:
-        return cs.intersect(self.working)
 
 
 def alphabet_from_chars(chars: str, with_anchors: bool = False) -> Alphabet:

@@ -24,13 +24,14 @@ from .automaton import (
     make_tagged_dfa,
     tagged_dfa_match,
 )
-from .charset import ALL_BASE, ASCII_BASE, Alphabet
-from .engine import match_full
 from .anchors import inject_anchors
-from .semantics import derive, nu_ways
-from .submatch import POLICIES, POLICY_POSIX, normalize_step
-from .submatch import apply_ops, InitBank
-from .syntax import Bank, BankAlloc, EMPTY, ParseError, SyntaxOptions, parse, show, cat, star, sym
+from .charset import ALL_BASE, ASCII_BASE, Alphabet, single
+from .engine import match_full, start, step
+from .semantics import nu_ways
+from .semantics import derive  # kept: perfbench/tracing.py wraps this name
+from .submatch import POLICIES, POLICY_POSIX
+from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
+from .syntax import EMPTY, ParseError, SyntaxOptions, cat, parse, show, show_class, star, sym
 
 
 @dataclass
@@ -125,37 +126,17 @@ def _cmd_compile(cfg: CliConfig, out) -> int:
     return 0
 
 
-def _step_normalize(expr, tags, store, pos, alloc):
-    expr, _ = normalize_step(expr, tags, store, pos, alloc)
-    return expr
-
-
 def _print_trace(cfg: CliConfig, out) -> bool:
     """Print the per-symbol derivative chain; returns the final verdict."""
-    from .anchors import ANCHOR_RUN
-    from .charset import single
-    from .syntax import show_class
-
     regex, tags = parse(cfg.pattern, _options(cfg))
-    text = cfg.inputs[0]
-    stream = inject_anchors(text)
-    expr = cat(regex, ANCHOR_RUN)
-    n_slots = tags.num_tags
-    store: dict = {}
-    if n_slots:
-        expr = Bank(1, (), expr)
-        apply_ops(store, [InitBank(1)], n_slots)
-        expr = _step_normalize(expr, tags, store, 0, BankAlloc.after(expr))
+    symbols = inject_anchors(cfg.inputs[0]).symbols
+    expr, store, _ = start(regex, tags, pad=True)
     print(f"start     {show(expr)}", file=out)
     pos = 0
-    for cp in stream.symbols:
-        glyph = show_class(single(cp))
-        alloc = BankAlloc.after(expr)
-        expr = derive(expr, cp, pos, alloc)
+    for cp in symbols:
+        expr, _ = step(expr, cp, pos, tags, store)
         pos += 1
-        if n_slots and expr != EMPTY:
-            expr = _step_normalize(expr, tags, store, pos, alloc)
-        print(f"D[{glyph}]  ->  {show(expr)}", file=out)
+        print(f"D[{show_class(single(cp))}]  ->  {show(expr)}", file=out)
         if expr == EMPTY:
             break
     verdict = bool(nu_ways(expr, pos))
@@ -248,6 +229,10 @@ def run(argv: list[str], out=None) -> int:
     try:
         if cfg.command != "compile":
             cfg.inputs = _read_inputs(args)
+            if cfg.ascii_only:
+                bad = next((c for text in cfg.inputs for c in text if c > "\x7f"), None)
+                if bad is not None:
+                    raise ValueError(f"input symbol {ord(bad):#x} outside the --ascii alphabet")
         handler = {
             "match": _cmd_match,
             "submatch": _cmd_submatch,
@@ -258,6 +243,9 @@ def run(argv: list[str], out=None) -> int:
         return handler(cfg, out)
     except (ParseError, StateLimitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: pattern or input nests too deeply for the stack", file=sys.stderr)
         return 2
 
 

@@ -2,9 +2,11 @@
 
 ``match_lazy`` is the plain recognizer (derive, then test nullability).
 ``match_full`` adds anchors and submatch memory: it injects anchor
-symbols, steps through derivative + tag evaluation + disambiguation per
-symbol, collects a candidate whenever the current expression is
-nullable, and finally picks a winner per the disambiguation policy.
+symbols, runs ``step`` (derivative + tag evaluation + disambiguation)
+per symbol, offers a candidate whenever the current expression is
+nullable, and finally reports the winner's spans.  ``start``, ``step``
+and the acceptance helpers are the one matching step of drex: the DFA
+builders and the CLI trace run them too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .anchors import ANCHOR_RUN, inject_anchors
-from .semantics import derive, nu_ways
+from .semantics import Way, derive, nu_ways
 from .submatch import (
     POLICY_POSIX,
     Cells,
@@ -22,7 +24,6 @@ from .submatch import (
     InitBank,
     Store,
     apply_ops,
-    apply_writes,
     bank_compare,
     extract_submatches,
     normalize_step,
@@ -38,6 +39,8 @@ from .syntax import (
 )
 
 Span = tuple[int, int]
+# A match end (stream position) with the winning bank's cells.
+Candidate = tuple[int, Optional[Cells]]
 
 
 @dataclass(frozen=True)
@@ -79,29 +82,98 @@ def match_lazy(r: Regex, s) -> bool:
     return is_nullable(r)
 
 
-def _pad(r: Regex) -> Regex:
-    # The trailing anchor run of the stream belongs to no atom of the
-    # pattern; absorb it explicitly.  Leading anchors are skipped by the
-    # pattern's own transparent atoms (or this same pad when the pattern
-    # consumes nothing).
-    return cat(r, ANCHOR_RUN)
+def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, list]:
+    """The state before the first symbol: expression, bank store, ops.
+
+    With ``pad`` the pattern absorbs the trailing anchor run of the
+    stream, which belongs to no atom of the pattern (leading anchors are
+    skipped by the pattern's own transparent atoms, or by this same pad
+    when the pattern consumes nothing).  When tags are tracked, bank 1
+    is opened and the first tag evaluation runs at position 0; the
+    returned ops have already been applied to the store.
+    """
+    expr = cat(r, ANCHOR_RUN) if pad else r
+    store: Store = {}
+    ops: list = []
+    if tags.num_tags:
+        expr = Bank(1, (), expr)
+        ops.append(InitBank(1))
+        apply_ops(store, ops, tags.num_tags)
+        expr, more = normalize_step(expr, tags, store, 0, BankAlloc.after(expr))
+        ops.extend(more)
+    return expr, store, ops
 
 
-@dataclass
-class _Candidate:
-    pos: int
-    cells: Optional[Cells]
+def step(
+    expr: Regex, cp: int, pos: int, tags: TagTable, store: Store
+) -> tuple[Regex, list]:
+    """Consume the symbol at ``pos``: derive, then normalize at ``pos + 1``.
+
+    Normalization (tag evaluation, disambiguation, bank compaction)
+    updates ``store`` in place and returns the ops it applied.  Without
+    tracked tags positions are irrelevant, so the derivative is taken at
+    position 0 and equal residuals stay equal trees.
+    """
+    alloc = BankAlloc.after(expr)
+    if not tags.num_tags:
+        return derive(expr, cp, 0, alloc), []
+    expr = derive(expr, cp, pos, alloc)
+    if expr == EMPTY:
+        return expr, []
+    return normalize_step(expr, tags, store, pos + 1, alloc)
 
 
-def _pick_way(ways, store: Store, tags: TagTable) -> Optional[Cells]:
-    best: Optional[Cells] = None
-    for owner, writes in ways:
+def best_way(
+    ways: list[Way], base: int, store: Store, tags: TagTable
+) -> Optional[tuple[Way, Optional[Cells]]]:
+    """The accepting way whose bank ranks highest, with its cells.
+
+    A way's write ``(slot, v)`` stamps position ``base + v``: the lazy
+    engine passes absolute writes with base 0, a compiled machine
+    relative ones with the current position.  Ways without an owning
+    bank carry no memory and are skipped; None when no way qualifies.
+    Without tracked tags every way is alike: the first one wins and no
+    cells are computed.
+    """
+    if not tags.num_tags:
+        return (ways[0], None) if ways else None
+    best = None
+    for way in ways:
+        owner, writes = way
         if owner is None:
             continue
-        cells = apply_writes(store[owner], writes)
-        if best is None or bank_compare(cells, best, tags) == HIGHER:
-            best = cells
+        cells = list(store[owner])
+        for slot, v in writes:
+            cells[slot] = base + v
+        cells = tuple(cells)
+        if best is None or bank_compare(cells, best[1], tags) == HIGHER:
+            best = (way, cells)
     return best
+
+
+def offer(best: Optional[Candidate], pos: int, cells: Optional[Cells],
+          policy: str, tags: TagTable) -> Candidate:
+    """The candidate kept after a match ending at ``pos`` (later than ``best``).
+
+    Under posix the longer prefix always wins; the other policies keep
+    the earlier candidate unless the new bank ranks higher.
+    """
+    if (best is None or policy == POLICY_POSIX
+            or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER)):
+        return (pos, cells)
+    return best
+
+
+def match_result(best: Optional[Candidate], tags: TagTable,
+                 origin: tuple[int, ...], stream_offsets: bool) -> MatchResult:
+    """Spans of the winning candidate, in text offsets through ``origin``."""
+    if best is None:
+        return MatchResult(False)
+    pos, cells = best
+    groups: list[Optional[Span]] = [(0, pos if stream_offsets else origin[pos])]
+    if tags.num_tags:
+        groups.extend(extract_submatches(cells, tags, None if stream_offsets else origin))
+    return MatchResult(True, cells, tuple(groups), pos)
 
 
 def match_full(
@@ -119,55 +191,18 @@ def match_full(
     unless ``stream_offsets`` is set.
     """
     stream = inject_anchors(s)
-    n_slots = tags.num_tags
-    tagged = n_slots > 0
-    expr: Regex = _pad(r)
-    store: Store = {}
-    if tagged:
-        expr = Bank(1, (), expr)
-        apply_ops(store, [InitBank(1)], n_slots)
-
-    def step_normalize(e: Regex, pos: int, alloc: BankAlloc) -> Regex:
-        e, _ = normalize_step(e, tags, store, pos, alloc)
-        return e
-
-    best: Optional[_Candidate] = None
-
-    def consider(e: Regex, pos: int) -> None:
-        nonlocal best
-        ways = nu_ways(e, pos)
-        if not ways:
-            return
-        cells = _pick_way(ways, store, tags) if tagged else None
-        if tagged and cells is None:
-            return
-        if best is None:
-            best = _Candidate(pos, cells)
-        elif policy == POLICY_POSIX:
-            best = _Candidate(pos, cells)  # longer prefix always wins
-        elif tagged and bank_compare(cells, best.cells, tags) == HIGHER:
-            best = _Candidate(pos, cells)
-
+    symbols = stream.symbols
+    expr, store, _ = start(r, tags, pad=True)
+    best: Optional[Candidate] = None
     pos = 0
-    alloc = BankAlloc.after(expr)
-    if tagged:
-        expr = step_normalize(expr, 0, alloc)
-    consider(expr, 0)
-    for cp in stream.symbols:
-        alloc = BankAlloc.after(expr)
-        expr = derive(expr, cp, pos, alloc)
+    while True:
+        found = best_way(nu_ways(expr, pos), 0, store, tags)
+        if found is not None:
+            best = offer(best, pos, found[1], policy, tags)
+        if pos == len(symbols):
+            break
+        expr, _ = step(expr, symbols[pos], pos, tags, store)
         pos += 1
         if expr == EMPTY:
             break
-        if tagged:
-            expr = step_normalize(expr, pos, alloc)
-        consider(expr, pos)
-
-    if best is None:
-        return MatchResult(False)
-    origin = None if stream_offsets else stream.boundary_origin
-    end = best.pos if stream_offsets else stream.boundary_origin[best.pos]
-    groups: list[Optional[Span]] = [(0, end)]
-    if tagged:
-        groups.extend(extract_submatches(best.cells, tags, origin))
-    return MatchResult(True, best.cells, tuple(groups), best.pos)
+    return match_result(best, tags, stream.boundary_origin, stream_offsets)

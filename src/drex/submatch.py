@@ -55,14 +55,6 @@ Cells = tuple[Optional[int], ...]
 Store = dict[int, Cells]
 
 
-@dataclass(frozen=True)
-class BankCells:
-    """One memory bank: identity plus per-tag recorded positions."""
-
-    bank: int
-    slots: Cells
-
-
 # --- memory operations ------------------------------------------------------
 
 
@@ -91,6 +83,11 @@ class SetSlot:
 
 
 MemoryOp = object  # InitBank | CopyBank | SetSlot
+
+
+def op_banks(op) -> tuple[int, ...]:
+    """The banks a memory op writes or reads."""
+    return (op.dst, op.src) if isinstance(op, CopyBank) else (op.bank,)
 
 
 def apply_ops(store: Store, ops: Iterable[MemoryOp], n_slots: int) -> None:
@@ -342,11 +339,7 @@ def normalize_step(
     if moves:
         referenced = [b for mv in moves for b in mv]
         referenced.extend(banks_in_order(r))
-        for op in ops:
-            if isinstance(op, CopyBank):
-                referenced.extend((op.dst, op.src))
-            elif isinstance(op, (InitBank, SetSlot)):
-                referenced.append(op.bank)
+        referenced.extend(b for op in ops for b in op_banks(op))
         mops = sequence_moves(moves, _scratch_above(referenced, store.keys()))
         apply_ops(store, mops, n_slots)
         ops = ops + mops
@@ -366,13 +359,7 @@ def rearrange_memory(
         raise ValueError("expressions are not equal up to banks")
     moves = [(dst, src) for src, dst in pairing if dst != src]
     involved = [b for pair in pairing for b in pair]
-    for op in ops:
-        if isinstance(op, InitBank):
-            involved.append(op.bank)
-        elif isinstance(op, CopyBank):
-            involved.extend((op.dst, op.src))
-        elif isinstance(op, SetSlot):
-            involved.append(op.bank)
+    involved.extend(b for op in ops for b in op_banks(op))
     scratch = max(involved, default=0) + 1
     return list(ops) + sequence_moves(moves, scratch)
 

@@ -136,16 +136,19 @@ class TestTaggedDfa:
         assert not tagged_dfa_match(m, "ba").matched
 
     def test_tag_free_equals_plain_dfa(self):
-        r, _ = parse("(?:a+ab+b)*")
-        plain = make_dfa(r, ABC)
-        tagged = make_tagged_dfa(r, TagTable(), alphabet=ABC, anchored=False,
-                                 pad=False)
-        assert tagged.states == plain.states
-        assert all(not ops for row in tagged.transitions for _, _, ops in row)
-        assert [
-            (block.bounds, j) for row in tagged.transitions for block, j, _ in row
-        ] == [(block.bounds, j) for row in plain.transitions for block, j in row]
-        assert set(tagged.accepting) == set(plain.accepting)
+        # The second pattern has capture groups whose tags are not tracked.
+        for pat, ab, n_states in (("(?:a+ab+b)*", ABC, None), ("(a*)(a*)a", AB, 3)):
+            r, _ = parse(pat)
+            plain = make_dfa(r, ab)
+            tagged = make_tagged_dfa(r, TagTable(), alphabet=ab, anchored=False,
+                                     pad=False, state_limit=50)
+            assert n_states is None or plain.n_states == n_states
+            assert tagged.states == plain.states
+            assert all(not ops for row in tagged.transitions for _, _, ops in row)
+            assert [
+                (block.bounds, j) for row in tagged.transitions for block, j, _ in row
+            ] == [(block.bounds, j) for row in plain.transitions for block, j in row]
+            assert set(tagged.accepting) == set(plain.accepting)
 
     def test_lazy_variant_same_graph_other_banks(self):
         r, t = parse("(?la*)(?la*)a")

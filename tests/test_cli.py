@@ -39,7 +39,21 @@ class TestMatch:
             for text in texts:
                 lazy = call(["match", pattern, text, "--engine", "lazy"])[0]
                 dfa = call(["match", pattern, text, "--engine", "dfa"])[0]
-                assert lazy == dfa, (pattern, text)
+                trace = call(["trace", pattern, text])[0]
+                assert lazy == dfa == trace, (pattern, text)
+
+    def test_ascii_rejects_wider_input_on_both_engines(self):
+        for engine in ("lazy", "dfa"):
+            code, out = call(["match", "--ascii", "~a", "é", "--engine", engine])
+            assert code == 2 and out == "", engine
+            code, _ = call(["submatch", "--ascii", "(a)", "é", "--engine", engine])
+            assert code == 2, engine
+        assert call(["match", "--ascii", "~a", "e"])[0] == 0
+
+    def test_recursion_overflow_exit_2(self):
+        literal = "a" * 30_000
+        code, out = call(["match", literal, literal])
+        assert code == 2 and out == ""
 
     def test_parse_error_exit_2(self):
         code, _ = call(["match", "(a", "x"])

@@ -11,22 +11,26 @@ an initial program, and a result bank per accepting state.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .anchors import inject_anchors
 from .charset import Alphabet, CharSet
-from .engine import Candidate, MatchResult, best_way, match_result, offer, start, step
-from .semantics import derivative_classes, nu_ways
+from .engine import MatchResult, Span, start, step
+from .semantics import Way, derivative_classes, nu_ways
 from .semantics import derive  # kept: perfbench/tracing.py wraps this name
 from .submatch import (
+    HIGHER,
     POLICY_POSIX,
+    Cells,
     CopyBank,
     InitBank,
     SetSlot,
     Store,
     apply_ops,
+    bank_compare,
+    extract_submatches,
     op_banks,
 )
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
@@ -38,7 +42,6 @@ from .syntax import (
     alt,
     banks_in_order,
     cat,
-    is_nullable,
     show,
     show_class,
     star,
@@ -94,8 +97,8 @@ class AcceptInfo:
 
     ``bank``/``ops`` name the construction-preferred result; ``ways``
     lists every nullable alternative, its writes relative to the
-    acceptance position, so the run-time comparison sees the same
-    candidates as the lazy engine.
+    acceptance position, so a run compares the banks it holds at that
+    position.
     """
 
     bank: Optional[int]
@@ -119,6 +122,11 @@ class TaggedDfa:
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def dead(self) -> Optional[int]:
+        """The ∅ state, after which no run accepts."""
+        return next((i for i, e in enumerate(self.states) if e == EMPTY), None)
+
     def step(self, state: int, cp: int) -> tuple[int, tuple]:
         for block, target, ops in self.transitions[state]:
             if cp in block:
@@ -126,83 +134,8 @@ class TaggedDfa:
         raise ValueError(f"symbol {cp:#x} outside the working alphabet")
 
 
-def _sorted_blocks(blocks) -> list[CharSet]:
-    return sorted(blocks, key=lambda b: b.bounds)
-
-
-def _build(expr: Regex, store: Store, tags: TagTable, alphabet: Alphabet,
-           state_limit: int):
-    """Worklist construction: ``engine.step`` over derivative-class blocks.
-
-    State identity is the expression alone when no tags are tracked, and
-    the expression plus the signature of its live banks otherwise.
-    Disambiguation compares banks at concrete positions counted from the
-    start expression; the emitted programs are position-relative, so the
-    machine is depth-independent at run time.  Returns the states, their
-    depths and stores, and the rows of (block, target, program).
-    """
-    n_slots = tags.num_tags
-    states: list[Regex] = []
-    depths: list[int] = []
-    stores: list[Store] = []
-    index: dict = {}
-    work: deque[int] = deque()
-
-    def state_id(e: Regex, st: Store, depth: int) -> int:
-        key = e
-        if n_slots:
-            live = banks_in_order(e)
-            st = {b: st[b] for b in live}
-            key = (e, _store_signature(st, live, n_slots, depth))
-        j = index.get(key)
-        if j is None:
-            j = len(states)
-            if j and j >= state_limit:
-                raise StateLimitError(state_limit)
-            index[key] = j
-            states.append(e)
-            depths.append(depth)
-            stores.append(st)
-            work.append(j)
-        return j
-
-    state_id(expr, store, 0)
-    rows: list[tuple] = []
-    while work:
-        i = work.popleft()  # ids are handed out in worklist order
-        e, d = states[i], depths[i]
-        row = []
-        for block in _sorted_blocks(derivative_classes(e, alphabet).blocks):
-            st = dict(stores[i])
-            de, ops = step(e, block.pick(), d, tags, st)
-            row.append((block, state_id(de, st, d + 1), _encode_ops(ops, d + 1)))
-        rows.append(tuple(row))
-    return states, depths, stores, rows
-
-
-def make_dfa(
-    r: Regex,
-    alphabet: Alphabet = Alphabet(with_anchors=False),
-    state_limit: int = DEFAULT_STATE_LIMIT,
-) -> Dfa:
-    """Worklist construction over derivative-class blocks (tag-free)."""
-    states, _, _, rows = _build(r, {}, TagTable(), alphabet, state_limit)
-    accepting = frozenset(i for i, e in enumerate(states) if is_nullable(e))
-    transitions = tuple(tuple((block, j) for block, j, _ in row) for row in rows)
-    return Dfa(alphabet, tuple(states), transitions, accepting)
-
-
-def dfa_match(m: Dfa, s) -> bool:
-    """Whole-sequence recognition (no anchor preprocessing)."""
-    state = 0
-    for c in s:
-        cp = ord(c) if isinstance(c, str) else c
-        state = m.step(state, cp)
-    return state in m.accepting
-
-
 # ---------------------------------------------------------------------------
-# Tagged construction
+# The machine: built as runs reach it, or all at once
 # ---------------------------------------------------------------------------
 
 
@@ -252,18 +185,138 @@ def _store_signature(store: Store, banks: list[int], n_slots: int, p: int) -> tu
     return tuple(sig)
 
 
-def _accept_info(e: Regex, depth: int, store: Store, tags: TagTable):
-    ways = nu_ways(e, depth)
-    found = best_way(ways, 0, store, tags)
+def _best_way(
+    ways: tuple[Way, ...], base: int, store: Store, tags: TagTable
+) -> Optional[tuple[Way, Optional[Cells]]]:
+    """The accepting way whose bank ranks highest, with its cells.
+
+    A way's write ``(slot, v)`` stamps position ``base + v``; ways
+    without an owning bank carry no memory and are skipped.  Without
+    tracked tags the first way wins and no cells are computed.  None
+    when no way qualifies.
+    """
+    if not tags.num_tags:
+        return (ways[0], None) if ways else None
+    best = None
+    for way in ways:
+        owner, writes = way
+        if owner is None:
+            continue
+        cells = list(store[owner])
+        for slot, v in writes:
+            cells[slot] = base + v
+        cells = tuple(cells)
+        if best is None or bank_compare(cells, best[1], tags) == HIGHER:
+            best = (way, cells)
+    return best
+
+
+def _accept_info(e: Regex, depth: int, store: Store, tags: TagTable) -> Optional[AcceptInfo]:
+    ways = tuple((owner, tuple((slot, v - depth) for slot, v in writes))
+                 for owner, writes in nu_ways(e, depth))
+    if any(v for owner, writes in ways if owner is not None for _, v in writes):
+        raise AssertionError("acceptance writes must be at the current position")
+    found = _best_way(ways, depth, store, tags)
     if found is None:
         return None
-    rel = tuple((owner, tuple((slot, v - depth) for slot, v in writes))
-                for owner, writes in ways)
-    if any(v for owner, writes in rel if owner is not None for _, v in writes):
-        raise AssertionError("acceptance writes must be at the current position")
     (owner, writes), _ = found
     ops = () if owner is None else tuple(SetSlotRel(owner, slot, 0) for slot, _ in writes)
-    return AcceptInfo(owner, ops, rel)
+    return AcceptInfo(owner, ops, ways)
+
+
+class Machine:
+    """A tagged machine built as runs reach it; state 0 is ``engine.start``.
+
+    A state is keyed by its expression, plus the signature of its live
+    banks when tags are tracked.  Its ``AcceptInfo`` and derivative-class
+    blocks are computed when it is created, and an edge (``engine.step``
+    at one symbol of the block, from the state's first depth and store)
+    when a run first takes it.  Programs are position-relative, so the
+    machine is depth-independent at run time.
+    """
+
+    def __init__(self, r: Regex, tags: TagTable, policy: str, alphabet: Alphabet,
+                 anchored: bool, pad: bool, state_limit: float):
+        expr, store, init_ops = start(r, tags, pad)
+        self.tags = tags
+        self.policy = policy
+        self.alphabet = alphabet
+        self.anchored = anchored
+        self.state_limit = state_limit
+        self.initial_ops = _encode_ops(init_ops, 0)
+        self.index: dict = {}
+        self.states: list[Regex] = []
+        self.depths: list[int] = []
+        self.stores: list[Store] = []
+        # Per state, [block, target, program] edges; target None until taken.
+        self.rows: list[list[list]] = []
+        self.accepting: dict[int, AcceptInfo] = {}
+        self.dead: Optional[int] = None  # the ∅ state, once created
+        self._state_id(expr, store, 0)
+
+    def _state_id(self, e: Regex, st: Store, depth: int) -> int:
+        n_slots = self.tags.num_tags
+        key = e
+        if n_slots:
+            live = banks_in_order(e)
+            st = {b: st[b] for b in live}
+            key = (e, _store_signature(st, live, n_slots, depth))
+        j = self.index.get(key)
+        if j is None:
+            j = len(self.states)
+            if j and j >= self.state_limit:
+                raise StateLimitError(self.state_limit)
+            self.index[key] = j
+            self.states.append(e)
+            self.depths.append(depth)
+            self.stores.append(st)
+            blocks = derivative_classes(e, self.alphabet).blocks
+            self.rows.append([[b, None, ()] for b in sorted(blocks, key=lambda b: b.bounds)])
+            info = _accept_info(e, depth, st, self.tags)
+            if info is not None:
+                self.accepting[j] = info
+            if e == EMPTY:
+                self.dead = j
+        return j
+
+    def step(self, i: int, cp: int) -> tuple[int, tuple]:
+        for edge in self.rows[i]:
+            if cp in edge[0]:
+                if edge[1] is None:
+                    d, st = self.depths[i], dict(self.stores[i])
+                    de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st)
+                    edge[1:] = self._state_id(de, st, d + 1), _encode_ops(ops, d + 1)
+                return edge[1], edge[2]
+
+    def build(self) -> "Machine":
+        """Take every edge, state by state in creation (worklist) order."""
+        i = 0
+        while i < len(self.states):
+            for block, _, _ in self.rows[i]:
+                self.step(i, block.pick())
+            i += 1
+        return self
+
+
+def make_dfa(
+    r: Regex,
+    alphabet: Alphabet = Alphabet(with_anchors=False),
+    state_limit: int = DEFAULT_STATE_LIMIT,
+) -> Dfa:
+    """Worklist construction over derivative-class blocks (tag-free)."""
+    m = Machine(r, TagTable(), POLICY_POSIX, alphabet, anchored=False, pad=False,
+                state_limit=state_limit).build()
+    transitions = tuple(tuple((block, j) for block, j, _ in row) for row in m.rows)
+    return Dfa(alphabet, tuple(m.states), transitions, frozenset(m.accepting))
+
+
+def dfa_match(m: Dfa, s) -> bool:
+    """Whole-sequence recognition (no anchor preprocessing)."""
+    state = 0
+    for c in s:
+        cp = ord(c) if isinstance(c, str) else c
+        state = m.step(state, cp)
+    return state in m.accepting
 
 
 def make_tagged_dfa(
@@ -278,21 +331,16 @@ def make_tagged_dfa(
     """Construct a DFA whose transitions carry memory-op programs."""
     if pad is None:
         pad = anchored
-    expr, store, init_ops = start(r, tags, pad)
-    states, depths, stores, rows = _build(expr, store, tags, alphabet, state_limit)
-    accepting: dict[int, AcceptInfo] = {}
-    for i, e in enumerate(states):
-        info = _accept_info(e, depths[i], stores[i], tags)
-        if info is not None:
-            accepting[i] = info
-    banks = banks_in_order(expr)
+    m = Machine(r, tags, policy, alphabet, anchored, pad, state_limit).build()
+    rows = tuple(tuple(tuple(edge) for edge in row) for row in m.rows)
+    banks = banks_in_order(m.states[0])
     banks += [b for row in rows for _, _, ops in row for op in ops for b in op_banks(op)]
     return TaggedDfa(
         alphabet=alphabet,
-        states=tuple(states),
-        transitions=tuple(rows),
-        accepting=accepting,
-        initial_ops=_encode_ops(init_ops, 0),
+        states=tuple(m.states),
+        transitions=rows,
+        accepting=m.accepting,
+        initial_ops=m.initial_ops,
         tags=tags,
         bank_count=max(banks, default=0) + 1,
         policy=policy,
@@ -300,28 +348,46 @@ def make_tagged_dfa(
     )
 
 
-def tagged_dfa_match(m: TaggedDfa, text: str, stream_offsets: bool = False) -> MatchResult:
-    """Run a tagged machine over text, reporting spans like ``match_full``."""
+def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
+    """The one matching loop: run a ``TaggedDfa`` or a ``Machine`` over text.
+
+    Each accepting position offers its best bank: under posix the later
+    end wins, otherwise the earlier one unless the new bank ranks
+    higher.  The run stops in the ∅ state.
+    """
     if m.anchored:
         stream = inject_anchors(text)
-        symbols = stream.symbols
-        boundary_origin = stream.boundary_origin
+        symbols, origin = stream.symbols, stream.boundary_origin
     else:
         symbols = tuple(ord(c) for c in text)
-        boundary_origin = tuple(range(len(text) + 1))
-    n_slots = m.tags.num_tags
+        origin = tuple(range(len(text) + 1))
+    tags = m.tags
+    n_slots = tags.num_tags
+    posix = m.policy == POLICY_POSIX
+    accepting, dead, step_ = m.accepting, m.dead, m.step
     store: Store = {}
     _apply_rel_ops(store, m.initial_ops, 0, n_slots)
-    best: Optional[Candidate] = None
-    state = 0
-    for p in range(len(symbols) + 1):
-        if p:
-            state, ops = m.step(state, symbols[p - 1])
-            _apply_rel_ops(store, ops, p, n_slots)
-        info = m.accepting.get(state)
+    best: Optional[tuple[int, Optional[Cells]]] = None  # match end, cells
+    state = p = 0
+    while True:
+        info = accepting.get(state)
         if info is not None:
-            best = offer(best, p, best_way(info.ways, p, store, m.tags)[1], m.policy, m.tags)
-    return match_result(best, m.tags, boundary_origin, stream_offsets)
+            cells = _best_way(info.ways, p, store, tags)[1]
+            if (best is None or posix
+                    or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER)):
+                best = (p, cells)
+        if p == len(symbols) or state == dead:
+            break
+        state, ops = step_(state, symbols[p])
+        p += 1
+        _apply_rel_ops(store, ops, p, n_slots)
+    if best is None:
+        return MatchResult(False)
+    end, cells = best
+    groups: list[Optional[Span]] = [(0, end if stream_offsets else origin[end])]
+    if n_slots:
+        groups.extend(extract_submatches(cells, tags, None if stream_offsets else origin))
+    return MatchResult(True, cells, tuple(groups), end)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +481,7 @@ def _op_str(op) -> str:
     if isinstance(op, SetSlotRel):
         when = "p-1" if op.offset == -1 else "p"
         return f"b{op.bank}[{op.slot}] <- {when}"
-    if isinstance(op, SetSlot):
-        return f"b{op.bank}[{op.slot}] <- {op.value}"
-    raise TypeError(f"not a memory op: {op!r}")
+    raise TypeError(f"not a machine op: {op!r}")
 
 
 def _op_json(op) -> dict:

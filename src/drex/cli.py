@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     StateLimitError,
@@ -25,111 +24,93 @@ from .automaton import (
     tagged_dfa_match,
 )
 from .anchors import inject_anchors
-from .charset import ALL_BASE, ASCII_BASE, Alphabet, single
-from .engine import match_full, start, step
+from .charset import ALL_BASE, ASCII_BASE, Alphabet, CharSet, single
+from .engine import MatchResult, match_full, start, step
 from .semantics import nu_ways
 from .semantics import derive  # kept: perfbench/tracing.py wraps this name
-from .submatch import POLICIES, POLICY_POSIX
+from .submatch import POLICY_POSIX
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
-from .syntax import EMPTY, ParseError, SyntaxOptions, cat, parse, show, show_class, star, sym
+from .syntax import (
+    EMPTY,
+    POLICIES,
+    ParseError,
+    Regex,
+    SyntaxOptions,
+    TagTable,
+    cat,
+    erase_memory,
+    parse,
+    show,
+    show_class,
+    star,
+    sym,
+)
 
 
-@dataclass
-class CliConfig:
-    command: str
-    pattern: str
-    inputs: list[str]
-    policy: str = POLICY_POSIX
-    engine: str = "lazy"
-    fmt: str = "text"
-    state_bound: int = DEFAULT_STATE_LIMIT
-    ascii_only: bool = False
-    show_trace: bool = False
-    stream_offsets: bool = False
-    posix_subpatterns: bool = True
-
-
-def _read_inputs(args) -> list[str]:
+def _read_input(args) -> str:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return [fh.read()]
+            return fh.read()
     if args.input is not None:
-        return [args.input]
-    return [sys.stdin.read()]
+        return args.input
+    return sys.stdin.read()
 
 
-def _options(cfg: CliConfig) -> SyntaxOptions:
-    base = ASCII_BASE if cfg.ascii_only else ALL_BASE
-    return SyntaxOptions(
-        policy=cfg.policy,
-        posix_subpatterns=cfg.posix_subpatterns,
-        base=base,
-    )
+def _base(args) -> CharSet:
+    return ASCII_BASE if args.ascii_only else ALL_BASE
 
 
-def _alphabet(cfg: CliConfig, with_anchors: bool) -> Alphabet:
-    return Alphabet(
-        base=ASCII_BASE if cfg.ascii_only else ALL_BASE,
-        with_anchors=with_anchors,
-    )
+def _parse(args) -> tuple[Regex, TagTable]:
+    return parse(args.pattern, SyntaxOptions(
+        policy=args.policy,
+        posix_subpatterns=not getattr(args, "no_subpattern_tags", False),
+        base=_base(args),
+    ))
 
 
-def _cmd_match(cfg: CliConfig, out) -> int:
-    if cfg.show_trace:
-        _print_trace(cfg, out)
-    regex, tags = parse(cfg.pattern, _options(cfg))
-    text = cfg.inputs[0]
-    if cfg.engine == "dfa":
-        machine = make_tagged_dfa(
-            regex, tags, cfg.policy, _alphabet(cfg, True),
-            state_limit=cfg.state_bound,
-        )
-        result = tagged_dfa_match(machine, text)
-    else:
-        result = match_full(regex, tags, text, cfg.policy)
+def _tagged_dfa(args, regex: Regex, tags: TagTable):
+    return make_tagged_dfa(regex, tags, args.policy, Alphabet(_base(args), with_anchors=True),
+                           state_limit=args.state_bound)
+
+
+def _match(args, text: str, out) -> MatchResult:
+    """Print the trace if asked, then match with the chosen engine."""
+    regex, tags = _parse(args)
+    if args.show_trace:
+        _print_trace(regex, tags, text, out)
+    stream_offsets = getattr(args, "stream_offsets", False)
+    if args.engine == "dfa":
+        return tagged_dfa_match(_tagged_dfa(args, regex, tags), text, stream_offsets)
+    return match_full(regex, tags, text, args.policy, stream_offsets)
+
+
+def _cmd_match(args, text: str, out) -> int:
+    result = _match(args, text, out)
     hit = result.matched and result.groups[0] == (0, len(text))
     print("match" if hit else "no match", file=out)
     return 0 if hit else 1
 
 
-def _cmd_submatch(cfg: CliConfig, out) -> int:
-    if cfg.show_trace:
-        _print_trace(cfg, out)
-    regex, tags = parse(cfg.pattern, _options(cfg))
-    text = cfg.inputs[0]
-    if cfg.engine == "dfa":
-        machine = make_tagged_dfa(
-            regex, tags, cfg.policy, _alphabet(cfg, True),
-            state_limit=cfg.state_bound,
-        )
-        result = tagged_dfa_match(machine, text, stream_offsets=cfg.stream_offsets)
-    else:
-        result = match_full(
-            regex, tags, text, cfg.policy, stream_offsets=cfg.stream_offsets
-        )
+def _cmd_submatch(args, text: str, out) -> int:
+    result = _match(args, text, out)
     print(result.to_json(), file=out)
     return 0 if result.matched else 1
 
 
-def _cmd_compile(cfg: CliConfig, out) -> int:
-    regex, tags = parse(cfg.pattern, _options(cfg))
+def _cmd_compile(args, _text, out) -> int:
+    regex, tags = _parse(args)
     if tags.num_tags == 0:
-        machine = make_dfa(
-            regex, _alphabet(cfg, False), state_limit=cfg.state_bound
-        )
+        machine = make_dfa(regex, Alphabet(_base(args), with_anchors=False),
+                           state_limit=args.state_bound)
     else:
-        machine = make_tagged_dfa(
-            regex, tags, cfg.policy, _alphabet(cfg, True),
-            state_limit=cfg.state_bound,
-        )
-    print(export_dot(machine) if cfg.fmt == "dot" else export_json(machine), file=out)
+        machine = _tagged_dfa(args, regex, tags)
+    print(export_dot(machine) if args.fmt == "dot" else export_json(machine), file=out)
     return 0
 
 
-def _print_trace(cfg: CliConfig, out) -> bool:
+def _print_trace(regex: Regex, tags: TagTable, text: str, out) -> bool:
     """Print the per-symbol derivative chain; returns the final verdict."""
-    regex, tags = parse(cfg.pattern, _options(cfg))
-    symbols = inject_anchors(cfg.inputs[0]).symbols
+    symbols = inject_anchors(text).symbols
     expr, store, _ = start(regex, tags, pad=True)
     print(f"start     {show(expr)}", file=out)
     pos = 0
@@ -144,18 +125,19 @@ def _print_trace(cfg: CliConfig, out) -> bool:
     return verdict
 
 
-def _cmd_trace(cfg: CliConfig, out) -> int:
-    return 0 if _print_trace(cfg, out) else 1
+def _cmd_trace(args, text: str, out) -> int:
+    regex, tags = _parse(args)
+    return 0 if _print_trace(regex, tags, text, out) else 1
 
 
-def _cmd_grep(cfg: CliConfig, out) -> int:
-    regex, tags = parse(cfg.pattern, _options(cfg))
-    base = ASCII_BASE if cfg.ascii_only else ALL_BASE
-    anywhere = cat(star(sym(base)), cat(regex, star(sym(base))))
-    lines = cfg.inputs[0].splitlines()
+def _cmd_grep(args, text: str, out) -> int:
+    # Tags never change the language, and a line's verdict needs no spans.
+    regex, _ = _parse(args)
+    any_sym = star(sym(_base(args)))
+    anywhere = erase_memory(cat(any_sym, cat(regex, any_sym)))
     hit_any = False
-    for line in lines:
-        result = match_full(anywhere, tags, line, cfg.policy)
+    for line in text.splitlines():
+        result = match_full(anywhere, TagTable(), line)
         if result.matched and result.groups[0] == (0, len(line)):
             print(line, file=out)
             hit_any = True
@@ -213,24 +195,12 @@ def run(argv: list[str], out=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    cfg = CliConfig(
-        command=args.command,
-        pattern=args.pattern,
-        inputs=[],
-        policy=getattr(args, "policy", POLICY_POSIX),
-        engine=getattr(args, "engine", "lazy"),
-        fmt=getattr(args, "fmt", "text"),
-        state_bound=args.state_bound,
-        ascii_only=args.ascii_only,
-        stream_offsets=getattr(args, "stream_offsets", False),
-        show_trace=getattr(args, "show_trace", False),
-        posix_subpatterns=not getattr(args, "no_subpattern_tags", False),
-    )
     try:
-        if cfg.command != "compile":
-            cfg.inputs = _read_inputs(args)
-            if cfg.ascii_only:
-                bad = next((c for text in cfg.inputs for c in text if c > "\x7f"), None)
+        text = None
+        if args.command != "compile":
+            text = _read_input(args)
+            if args.ascii_only:
+                bad = next((c for c in text if c > "\x7f"), None)
                 if bad is not None:
                     raise ValueError(f"input symbol {ord(bad):#x} outside the --ascii alphabet")
         handler = {
@@ -239,8 +209,8 @@ def run(argv: list[str], out=None) -> int:
             "compile": _cmd_compile,
             "trace": _cmd_trace,
             "grep": _cmd_grep,
-        }[cfg.command]
-        return handler(cfg, out)
+        }[args.command]
+        return handler(args, text, out)
     except (ParseError, StateLimitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

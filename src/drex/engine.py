@@ -1,12 +1,11 @@
-"""Lazy matching: derivatives computed on the fly per input symbol.
+"""Lazy matching and the one matching step of drex.
 
 ``match_lazy`` is the plain recognizer (derive, then test nullability).
-``match_full`` adds anchors and submatch memory: it injects anchor
-symbols, runs ``step`` (derivative + tag evaluation + disambiguation)
-per symbol, offers a candidate whenever the current expression is
-nullable, and finally reports the winner's spans.  ``start``, ``step``
-and the acceptance helpers are the one matching step of drex: the DFA
-builders and the CLI trace run them too.
+``start`` and ``step`` (derivative, tag evaluation, disambiguation) are
+the only matching step: ``automaton.Machine`` takes its edges with them
+and the CLI trace prints them.  ``match_full`` runs
+``automaton.tagged_dfa_match`` on a machine that is built as the input
+reaches new states and edges.
 """
 
 from __future__ import annotations
@@ -15,17 +14,17 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .anchors import ANCHOR_RUN, inject_anchors
-from .semantics import Way, derive, nu_ways
+from .anchors import ANCHOR_RUN
+from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
+from .charset import Alphabet
+from .semantics import derive
+from .semantics import nu_ways  # kept: perfbench/tracing.py wraps this name
 from .submatch import (
     POLICY_POSIX,
     Cells,
-    HIGHER,
     InitBank,
     Store,
     apply_ops,
-    bank_compare,
-    extract_submatches,
     normalize_step,
 )
 from .syntax import (
@@ -39,8 +38,6 @@ from .syntax import (
 )
 
 Span = tuple[int, int]
-# A match end (stream position) with the winning bank's cells.
-Candidate = tuple[int, Optional[Cells]]
 
 
 @dataclass(frozen=True)
@@ -123,59 +120,6 @@ def step(
     return normalize_step(expr, tags, store, pos + 1, alloc)
 
 
-def best_way(
-    ways: list[Way], base: int, store: Store, tags: TagTable
-) -> Optional[tuple[Way, Optional[Cells]]]:
-    """The accepting way whose bank ranks highest, with its cells.
-
-    A way's write ``(slot, v)`` stamps position ``base + v``: the lazy
-    engine passes absolute writes with base 0, a compiled machine
-    relative ones with the current position.  Ways without an owning
-    bank carry no memory and are skipped; None when no way qualifies.
-    Without tracked tags every way is alike: the first one wins and no
-    cells are computed.
-    """
-    if not tags.num_tags:
-        return (ways[0], None) if ways else None
-    best = None
-    for way in ways:
-        owner, writes = way
-        if owner is None:
-            continue
-        cells = list(store[owner])
-        for slot, v in writes:
-            cells[slot] = base + v
-        cells = tuple(cells)
-        if best is None or bank_compare(cells, best[1], tags) == HIGHER:
-            best = (way, cells)
-    return best
-
-
-def offer(best: Optional[Candidate], pos: int, cells: Optional[Cells],
-          policy: str, tags: TagTable) -> Candidate:
-    """The candidate kept after a match ending at ``pos`` (later than ``best``).
-
-    Under posix the longer prefix always wins; the other policies keep
-    the earlier candidate unless the new bank ranks higher.
-    """
-    if (best is None or policy == POLICY_POSIX
-            or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER)):
-        return (pos, cells)
-    return best
-
-
-def match_result(best: Optional[Candidate], tags: TagTable,
-                 origin: tuple[int, ...], stream_offsets: bool) -> MatchResult:
-    """Spans of the winning candidate, in text offsets through ``origin``."""
-    if best is None:
-        return MatchResult(False)
-    pos, cells = best
-    groups: list[Optional[Span]] = [(0, pos if stream_offsets else origin[pos])]
-    if tags.num_tags:
-        groups.extend(extract_submatches(cells, tags, None if stream_offsets else origin))
-    return MatchResult(True, cells, tuple(groups), pos)
-
-
 def match_full(
     r: Regex,
     tags: TagTable,
@@ -188,21 +132,12 @@ def match_full(
     The match always starts at the beginning of the text; candidates at
     every nullable point are ranked by the policy (longest for posix,
     bank priority otherwise).  Offsets are reported in text coordinates
-    unless ``stream_offsets`` is set.
+    unless ``stream_offsets`` is set.  The run builds a fresh machine as
+    it goes, over the full anchored alphabet and with no state bound: a
+    run adds at most one state per symbol.
     """
-    stream = inject_anchors(s)
-    symbols = stream.symbols
-    expr, store, _ = start(r, tags, pad=True)
-    best: Optional[Candidate] = None
-    pos = 0
-    while True:
-        found = best_way(nu_ways(expr, pos), 0, store, tags)
-        if found is not None:
-            best = offer(best, pos, found[1], policy, tags)
-        if pos == len(symbols):
-            break
-        expr, _ = step(expr, symbols[pos], pos, tags, store)
-        pos += 1
-        if expr == EMPTY:
-            break
-    return match_result(best, tags, stream.boundary_origin, stream_offsets)
+    from .automaton import Machine, tagged_dfa_match  # automaton imports this module
+
+    m = Machine(r, tags, policy, Alphabet(with_anchors=True), anchored=True, pad=True,
+                state_limit=float("inf"))
+    return tagged_dfa_match(m, s, stream_offsets)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .charset import ANCHORS, FULL, Alphabet, CharSet, is_anchor
 from .syntax import (
@@ -38,6 +38,7 @@ from .syntax import (
     is_nullable,
     star,
     writes_chain,
+    _merge_writes,
 )
 
 # A "way" to accept the empty string: the owning bank (None below a bank
@@ -45,18 +46,11 @@ from .syntax import (
 Way = tuple[Optional[int], tuple[tuple[int, int], ...]]
 
 
-def _merge(w1: tuple[tuple[int, int], ...], w2: Iterable[tuple[int, int]]):
-    d = dict(w1)
-    for s, v in w2:
-        d[s] = v
-    return tuple(sorted(d.items()))
-
-
 def _combine_ways(a: Way, b: Way) -> Way:
     bank_a, wa = a
     bank_b, wb = b
     owner = bank_a if bank_a is not None else bank_b
-    return owner, _merge(wa, wb)
+    return owner, _merge_writes(wa, wb)
 
 
 def nu_ways(r: Regex, pos: int) -> list[Way]:
@@ -74,7 +68,7 @@ def nu_ways(r: Regex, pos: int) -> list[Way]:
     if isinstance(r, Bank):
         out = []
         for owner, w in nu_ways(r.body, pos):
-            out.append((r.bank, _merge(r.writes, w)))
+            out.append((r.bank, _merge_writes(r.writes, w)))
         return _dedup(out)
     if isinstance(r, Cat):
         left = nu_ways(r.head, pos)

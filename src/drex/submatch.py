@@ -49,7 +49,6 @@ UNSET = None
 POLICY_POSIX = "posix"
 POLICY_PRE_ORDER = "pre-order"
 POLICY_POST_ORDER = "post-order"
-POLICIES = (POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER)
 
 Cells = tuple[Optional[int], ...]
 Store = dict[int, Cells]

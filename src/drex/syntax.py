@@ -384,9 +384,7 @@ def cat(a: Regex, b: Regex) -> Regex:
     if isinstance(a, Bank):
         # A bank heads its whole alternative: bk(c) z = bk(c z)
         return bank(a.bank, a.writes, cat(a.body, b), src=a.src)
-    if isinstance(a, Alt) and any(
-        isinstance(head_atom(t), (Write, Bank, Tag)) for t in a.terms
-    ):
+    if _memory_headed_union(a):
         # Distribute memory-headed unions so pendings stay at term heads.
         return alt([cat(t, b) for t in a.terms])
     if isinstance(a, Write):

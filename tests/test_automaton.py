@@ -170,8 +170,7 @@ class TestTaggedDfa:
                     s = "".join(rnd.choice("ab") for _ in range(rnd.randint(0, 6)))
                     a = match_full(r, t, s, policy=policy)
                     b = tagged_dfa_match(m, s)
-                    assert a.matched == b.matched, (policy, pat, s)
-                    assert a.groups == b.groups, (policy, pat, s)
+                    assert a == b, (policy, pat, s)
 
     def test_ops_never_read_undefined_banks(self):
         # static check: on every path from the start state, a bank is

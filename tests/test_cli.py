@@ -140,6 +140,12 @@ class TestGrep:
         code, out = call(["grep", "ab*c"], stdin="xabbcx\nnope\nac\n")
         assert code == 0
         assert out.splitlines() == ["xabbcx", "ac"]
+        # Groups and the policy change spans, never which lines match.
+        for policy in ("posix", "pre-order", "post-order"):
+            code, out = call(["grep", r"\<(a)(?lb*)c\>", "--policy", policy],
+                             stdin="x abbc y\nabbcd\nac\nzac\n")
+            assert code == 0, policy
+            assert out.splitlines() == ["x abbc y", "ac"], policy
 
     def test_no_hits(self):
         code, out = call(["grep", "zz"], stdin="a\nb\n")

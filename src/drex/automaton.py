@@ -287,6 +287,7 @@ class Machine:
                     de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st)
                     edge[1:] = self._state_id(de, st, d + 1), _encode_ops(ops, d + 1)
                 return edge[1], edge[2]
+        raise ValueError(f"symbol {cp:#x} outside the working alphabet")
 
     def build(self) -> "Machine":
         """Take every edge, state by state in creation (worklist) order."""

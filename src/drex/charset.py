@@ -50,13 +50,13 @@ class CharSet:
         return not self.bounds
 
     def union(self, other: "CharSet") -> "CharSet":
-        return _combine(self, other, lambda a, b: a or b)
+        return _combine(self, other, (False, True, True, True))
 
     def intersect(self, other: "CharSet") -> "CharSet":
-        return _combine(self, other, lambda a, b: a and b)
+        return _combine(self, other, (False, False, False, True))
 
     def difference(self, other: "CharSet") -> "CharSet":
-        return _combine(self, other, lambda a, b: a and not b)
+        return _combine(self, other, (False, False, True, False))
 
     def complement(self) -> "CharSet":
         """Complement within the full universe (base symbols + anchors)."""
@@ -90,13 +90,25 @@ class CharSet:
         return "{" + ",".join(parts) + "}"
 
 
-def _combine(x: CharSet, y: CharSet, op) -> CharSet:
-    points = sorted(set(x.bounds) | set(y.bounds))
+def _combine(x: CharSet, y: CharSet, table: tuple[bool, bool, bool, bool]) -> CharSet:
+    """One merge of the two boundary lists.
+
+    ``table[2 * in_x + in_y]`` says whether a symbol inside ``x`` (or
+    not) and inside ``y`` (or not) belongs to the result; a boundary is
+    emitted only where that answer changes, so the output is canonical.
+    """
+    a, b = x.bounds, y.bounds
+    na, nb = len(a), len(b)
+    i = j = 0
     out: list[int] = []
-    for p in points:
-        want = bool(op(p in x, p in y))
-        have = len(out) % 2 == 1
-        if want != have:
+    while i < na or j < nb:
+        p = a[i] if j == nb or (i < na and a[i] <= b[j]) else b[j]
+        if i < na and a[i] == p:
+            i += 1
+        if j < nb and b[j] == p:
+            j += 1
+        # Past an odd number of its boundaries, a point is inside a set.
+        if table[2 * (i & 1) + (j & 1)] != len(out) & 1:
             out.append(p)
     return CharSet(tuple(out))
 

@@ -225,14 +225,37 @@ class SymbolPartition:
         return seen == universe
 
 
+def _tiling(blocks: tuple[CharSet, ...]) -> list[tuple[int, int]]:
+    """(run end, block index) of every run of a partition, by run start."""
+    runs = sorted((lo, hi, i) for i, b in enumerate(blocks)
+                  for lo, hi in zip(b.bounds[::2], b.bounds[1::2]))
+    return [(hi, i) for _, hi, i in runs]
+
+
 def _meet(a: tuple[CharSet, ...], b: tuple[CharSet, ...]) -> tuple[CharSet, ...]:
-    out = []
-    for x in a:
-        for y in b:
-            z = x.intersect(y)
-            if not z.is_empty():
-                out.append(z)
-    return tuple(out)
+    """The common refinement of two partitions of ``FULL``.
+
+    One sweep over both tilings cuts ``FULL`` into intervals that lie in
+    one block of each side and groups them by that pair of blocks.  The
+    result lists every nonempty pairwise intersection, ``a``-major.
+    """
+    if len(a) == 1:
+        return b
+    if len(b) == 1:
+        return a
+    ta, tb = _tiling(a), _tiling(b)
+    # Neighbouring intervals differ in the block of one side (the sets
+    # are canonical), so the runs collected for a pair never touch.
+    groups: dict[tuple[int, int], list[int]] = {}
+    i = j = lo = 0
+    while i < len(ta):
+        (end_a, ka), (end_b, kb) = ta[i], tb[j]
+        hi = min(end_a, end_b)
+        groups.setdefault((ka, kb), []).extend((lo, hi))
+        lo = hi
+        i += end_a == hi
+        j += end_b == hi
+    return tuple(CharSet(tuple(groups[k])) for k in sorted(groups))
 
 
 @lru_cache(maxsize=None)

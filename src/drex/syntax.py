@@ -5,7 +5,9 @@ concatenation, union, intersection, complement, plus the formal memory
 symbols used for submatch tracking (position tags, memory banks, slot
 writes).  Smart constructors rewrite every expanded-similarity identity
 on the fly, so two expressions that differ only by those identities
-build the same tree and can be compared with ``==``.
+build the same tree.  Nodes are hash-consed: building a tree equal to a
+live one returns that very object, so ``==`` is identity and a node's
+hash is stored, both O(1) whatever the size of the tree.
 
 Surface syntax (full table in the README):
 
@@ -27,6 +29,7 @@ Surface syntax (full table in the README):
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -50,23 +53,60 @@ EARLY = "early"
 LATE = "late"
 
 
-class Regex:
-    """Base class for canonical expression nodes."""
-
-    __slots__ = ()
+# Every live node, keyed by its class and fields; holds no node alive.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
+class _Interned(type):
+    """Metaclass that hash-conses expression nodes.
+
+    A constructor call with the fields of a live node returns that node,
+    so structurally equal trees are one object.  Defaults are filled in
+    before the lookup.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        fields = cls.__dataclass_fields__
+        if kwargs or len(args) != len(fields):
+            # The dataclass binds keywords and defaults; keep the fields.
+            probe = super().__call__(*args, **kwargs)
+            args = tuple(getattr(probe, f) for f in fields)
+        key = (cls, *args)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = super().__call__(*args)
+            # Children's hashes are stored: O(fields + terms), not O(tree).
+            object.__setattr__(node, "_hash", hash((cls.__name__, *args)))
+            _INTERNED[key] = node
+        return node
+
+
+class Regex(metaclass=_Interned):
+    """Base class for canonical expression nodes.
+
+    Nodes are hash-consed: equality is identity and the hash is stored.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+_node = dataclass(frozen=True, eq=False, slots=True)
+
+
+@_node
 class Empty(Regex):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Eps(Regex):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Sym(Regex):
     """A symbol-class atom.
 
@@ -79,39 +119,39 @@ class Sym(Regex):
     transparent: bool = True
 
 
-@dataclass(frozen=True)
+@_node
 class Star(Regex):
     body: Regex
 
 
-@dataclass(frozen=True)
+@_node
 class Cat(Regex):
     head: Regex
     tail: Regex
 
 
-@dataclass(frozen=True)
+@_node
 class Alt(Regex):
     terms: tuple[Regex, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Inter(Regex):
     terms: tuple[Regex, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Regex):
     body: Regex
 
 
-@dataclass(frozen=True)
+@_node
 class Tag(Regex):
     kind: str  # EARLY or LATE
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Write(Regex):
     """Pending update of one memory slot with a recorded position."""
 
@@ -119,7 +159,7 @@ class Write(Regex):
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Bank(Regex):
     """A memory bank heading one alternative, with pending slot writes.
 

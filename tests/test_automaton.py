@@ -1,7 +1,11 @@
 """DFA construction, tagged machines, Arden elimination, minimality."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from drex.automaton import (
     CopyBank,
     Dfa,
     InitBank,
+    Machine,
     SetSlotRel,
     StateLimitError,
     check_minimal,
@@ -150,6 +155,17 @@ class TestTaggedDfa:
             ] == [(block.bounds, j) for row in plain.transitions for block, j in row]
             assert set(tagged.accepting) == set(plain.accepting)
 
+    def test_symbol_outside_alphabet(self):
+        # The frozen machine and the one built as the run reaches it
+        # reject a foreign symbol alike.
+        r, t = parse("(a*)b")
+        frozen = make_tagged_dfa(r, t, alphabet=AB, anchored=False, pad=False)
+        live = Machine(r, t, POLICY_POSIX, AB, anchored=False, pad=False,
+                       state_limit=float("inf"))
+        for m in (frozen, live):
+            with pytest.raises(ValueError, match="0x63 outside the working alphabet"):
+                tagged_dfa_match(m, "acb")
+
     def test_lazy_variant_same_graph_other_banks(self):
         r, t = parse("(?la*)(?la*)a")
         m = make_tagged_dfa(r, t, alphabet=AB, anchored=False, pad=False)
@@ -288,3 +304,27 @@ class TestExports:
         assert doc["tags"]["groups"] == [[0, 1], [2, 3]]
         assert any(tr["ops"] for tr in doc["transitions"])
         assert doc["initial_ops"][0] == {"op": "init", "bank": 1}
+
+
+_EXPORT_SCRIPT = """
+from drex.automaton import export_json, make_dfa, make_tagged_dfa
+from drex.charset import alphabet_from_chars
+from drex.syntax import parse
+
+r, t = parse("((a+b)*)(b(a)*)*&~(?:.*bb.*)")
+print(export_json(make_tagged_dfa(r, t)))
+print(export_json(make_dfa(r, alphabet_from_chars("ab"))))
+"""
+
+
+def test_json_independent_of_hash_seed():
+    # Nothing in a machine's layout may follow the order of a hash table.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", _EXPORT_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]

@@ -34,8 +34,11 @@ def test_wrapped_methods_exist(module, cls, name):
 
 
 def test_cleared_caches_exist():
+    # The worker clears each cache and reads currsize/hits/misses from it.
     from drex import semantics, syntax
 
-    for name in worker.SYNTAX_CACHES:
-        assert hasattr(getattr(syntax, name), "cache_clear"), name
-    assert hasattr(semantics._dca, "cache_clear")
+    for cache in [getattr(syntax, name) for name in worker.SYNTAX_CACHES] + [semantics._dca]:
+        assert hasattr(cache, "cache_clear"), cache
+        info = cache.cache_info()
+        for field in ("currsize", "hits", "misses"):
+            assert isinstance(getattr(info, field), int), (cache, field)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from drex.charset import (
     ANCHOR_BOT,
@@ -8,6 +10,7 @@ from drex.charset import (
     CharSet,
     EMPTY_SET,
     FULL,
+    UNIVERSE_END,
     from_chars,
     from_ranges,
     is_anchor,
@@ -53,3 +56,39 @@ def test_pick_smallest_and_empty_guard():
     assert from_chars("zb").pick() == ord("b")
     with pytest.raises(ValueError):
         EMPTY_SET.pick()
+
+
+# Canonical sets over a small universe: an even number of strictly
+# increasing boundaries.
+SMALL = 24
+charsets = st.lists(st.integers(0, SMALL), unique=True, max_size=10).map(
+    lambda xs: CharSet(tuple(sorted(xs)[: len(xs) // 2 * 2])))
+
+
+def members(cs: CharSet, upto: int = UNIVERSE_END) -> set[int]:
+    b = cs.bounds
+    return {p for lo, hi in zip(b[::2], b[1::2]) for p in range(lo, min(hi, upto))}
+
+
+def assert_canonical(cs: CharSet) -> None:
+    b = cs.bounds
+    assert len(b) % 2 == 0
+    assert all(x < y for x, y in zip(b, b[1:])), b
+
+
+@given(charsets, charsets)
+def test_set_ops_agree_with_python_sets(x, y):
+    for got, want in ((x.union(y), members(x) | members(y)),
+                      (x.intersect(y), members(x) & members(y)),
+                      (x.difference(y), members(x) - members(y))):
+        assert_canonical(got)
+        assert members(got) == want
+
+
+@given(charsets)
+def test_complement_agrees_with_python_sets(x):
+    c = x.complement()
+    assert_canonical(c)
+    assert members(c, SMALL + 1) == set(range(SMALL + 1)) - members(x)
+    assert c.count() == UNIVERSE_END - x.count()
+    assert c.bounds[-1] == UNIVERSE_END

@@ -5,6 +5,7 @@ import random
 from drex.charset import (
     ANCHOR_BOW,
     ANCHORS,
+    FULL,
     Alphabet,
     alphabet_from_chars,
     from_chars,
@@ -15,6 +16,8 @@ from drex.semantics import (
     NOT_NULLABLE,
     NULLABLE_PLAIN,
     NULLABLE_WITH_MEMORY,
+    _dca,
+    _meet,
     derivative_classes,
     derive,
     derive_string,
@@ -22,13 +25,17 @@ from drex.semantics import (
     nullify,
 )
 from drex.syntax import (
+    Alt,
     Bank,
     BankAlloc,
+    Cat,
     EARLY,
     EMPTY,
     EPSILON,
+    Inter,
     LATE,
     Not,
+    Star,
     Tag,
     alt,
     cat,
@@ -41,6 +48,7 @@ from drex.syntax import (
 )
 
 from helpers import rand_expr, strings_upto
+from test_fuzz import _rand_tagged_pattern, rand_pattern
 
 ABC = alphabet_from_chars("abc")
 A = sym(from_chars("a"))
@@ -147,6 +155,44 @@ class TestDerivativeClasses:
             else:
                 kinds.add("dead")
         assert kinds == {"self", "anchors", "dead"}
+
+    def test_meet_is_the_pairwise_intersection(self):
+        # The sweep must give exactly the blocks, in the order, of
+        # intersecting every block of one side with every block of the other.
+        def pairwise(a, b):
+            return tuple(z for x in a for y in b for z in [x.intersect(y)]
+                         if not z.is_empty())
+
+        def children(x):
+            if isinstance(x, Cat):
+                return (x.head, x.tail)
+            if isinstance(x, (Alt, Inter)):
+                return x.terms
+            if isinstance(x, (Star, Not, Bank)):
+                return (x.body,)
+            return ()
+
+        rnd = random.Random(29)
+        alphabets = (Alphabet(), Alphabet(from_chars("ab"), with_anchors=True), ABC)
+        meets = 0
+        for k in range(120):
+            gen = rand_pattern if k % 2 else _rand_tagged_pattern
+            r, _ = parse(gen(rnd, rnd.randint(1, 4), [3]))
+            for alphabet in alphabets:
+                assert derivative_classes(r, alphabet).is_partition_of(alphabet.working)
+            work = [r]
+            while work:
+                x = work.pop()
+                work += children(x)
+                if isinstance(x, (Cat, Alt, Inter)):
+                    acc = (FULL,)
+                    for y in children(x):
+                        b = _dca(y)
+                        got = _meet(acc, b)
+                        assert got == pairwise(acc, b), show(x)
+                        meets += len(acc) > 1 and len(b) > 1  # both sides split
+                        acc = got
+        assert meets > 200
 
     def test_soundness_identical_derivatives_per_block(self):
         rnd = random.Random(23)

@@ -1,5 +1,6 @@
 """Smart constructors, canonical identities, parsing, tag tables."""
 
+import gc
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from drex.syntax import (
     Not,
     ParseError,
     Star,
+    Sym,
     SyntaxOptions,
     Tag,
     TOP,
@@ -32,6 +34,7 @@ from drex.syntax import (
     show,
     star,
     sym,
+    _INTERNED,
 )
 
 from helpers import rand_expr, strings_upto
@@ -268,3 +271,42 @@ def test_show_round_trips_through_parse():
         r2, _ = parse(printed)
         for s in strings_upto("abc", 3):
             assert member_naive(r2, s) == member_naive(r, s), printed
+
+
+class TestHashConsing:
+    def test_independent_parses_share_one_tree(self):
+        pattern = "((a+b)*)c&~(?:.*(?la)b)"
+        assert parse(pattern)[0] is parse(pattern)[0]
+
+    def test_defaults_filled_before_lookup(self):
+        e = cat(A, B)
+        assert Bank(1, (), e) == Bank(1, (), e)
+        assert Bank(1, (), e) is Bank(1, (), e, None)
+        cs = from_chars("xy")
+        assert Sym(cs) is Sym(cs, True) is Sym(chars=from_chars("yx"))
+        assert Sym(cs) is not Sym(cs, False)
+
+    def test_node_class_is_part_of_identity(self):
+        assert Star(A) is not Not(A)
+        assert Star(A) != Not(A)
+
+    def test_equal_nodes_hash_equal(self):
+        # The hash follows the structure, not the object: a tree built
+        # again after the first one was dropped hashes the same.
+        for seed in range(20):
+            r = rand_expr(random.Random(seed), 4)
+            assert rand_expr(random.Random(seed), 4) is r
+            h, text = hash(r), repr(r)
+            del r
+            gc.collect()
+            again = rand_expr(random.Random(seed), 4)
+            assert repr(again) == text and hash(again) == h
+
+    def test_unreferenced_nodes_leave_the_table(self):
+        gc.collect()
+        before = len(_INTERNED)
+        node = Cat(Write(98765, 4321), Tag(LATE, 98765))
+        assert len(_INTERNED) == before + 3
+        del node
+        gc.collect()
+        assert len(_INTERNED) == before

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .anchors import inject_anchors
@@ -28,11 +27,11 @@ from .submatch import (
     InitBank,
     SetSlot,
     Store,
-    apply_ops,
     bank_compare,
     extract_submatches,
     op_banks,
 )
+from .submatch import apply_ops as _apply_rel_ops  # kept: perfbench/tracing.py wraps this name
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
 from .syntax import (
     EMPTY,
@@ -60,23 +59,9 @@ class StateLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SetSlotRel:
-    """Machine op: write the runtime position (plus offset) into a slot.
-
-    Offset -1 names the position of the symbol that triggered the
-    transition; offset 0 names the position after it (used by writes
-    emitted during tag evaluation and acceptance).
-    """
-
-    bank: int
-    slot: int
-    offset: int
-
-
-@dataclass(frozen=True)
 class Dfa:
     alphabet: Alphabet
-    states: tuple[Regex, ...]
+    states: list[Regex]
     transitions: tuple[tuple[tuple[CharSet, int], ...], ...]
     accepting: frozenset[int]
 
@@ -106,60 +91,9 @@ class AcceptInfo:
     ways: tuple = ()
 
 
-@dataclass(frozen=True)
-class TaggedDfa:
-    alphabet: Alphabet
-    states: tuple[Regex, ...]
-    transitions: tuple[tuple[tuple[CharSet, int, tuple], ...], ...]
-    accepting: dict[int, AcceptInfo]
-    initial_ops: tuple
-    tags: TagTable
-    bank_count: int
-    policy: str = POLICY_POSIX
-    anchored: bool = True
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    @cached_property
-    def dead(self) -> Optional[int]:
-        """The ∅ state, after which no run accepts."""
-        return next((i for i, e in enumerate(self.states) if e == EMPTY), None)
-
-    def step(self, state: int, cp: int) -> tuple[int, tuple]:
-        for block, target, ops in self.transitions[state]:
-            if cp in block:
-                return target, ops
-        raise ValueError(f"symbol {cp:#x} outside the working alphabet")
-
-
 # ---------------------------------------------------------------------------
-# The machine: built as runs reach it, or all at once
+# The tagged machine: built as runs reach it, or all at once
 # ---------------------------------------------------------------------------
-
-
-def _encode_ops(ops, base: int) -> tuple:
-    out = []
-    for op in ops:
-        if isinstance(op, SetSlot):
-            offset = op.value - base
-            if offset not in (-1, 0):
-                raise AssertionError(f"write offset {offset} out of range")
-            out.append(SetSlotRel(op.bank, op.slot, offset))
-        else:
-            out.append(op)
-    return tuple(out)
-
-
-def _apply_rel_ops(store: Store, ops, p: int, n_slots: int) -> None:
-    for op in ops:
-        if isinstance(op, SetSlotRel):
-            cells = list(store[op.bank])
-            cells[op.slot] = p + op.offset
-            store[op.bank] = tuple(cells)
-        else:
-            apply_ops(store, [op], n_slots)
 
 
 def _store_signature(store: Store, banks: list[int], n_slots: int, p: int) -> tuple:
@@ -220,19 +154,19 @@ def _accept_info(e: Regex, depth: int, store: Store, tags: TagTable) -> Optional
     if found is None:
         return None
     (owner, writes), _ = found
-    ops = () if owner is None else tuple(SetSlotRel(owner, slot, 0) for slot, _ in writes)
+    ops = () if owner is None else tuple(SetSlot(owner, slot, 0) for slot, _ in writes)
     return AcceptInfo(owner, ops, ways)
 
 
-class Machine:
-    """A tagged machine built as runs reach it; state 0 is ``engine.start``.
+class TaggedDfa:
+    """A DFA whose transitions carry memory-op programs; state 0 is ``engine.start``.
 
     A state is keyed by its expression, plus the signature of its live
     banks when tags are tracked.  Its ``AcceptInfo`` and derivative-class
     blocks are computed when it is created, and an edge (``engine.step``
     at one symbol of the block, from the state's first depth and store)
-    when a run first takes it.  Programs are position-relative, so the
-    machine is depth-independent at run time.
+    when a run first takes it; ``build`` takes every edge.  Programs are
+    position-relative, so the machine is depth-independent at run time.
     """
 
     def __init__(self, r: Regex, tags: TagTable, policy: str, alphabet: Alphabet,
@@ -243,16 +177,27 @@ class Machine:
         self.alphabet = alphabet
         self.anchored = anchored
         self.state_limit = state_limit
-        self.initial_ops = _encode_ops(init_ops, 0)
-        self.index: dict = {}
+        self.initial_ops = tuple(init_ops)
+        self.index: Optional[dict] = {}
         self.states: list[Regex] = []
-        self.depths: list[int] = []
-        self.stores: list[Store] = []
+        self.depths: Optional[list[int]] = []
+        self.stores: Optional[list[Store]] = []
         # Per state, [block, target, program] edges; target None until taken.
-        self.rows: list[list[list]] = []
+        self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}
         self.dead: Optional[int] = None  # the ∅ state, once created
         self._state_id(expr, store, 0)
+
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
+
+    @property
+    def bank_count(self) -> int:
+        banks = banks_in_order(self.states[0])
+        banks += [b for row in self.transitions for _, _, ops in row
+                  for op in ops for b in op_banks(op)]
+        return max(banks, default=0) + 1
 
     def _state_id(self, e: Regex, st: Store, depth: int) -> int:
         n_slots = self.tags.num_tags
@@ -271,7 +216,7 @@ class Machine:
             self.depths.append(depth)
             self.stores.append(st)
             blocks = derivative_classes(e, self.alphabet).blocks
-            self.rows.append([[b, None, ()] for b in sorted(blocks, key=lambda b: b.bounds)])
+            self.transitions.append([[b, None, ()] for b in sorted(blocks, key=lambda b: b.bounds)])
             info = _accept_info(e, depth, st, self.tags)
             if info is not None:
                 self.accepting[j] = info
@@ -279,23 +224,29 @@ class Machine:
                 self.dead = j
         return j
 
+    def _take(self, i: int, edge: list) -> None:
+        d, st = self.depths[i], dict(self.stores[i])
+        de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st)
+        edge[1:] = self._state_id(de, st, d + 1), tuple(ops)
+
     def step(self, i: int, cp: int) -> tuple[int, tuple]:
-        for edge in self.rows[i]:
+        for edge in self.transitions[i]:
             if cp in edge[0]:
                 if edge[1] is None:
-                    d, st = self.depths[i], dict(self.stores[i])
-                    de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st)
-                    edge[1:] = self._state_id(de, st, d + 1), _encode_ops(ops, d + 1)
+                    self._take(i, edge)
                 return edge[1], edge[2]
         raise ValueError(f"symbol {cp:#x} outside the working alphabet")
 
-    def build(self) -> "Machine":
+    def build(self) -> "TaggedDfa":
         """Take every edge, state by state in creation (worklist) order."""
         i = 0
         while i < len(self.states):
-            for block, _, _ in self.rows[i]:
-                self.step(i, block.pick())
+            for edge in self.transitions[i]:
+                if edge[1] is None:
+                    self._take(i, edge)
             i += 1
+        # A complete machine takes no more edges: release the construction tables.
+        self.index = self.depths = self.stores = None
         return self
 
 
@@ -305,10 +256,10 @@ def make_dfa(
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Dfa:
     """Worklist construction over derivative-class blocks (tag-free)."""
-    m = Machine(r, TagTable(), POLICY_POSIX, alphabet, anchored=False, pad=False,
-                state_limit=state_limit).build()
-    transitions = tuple(tuple((block, j) for block, j, _ in row) for row in m.rows)
-    return Dfa(alphabet, tuple(m.states), transitions, frozenset(m.accepting))
+    m = TaggedDfa(r, TagTable(), POLICY_POSIX, alphabet, anchored=False, pad=False,
+                  state_limit=state_limit).build()
+    transitions = tuple(tuple((block, j) for block, j, _ in row) for row in m.transitions)
+    return Dfa(alphabet, m.states, transitions, frozenset(m.accepting))
 
 
 def dfa_match(m: Dfa, s) -> bool:
@@ -332,25 +283,11 @@ def make_tagged_dfa(
     """Construct a DFA whose transitions carry memory-op programs."""
     if pad is None:
         pad = anchored
-    m = Machine(r, tags, policy, alphabet, anchored, pad, state_limit).build()
-    rows = tuple(tuple(tuple(edge) for edge in row) for row in m.rows)
-    banks = banks_in_order(m.states[0])
-    banks += [b for row in rows for _, _, ops in row for op in ops for b in op_banks(op)]
-    return TaggedDfa(
-        alphabet=alphabet,
-        states=tuple(m.states),
-        transitions=rows,
-        accepting=m.accepting,
-        initial_ops=m.initial_ops,
-        tags=tags,
-        bank_count=max(banks, default=0) + 1,
-        policy=policy,
-        anchored=anchored,
-    )
+    return TaggedDfa(r, tags, policy, alphabet, anchored, pad, state_limit).build()
 
 
 def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
-    """The one matching loop: run a ``TaggedDfa`` or a ``Machine`` over text.
+    """The one matching loop: run a ``TaggedDfa``, built or not, over text.
 
     Each accepting position offers its best bank: under posix the later
     end wins, otherwise the earlier one unless the new bank ranks
@@ -479,7 +416,7 @@ def _op_str(op) -> str:
         return f"init b{op.bank}"
     if isinstance(op, CopyBank):
         return f"b{op.dst} <- b{op.src}"
-    if isinstance(op, SetSlotRel):
+    if isinstance(op, SetSlot):
         when = "p-1" if op.offset == -1 else "p"
         return f"b{op.bank}[{op.slot}] <- {when}"
     raise TypeError(f"not a machine op: {op!r}")
@@ -490,7 +427,7 @@ def _op_json(op) -> dict:
         return {"op": "init", "bank": op.bank}
     if isinstance(op, CopyBank):
         return {"op": "copy", "dst": op.dst, "src": op.src}
-    if isinstance(op, SetSlotRel):
+    if isinstance(op, SetSlot):
         return {"op": "set", "bank": op.bank, "slot": op.slot, "offset": op.offset}
     raise TypeError(f"not a machine op: {op!r}")
 

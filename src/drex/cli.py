@@ -17,6 +17,7 @@ import sys
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     StateLimitError,
+    TaggedDfa,
     export_dot,
     export_json,
     make_dfa,
@@ -25,13 +26,11 @@ from .automaton import (
 )
 from .anchors import inject_anchors
 from .charset import ALL_BASE, ASCII_BASE, Alphabet, CharSet, single
-from .engine import MatchResult, match_full, start, step
-from .semantics import nu_ways
-from .semantics import derive  # kept: perfbench/tracing.py wraps this name
+from .engine import MatchResult, match_full
+from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import POLICY_POSIX
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
 from .syntax import (
-    EMPTY,
     POLICIES,
     ParseError,
     Regex,
@@ -109,18 +108,17 @@ def _cmd_compile(args, _text, out) -> int:
 
 
 def _print_trace(regex: Regex, tags: TagTable, text: str, out) -> bool:
-    """Print the per-symbol derivative chain; returns the final verdict."""
-    symbols = inject_anchors(text).symbols
-    expr, store, _ = start(regex, tags, pad=True)
-    print(f"start     {show(expr)}", file=out)
-    pos = 0
-    for cp in symbols:
-        expr, _ = step(expr, cp, pos, tags, store)
-        pos += 1
-        print(f"D[{show_class(single(cp))}]  ->  {show(expr)}", file=out)
-        if expr == EMPTY:
+    """Print the state expression after each symbol; returns the final verdict."""
+    m = TaggedDfa(regex, tags, POLICY_POSIX, Alphabet(with_anchors=True), anchored=True,
+                  pad=True, state_limit=float("inf"))
+    state = 0
+    print(f"start     {show(m.states[state])}", file=out)
+    for cp in inject_anchors(text).symbols:
+        state, _ = m.step(state, cp)
+        print(f"D[{show_class(single(cp))}]  ->  {show(m.states[state])}", file=out)
+        if state == m.dead:
             break
-    verdict = bool(nu_ways(expr, pos))
+    verdict = state in m.accepting
     print(f"nullify   ->  {'match' if verdict else 'no match'}", file=out)
     return verdict
 
@@ -136,7 +134,11 @@ def _cmd_grep(args, text: str, out) -> int:
     any_sym = star(sym(_base(args)))
     anywhere = erase_memory(cat(any_sym, cat(regex, any_sym)))
     hit_any = False
-    for line in text.splitlines():
+    # Lines end only at "\n", the one line break the anchors know.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for line in lines:
         result = match_full(anywhere, TagTable(), line)
         if result.matched and result.groups[0] == (0, len(line)):
             print(line, file=out)

@@ -2,10 +2,10 @@
 
 ``match_lazy`` is the plain recognizer (derive, then test nullability).
 ``start`` and ``step`` (derivative, tag evaluation, disambiguation) are
-the only matching step: ``automaton.Machine`` takes its edges with them
-and the CLI trace prints them.  ``match_full`` runs
-``automaton.tagged_dfa_match`` on a machine that is built as the input
-reaches new states and edges.
+the only matching step: ``automaton.TaggedDfa`` takes its edges with
+them.  ``match_full`` runs ``automaton.tagged_dfa_match`` on a
+``TaggedDfa`` that is built as the input reaches new states and edges;
+the CLI trace steps the same kind of machine.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, list]:
     if tags.num_tags:
         expr = Bank(1, (), expr)
         ops.append(InitBank(1))
-        apply_ops(store, ops, tags.num_tags)
+        apply_ops(store, ops, 0, tags.num_tags)
         expr, more = normalize_step(expr, tags, store, 0, BankAlloc.after(expr))
         ops.extend(more)
     return expr, store, ops
@@ -136,8 +136,8 @@ def match_full(
     it goes, over the full anchored alphabet and with no state bound: a
     run adds at most one state per symbol.
     """
-    from .automaton import Machine, tagged_dfa_match  # automaton imports this module
+    from .automaton import TaggedDfa, tagged_dfa_match  # automaton imports this module
 
-    m = Machine(r, tags, policy, Alphabet(with_anchors=True), anchored=True, pad=True,
-                state_limit=float("inf"))
+    m = TaggedDfa(r, tags, policy, Alphabet(with_anchors=True), anchored=True, pad=True,
+                  state_limit=float("inf"))
     return tagged_dfa_match(m, s, stream_offsets)

@@ -210,12 +210,6 @@ class SymbolPartition:
 
     blocks: tuple[CharSet, ...]
 
-    def block_of(self, cp: int) -> Optional[CharSet]:
-        for b in self.blocks:
-            if cp in b:
-                return b
-        return None
-
     def is_partition_of(self, universe: CharSet) -> bool:
         seen = CharSet()
         for b in self.blocks:

@@ -41,7 +41,6 @@ from .syntax import (
     _split_write_run,
     EARLY,
     banks_in_order,
-    equal_mod_banks,
 )
 
 UNSET = None
@@ -70,15 +69,16 @@ class CopyBank:
 
 @dataclass(frozen=True)
 class SetSlot:
-    """Write a recorded position into one slot.
+    """Write the position ``pos + offset`` into one slot.
 
-    ``value`` is concrete during a lazy run; compiled machines instead
-    carry ``offset`` relative to the runtime position (see automaton).
+    ``pos`` is the position after the symbol that triggered the
+    transition, so offset -1 names that symbol's own position and
+    offset 0 the position after it (tag evaluation and acceptance).
     """
 
     bank: int
     slot: int
-    value: int
+    offset: int
 
 
 MemoryOp = object  # InitBank | CopyBank | SetSlot
@@ -89,16 +89,18 @@ def op_banks(op) -> tuple[int, ...]:
     return (op.dst, op.src) if isinstance(op, CopyBank) else (op.bank,)
 
 
-def apply_ops(store: Store, ops: Iterable[MemoryOp], n_slots: int) -> None:
+def apply_ops(store: Store, ops: Iterable[MemoryOp], pos: int, n_slots: int) -> None:
+    """Run a memory-op program against ``store`` at position ``pos``."""
     for op in ops:
-        if isinstance(op, InitBank):
-            store[op.bank] = (UNSET,) * n_slots
+        # Slot writes are the most frequent op on a run, so they are tested first.
+        if isinstance(op, SetSlot):
+            cells = list(store[op.bank])
+            cells[op.slot] = pos + op.offset
+            store[op.bank] = tuple(cells)
         elif isinstance(op, CopyBank):
             store[op.dst] = store[op.src]
-        elif isinstance(op, SetSlot):
-            cells = list(store[op.bank])
-            cells[op.slot] = op.value
-            store[op.bank] = tuple(cells)
+        elif isinstance(op, InitBank):
+            store[op.bank] = (UNSET,) * n_slots
         else:
             raise TypeError(f"not a memory op: {op!r}")
 
@@ -206,7 +208,7 @@ def _teval(r: Regex, pos: int, alloc: BankAlloc) -> Regex:
 
 
 def disambiguate(
-    r: Regex, tags: TagTable, store: Store
+    r: Regex, tags: TagTable, store: Store, pos: int
 ) -> tuple[Regex, list[MemoryOp]]:
     """Resolve ambiguous alternatives by bank priority.
 
@@ -214,7 +216,8 @@ def disambiguate(
     top-level alternatives that are structurally equal up to banks only
     the highest-priority bank survives.  Returns the pruned expression
     (pendings cleared) and the memory operations that realize the
-    surviving banks against ``store``.
+    surviving banks against ``store``; slot writes are offsets from
+    ``pos``, the position of this step's tag evaluation.
     """
     terms = alt_terms(r)
     if not any(isinstance(t, Bank) for t in terms):
@@ -250,7 +253,10 @@ def disambiguate(
             ops.append(CopyBank(t.bank, t.src))
     for _, t in keep:
         for slot, value in t.writes:
-            ops.append(SetSlot(t.bank, slot, value))
+            offset = value - pos
+            if offset not in (-1, 0):
+                raise AssertionError(f"write offset {offset} out of range")
+            ops.append(SetSlot(t.bank, slot, offset))
     pruned: list[tuple[int, Regex]] = list(passthrough)
     for idx, t in keep:
         pruned.append((idx, Bank(t.bank, (), t.body, None)))
@@ -332,35 +338,17 @@ def normalize_step(
     """
     n_slots = tags.num_tags
     r = teval(r, pos, alloc if alloc is not None else BankAlloc.after(r))
-    r, ops = disambiguate(r, tags, store)
-    apply_ops(store, ops, n_slots)
+    r, ops = disambiguate(r, tags, store, pos)
+    apply_ops(store, ops, pos, n_slots)
     r, moves = compact_banks(r)
     if moves:
         referenced = [b for mv in moves for b in mv]
         referenced.extend(banks_in_order(r))
         referenced.extend(b for op in ops for b in op_banks(op))
         mops = sequence_moves(moves, _scratch_above(referenced, store.keys()))
-        apply_ops(store, mops, n_slots)
+        apply_ops(store, mops, pos, n_slots)
         ops = ops + mops
     return r, ops
-
-
-def rearrange_memory(
-    d: Regex, d_bar: Regex, ops: list[MemoryOp]
-) -> list[MemoryOp]:
-    """Extend ``ops`` so the banks of ``d`` land in ``d_bar``'s layout.
-
-    Requires the two expressions to be equal up to banks; any copy cycle
-    is broken through one scratch bank past the largest id in use.
-    """
-    pairing = equal_mod_banks(d, d_bar)
-    if pairing is None:
-        raise ValueError("expressions are not equal up to banks")
-    moves = [(dst, src) for src, dst in pairing if dst != src]
-    involved = [b for pair in pairing for b in pair]
-    involved.extend(b for op in ops for b in op_banks(op))
-    scratch = max(involved, default=0) + 1
-    return list(ops) + sequence_moves(moves, scratch)
 
 
 # --- submatch extraction ----------------------------------------------------

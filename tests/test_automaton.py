@@ -14,9 +14,9 @@ from drex.automaton import (
     CopyBank,
     Dfa,
     InitBank,
-    Machine,
-    SetSlotRel,
+    SetSlot,
     StateLimitError,
+    TaggedDfa,
     check_minimal,
     dfa_match,
     dfa_to_regex,
@@ -119,7 +119,7 @@ class TestTaggedDfa:
     def test_fig_shape_and_initial_ops(self):
         m, _ = self.fig_machine()
         assert m.n_states == 3
-        assert m.initial_ops == (InitBank(1), SetSlotRel(1, 0, 0))
+        assert m.initial_ops == (InitBank(1), SetSlot(1, 0, 0))
         accept = [info for info in m.accepting.values()]
         assert len(accept) == 1
         assert accept[0].bank is not None
@@ -129,7 +129,7 @@ class TestTaggedDfa:
         a_row = [e for e in m.transitions[0] if ord("a") in e[0]]
         (block, target, ops) = a_row[0]
         copies = [op for op in ops if isinstance(op, CopyBank)]
-        stamps = [op for op in ops if isinstance(op, SetSlotRel)]
+        stamps = [op for op in ops if isinstance(op, SetSlot)]
         assert len(copies) == 2 and all(c.src == 1 for c in copies)
         assert {op.offset for op in stamps} == {-1}
 
@@ -156,15 +156,29 @@ class TestTaggedDfa:
             assert set(tagged.accepting) == set(plain.accepting)
 
     def test_symbol_outside_alphabet(self):
-        # The frozen machine and the one built as the run reaches it
+        # A machine built in full and one built as the run reaches it
         # reject a foreign symbol alike.
         r, t = parse("(a*)b")
-        frozen = make_tagged_dfa(r, t, alphabet=AB, anchored=False, pad=False)
-        live = Machine(r, t, POLICY_POSIX, AB, anchored=False, pad=False,
-                       state_limit=float("inf"))
-        for m in (frozen, live):
+        built = make_tagged_dfa(r, t, alphabet=AB, anchored=False, pad=False)
+        live = TaggedDfa(r, t, POLICY_POSIX, AB, anchored=False, pad=False,
+                         state_limit=float("inf"))
+        for m in (built, live):
             with pytest.raises(ValueError, match="0x63 outside the working alphabet"):
                 tagged_dfa_match(m, "acb")
+
+    def test_built_machine_is_complete(self):
+        # make_tagged_dfa takes every edge, so a run only reads the table.
+        rnd = random.Random(23)
+        for pat in ("(a*)(a*)a", "(a(b)*)*a*", "\\<(a+b)*\\>", "((?la+ε)(ab+b)*)*", "(a)b"):
+            r, t = parse(pat)
+            m = make_tagged_dfa(r, t)
+            assert all(target is not None for row in m.transitions for _, target, _ in row)
+            n_states = m.n_states
+            edges = [[tuple(edge) for edge in row] for row in m.transitions]
+            for _ in range(40):
+                tagged_dfa_match(m, "".join(rnd.choice("ab c") for _ in range(rnd.randint(0, 8))))
+            assert m.n_states == n_states, pat
+            assert [[tuple(edge) for edge in row] for row in m.transitions] == edges, pat
 
     def test_lazy_variant_same_graph_other_banks(self):
         r, t = parse("(?la*)(?la*)a")

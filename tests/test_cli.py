@@ -133,6 +133,31 @@ class TestTrace:
         code, out = call(["trace", "ab*", "ba"])
         assert code == 1
         assert out.strip().endswith("no match")
+        # The trace stops at ∅ and reads no further symbol.
+        code, out = call(["trace", "ab*", "baaa"])
+        assert code == 1
+        assert out.splitlines()[-2:] == ["D[b]  ->  ∅", "nullify   ->  no match"]
+
+    def test_trace_pinned(self):
+        # Start state, one line per stream symbol (anchors included), verdict.
+        tail = r"![\A^\<\>$\z]*"
+        one = f"β1·a{tail}+β2·aa*λ1τ2a*λ3a{tail}+β3·aa*λ3a{tail}"
+        two = f"β1·{tail}+β2·a*λ1τ2a*λ3a{tail}+β3·a*λ3a{tail}"
+        end = f"β1·{tail}+β2·a{tail}+β3·aa*λ1τ2a*λ3a{tail}+β4·aa*λ3a{tail}"
+        code, out = call(["trace", "(a*)(a*)a", "aa"])
+        assert code == 0
+        assert out.splitlines() == [
+            f"start     β1·a*λ1τ2a*λ3a{tail}",
+            f"D[\\A]  ->  {one}",
+            f"D[^]  ->  {one}",
+            f"D[\\<]  ->  {one}",
+            f"D[a]  ->  {two}",
+            f"D[a]  ->  {two}",
+            f"D[\\>]  ->  {end}",
+            f"D[$]  ->  {end}",
+            f"D[\\z]  ->  {end}",
+            "nullify   ->  match",
+        ]
 
 
 class TestGrep:
@@ -150,6 +175,18 @@ class TestGrep:
     def test_no_hits(self):
         code, out = call(["grep", "zz"], stdin="a\nb\n")
         assert code == 1 and out == ""
+
+    def test_lines_end_only_at_newline(self):
+        # Form feed, carriage return and the Unicode line separators stay
+        # inside a line, as they do for the anchors.
+        code, out = call(["grep", "cd"], stdin="ab\fcd\nxx\n")
+        assert code == 0 and out == "ab\fcd\n"
+        code, out = call(["grep", "^cd"], stdin="ab\fcd\r\nab\u2028cd")
+        assert code == 1 and out == ""
+        code, out = call(["grep", "b$"], stdin="ab\r\nab\n\nb")
+        assert code == 0 and out == "ab\nb\n"
+        assert call(["grep", ".*"], stdin="")[0] == 1
+        assert call(["grep", "^$"], stdin="\n") == (0, "\n")
 
 
 def test_usage_error():

@@ -20,7 +20,6 @@ from drex.submatch import (
     disambiguate,
     extract_submatches,
     normalize_step,
-    rearrange_memory,
     sequence_moves,
     teval,
 )
@@ -200,11 +199,11 @@ class TestDisambiguate:
         d = derive(state, ord("a"), 1, alloc)
         d = teval(d, 2, alloc)
         assert len(alt_terms(d)) == 5
-        pruned, ops = disambiguate(d, GREEDY2, store)
+        pruned, ops = disambiguate(d, GREEDY2, store, 2)
         terms = alt_terms(pruned)
         assert len(terms) == 3
         new_store = dict(store)
-        apply_ops(new_store, ops, 4)
+        apply_ops(new_store, ops, 2, 4)
         surviving = sorted(t.bank for t in terms)
         assert surviving == [1, 4, 5]
         # the kept banks carry the first-most-longest memories
@@ -222,43 +221,18 @@ class TestDisambiguate:
         alloc = BankAlloc.after(state)
         d = derive(state, ord("a"), 1, alloc)
         d = teval(d, 2, alloc)
-        pruned, ops = disambiguate(d, LAZY2, store)
+        pruned, ops = disambiguate(d, LAZY2, store, 2)
         new_store = dict(store)
-        apply_ops(new_store, ops, 4)
+        apply_ops(new_store, ops, 2, 4)
         cells = {new_store[t.bank] for t in alt_terms(pruned)}
         assert (0, 0, 0, None) in cells  # the earlier-slot bank wins lazily
         assert (0, 0, 0, 1) in cells
 
     def test_single_term_passthrough(self):
         r = Bank(1, ((0, 2),), star(A))
-        pruned, ops = disambiguate(r, GREEDY2, {1: (None,) * 4})
+        pruned, ops = disambiguate(r, GREEDY2, {1: (None,) * 4}, 2)
         assert pruned == Bank(1, (), star(A))
-        assert ops == [SetSlot(1, 0, 2)]
-
-
-class TestRearrangeMemory:
-    def test_plain_relabeling(self):
-        d = alt([Bank(4, (), star(A)), Bank(5, (), star(B))])
-        d_bar = alt([Bank(2, (), star(A)), Bank(3, (), star(B))])
-        ops = rearrange_memory(d, d_bar, [])
-        assert set(ops) == {CopyBank(2, 4), CopyBank(3, 5)}
-
-    def test_identity_pairing(self):
-        d = alt([Bank(1, (), star(A)), Bank(2, (), star(B))])
-        assert rearrange_memory(d, d, [CopyBank(9, 1)]) == [CopyBank(9, 1)]
-
-    def test_swap_uses_scratch(self):
-        d = alt([Bank(1, (), star(A)), Bank(2, (), star(B))])
-        d_bar = alt([Bank(2, (), star(A)), Bank(1, (), star(B))])
-        ops = rearrange_memory(d, d_bar, [])
-        assert len(ops) == 3
-        store = {1: (10,), 2: (20,), 3: (None,)}
-        apply_ops(store, ops, 1)
-        assert store[2] == (10,) and store[1] == (20,)
-
-    def test_distinct_trees_rejected(self):
-        with pytest.raises(ValueError):
-            rearrange_memory(Bank(1, (), A), Bank(1, (), B), [])
+        assert ops == [SetSlot(1, 0, 0)]
 
 
 class TestCompaction:
@@ -267,14 +241,14 @@ class TestCompaction:
         out, moves = compact_banks(r)
         assert sorted(t.bank for t in alt_terms(out)) == [1, 2]
         store = {4: (1,), 7: (2,)}
-        apply_ops(store, sequence_moves(moves, 9), 1)
+        apply_ops(store, sequence_moves(moves, 9), 0, 1)
         got = {t.bank: store[t.bank] for t in alt_terms(out)}
         assert set(got.values()) == {(1,), (2,)}
 
     def test_sequence_moves_cycle(self):
         store = {1: (10,), 2: (20,), 3: (30,)}
         ops = sequence_moves([(1, 2), (2, 3), (3, 1)], scratch=4)
-        apply_ops(store, ops, 1)
+        apply_ops(store, ops, 0, 1)
         assert (store[1], store[2], store[3]) == ((20,), (30,), (10,))
 
 

@@ -58,7 +58,7 @@ class AnchoredStream:
         return "".join(chr(c) for c in self.symbols if not is_anchor(c))
 
 
-def inject_anchors(text: str, word_chars: frozenset = WORD_CHARS) -> AnchoredStream:
+def inject_anchors(text: str) -> AnchoredStream:
     """Make every boundary of ``text`` explicit.
 
     At one boundary the applicable openers come first, then the closers,
@@ -69,7 +69,7 @@ def inject_anchors(text: str, word_chars: frozenset = WORD_CHARS) -> AnchoredStr
     n = len(text)
 
     def word(i: int) -> bool:
-        return 0 <= i < n and text[i] in word_chars
+        return 0 <= i < n and text[i] in WORD_CHARS
 
     symbols: list[int] = []
     origins: list[int] = [0]

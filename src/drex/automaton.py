@@ -167,11 +167,13 @@ class TaggedDfa:
     at one symbol of the block, from the state's first depth and store)
     when a run first takes it; ``build`` takes every edge.  Programs are
     position-relative, so the machine is depth-independent at run time.
+    An ``anchored`` machine pads the pattern with the trailing anchor run
+    and runs on the anchor-injected stream.
     """
 
     def __init__(self, r: Regex, tags: TagTable, policy: str, alphabet: Alphabet,
-                 anchored: bool, pad: bool, state_limit: float):
-        expr, store, init_ops = start(r, tags, pad)
+                 anchored: bool, state_limit: float):
+        expr, store, init_ops = start(r, tags, anchored)
         self.tags = tags
         self.policy = policy
         self.alphabet = alphabet
@@ -256,7 +258,7 @@ def make_dfa(
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Dfa:
     """Worklist construction over derivative-class blocks (tag-free)."""
-    m = TaggedDfa(r, TagTable(), POLICY_POSIX, alphabet, anchored=False, pad=False,
+    m = TaggedDfa(r, TagTable(), POLICY_POSIX, alphabet, anchored=False,
                   state_limit=state_limit).build()
     transitions = tuple(tuple((block, j) for block, j, _ in row) for row in m.transitions)
     return Dfa(alphabet, m.states, transitions, frozenset(m.accepting))
@@ -276,14 +278,14 @@ def make_tagged_dfa(
     tags: TagTable,
     policy: str = POLICY_POSIX,
     alphabet: Alphabet = Alphabet(with_anchors=True),
-    anchored: bool = True,
-    pad: Optional[bool] = None,
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> TaggedDfa:
-    """Construct a DFA whose transitions carry memory-op programs."""
-    if pad is None:
-        pad = anchored
-    return TaggedDfa(r, tags, policy, alphabet, anchored, pad, state_limit).build()
+    """Construct a DFA whose transitions carry memory-op programs.
+
+    The machine runs on the anchored stream exactly when its alphabet
+    has anchors.
+    """
+    return TaggedDfa(r, tags, policy, alphabet, alphabet.with_anchors, state_limit).build()
 
 
 def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
@@ -317,6 +319,8 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
         if p == len(symbols) or state == dead:
             break
         state, ops = step_(state, symbols[p])
+        if dead is None:  # an on-demand machine creates ∅ when a run first reaches it
+            dead = m.dead
         p += 1
         _apply_rel_ops(store, ops, p, n_slots)
     if best is None:
@@ -435,9 +439,8 @@ def _op_json(op) -> dict:
 def export_dot(m) -> str:
     """Graphviz rendering; accepting states are double circles."""
     lines = ["digraph dfa {", "  rankdir=LR;", '  start [shape=point, label=""];']
-    accepting = m.accepting if isinstance(m, Dfa) else set(m.accepting)
     for i in range(m.n_states):
-        shape = "doublecircle" if i in accepting else "circle"
+        shape = "doublecircle" if i in m.accepting else "circle"
         lines.append(f'  q{i} [shape={shape}, label="q{i}"];')
     lines.append("  start -> q0;")
     for i, row in enumerate(m.transitions):

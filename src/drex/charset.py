@@ -123,12 +123,8 @@ def from_ranges(ranges: Iterable[tuple[int, int]]) -> CharSet:
     return acc
 
 
-def from_codepoints(cps: Iterable[int]) -> CharSet:
-    return from_ranges((c, c) for c in cps)
-
-
 def from_chars(chars: str) -> CharSet:
-    return from_codepoints(ord(c) for c in chars)
+    return from_ranges((ord(c), ord(c)) for c in chars)
 
 
 def single(cp: int) -> CharSet:

@@ -110,7 +110,7 @@ def _cmd_compile(args, _text, out) -> int:
 def _print_trace(regex: Regex, tags: TagTable, text: str, out) -> bool:
     """Print the state expression after each symbol; returns the final verdict."""
     m = TaggedDfa(regex, tags, POLICY_POSIX, Alphabet(with_anchors=True), anchored=True,
-                  pad=True, state_limit=float("inf"))
+                  state_limit=float("inf"))
     state = 0
     print(f"start     {show(m.states[state])}", file=out)
     for cp in inject_anchors(text).symbols:

@@ -138,6 +138,6 @@ def match_full(
     """
     from .automaton import TaggedDfa, tagged_dfa_match  # automaton imports this module
 
-    m = TaggedDfa(r, tags, policy, Alphabet(with_anchors=True), anchored=True, pad=True,
+    m = TaggedDfa(r, tags, policy, Alphabet(with_anchors=True), anchored=True,
                   state_limit=float("inf"))
     return tagged_dfa_match(m, s, stream_offsets)

@@ -105,35 +105,6 @@ def _dedup(ways: list[Way]) -> list[Way]:
     return out
 
 
-NOT_NULLABLE = "not-nullable"
-NULLABLE_PLAIN = "nullable"
-NULLABLE_WITH_MEMORY = "nullable-with-memory"
-
-
-@dataclass(frozen=True)
-class NullifyResult:
-    kind: str
-    entries: tuple[Way, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.kind != NOT_NULLABLE
-
-
-def nullify(r: Regex, pos: int = 0) -> NullifyResult:
-    """Decide the empty-string membership, reporting memory outcomes.
-
-    For tag-bearing expressions each entry names the bank of a nullable
-    alternative together with the slot writes produced by nulling its
-    tags at ``pos``.
-    """
-    ways = nu_ways(r, pos)
-    if not ways:
-        return NullifyResult(NOT_NULLABLE)
-    if all(owner is None and not w for owner, w in ways):
-        return NullifyResult(NULLABLE_PLAIN, tuple(ways))
-    return NullifyResult(NULLABLE_WITH_MEMORY, tuple(ways))
-
-
 # ---------------------------------------------------------------------------
 # Derivatives
 # ---------------------------------------------------------------------------
@@ -209,14 +180,6 @@ class SymbolPartition:
     """
 
     blocks: tuple[CharSet, ...]
-
-    def is_partition_of(self, universe: CharSet) -> bool:
-        seen = CharSet()
-        for b in self.blocks:
-            if b.is_empty() or not seen.intersect(b).is_empty():
-                return False
-            seen = seen.union(b)
-        return seen == universe
 
 
 def _tiling(blocks: tuple[CharSet, ...]) -> list[tuple[int, int]]:

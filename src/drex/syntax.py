@@ -347,17 +347,6 @@ def banks_in_order(r: Regex) -> list[int]:
     return out
 
 
-def equal_mod_banks(r1: Regex, r2: Regex) -> Optional[list[tuple[int, int]]]:
-    """Structural equality after erasing bank ids and pending writes.
-
-    Returns the positional bank pairing (banks of ``r1`` zipped with
-    banks of ``r2`` in tree order) when equal, else ``None``.
-    """
-    if order_key(r1) != order_key(r2):
-        return None
-    return list(zip(banks_in_order(r1), banks_in_order(r2)))
-
-
 # ---------------------------------------------------------------------------
 # Smart constructors
 # ---------------------------------------------------------------------------

@@ -4,23 +4,30 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Optional
 
-from drex.charset import from_chars
-from drex.oracle import enumerate_matches
+from drex.charset import CharSet, from_chars
+from drex.semantics import SymbolPartition, Way, nu_ways
 from drex.submatch import HIGHER, bank_compare
 from drex.syntax import (
     EARLY,
     EMPTY,
     EPSILON,
     LATE,
+    Regex,
     Tag,
     alt,
+    banks_in_order,
     cat,
     comp,
     inter,
+    order_key,
     star,
     sym,
 )
+
+from oracle import enumerate_matches
 
 SYMS = "abc"
 
@@ -110,3 +117,53 @@ def oracle_posix_result(r, table, s: str):
             ]
             return l, spans
     return None
+
+
+NOT_NULLABLE = "not-nullable"
+NULLABLE_PLAIN = "nullable"
+NULLABLE_WITH_MEMORY = "nullable-with-memory"
+
+
+@dataclass(frozen=True)
+class NullifyResult:
+    kind: str
+    entries: tuple[Way, ...] = ()
+
+    def __bool__(self) -> bool:
+        return self.kind != NOT_NULLABLE
+
+
+def nullify(r: Regex, pos: int = 0) -> NullifyResult:
+    """Decide the empty-string membership, reporting memory outcomes.
+
+    For tag-bearing expressions each entry names the bank of a nullable
+    alternative together with the slot writes produced by nulling its
+    tags at ``pos``.
+    """
+    ways = nu_ways(r, pos)
+    if not ways:
+        return NullifyResult(NOT_NULLABLE)
+    if all(owner is None and not w for owner, w in ways):
+        return NullifyResult(NULLABLE_PLAIN, tuple(ways))
+    return NullifyResult(NULLABLE_WITH_MEMORY, tuple(ways))
+
+
+def is_partition_of(part: SymbolPartition, universe: CharSet) -> bool:
+    """Whether the blocks are non-empty, pairwise disjoint and cover ``universe``."""
+    seen = CharSet()
+    for b in part.blocks:
+        if b.is_empty() or not seen.intersect(b).is_empty():
+            return False
+        seen = seen.union(b)
+    return seen == universe
+
+
+def equal_mod_banks(r1: Regex, r2: Regex) -> Optional[list[tuple[int, int]]]:
+    """Structural equality after erasing bank ids and pending writes.
+
+    Returns the positional bank pairing (banks of ``r1`` zipped with
+    banks of ``r2`` in tree order) when equal, else ``None``.
+    """
+    if order_key(r1) != order_key(r2):
+        return None
+    return list(zip(banks_in_order(r1), banks_in_order(r2)))

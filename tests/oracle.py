@@ -1,10 +1,11 @@
-"""Brute-force reference semantics, used only by tests.
+"""Brute-force reference semantics for the test suite.
 
 Everything here evaluates the denotation of an expression tree directly
 by structural recursion over strings, with no sharing of code or
 representation tricks with the derivative engine or the automata: this
-module may import the tree definitions but never the ``semantics`` or
-``automaton`` machinery.  It is exponential by design.
+module imports from drex only ``drex.charset`` and ``drex.syntax`` (the
+tree definitions), never the ``semantics`` or ``automaton`` machinery.
+It is exponential by design.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .charset import is_anchor
-from .syntax import (
+from drex.charset import is_anchor
+from drex.syntax import (
     Alt,
     Bank,
     Cat,

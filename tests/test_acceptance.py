@@ -20,12 +20,12 @@ from drex.automaton import (
 )
 from drex.charset import alphabet_from_chars, single
 from drex.engine import match_full, match_lazy
-from drex.oracle import language_upto
 from drex.semantics import derivative_classes, derive
 from drex.submatch import POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER, teval
 from drex.syntax import BankAlloc, SyntaxOptions, is_nullable, parse, show
 
 from helpers import oracle_posix_result, rand_expr, rand_tagged, strings_upto
+from oracle import language_upto
 
 ABC = alphabet_from_chars("abc")
 AB = alphabet_from_chars("ab")

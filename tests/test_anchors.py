@@ -17,11 +17,11 @@ from drex.anchors import (
 )
 from drex.charset import from_chars, single
 from drex.engine import match_full, match_lazy
-from drex.oracle import member_naive
 from drex.semantics import derive
 from drex.syntax import EMPTY, EPSILON, TagTable, comp, parse, show, sym
 
 from helpers import rand_expr, strings_upto
+from oracle import member_naive
 
 
 def marks(stream):

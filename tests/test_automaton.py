@@ -28,11 +28,11 @@ from drex.automaton import (
 )
 from drex.charset import alphabet_from_chars, from_chars, single
 from drex.engine import match_full, match_lazy
-from drex.oracle import language_upto
 from drex.submatch import POLICY_POSIX
 from drex.syntax import EMPTY, SyntaxOptions, TagTable, parse, show, star, sym
 
 from helpers import rand_expr, strings_upto
+from oracle import language_upto
 
 ABC = alphabet_from_chars("abc")
 AB = alphabet_from_chars("ab")
@@ -114,7 +114,7 @@ class TestDfaMatch:
 class TestTaggedDfa:
     def fig_machine(self):
         r, t = parse("(a*)(a*)a")
-        return make_tagged_dfa(r, t, alphabet=AB, anchored=False, pad=False), t
+        return make_tagged_dfa(r, t, alphabet=AB), t
 
     def test_fig_shape_and_initial_ops(self):
         m, _ = self.fig_machine()
@@ -145,8 +145,7 @@ class TestTaggedDfa:
         for pat, ab, n_states in (("(?:a+ab+b)*", ABC, None), ("(a*)(a*)a", AB, 3)):
             r, _ = parse(pat)
             plain = make_dfa(r, ab)
-            tagged = make_tagged_dfa(r, TagTable(), alphabet=ab, anchored=False,
-                                     pad=False, state_limit=50)
+            tagged = make_tagged_dfa(r, TagTable(), alphabet=ab, state_limit=50)
             assert n_states is None or plain.n_states == n_states
             assert tagged.states == plain.states
             assert all(not ops for row in tagged.transitions for _, _, ops in row)
@@ -159,12 +158,30 @@ class TestTaggedDfa:
         # A machine built in full and one built as the run reaches it
         # reject a foreign symbol alike.
         r, t = parse("(a*)b")
-        built = make_tagged_dfa(r, t, alphabet=AB, anchored=False, pad=False)
-        live = TaggedDfa(r, t, POLICY_POSIX, AB, anchored=False, pad=False,
-                         state_limit=float("inf"))
+        built = make_tagged_dfa(r, t, alphabet=AB)
+        live = TaggedDfa(r, t, POLICY_POSIX, AB, anchored=False, state_limit=float("inf"))
         for m in (built, live):
             with pytest.raises(ValueError, match="0x63 outside the working alphabet"):
                 tagged_dfa_match(m, "acb")
+
+    def test_on_demand_run_stops_at_empty(self, monkeypatch):
+        # A machine built as the run reaches it creates ∅ mid-run; the run
+        # must stop there after as many steps as on the built machine.
+        r, t = parse("(a)b")
+        text = "c" * 1000
+        built = make_tagged_dfa(r, t)
+        steps = []
+        step = TaggedDfa.step
+
+        def counting_step(m, i, cp):
+            steps.append(cp)
+            return step(m, i, cp)
+
+        monkeypatch.setattr(TaggedDfa, "step", counting_step)
+        assert not tagged_dfa_match(built, text).matched
+        n_built = len(steps)
+        assert not match_full(r, t, text).matched
+        assert len(steps) - n_built == n_built
 
     def test_built_machine_is_complete(self):
         # make_tagged_dfa takes every edge, so a run only reads the table.
@@ -182,7 +199,7 @@ class TestTaggedDfa:
 
     def test_lazy_variant_same_graph_other_banks(self):
         r, t = parse("(?la*)(?la*)a")
-        m = make_tagged_dfa(r, t, alphabet=AB, anchored=False, pad=False)
+        m = make_tagged_dfa(r, t, alphabet=AB)
         assert m.n_states == 3
         assert tagged_dfa_match(m, "aa").groups == ((0, 2), (0, 0), (0, 1))
 
@@ -312,7 +329,8 @@ class TestExports:
 
     def test_json_tagged(self):
         r, t = parse("(a*)(a*)a")
-        m = make_tagged_dfa(r, t, alphabet=AB, anchored=False, pad=False)
+        m = make_tagged_dfa(r, t, alphabet=AB)
+        assert m.anchored is False and make_tagged_dfa(r, t).anchored is True
         doc = json.loads(export_json(m))
         assert doc["bank_count"] == m.bank_count
         assert doc["tags"]["groups"] == [[0, 1], [2, 3]]

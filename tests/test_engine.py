@@ -4,11 +4,11 @@ import random
 import time
 
 from drex.engine import match_full, match_lazy
-from drex.oracle import member_naive
 from drex.submatch import POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER
 from drex.syntax import SyntaxOptions, parse, show
 
 from helpers import oracle_posix_result, rand_expr, strings_upto
+from oracle import member_naive
 
 
 class TestMatchLazy:

@@ -79,7 +79,7 @@ def test_long_literal_pattern():
 
 
 def _oracle_policy(r, t, s, policy):
-    from drex.oracle import enumerate_matches
+    from oracle import enumerate_matches
     from drex.submatch import HIGHER, bank_compare
 
     best = None

@@ -5,15 +5,15 @@ import random
 import pytest
 
 from drex.charset import ANCHOR_BOW, from_chars, single
-from drex.oracle import (
+from drex.syntax import EARLY, LATE, EPSILON, Tag, alt, cat, comp, inter, parse, star, sym
+
+from helpers import rand_expr
+from oracle import (
     enumerate_language,
     enumerate_matches,
     language_upto,
     member_naive,
 )
-from drex.syntax import EARLY, LATE, EPSILON, Tag, alt, cat, comp, inter, parse, star, sym
-
-from helpers import rand_expr
 
 A = sym(from_chars("a"))
 B = sym(from_chars("b"))

@@ -11,18 +11,13 @@ from drex.charset import (
     from_chars,
     single,
 )
-from drex.oracle import member_naive
 from drex.semantics import (
-    NOT_NULLABLE,
-    NULLABLE_PLAIN,
-    NULLABLE_WITH_MEMORY,
     _dca,
     _meet,
     derivative_classes,
     derive,
     derive_string,
     nu_ways,
-    nullify,
 )
 from drex.syntax import (
     Alt,
@@ -47,7 +42,16 @@ from drex.syntax import (
     sym,
 )
 
-from helpers import rand_expr, strings_upto
+from helpers import (
+    NOT_NULLABLE,
+    NULLABLE_PLAIN,
+    NULLABLE_WITH_MEMORY,
+    is_partition_of,
+    nullify,
+    rand_expr,
+    strings_upto,
+)
+from oracle import member_naive
 from test_fuzz import _rand_tagged_pattern, rand_pattern
 
 ABC = alphabet_from_chars("abc")
@@ -140,7 +144,7 @@ class TestDerivativeClasses:
         for _ in range(100):
             r = rand_expr(rnd, 4)
             part = derivative_classes(r, ABC)
-            assert part.is_partition_of(ABC.working)
+            assert is_partition_of(part, ABC.working)
 
     def test_anchored_alphabet_three_way_split(self):
         atom = sym(single(ord("a")), transparent=True)
@@ -179,7 +183,7 @@ class TestDerivativeClasses:
             gen = rand_pattern if k % 2 else _rand_tagged_pattern
             r, _ = parse(gen(rnd, rnd.randint(1, 4), [3]))
             for alphabet in alphabets:
-                assert derivative_classes(r, alphabet).is_partition_of(alphabet.working)
+                assert is_partition_of(derivative_classes(r, alphabet), alphabet.working)
             work = [r]
             while work:
                 x = work.pop()

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from drex.charset import from_chars
-from drex.oracle import language_upto
 from drex.semantics import nu_ways
 from drex.submatch import (
     CopyBank,
@@ -38,7 +37,6 @@ from drex.syntax import (
     alt,
     alt_terms,
     cat,
-    equal_mod_banks,
     parse,
     show,
     star,
@@ -46,6 +44,7 @@ from drex.syntax import (
 )
 
 from helpers import rand_tagged
+from oracle import language_upto
 
 A = sym(from_chars("a"))
 B = sym(from_chars("b"))

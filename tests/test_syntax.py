@@ -6,7 +6,6 @@ import random
 import pytest
 
 from drex.charset import from_chars
-from drex.oracle import language_upto, member_naive
 from drex.syntax import (
     Alt,
     Bank,
@@ -27,7 +26,6 @@ from drex.syntax import (
     alt,
     cat,
     comp,
-    equal_mod_banks,
     inter,
     order_key,
     parse,
@@ -37,7 +35,8 @@ from drex.syntax import (
     _INTERNED,
 )
 
-from helpers import rand_expr, strings_upto
+from helpers import equal_mod_banks, rand_expr, strings_upto
+from oracle import language_upto, member_naive
 
 A = sym(from_chars("a"))
 B = sym(from_chars("b"))

@@ -47,12 +47,8 @@ class AnchoredStream:
     back to a text offset; anchors map to the boundary they precede.
     """
 
-    text: str
     symbols: tuple[int, ...]
     boundary_origin: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
     def strip(self) -> str:
         return "".join(chr(c) for c in self.symbols if not is_anchor(c))
@@ -93,7 +89,7 @@ def inject_anchors(text: str) -> AnchoredStream:
         if i < n:
             symbols.append(ord(text[i]))
             origins.append(i + 1)
-    return AnchoredStream(text, tuple(symbols), tuple(origins))
+    return AnchoredStream(tuple(symbols), tuple(origins))
 
 
 # ---------------------------------------------------------------------------

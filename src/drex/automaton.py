@@ -11,6 +11,7 @@ an initial program, and a result bank per accepting state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -167,17 +168,18 @@ class TaggedDfa:
     at one symbol of the block, from the state's first depth and store)
     when a run first takes it; ``build`` takes every edge.  Programs are
     position-relative, so the machine is depth-independent at run time.
-    An ``anchored`` machine pads the pattern with the trailing anchor run
-    and runs on the anchor-injected stream.
+    The alphabet decides anchoring: with anchors, the machine pads the
+    pattern with the trailing anchor run and runs on the anchor-injected
+    stream.
     """
 
-    def __init__(self, r: Regex, tags: TagTable, policy: str, alphabet: Alphabet,
-                 anchored: bool, state_limit: float):
-        expr, store, init_ops = start(r, tags, anchored)
+    def __init__(self, r: Regex, tags: TagTable, policy: str = POLICY_POSIX,
+                 alphabet: Alphabet = Alphabet(), state_limit: float = math.inf):
+        self.anchored = alphabet.with_anchors
+        expr, store, init_ops = start(r, tags, self.anchored)
         self.tags = tags
         self.policy = policy
         self.alphabet = alphabet
-        self.anchored = anchored
         self.state_limit = state_limit
         self.initial_ops = tuple(init_ops)
         self.index: Optional[dict] = {}
@@ -257,9 +259,13 @@ def make_dfa(
     alphabet: Alphabet = Alphabet(with_anchors=False),
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Dfa:
-    """Worklist construction over derivative-class blocks (tag-free)."""
-    m = TaggedDfa(r, TagTable(), POLICY_POSIX, alphabet, anchored=False,
-                  state_limit=state_limit).build()
+    """Worklist construction over derivative-class blocks (tag-free).
+
+    A plain DFA reads the text as it is, so its alphabet has no anchors.
+    """
+    if alphabet.with_anchors:
+        raise ValueError("a plain DFA is unanchored: use make_tagged_dfa for anchors")
+    m = TaggedDfa(r, TagTable(), POLICY_POSIX, alphabet, state_limit).build()
     transitions = tuple(tuple((block, j) for block, j, _ in row) for row in m.transitions)
     return Dfa(alphabet, m.states, transitions, frozenset(m.accepting))
 
@@ -277,15 +283,11 @@ def make_tagged_dfa(
     r: Regex,
     tags: TagTable,
     policy: str = POLICY_POSIX,
-    alphabet: Alphabet = Alphabet(with_anchors=True),
+    alphabet: Alphabet = Alphabet(),
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> TaggedDfa:
-    """Construct a DFA whose transitions carry memory-op programs.
-
-    The machine runs on the anchored stream exactly when its alphabet
-    has anchors.
-    """
-    return TaggedDfa(r, tags, policy, alphabet, alphabet.with_anchors, state_limit).build()
+    """Construct a DFA whose transitions carry memory-op programs."""
+    return TaggedDfa(r, tags, policy, alphabet, state_limit).build()
 
 
 def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:

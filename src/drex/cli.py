@@ -3,7 +3,7 @@
 Subcommands:
     match     print the whole-string verdict (exit 0 match, 1 no match)
     submatch  print the MatchResult JSON with group spans
-    compile   write the (tagged) DFA as DOT or JSON
+    compile   write the tagged DFA as DOT or JSON
     trace     print the per-symbol derivative chain
     grep      filter stdin/file lines containing a match
 
@@ -20,10 +20,10 @@ from .automaton import (
     TaggedDfa,
     export_dot,
     export_json,
-    make_dfa,
     make_tagged_dfa,
     tagged_dfa_match,
 )
+from .automaton import make_dfa  # kept: perfbench/tracing.py wraps this name
 from .anchors import inject_anchors
 from .charset import ALL_BASE, ASCII_BASE, Alphabet, CharSet, single
 from .engine import MatchResult, match_full
@@ -67,50 +67,49 @@ def _parse(args) -> tuple[Regex, TagTable]:
     ))
 
 
-def _tagged_dfa(args, regex: Regex, tags: TagTable):
-    return make_tagged_dfa(regex, tags, args.policy, Alphabet(_base(args), with_anchors=True),
-                           state_limit=args.state_bound)
+def _tagged_dfa(args, regex: Regex, tags: TagTable, policy: str) -> TaggedDfa:
+    return make_tagged_dfa(regex, tags, policy, Alphabet(_base(args)), args.state_bound)
 
 
-def _match(args, text: str, out) -> MatchResult:
-    """Print the trace if asked, then match with the chosen engine."""
+def _match(args, text: str, out, policy: str) -> MatchResult:
+    """Build one machine, print its trace if asked, then match on it.
+
+    The lazy engine builds the machine as the run reaches it, as
+    ``match_full`` does; ``--engine dfa`` builds it in full first.
+    """
     regex, tags = _parse(args)
-    if args.show_trace:
-        _print_trace(regex, tags, text, out)
-    stream_offsets = getattr(args, "stream_offsets", False)
     if args.engine == "dfa":
-        return tagged_dfa_match(_tagged_dfa(args, regex, tags), text, stream_offsets)
-    return match_full(regex, tags, text, args.policy, stream_offsets)
+        m = _tagged_dfa(args, regex, tags, policy)
+    else:
+        m = TaggedDfa(regex, tags, policy)
+    if args.show_trace:
+        _print_trace(m, text, out)
+    return tagged_dfa_match(m, text, getattr(args, "stream_offsets", False))
 
 
 def _cmd_match(args, text: str, out) -> int:
-    result = _match(args, text, out)
+    # Posix keeps the longest prefix match, so the whole text is matched
+    # exactly when that match ends at the end of the text.
+    result = _match(args, text, out, POLICY_POSIX)
     hit = result.matched and result.groups[0] == (0, len(text))
     print("match" if hit else "no match", file=out)
     return 0 if hit else 1
 
 
 def _cmd_submatch(args, text: str, out) -> int:
-    result = _match(args, text, out)
+    result = _match(args, text, out, args.policy)
     print(result.to_json(), file=out)
     return 0 if result.matched else 1
 
 
 def _cmd_compile(args, _text, out) -> int:
-    regex, tags = _parse(args)
-    if tags.num_tags == 0:
-        machine = make_dfa(regex, Alphabet(_base(args), with_anchors=False),
-                           state_limit=args.state_bound)
-    else:
-        machine = _tagged_dfa(args, regex, tags)
+    machine = _tagged_dfa(args, *_parse(args), args.policy)
     print(export_dot(machine) if args.fmt == "dot" else export_json(machine), file=out)
     return 0
 
 
-def _print_trace(regex: Regex, tags: TagTable, text: str, out) -> bool:
-    """Print the state expression after each symbol; returns the final verdict."""
-    m = TaggedDfa(regex, tags, POLICY_POSIX, Alphabet(with_anchors=True), anchored=True,
-                  state_limit=float("inf"))
+def _print_trace(m: TaggedDfa, text: str, out) -> bool:
+    """Print ``m``'s state expression after each stream symbol; returns the verdict."""
     state = 0
     print(f"start     {show(m.states[state])}", file=out)
     for cp in inject_anchors(text).symbols:
@@ -124,8 +123,7 @@ def _print_trace(regex: Regex, tags: TagTable, text: str, out) -> bool:
 
 
 def _cmd_trace(args, text: str, out) -> int:
-    regex, tags = _parse(args)
-    return 0 if _print_trace(regex, tags, text, out) else 1
+    return 0 if _print_trace(TaggedDfa(*_parse(args)), text, out) else 1
 
 
 def _cmd_grep(args, text: str, out) -> int:
@@ -178,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-subpattern-tags", action="store_true",
                    help="do not wrap bare starred subpatterns in hidden tags")
 
-    p = sub.add_parser("compile", help="compile to a (tagged) DFA")
+    p = sub.add_parser("compile", help="compile to a tagged DFA")
     common(p, needs_input=False)
     p.add_argument("--format", choices=("dot", "json"), default="dot", dest="fmt")
 

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .anchors import ANCHOR_RUN
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
-from .charset import Alphabet
 from .semantics import derive
 from .semantics import nu_ways  # kept: perfbench/tracing.py wraps this name
 from .submatch import (
@@ -138,6 +137,4 @@ def match_full(
     """
     from .automaton import TaggedDfa, tagged_dfa_match  # automaton imports this module
 
-    m = TaggedDfa(r, tags, policy, Alphabet(with_anchors=True), anchored=True,
-                  state_limit=float("inf"))
-    return tagged_dfa_match(m, s, stream_offsets)
+    return tagged_dfa_match(TaggedDfa(r, tags, policy), s, stream_offsets)

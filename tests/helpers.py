@@ -91,6 +91,61 @@ def rand_tagged(rnd: random.Random, depth: int, tags: list[int], syms: str = SYM
     return comp(rand_tagged(rnd, depth - 1, tags, syms))
 
 
+def rand_pattern(rnd, depth, groups_left):
+    """Random pattern text: anchors, groups, lazy groups, ``&`` and ``~`` over ``ab``.
+
+    ``groups_left[0]`` bounds the number of capturing groups drawn.
+    """
+    atoms = ["a", "b", "ab", "[ab]", "ε", ".", "^", "\\<", "\\>", "$"]
+    if depth == 0:
+        return rnd.choice(atoms)
+    k = rnd.random()
+
+    def inner():
+        return rand_pattern(rnd, depth - 1, groups_left)
+
+    if k < 0.28:
+        return inner() + inner()
+    if k < 0.48:
+        return "(?:" + inner() + "+" + inner() + ")"
+    if k < 0.60:
+        return "(?:" + inner() + ")*"
+    if k < 0.72 and groups_left[0] > 0:
+        groups_left[0] -= 1
+        return "(" + ("?l" if rnd.random() < 0.3 else "") + inner() + ")"
+    if k < 0.80:
+        return "(?:" + inner() + "&" + inner() + ")"
+    if k < 0.86:
+        return "~(?:" + inner() + ")"
+    return inner()
+
+
+def rand_tagged_pattern(rnd, depth, groups_left):
+    """Random pattern text with groups over ``ab``, for the exhaustive oracle.
+
+    Star bodies always consume input, so the oracle's empty-pass rule
+    coincides with tag evaluation.
+    """
+    leaf = ["a", "b", "ab", "(?:a+ε)", "(?:a+b)"]
+    starrable = ["a", "b", "ab", "(?:a+b)"]
+    if depth == 0:
+        return rnd.choice(leaf)
+    k = rnd.random()
+    if k < 0.3:
+        return (rand_tagged_pattern(rnd, depth - 1, groups_left)
+                + rand_tagged_pattern(rnd, depth - 1, groups_left))
+    if k < 0.5:
+        return ("(?:" + rand_tagged_pattern(rnd, depth - 1, groups_left) + "+"
+                + rand_tagged_pattern(rnd, depth - 1, groups_left) + ")")
+    if k < 0.62:
+        return "(?:" + rnd.choice(starrable) + ")*"
+    if k < 0.88 and groups_left[0] > 0:
+        groups_left[0] -= 1
+        return ("(" + ("?l" if rnd.random() < 0.25 else "")
+                + rand_tagged_pattern(rnd, depth - 1, groups_left) + ")")
+    return rand_tagged_pattern(rnd, depth - 1, groups_left)
+
+
 def strings_upto(syms: str, max_len: int) -> list[str]:
     out = [""]
     for n in range(1, max_len + 1):

@@ -26,9 +26,8 @@ from drex.automaton import (
     make_tagged_dfa,
     tagged_dfa_match,
 )
-from drex.charset import alphabet_from_chars, from_chars, single
+from drex.charset import Alphabet, alphabet_from_chars, from_chars, single
 from drex.engine import match_full, match_lazy
-from drex.submatch import POLICY_POSIX
 from drex.syntax import EMPTY, SyntaxOptions, TagTable, parse, show, star, sym
 
 from helpers import rand_expr, strings_upto
@@ -79,6 +78,13 @@ class TestMakeDfa:
         with pytest.raises(StateLimitError) as e:
             make_dfa(r, AB, state_limit=4)
         assert e.value.bound == 4
+
+    def test_anchored_alphabet_rejected(self):
+        # A plain DFA reads the text as it is; anchors need the tagged machine.
+        r, _ = parse("^a")
+        with pytest.raises(ValueError, match="unanchored"):
+            make_dfa(r, Alphabet())
+        assert make_tagged_dfa(r, TagTable()).accepting
 
     def test_exponential_witness(self):
         for mm in (2, 3, 4):
@@ -159,7 +165,7 @@ class TestTaggedDfa:
         # reject a foreign symbol alike.
         r, t = parse("(a*)b")
         built = make_tagged_dfa(r, t, alphabet=AB)
-        live = TaggedDfa(r, t, POLICY_POSIX, AB, anchored=False, state_limit=float("inf"))
+        live = TaggedDfa(r, t, alphabet=AB)
         for m in (built, live):
             with pytest.raises(ValueError, match="0x63 outside the working alphabet"):
                 tagged_dfa_match(m, "acb")
@@ -331,6 +337,7 @@ class TestExports:
         r, t = parse("(a*)(a*)a")
         m = make_tagged_dfa(r, t, alphabet=AB)
         assert m.anchored is False and make_tagged_dfa(r, t).anchored is True
+        assert TaggedDfa(r, t).anchored is True  # the default alphabet has anchors
         doc = json.loads(export_json(m))
         assert doc["bank_count"] == m.bank_count
         assert doc["tags"]["groups"] == [[0, 1], [2, 3]]

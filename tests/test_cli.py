@@ -6,6 +6,8 @@ import json
 import pytest
 
 from drex.cli import run
+from drex.engine import match_lazy
+from drex.syntax import SyntaxOptions, parse
 
 
 def call(argv, stdin=None):
@@ -41,6 +43,39 @@ class TestMatch:
                 dfa = call(["match", pattern, text, "--engine", "dfa"])[0]
                 trace = call(["trace", pattern, text])[0]
                 assert lazy == dfa == trace, (pattern, text)
+
+    def test_verdict_independent_of_policy(self):
+        # The policy ranks spans; whether the whole text matches is the
+        # language's verdict, which ``trace`` and ``match_lazy`` give too.
+        for pattern in ("a*", "(a)*", "(a)(b*)"):
+            for policy in ("posix", "pre-order", "post-order"):
+                r, _ = parse(pattern, SyntaxOptions(policy=policy))
+                for text in ("", "a", "aaa", "ab", "abb", "ba"):
+                    args = [pattern, text, "--policy", policy]
+                    want = call(["trace", *args])[0]
+                    assert want == (0 if match_lazy(r, text) else 1), (pattern, text)
+                    for engine in ("lazy", "dfa"):
+                        got = call(["match", *args, "--engine", engine])[0]
+                        assert got == want, (pattern, policy, text, engine)
+
+    def test_show_trace_steps_the_matching_machine(self):
+        # The trace lines come first, then the result, on either engine;
+        # the built --ascii machine traces like the one ``trace`` builds.
+        trace = call(["trace", "(a*)(b)", "aab"])[1]
+        code, out = call(["match", "(a*)(b)", "aab", "--show-trace"])
+        assert code == 0 and out == trace + "match\n"
+        code, out = call(["submatch", "(a*)(b)", "aab", "--show-trace", "--engine", "dfa",
+                          "--ascii", "--policy", "pre-order"])
+        lines = out.splitlines()
+        assert code == 0 and lines[:-1] == trace.splitlines()
+        assert json.loads(lines[-1])["groups"][1] == {"start": 0, "end": 2}
+
+    def test_file_input(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("abb", encoding="utf-8")
+        assert call(["match", "ab*", "--file", str(path)]) == (0, "match\n")
+        assert call(["match", "ab", "--file", str(path)]) == (1, "no match\n")
+        assert call(["match", "ab", "--file", str(tmp_path / "missing")])[0] == 2
 
     def test_ascii_rejects_wider_input_on_both_engines(self):
         for engine in ("lazy", "dfa"):
@@ -118,6 +153,16 @@ class TestCompile:
         doc = json.loads(out)
         assert doc["initial_ops"]
         assert doc["policy"] == "posix"
+
+    def test_anchored_pattern_without_tags(self):
+        # Anchors are stream symbols: the exported machine reads them, and
+        # accepts where ``match`` does.
+        for pattern, text in (("^a", "a"), ("a$", "a"), ("a\\>", "a"), ("\\<ab", "ab")):
+            code, out = call(["compile", pattern, "--format", "json", "--ascii"])
+            doc = json.loads(out)
+            assert code == 0 and doc["anchored"] is True and doc["accepting"], pattern
+            assert doc["tags"] == {"kinds": [], "groups": []}
+            assert call(["match", pattern, text])[0] == 0, pattern
 
 
 class TestTrace:

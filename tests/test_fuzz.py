@@ -2,34 +2,13 @@
 
 import random
 
-from drex.automaton import StateLimitError, make_tagged_dfa, tagged_dfa_match
+from drex.automaton import StateLimitError, dfa_match, make_dfa, make_tagged_dfa, tagged_dfa_match
+from drex.charset import alphabet_from_chars
 from drex.engine import match_full, match_lazy
 from drex.syntax import ParseError, SyntaxOptions, parse
 
-
-def rand_pattern(rnd, depth, groups_left):
-    atoms = ["a", "b", "ab", "[ab]", "ε", ".", "^", "\\<", "\\>", "$"]
-    if depth == 0:
-        return rnd.choice(atoms)
-    k = rnd.random()
-
-    def inner():
-        return rand_pattern(rnd, depth - 1, groups_left)
-
-    if k < 0.28:
-        return inner() + inner()
-    if k < 0.48:
-        return "(?:" + inner() + "+" + inner() + ")"
-    if k < 0.60:
-        return "(?:" + inner() + ")*"
-    if k < 0.72 and groups_left[0] > 0:
-        groups_left[0] -= 1
-        return "(" + ("?l" if rnd.random() < 0.3 else "") + inner() + ")"
-    if k < 0.80:
-        return "(?:" + inner() + "&" + inner() + ")"
-    if k < 0.86:
-        return "~(?:" + inner() + ")"
-    return inner()
+from helpers import rand_pattern, rand_tagged_pattern, strings_upto
+from oracle import member_naive
 
 
 def test_random_patterns_lazy_vs_compiled():
@@ -56,6 +35,27 @@ def test_random_patterns_lazy_vs_compiled():
             assert a.matched == b.matched, (policy, pattern, s)
             assert a.groups == b.groups, (policy, pattern, s)
     assert tested > 100
+
+
+def test_verdict_grid_three_recognizers():
+    # Plain derivatives, the built DFA and the structural oracle share no
+    # matching code, so each checks the other two on the same verdicts.
+    rnd = random.Random(20190731)
+    ab = alphabet_from_chars("ab")
+    inputs = strings_upto("ab", 4)
+    tested = 0
+    while tested < 60:
+        pattern = rand_pattern(rnd, rnd.randint(1, 4), [3])
+        try:
+            r, _ = parse(pattern)
+            m = make_dfa(r, ab, state_limit=200)
+        except (ParseError, StateLimitError):
+            continue
+        tested += 1
+        for s in inputs:
+            want = member_naive(r, s)
+            assert match_lazy(r, s) == want, (pattern, s)
+            assert dfa_match(m, s) == want, (pattern, s)
 
 
 def test_tagged_complement_machines_stay_finite():
@@ -105,29 +105,6 @@ def _oracle_policy(r, t, s, policy):
     return l, spans
 
 
-def _rand_tagged_pattern(rnd, depth, groups_left):
-    # star bodies always consume input so the exhaustive oracle's
-    # empty-pass rule coincides with tag evaluation
-    leaf = ["a", "b", "ab", "(?:a+ε)", "(?:a+b)"]
-    starrable = ["a", "b", "ab", "(?:a+b)"]
-    if depth == 0:
-        return rnd.choice(leaf)
-    k = rnd.random()
-    if k < 0.3:
-        return (_rand_tagged_pattern(rnd, depth - 1, groups_left)
-                + _rand_tagged_pattern(rnd, depth - 1, groups_left))
-    if k < 0.5:
-        return ("(?:" + _rand_tagged_pattern(rnd, depth - 1, groups_left) + "+"
-                + _rand_tagged_pattern(rnd, depth - 1, groups_left) + ")")
-    if k < 0.62:
-        return "(?:" + rnd.choice(starrable) + ")*"
-    if k < 0.88 and groups_left[0] > 0:
-        groups_left[0] -= 1
-        return ("(" + ("?l" if rnd.random() < 0.25 else "")
-                + _rand_tagged_pattern(rnd, depth - 1, groups_left) + ")")
-    return _rand_tagged_pattern(rnd, depth - 1, groups_left)
-
-
 def test_random_tagged_patterns_vs_exhaustive_oracle():
     import itertools
 
@@ -136,7 +113,7 @@ def test_random_tagged_patterns_vs_exhaustive_oracle():
                      for c in itertools.product("ab", repeat=n)]
     tested = 0
     for _ in range(250):
-        pattern = _rand_tagged_pattern(rnd, rnd.randint(1, 3), [2])
+        pattern = rand_tagged_pattern(rnd, rnd.randint(1, 3), [2])
         policy = rnd.choice(("posix", "pre-order", "post-order"))
         if "(" not in pattern:
             continue

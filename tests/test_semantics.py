@@ -49,10 +49,11 @@ from helpers import (
     is_partition_of,
     nullify,
     rand_expr,
+    rand_pattern,
+    rand_tagged_pattern,
     strings_upto,
 )
 from oracle import member_naive
-from test_fuzz import _rand_tagged_pattern, rand_pattern
 
 ABC = alphabet_from_chars("abc")
 A = sym(from_chars("a"))
@@ -180,7 +181,7 @@ class TestDerivativeClasses:
         alphabets = (Alphabet(), Alphabet(from_chars("ab"), with_anchors=True), ABC)
         meets = 0
         for k in range(120):
-            gen = rand_pattern if k % 2 else _rand_tagged_pattern
+            gen = rand_pattern if k % 2 else rand_tagged_pattern
             r, _ = parse(gen(rnd, rnd.randint(1, 4), [3]))
             for alphabet in alphabets:
                 assert is_partition_of(derivative_classes(r, alphabet), alphabet.working)

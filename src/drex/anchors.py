@@ -21,7 +21,6 @@ from .charset import (
     ANCHOR_EOW,
     ANCHORS,
     FULL,
-    is_anchor,
     single,
 )
 from .syntax import Regex, Sym, cat, comp, inter, star, sym
@@ -49,9 +48,6 @@ class AnchoredStream:
 
     symbols: tuple[int, ...]
     boundary_origin: tuple[int, ...]
-
-    def strip(self) -> str:
-        return "".join(chr(c) for c in self.symbols if not is_anchor(c))
 
 
 def inject_anchors(text: str) -> AnchoredStream:

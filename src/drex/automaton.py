@@ -18,7 +18,7 @@ from typing import Optional
 from .anchors import inject_anchors
 from .charset import Alphabet, CharSet
 from .engine import MatchResult, Span, start, step
-from .semantics import Way, derivative_classes, nu_ways
+from .semantics import derivative_classes, nu_ways
 from .semantics import derive  # kept: perfbench/tracing.py wraps this name
 from .submatch import (
     HIGHER,
@@ -28,6 +28,7 @@ from .submatch import (
     InitBank,
     SetSlot,
     Store,
+    apply_writes,
     bank_compare,
     extract_submatches,
     op_banks,
@@ -79,17 +80,14 @@ class Dfa:
 
 @dataclass(frozen=True)
 class AcceptInfo:
-    """Result-bank information of one accepting state.
+    """The result of one accepting state.
 
-    ``bank``/``ops`` name the construction-preferred result; ``ways``
-    lists every nullable alternative, its writes relative to the
-    acceptance position, so a run compares the banks it holds at that
-    position.
+    A run that stops here reports bank ``bank`` after ``ops``, its slot
+    writes at the acceptance position.
     """
 
     bank: Optional[int]
     ops: tuple = ()
-    ways: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -120,43 +118,31 @@ def _store_signature(store: Store, banks: list[int], n_slots: int, p: int) -> tu
     return tuple(sig)
 
 
-def _best_way(
-    ways: tuple[Way, ...], base: int, store: Store, tags: TagTable
-) -> Optional[tuple[Way, Optional[Cells]]]:
-    """The accepting way whose bank ranks highest, with its cells.
-
-    A way's write ``(slot, v)`` stamps position ``base + v``; ways
-    without an owning bank carry no memory and are skipped.  Without
-    tracked tags the first way wins and no cells are computed.  None
-    when no way qualifies.
-    """
-    if not tags.num_tags:
-        return (ways[0], None) if ways else None
-    best = None
-    for way in ways:
-        owner, writes = way
-        if owner is None:
-            continue
-        cells = list(store[owner])
-        for slot, v in writes:
-            cells[slot] = base + v
-        cells = tuple(cells)
-        if best is None or bank_compare(cells, best[1], tags) == HIGHER:
-            best = (way, cells)
-    return best
-
-
 def _accept_info(e: Regex, depth: int, store: Store, tags: TagTable) -> Optional[AcceptInfo]:
-    ways = tuple((owner, tuple((slot, v - depth) for slot, v in writes))
-                 for owner, writes in nu_ways(e, depth))
-    if any(v for owner, writes in ways if owner is not None for _, v in writes):
+    """The nullable way whose bank ranks highest once its writes stamp ``depth``.
+
+    The store signature is part of the state's identity, so every run
+    that reaches the state ranks the ways alike: the choice is compiled
+    here, once.  Ways without an owning bank carry no memory and are
+    skipped; without tracked tags the first way wins.  None when no way
+    qualifies.
+    """
+    ways = nu_ways(e, depth)
+    if any(v != depth for owner, writes in ways if owner is not None for _, v in writes):
         raise AssertionError("acceptance writes must be at the current position")
-    found = _best_way(ways, depth, store, tags)
-    if found is None:
+    if tags.num_tags:
+        best = None  # (cells, way)
+        for way in ways:
+            if way[0] is not None:
+                cells = apply_writes(store[way[0]], way[1])
+                if best is None or bank_compare(cells, best[0], tags) == HIGHER:
+                    best = (cells, way)
+        ways = [best[1]] if best else []
+    if not ways:
         return None
-    (owner, writes), _ = found
+    owner, writes = ways[0]
     ops = () if owner is None else tuple(SetSlot(owner, slot, 0) for slot, _ in writes)
-    return AcceptInfo(owner, ops, ways)
+    return AcceptInfo(owner, ops)
 
 
 class TaggedDfa:
@@ -293,9 +279,10 @@ def make_tagged_dfa(
 def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     """The one matching loop: run a ``TaggedDfa``, built or not, over text.
 
-    Each accepting position offers its best bank: under posix the later
-    end wins, otherwise the earlier one unless the new bank ranks
-    higher.  The run stops in the ∅ state.
+    Each accepting position offers its state's compiled result, the
+    state's bank after its acceptance ops: under posix the later end
+    wins, otherwise the earlier one unless the new bank ranks higher.
+    The run stops in the ∅ state.
     """
     if m.anchored:
         stream = inject_anchors(text)
@@ -314,7 +301,8 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     while True:
         info = accepting.get(state)
         if info is not None:
-            cells = _best_way(info.ways, p, store, tags)[1]
+            cells = (apply_writes(store[info.bank], [(op.slot, p + op.offset) for op in info.ops])
+                     if n_slots else None)
             if (best is None or posix
                     or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER)):
                 best = (p, cells)
@@ -497,7 +485,7 @@ def export_json(m) -> str:
     doc["policy"] = m.policy
     doc["anchored"] = m.anchored
     doc["tags"] = {
-        "kinds": [e.kind for e in m.tags.entries],
+        "kinds": list(m.tags.kinds),
         "groups": [list(p) for p in m.tags.group_pairs],
     }
     return json.dumps(doc, indent=2)

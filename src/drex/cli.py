@@ -20,13 +20,13 @@ from .automaton import (
     TaggedDfa,
     export_dot,
     export_json,
-    make_tagged_dfa,
     tagged_dfa_match,
 )
-from .automaton import make_dfa  # kept: perfbench/tracing.py wraps this name
+from .automaton import make_dfa, make_tagged_dfa  # kept: perfbench/tracing.py wraps these names
 from .anchors import inject_anchors
 from .charset import ALL_BASE, ASCII_BASE, Alphabet, CharSet, single
-from .engine import MatchResult, match_full
+from .engine import MatchResult
+from .engine import match_full  # kept: perfbench/tracing.py wraps this name
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import POLICY_POSIX
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
@@ -67,21 +67,20 @@ def _parse(args) -> tuple[Regex, TagTable]:
     ))
 
 
-def _tagged_dfa(args, regex: Regex, tags: TagTable, policy: str) -> TaggedDfa:
-    return make_tagged_dfa(regex, tags, policy, Alphabet(_base(args)), args.state_bound)
+def _machine(args, regex: Regex, tags: TagTable, policy: str) -> TaggedDfa:
+    """The run's one machine, on the flags' alphabet and state bound.
+
+    It is built as runs reach its states and edges; ``build()`` takes
+    every edge at once, as ``compile`` and ``--engine dfa`` do.
+    """
+    return TaggedDfa(regex, tags, policy, Alphabet(_base(args)), args.state_bound)
 
 
 def _match(args, text: str, out, policy: str) -> MatchResult:
-    """Build one machine, print its trace if asked, then match on it.
-
-    The lazy engine builds the machine as the run reaches it, as
-    ``match_full`` does; ``--engine dfa`` builds it in full first.
-    """
-    regex, tags = _parse(args)
+    """Make the run's machine, print its trace if asked, then match on it."""
+    m = _machine(args, *_parse(args), policy)
     if args.engine == "dfa":
-        m = _tagged_dfa(args, regex, tags, policy)
-    else:
-        m = TaggedDfa(regex, tags, policy)
+        m.build()
     if args.show_trace:
         _print_trace(m, text, out)
     return tagged_dfa_match(m, text, getattr(args, "stream_offsets", False))
@@ -103,7 +102,7 @@ def _cmd_submatch(args, text: str, out) -> int:
 
 
 def _cmd_compile(args, _text, out) -> int:
-    machine = _tagged_dfa(args, *_parse(args), args.policy)
+    machine = _machine(args, *_parse(args), args.policy).build()
     print(export_dot(machine) if args.fmt == "dot" else export_json(machine), file=out)
     return 0
 
@@ -123,7 +122,7 @@ def _print_trace(m: TaggedDfa, text: str, out) -> bool:
 
 
 def _cmd_trace(args, text: str, out) -> int:
-    return 0 if _print_trace(TaggedDfa(*_parse(args)), text, out) else 1
+    return 0 if _print_trace(_machine(args, *_parse(args), args.policy), text, out) else 1
 
 
 def _cmd_grep(args, text: str, out) -> int:
@@ -131,13 +130,16 @@ def _cmd_grep(args, text: str, out) -> int:
     regex, _ = _parse(args)
     any_sym = star(sym(_base(args)))
     anywhere = erase_memory(cat(any_sym, cat(regex, any_sym)))
+    # One machine serves every line.  Posix keeps the longest match, which
+    # the whole-line test below needs.
+    m = _machine(args, anywhere, TagTable(), POLICY_POSIX)
     hit_any = False
     # Lines end only at "\n", the one line break the anchors know.
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     for line in lines:
-        result = match_full(anywhere, TagTable(), line)
+        result = tagged_dfa_match(m, line)
         if result.matched and result.groups[0] == (0, len(line)):
             print(line, file=out)
             hit_any = True

@@ -36,7 +36,6 @@ from .syntax import (
     comp,
     inter,
     is_nullable,
-    star,
     writes_chain,
     _merge_writes,
 )

@@ -611,34 +611,26 @@ def bank(
 # Tag bookkeeping
 # ---------------------------------------------------------------------------
 
-USER_GROUP = "user-group"
-PARSER_INSERTED = "parser-inserted"
-
-
-@dataclass(frozen=True)
-class TagInfo:
-    kind: str  # EARLY or LATE
-    partner: int
-    source: str
-
-
 @dataclass(frozen=True)
 class TagTable:
-    """Per-tag metadata plus the user-facing group numbering."""
+    """Per-tag kind (EARLY or LATE) plus the user-facing group numbering.
 
-    entries: tuple[TagInfo, ...] = ()
+    Tags come in pairs: tag ``i`` opens or closes with tag ``i ^ 1``.
+    """
+
+    kinds: tuple[str, ...] = ()
     group_pairs: tuple[tuple[int, int], ...] = ()
 
     @property
     def num_tags(self) -> int:
-        return len(self.entries)
+        return len(self.kinds)
 
     @property
     def num_groups(self) -> int:
         return len(self.group_pairs)
 
     def kind(self, index: int) -> str:
-        return self.entries[index].kind
+        return self.kinds[index]
 
 
 # ---------------------------------------------------------------------------
@@ -957,22 +949,15 @@ def parse(pattern: str, options: SyntaxOptions = SyntaxOptions()) -> tuple[Regex
         order = sorted(pairs, key=lambda g: g.close_seq)
     else:
         order = sorted(pairs, key=lambda g: g.open_seq)
-    entries: list[TagInfo] = [TagInfo(EARLY, 0, USER_GROUP)] * (2 * len(pairs))
+    kinds: list[str] = []
     group_pairs: dict[int, tuple[int, int]] = {}
     for i, g in enumerate(order):
-        open_tag, close_tag = 2 * i, 2 * i + 1
-        g.tags = (open_tag, close_tag)
-        close_kind = EARLY if g.lazy else LATE
-        source = USER_GROUP if g.gid is not None else PARSER_INSERTED
-        entries[open_tag] = TagInfo(EARLY, close_tag, source)
-        entries[close_tag] = TagInfo(close_kind, open_tag, source)
+        g.tags = (2 * i, 2 * i + 1)
+        kinds += [EARLY, EARLY if g.lazy else LATE]
         if g.gid is not None:
-            group_pairs[g.gid] = (open_tag, close_tag)
+            group_pairs[g.gid] = g.tags
     regex = _build(tree, node_pairs)
-    table = TagTable(
-        entries=tuple(entries),
-        group_pairs=tuple(group_pairs[k] for k in sorted(group_pairs)),
-    )
+    table = TagTable(tuple(kinds), tuple(group_pairs[k] for k in sorted(group_pairs)))
     return regex, table
 
 

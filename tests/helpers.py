@@ -7,7 +7,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from drex.charset import CharSet, from_chars
+from drex.anchors import AnchoredStream
+from drex.charset import CharSet, from_chars, is_anchor
 from drex.semantics import SymbolPartition, Way, nu_ways
 from drex.submatch import HIGHER, bank_compare
 from drex.syntax import (
@@ -144,6 +145,11 @@ def rand_tagged_pattern(rnd, depth, groups_left):
         return ("(" + ("?l" if rnd.random() < 0.25 else "")
                 + rand_tagged_pattern(rnd, depth - 1, groups_left) + ")")
     return rand_tagged_pattern(rnd, depth - 1, groups_left)
+
+
+def strip_anchors(stream: AnchoredStream) -> str:
+    """The text of an anchored stream: its symbols without the anchors."""
+    return "".join(chr(c) for c in stream.symbols if not is_anchor(c))
 
 
 def strings_upto(syms: str, max_len: int) -> list[str]:

@@ -95,11 +95,12 @@ class TestMatch:
         assert code == 2
 
     def test_state_bound_error(self):
-        code, _ = call(
-            ["match", "(?:a+b)*a(?:a+b)(?:a+b)", "aab", "--engine", "dfa",
-             "--state-bound", "3"]
-        )
-        assert code == 2
+        # Every subcommand and both engines build under the bound.
+        bounded = ["(?:a+b)*a(?:a+b)(?:a+b)", "aab", "--state-bound", "3"]
+        for argv in (["match", *bounded, "--engine", "dfa"], ["match", *bounded],
+                     ["submatch", *bounded], ["trace", *bounded], ["grep", *bounded]):
+            code, _ = call(argv)
+            assert code == 2, argv
 
     def test_stdin_input(self):
         code, _ = call(["match", "ab"], stdin="ab")
@@ -232,6 +233,23 @@ class TestGrep:
         assert code == 0 and out == "ab\nb\n"
         assert call(["grep", ".*"], stdin="")[0] == 1
         assert call(["grep", "^$"], stdin="\n") == (0, "\n")
+
+    def test_one_machine_per_run(self, monkeypatch):
+        from drex import automaton, cli
+
+        built = []
+
+        class Counted(automaton.TaggedDfa):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        # Both names, so that a machine built through the engine counts too.
+        monkeypatch.setattr(cli, "TaggedDfa", Counted)
+        monkeypatch.setattr(automaton, "TaggedDfa", Counted)
+        code, out = call(["grep", "ab"], stdin="xab\nba\nabab\n")
+        assert code == 0 and out == "xab\nabab\n"
+        assert len(built) == 1
 
 
 def test_usage_error():

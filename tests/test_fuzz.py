@@ -2,10 +2,20 @@
 
 import random
 
-from drex.automaton import StateLimitError, dfa_match, make_dfa, make_tagged_dfa, tagged_dfa_match
-from drex.charset import alphabet_from_chars
+from drex.anchors import inject_anchors
+from drex.automaton import (
+    StateLimitError,
+    TaggedDfa,
+    dfa_match,
+    make_dfa,
+    make_tagged_dfa,
+    tagged_dfa_match,
+)
+from drex.charset import Alphabet, alphabet_from_chars
 from drex.engine import match_full, match_lazy
-from drex.syntax import ParseError, SyntaxOptions, parse
+from drex.semantics import nu_ways
+from drex.submatch import HIGHER, apply_ops, apply_writes, bank_compare
+from drex.syntax import POLICIES, ParseError, SyntaxOptions, parse
 
 from helpers import rand_pattern, rand_tagged_pattern, strings_upto
 from oracle import member_naive
@@ -135,3 +145,69 @@ def test_random_tagged_patterns_vs_exhaustive_oracle():
                 assert got.groups[0] == (0, l), (policy, pattern, s)
                 assert list(got.groups[1:]) == spans, (policy, pattern, s)
     assert tested > 80
+
+
+def _ranked_on_the_run(m, state, p, store):
+    """The run-time rule compiled acceptance replaced: rank every owned
+    nullable way of the state on the run's own store at position ``p``."""
+    depth = m.depths[state]
+    best = None
+    for owner, writes in nu_ways(m.states[state], depth):
+        if owner is None:
+            continue
+        cells = apply_writes(store[owner], [(slot, p + v - depth) for slot, v in writes])
+        if best is None or bank_compare(cells, best[1], m.tags) == HIGHER:
+            best = (owner, cells)
+    return best
+
+
+def _check_acceptance(m, text) -> int:
+    """Step ``m`` over ``text``; at each accepting position compare the
+    compiled bank and cells with the run-time ranking.  Returns the
+    number of positions compared."""
+    symbols = inject_anchors(text).symbols if m.anchored else [ord(c) for c in text]
+    n_slots = m.tags.num_tags
+    store = {}
+    apply_ops(store, m.initial_ops, 0, n_slots)
+    state = compared = 0
+    for p in range(len(symbols) + 1):
+        info = m.accepting.get(state)
+        if info is not None:
+            compiled = apply_writes(store[info.bank],
+                                    [(op.slot, p + op.offset) for op in info.ops])
+            assert _ranked_on_the_run(m, state, p, store) == (info.bank, compiled), (state, p)
+            compared += 1
+        if p == len(symbols) or state == m.dead:
+            break
+        state, ops = m.step(state, symbols[p])
+        apply_ops(store, ops, p + 1, n_slots)
+    return compared
+
+
+def test_compiled_acceptance_equals_run_time_ranking():
+    # A state's store signature fixes every bank comparison, so the way
+    # ranked best when the state is created stays best on every run that
+    # reaches it.  One on-demand machine serves all texts, so states are
+    # reached at other positions and with other stores than at creation.
+    rnd = random.Random(2019)
+    alphabets = [(Alphabet(), strings_upto("ab", 3) + ["a b", "c", "b\na"]),
+                 (alphabet_from_chars("ab"), strings_upto("ab", 4))]
+    compared = 0
+    for gen in (rand_pattern, rand_tagged_pattern):
+        for policy in POLICIES:
+            for alphabet, texts in alphabets:
+                for _ in range(40):
+                    pattern = gen(rnd, rnd.randint(1, 3), [2])
+                    try:
+                        r, t = parse(pattern, SyntaxOptions(policy=policy))
+                    except ParseError:
+                        continue
+                    if not t.num_tags:
+                        continue
+                    m = TaggedDfa(r, t, policy, alphabet, state_limit=1000)
+                    try:
+                        for text in texts:
+                            compared += _check_acceptance(m, text)
+                    except StateLimitError:
+                        pass
+    assert compared > 5000

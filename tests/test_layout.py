@@ -41,3 +41,37 @@ def test_oracle_imports_only_tree_definitions():
         elif top == "drex":
             used.add(module)
     assert used == {"drex.charset", "drex.syntax"}
+
+
+def _benchmark_wrapped_names() -> dict:
+    """``perfbench/tracing.py`` ``IMPORTED``: module -> names its tracer replaces."""
+    path = TESTS.parent / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["IMPORTED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no IMPORTED")
+
+
+def test_package_imports_are_used_or_kept_for_the_benchmark():
+    # An imported name is either used, or kept only because the benchmark
+    # tracer replaces it by name; the "# kept:" mark must say which.
+    wrapped = _benchmark_wrapped_names()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        allowed = set(wrapped.get(f"drex.{path.stem}", ()))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if "# kept:" in lines[alias.lineno - 1]:
+                    assert name in allowed, (path.name, name, "kept but not wrapped")
+                else:
+                    assert name in loaded, (path.name, name, "imported but unused")

@@ -5,18 +5,16 @@ from hypothesis import strategies as st
 
 from drex.anchors import inject_anchors
 from drex.submatch import EQUAL, bank_compare
-from drex.syntax import EARLY, LATE, TagInfo, TagTable, USER_GROUP
+from drex.syntax import EARLY, LATE, TagTable
+
+from helpers import strip_anchors
 
 kinds = st.lists(st.sampled_from([EARLY, LATE]), min_size=2, max_size=6)
 cells = st.tuples(*[st.one_of(st.none(), st.integers(0, 5))] * 4)
 
 
 def table_for(kind_list):
-    entries = tuple(
-        TagInfo(k, i + 1 if i % 2 == 0 else i - 1, USER_GROUP)
-        for i, k in enumerate(kind_list)
-    )
-    return TagTable(entries, ())
+    return TagTable(tuple(kind_list), ())
 
 
 @given(cells, cells)
@@ -42,7 +40,7 @@ def test_bank_compare_reflexive_equal(c):
 @given(st.text(alphabet=st.sampled_from("ab1 _\n!"), max_size=40))
 def test_inject_anchors_round_trip(text):
     stream = inject_anchors(text)
-    assert stream.strip() == text
+    assert strip_anchors(stream) == text
     origins = stream.boundary_origin
     assert list(origins) == sorted(origins)
     assert origins[-1] == len(text)

@@ -30,9 +30,7 @@ from drex.syntax import (
     LATE,
     Star,
     Tag,
-    TagInfo,
     TagTable,
-    USER_GROUP,
     Write,
     alt,
     alt_terms,
@@ -51,12 +49,8 @@ B = sym(from_chars("b"))
 
 
 def table(kinds):
-    entries = []
-    for i, k in enumerate(kinds):
-        partner = i + 1 if i % 2 == 0 else i - 1
-        entries.append(TagInfo(k, partner, USER_GROUP))
     pairs = tuple((2 * i, 2 * i + 1) for i in range(len(kinds) // 2))
-    return TagTable(tuple(entries), pairs)
+    return TagTable(tuple(kinds), pairs)
 
 
 GREEDY2 = table([EARLY, LATE, EARLY, LATE])

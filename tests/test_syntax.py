@@ -188,7 +188,7 @@ class TestParser:
         r, t = parse("(a*)(a*)a")
         assert t.num_groups == 2
         assert t.group_pairs == ((0, 1), (2, 3))
-        assert [e.kind for e in t.entries] == [EARLY, LATE, EARLY, LATE]
+        assert t.kinds == (EARLY, LATE, EARLY, LATE)
         want = cat(
             Tag(EARLY, 0),
             cat(star(A), cat(Tag(LATE, 1),
@@ -198,15 +198,13 @@ class TestParser:
 
     def test_lazy_group_kinds(self):
         _, t = parse("(?la*)(a*)")
-        assert [e.kind for e in t.entries] == [EARLY, EARLY, EARLY, LATE]
+        assert t.kinds == (EARLY, EARLY, EARLY, LATE)
 
     def test_post_order_numbering(self):
         # pairs are numbered at closing brackets
         _, t = parse("(?l(?la*)(a*))a", SyntaxOptions(policy="post-order"))
         assert t.group_pairs == ((4, 5), (0, 1), (2, 3))
-        assert [e.kind for e in t.entries] == [
-            EARLY, EARLY, EARLY, LATE, EARLY, EARLY,
-        ]
+        assert t.kinds == (EARLY, EARLY, EARLY, LATE, EARLY, EARLY)
 
     def test_union_intersection_complement(self):
         r, _ = parse("a+b&c")
@@ -246,8 +244,8 @@ class TestParser:
         _, t = parse("[ab]*(a)", SyntaxOptions(posix_subpatterns=True))
         assert t.num_groups == 1
         assert t.num_tags == 4  # one hidden pair for the bare star
-        sources = {e.source for e in t.entries}
-        assert "parser-inserted" in sources
+        # The hidden pair is tags 0 and 1 and belongs to no user group.
+        assert not {0, 1} & {tag for pair in t.group_pairs for tag in pair}
 
     def test_unknown_modifier(self):
         with pytest.raises(ParseError):

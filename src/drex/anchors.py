@@ -1,4 +1,4 @@
-"""Anchor symbols, input preprocessing, and anchor-sensitive combinators.
+"""Anchor symbols and input preprocessing.
 
 Six context markers (text, line, and word boundaries) are ordinary
 symbols of the working alphabet.  ``inject_anchors`` rewrites input text
@@ -20,10 +20,8 @@ from .charset import (
     ANCHOR_BOW,
     ANCHOR_EOW,
     ANCHORS,
-    FULL,
-    single,
 )
-from .syntax import Regex, Sym, cat, comp, inter, star, sym
+from .syntax import Sym, star
 
 BOT = ANCHOR_BOT
 BOL = ANCHOR_BOL
@@ -88,39 +86,5 @@ def inject_anchors(text: str) -> AnchoredStream:
     return AnchoredStream(tuple(symbols), tuple(origins))
 
 
-# ---------------------------------------------------------------------------
-# Anchor-sensitive combinators
-# ---------------------------------------------------------------------------
-
-# Exactly one (anything) symbol, repeated: the top of the prefix lattice.
-_ANY_ONE = Sym(FULL, transparent=False)
-ANY_STAR = star(_ANY_ONE)
-
 # Any run of anchor symbols; pads the stream ends during matching.
 ANCHOR_RUN = star(Sym(ANCHORS, transparent=False))
-
-_WB = single(BOW).union(single(EOW))
-
-
-def exactly_symbol(cp: int) -> Regex:
-    """A pattern matching the one-symbol string, tolerating no anchors."""
-    others = FULL.difference(single(cp))
-    return inter(
-        [comp(cat(sym(others, transparent=True), ANY_STAR)),
-         sym(single(cp), transparent=True)]
-    )
-
-
-def forbid_anchor_prefix(r: Regex) -> Regex:
-    """Match like ``r`` but refuse any anchor at the current position."""
-    return inter([comp(cat(sym(ANCHORS, transparent=True), ANY_STAR)), r])
-
-
-def forbid_word_boundary(r: Regex) -> Regex:
-    """Match like ``r`` but refuse a word boundary at the current position."""
-    return inter([comp(cat(sym(_WB, transparent=True), ANY_STAR)), r])
-
-
-def require_word_boundary_between(s: Regex, t: Regex) -> Regex:
-    """Concatenate ``s`` and ``t`` with a mandatory word boundary between."""
-    return cat(s, cat(sym(_WB, transparent=True), t))

@@ -38,10 +38,11 @@ from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this na
 from .syntax import (
     EMPTY,
     EPSILON,
+    Bank,
     Regex,
     TagTable,
     alt,
-    banks_in_order,
+    alt_terms,
     cat,
     show,
     show_class,
@@ -145,6 +146,11 @@ def _accept_info(e: Regex, depth: int, store: Store, tags: TagTable) -> Optional
     return AcceptInfo(owner, ops)
 
 
+def _banks(e: Regex) -> list[int]:
+    """A state's live banks, 1..k: they head its top-level alternatives."""
+    return [t.bank for t in alt_terms(e) if isinstance(t, Bank)]
+
+
 class TaggedDfa:
     """A DFA whose transitions carry memory-op programs; state 0 is ``engine.start``.
 
@@ -184,7 +190,7 @@ class TaggedDfa:
 
     @property
     def bank_count(self) -> int:
-        banks = banks_in_order(self.states[0])
+        banks = _banks(self.states[0])
         banks += [b for row in self.transitions for _, _, ops in row
                   for op in ops for b in op_banks(op)]
         return max(banks, default=0) + 1
@@ -193,7 +199,7 @@ class TaggedDfa:
         n_slots = self.tags.num_tags
         key = e
         if n_slots:
-            live = banks_in_order(e)
+            live = _banks(e)
             st = {b: st[b] for b in live}
             key = (e, _store_signature(st, live, n_slots, depth))
         j = self.index.get(key)

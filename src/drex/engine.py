@@ -105,8 +105,9 @@ def step(
 ) -> tuple[Regex, list]:
     """Consume the symbol at ``pos``: derive, then normalize at ``pos + 1``.
 
-    Normalization (tag evaluation, disambiguation, bank compaction)
-    updates ``store`` in place and returns the ops it applied.  Without
+    Normalization (tag evaluation, then disambiguation, which numbers
+    the surviving banks 1..k) updates ``store`` in place and returns the
+    ops it applied.  Without
     tracked tags positions are irrelevant, so the derivative is taken at
     position 0 and equal residuals stay equal trees.
     """

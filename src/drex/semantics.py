@@ -152,20 +152,6 @@ def _derive(r: Regex, cp: int, pos: int, alloc: BankAlloc) -> Regex:
     raise TypeError(f"not a Regex: {r!r}")
 
 
-def derive_string(r: Regex, symbols, start_pos: int = 0) -> Regex:
-    """Left fold of ``derive`` along a symbol sequence.
-
-    ``symbols`` may be a str (taken as code points) or an iterable of
-    ints.  The position increments after each consumed symbol.
-    """
-    pos = start_pos
-    for s in symbols:
-        cp = ord(s) if isinstance(s, str) else s
-        r = derive(r, cp, pos, BankAlloc.after(r))
-        pos += 1
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Derivative classes
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .syntax import (
     writes_chain,
     _split_write_run,
     EARLY,
-    banks_in_order,
 )
 
 UNSET = None
@@ -210,93 +209,53 @@ def _teval(r: Regex, pos: int, alloc: BankAlloc) -> Regex:
 def disambiguate(
     r: Regex, tags: TagTable, store: Store, pos: int
 ) -> tuple[Regex, list[MemoryOp]]:
-    """Resolve ambiguous alternatives by bank priority.
+    """Keep the highest-priority bank of each group of equal alternatives.
 
-    Pending writes are applied to working copies of the banks; among
-    top-level alternatives that are structurally equal up to banks only
-    the highest-priority bank survives.  Returns the pruned expression
-    (pendings cleared) and the memory operations that realize the
-    surviving banks against ``store``; slot writes are offsets from
-    ``pos``, the position of this step's tag evaluation.
+    Top-level alternatives structurally equal up to banks form a group
+    (adjacent, as union terms are sorted); each group's bank that ranks
+    highest after its pending writes survives.  The survivors are
+    renumbered 1..k in term order.  Returns the pruned expression
+    (pendings cleared) and its program against ``store``: the moves of
+    the survivors' source banks into their new ids, then their writes as
+    slot offsets from ``pos``, the position of this step's tag
+    evaluation.  The writes come last because a new id may be another
+    survivor's source.
     """
-    terms = alt_terms(r)
-    if not any(isinstance(t, Bank) for t in terms):
+    best: dict[tuple, tuple[Bank, Cells]] = {}
+    pruned: list[Regex] = []
+    for t in alt_terms(r):
+        if not isinstance(t, Bank):
+            pruned.append(t)
+            continue
+        key = order_key(t)
+        cells = apply_writes(store[t.src or t.bank], t.writes)
+        if key not in best or bank_compare(cells, best[key][1], tags) == HIGHER:
+            best[key] = (t, cells)
+    if not best:
         return r, []
-    groups: dict[tuple, list[tuple[int, Bank]]] = {}
-    passthrough: list[tuple[int, Regex]] = []
-    for idx, t in enumerate(terms):
-        if isinstance(t, Bank):
-            groups.setdefault(order_key(t), []).append((idx, t))
-        else:
-            passthrough.append((idx, t))
-
-    def cells_of(t: Bank) -> Cells:
-        base = store[t.src if t.src is not None else t.bank]
-        return apply_writes(base, t.writes)
-
-    keep: list[tuple[int, Bank]] = []
-    for group in groups.values():
-        best_idx, best = group[0]
-        best_cells = cells_of(best)
-        for idx, t in group[1:]:
-            c = cells_of(t)
-            if bank_compare(c, best_cells, tags) == HIGHER:
-                best_idx, best, best_cells = idx, t, c
-        keep.append((best_idx, best))
-
-    # All copies first: a surviving original bank may be the source of a
-    # surviving copy, so its own writes must not land before the copy.
-    ops: list[MemoryOp] = []
-    keep.sort(key=lambda kt: kt[0])
-    for _, t in keep:
-        if t.src is not None:
-            ops.append(CopyBank(t.bank, t.src))
-    for _, t in keep:
+    moves: list[tuple[int, int]] = []
+    sets: list[MemoryOp] = []
+    for new, (t, _) in enumerate(best.values(), 1):
+        moves.append((new, t.src or t.bank))
+        pruned.append(Bank(new, (), t.body))
         for slot, value in t.writes:
             offset = value - pos
             if offset not in (-1, 0):
                 raise AssertionError(f"write offset {offset} out of range")
-            ops.append(SetSlot(t.bank, slot, offset))
-    pruned: list[tuple[int, Regex]] = list(passthrough)
-    for idx, t in keep:
-        pruned.append((idx, Bank(t.bank, (), t.body, None)))
-    pruned.sort(key=lambda it: it[0])
-    return alt(p for _, p in pruned), ops
-
-
-def compact_banks(r: Regex) -> tuple[Regex, list[tuple[int, int]]]:
-    """Renumber the banks of a disambiguated expression densely from 1.
-
-    Term order (the canonical union order) decides the numbering.
-    Returns the renamed expression and the parallel moves (dst, src)
-    needed to relocate the store contents.
-    """
-    old = banks_in_order(r)
-    mapping = {b: i + 1 for i, b in enumerate(old)}
-    moves = [(dst, src) for src, dst in mapping.items() if dst != src]
-    if not moves:
-        return r, []
-
-    def rename(x: Regex) -> Regex:
-        if isinstance(x, Bank):
-            return Bank(mapping[x.bank], x.writes, rename(x.body), x.src)
-        if isinstance(x, Star):
-            return Star(rename(x.body))
-        if isinstance(x, Not):
-            return Not(rename(x.body))
-        if isinstance(x, Cat):
-            return Cat(rename(x.head), rename(x.tail))
-        if isinstance(x, Alt):
-            return Alt(tuple(rename(t) for t in x.terms))
-        if isinstance(x, Inter):
-            return Inter(tuple(rename(t) for t in x.terms))
-        return x
-
-    return rename(r), moves
+            sets.append(SetSlot(new, slot, offset))
+    # Scratch banks lie above every id the moves touch, kept ones
+    # included, so parking a cycle overwrites no survivor.
+    scratch = 1 + max(max(mv) for mv in moves)
+    copies = sequence_moves([mv for mv in moves if mv[0] != mv[1]], scratch)
+    return alt(pruned), copies + sets
 
 
 def sequence_moves(moves: list[tuple[int, int]], scratch: int) -> list[MemoryOp]:
-    """Serialize parallel bank moves, breaking cycles with one scratch bank."""
+    """Serialize parallel bank moves (dst, src), each dst once.
+
+    Cycles are broken through scratch banks numbered upward from
+    ``scratch``, one per cycle, so no bank receives two copies.
+    """
     pending = dict(moves)  # dst -> src
     ops: list[MemoryOp] = []
     while pending:
@@ -306,22 +265,15 @@ def sequence_moves(moves: list[tuple[int, int]], scratch: int) -> list[MemoryOp]
                 ops.append(CopyBank(dst, pending.pop(dst)))
                 emitted = True
         if pending and not emitted:
-            # Pure cycles remain: park one destination in the scratch bank
+            # Pure cycles remain: park one destination in a scratch bank
             # and redirect its readers there.
             dst = next(iter(pending))
             ops.append(CopyBank(scratch, dst))
             for d, s in list(pending.items()):
                 if s == dst:
                     pending[d] = scratch
+            scratch += 1
     return ops
-
-
-def _scratch_above(*groups) -> int:
-    top = 0
-    for g in groups:
-        for b in g:
-            top = max(top, b)
-    return top + 1
 
 
 def normalize_step(
@@ -331,23 +283,14 @@ def normalize_step(
     pos: int,
     alloc: Optional[BankAlloc] = None,
 ) -> tuple[Regex, list[MemoryOp]]:
-    """One engine step after a derivative: teval, disambiguate, compact.
+    """One engine step after a derivative: teval, then disambiguate.
 
-    Returns the normalized expression (dense banks, no pendings) and the
-    full memory-op program, which has already been applied to ``store``.
+    Returns the normalized expression (banks 1..k, no pendings) and its
+    memory-op program, which has already been applied to ``store``.
     """
-    n_slots = tags.num_tags
     r = teval(r, pos, alloc if alloc is not None else BankAlloc.after(r))
     r, ops = disambiguate(r, tags, store, pos)
-    apply_ops(store, ops, pos, n_slots)
-    r, moves = compact_banks(r)
-    if moves:
-        referenced = [b for mv in moves for b in mv]
-        referenced.extend(banks_in_order(r))
-        referenced.extend(b for op in ops for b in op_banks(op))
-        mops = sequence_moves(moves, _scratch_above(referenced, store.keys()))
-        apply_ops(store, mops, pos, n_slots)
-        ops = ops + mops
+    apply_ops(store, ops, pos, tags.num_tags)
     return r, ops
 
 

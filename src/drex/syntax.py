@@ -327,26 +327,6 @@ def order_key(r: Regex) -> tuple:
     return (k, tuple(order_key(t) for t in r.terms))
 
 
-def banks_in_order(r: Regex) -> list[int]:
-    out: list[int] = []
-
-    def walk(x: Regex) -> None:
-        if isinstance(x, Bank):
-            out.append(x.bank)
-            walk(x.body)
-        elif isinstance(x, (Star, Not)):
-            walk(x.body)
-        elif isinstance(x, Cat):
-            walk(x.head)
-            walk(x.tail)
-        elif isinstance(x, (Alt, Inter)):
-            for t in x.terms:
-                walk(t)
-
-    walk(r)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Smart constructors
 # ---------------------------------------------------------------------------
@@ -585,24 +565,14 @@ def bank(
         # Adjacent banks collapse; the outer one owns the alternative.
         return bank(bk, _merge_writes(writes, body.writes), body.body, alloc, src)
     if isinstance(body, Alt):
-        # Copy-on-distribution: the leftmost term keeps this bank, each
-        # following term receives a fresh copy in left-to-right order.
-        # Terms are ranked by their write-stripped core so the ids come
-        # out dense in the final canonical term order.
+        # Copy-on-distribution: the first term keeps this bank, each
+        # following term receives a fresh copy.  The ids need no order:
+        # disambiguation renumbers the surviving banks 1..k.
         if alloc is None:
             alloc = BankAlloc(max(max_bank(body), bk) + 1)
-        ranked = sorted(
-            body.terms, key=lambda t: (order_key(_split_write_run(t)[1]), order_key(t))
-        )
-        parts: list[Regex] = []
-        for i, t in enumerate(ranked):
-            if i == 0:
-                parts.append(bank(bk, writes, t, alloc, src))
-            else:
-                parts.append(
-                    bank(alloc.fresh(), writes, t, alloc,
-                         src if src is not None else bk)
-                )
+        copy_src = src if src is not None else bk
+        parts = [bank(bk, writes, body.terms[0], alloc, src)]
+        parts += [bank(alloc.fresh(), writes, t, alloc, copy_src) for t in body.terms[1:]]
         return alt(parts)
     return Bank(bk, tuple(sorted(dict(writes).items())), body, src)
 

@@ -7,19 +7,26 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from drex.anchors import AnchoredStream
-from drex.charset import CharSet, from_chars, is_anchor
-from drex.semantics import SymbolPartition, Way, nu_ways
+from drex.anchors import BOW, EOW, AnchoredStream
+from drex.charset import ANCHORS, FULL, CharSet, from_chars, is_anchor, single
+from drex.semantics import SymbolPartition, Way, derive, nu_ways
 from drex.submatch import HIGHER, bank_compare
 from drex.syntax import (
     EARLY,
     EMPTY,
     EPSILON,
     LATE,
+    Alt,
+    Bank,
+    BankAlloc,
+    Cat,
+    Inter,
+    Not,
     Regex,
+    Star,
+    Sym,
     Tag,
     alt,
-    banks_in_order,
     cat,
     comp,
     inter,
@@ -228,3 +235,62 @@ def equal_mod_banks(r1: Regex, r2: Regex) -> Optional[list[tuple[int, int]]]:
     if order_key(r1) != order_key(r2):
         return None
     return list(zip(banks_in_order(r1), banks_in_order(r2)))
+
+
+def banks_in_order(r: Regex) -> list[int]:
+    """Every bank id of the tree, in pre-order."""
+    if isinstance(r, Bank):
+        return [r.bank] + banks_in_order(r.body)
+    if isinstance(r, (Star, Not)):
+        return banks_in_order(r.body)
+    if isinstance(r, Cat):
+        return banks_in_order(r.head) + banks_in_order(r.tail)
+    if isinstance(r, (Alt, Inter)):
+        return [b for t in r.terms for b in banks_in_order(t)]
+    return []
+
+
+def derive_string(r: Regex, symbols, start_pos: int = 0) -> Regex:
+    """Left fold of ``derive`` along a symbol sequence.
+
+    ``symbols`` may be a str (taken as code points) or an iterable of
+    ints.  The position increments after each consumed symbol.
+    """
+    pos = start_pos
+    for s in symbols:
+        cp = ord(s) if isinstance(s, str) else s
+        r = derive(r, cp, pos, BankAlloc.after(r))
+        pos += 1
+    return r
+
+
+# Anchor-sensitive combinators.  Exactly one (anything) symbol, repeated:
+# the top of the prefix lattice.
+_ANY_ONE = Sym(FULL, transparent=False)
+ANY_STAR = star(_ANY_ONE)
+
+_WB = single(BOW).union(single(EOW))
+
+
+def exactly_symbol(cp: int) -> Regex:
+    """A pattern matching the one-symbol string, tolerating no anchors."""
+    others = FULL.difference(single(cp))
+    return inter(
+        [comp(cat(sym(others, transparent=True), ANY_STAR)),
+         sym(single(cp), transparent=True)]
+    )
+
+
+def forbid_anchor_prefix(r: Regex) -> Regex:
+    """Match like ``r`` but refuse any anchor at the current position."""
+    return inter([comp(cat(sym(ANCHORS, transparent=True), ANY_STAR)), r])
+
+
+def forbid_word_boundary(r: Regex) -> Regex:
+    """Match like ``r`` but refuse a word boundary at the current position."""
+    return inter([comp(cat(sym(_WB, transparent=True), ANY_STAR)), r])
+
+
+def require_word_boundary_between(s: Regex, t: Regex) -> Regex:
+    """Concatenate ``s`` and ``t`` with a mandatory word boundary between."""
+    return cat(s, cat(sym(_WB, transparent=True), t))

@@ -9,18 +9,22 @@ from drex.anchors import (
     EOL,
     EOT,
     EOW,
-    exactly_symbol,
-    forbid_anchor_prefix,
-    forbid_word_boundary,
     inject_anchors,
-    require_word_boundary_between,
 )
 from drex.charset import from_chars, single
 from drex.engine import match_full, match_lazy
 from drex.semantics import derive
 from drex.syntax import EMPTY, EPSILON, TagTable, comp, parse, show, sym
 
-from helpers import rand_expr, strings_upto, strip_anchors
+from helpers import (
+    exactly_symbol,
+    forbid_anchor_prefix,
+    forbid_word_boundary,
+    rand_expr,
+    require_word_boundary_between,
+    strings_upto,
+    strip_anchors,
+)
 from oracle import member_naive
 
 

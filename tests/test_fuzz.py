@@ -1,5 +1,6 @@
 """Randomized whole-pipeline agreement between the two engines."""
 
+import functools
 import random
 
 from drex.anchors import inject_anchors
@@ -14,10 +15,10 @@ from drex.automaton import (
 from drex.charset import Alphabet, alphabet_from_chars
 from drex.engine import match_full, match_lazy
 from drex.semantics import nu_ways
-from drex.submatch import HIGHER, apply_ops, apply_writes, bank_compare
-from drex.syntax import POLICIES, ParseError, SyntaxOptions, parse
+from drex.submatch import HIGHER, CopyBank, SetSlot, apply_ops, apply_writes, bank_compare
+from drex.syntax import EMPTY, POLICIES, Bank, ParseError, SyntaxOptions, alt_terms, parse
 
-from helpers import rand_pattern, rand_tagged_pattern, strings_upto
+from helpers import banks_in_order, rand_pattern, rand_tagged_pattern, strings_upto
 from oracle import member_naive
 
 
@@ -211,3 +212,55 @@ def test_compiled_acceptance_equals_run_time_ranking():
                     except StateLimitError:
                         pass
     assert compared > 5000
+
+
+@functools.lru_cache(maxsize=None)
+def _tagged_machines(seed: int) -> tuple:
+    """Built tagged machines: both generators x every policy x anchored/``ab``."""
+    rnd = random.Random(seed)
+    machines = []
+    for gen in (rand_pattern, rand_tagged_pattern):
+        for policy in POLICIES:
+            for alphabet in (Alphabet(), alphabet_from_chars("ab")):
+                for _ in range(40):
+                    pattern = gen(rnd, rnd.randint(1, 4), [3])
+                    try:
+                        r, t = parse(pattern, SyntaxOptions(policy=policy))
+                        if t.num_tags:
+                            machines.append(
+                                TaggedDfa(r, t, policy, alphabet, state_limit=2000).build())
+                    except (ParseError, StateLimitError):
+                        continue
+    return tuple(machines)
+
+
+def test_states_are_alternatives_of_dense_banks():
+    # Disambiguation numbers the surviving banks 1..k in term order, and
+    # the engine reads a state's live banks off its top-level terms: so
+    # banks head top-level alternatives only, and no bank body holds one.
+    machines = _tagged_machines(11)
+    assert len(machines) > 200
+    for m in machines:
+        for e in m.states:
+            if e == EMPTY:
+                continue
+            terms = alt_terms(e)
+            assert all(isinstance(t, Bank) for t in terms), e
+            assert [t.bank for t in terms] == list(range(1, len(terms) + 1)), e
+            assert all(not banks_in_order(t.body) for t in terms), e
+
+
+def test_programs_copy_each_bank_once_before_the_sets():
+    # Each new bank receives its source once, in one serialized batch of
+    # moves; the slot writes then land on the new banks.
+    programs = 0
+    for m in _tagged_machines(11):
+        for row in m.transitions:
+            for _, _, ops in row:
+                kinds = [type(op) for op in ops]
+                copies = [op.dst for op in ops if isinstance(op, CopyBank)]
+                assert set(kinds) <= {CopyBank, SetSlot}, ops
+                assert kinds == sorted(kinds, key=lambda k: k is SetSlot), ops
+                assert len(copies) == len(set(copies)), ops
+                programs += 1
+    assert programs > 2000

@@ -16,7 +16,6 @@ from drex.semantics import (
     _meet,
     derivative_classes,
     derive,
-    derive_string,
     nu_ways,
 )
 from drex.syntax import (
@@ -46,6 +45,7 @@ from helpers import (
     NOT_NULLABLE,
     NULLABLE_PLAIN,
     NULLABLE_WITH_MEMORY,
+    derive_string,
     is_partition_of,
     nullify,
     rand_expr,

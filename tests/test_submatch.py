@@ -15,7 +15,6 @@ from drex.submatch import (
     SetSlot,
     apply_ops,
     bank_compare,
-    compact_banks,
     disambiguate,
     extract_submatches,
     normalize_step,
@@ -198,7 +197,7 @@ class TestDisambiguate:
         new_store = dict(store)
         apply_ops(new_store, ops, 2, 4)
         surviving = sorted(t.bank for t in terms)
-        assert surviving == [1, 4, 5]
+        assert surviving == [1, 2, 3]
         # the kept banks carry the first-most-longest memories
         cells = {new_store[t.bank] for t in terms}
         assert cells == {
@@ -231,10 +230,10 @@ class TestDisambiguate:
 class TestCompaction:
     def test_dense_renumbering(self):
         r = alt([Bank(4, (), star(A)), Bank(7, (), star(B))])
-        out, moves = compact_banks(r)
-        assert sorted(t.bank for t in alt_terms(out)) == [1, 2]
         store = {4: (1,), 7: (2,)}
-        apply_ops(store, sequence_moves(moves, 9), 0, 1)
+        out, ops = disambiguate(r, TagTable((EARLY,)), store, 0)
+        assert [t.bank for t in alt_terms(out)] == [1, 2]
+        apply_ops(store, ops, 0, 1)
         got = {t.bank: store[t.bank] for t in alt_terms(out)}
         assert set(got.values()) == {(1,), (2,)}
 

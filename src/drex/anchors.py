@@ -1,8 +1,13 @@
 """Anchor symbols and input preprocessing.
 
 Six context markers (text, line, and word boundaries) are ordinary
-symbols of the working alphabet.  ``inject_anchors`` rewrites input text
-so every boundary is explicit; transparent class atoms then skip the
+symbols of the working alphabet.  The markers at a boundary depend only
+on the classes of the characters on either side of it: word, newline or
+other, with ``EDGE`` standing for the start of the text (as the previous
+class) and its end (as the next one).  ``BOUNDARY`` tabulates that rule
+once; ``inject_anchors`` rewrites input text with it so every boundary
+is explicit, and the matching loop in ``automaton`` reads the same table
+to generate the markers on the fly.  Transparent class atoms skip the
 markers they do not mention, so anchor-free patterns behave as if the
 markers were never there.
 """
@@ -20,6 +25,8 @@ from .charset import (
     ANCHOR_BOW,
     ANCHOR_EOW,
     ANCHORS,
+    from_chars,
+    single,
 )
 from .syntax import Sym, star
 
@@ -33,7 +40,43 @@ EOT = ANCHOR_EOT
 # Word characters for boundary detection.  Digits are deliberately not
 # word characters: a letter run next to a digit run carries a word
 # boundary between them.
-WORD_CHARS = frozenset(ascii_letters + "_")
+WORD_SET = from_chars(ascii_letters + "_")
+NEWLINE_SET = single(ord("\n"))
+_WORD_CODEPOINTS = frozenset(WORD_SET.codepoints())
+
+# Character classes at a boundary.
+WORD, NEWLINE, OTHER, EDGE = range(4)
+
+
+def char_class(cp: int) -> int:
+    """``WORD``, ``NEWLINE`` or ``OTHER``."""
+    if cp in _WORD_CODEPOINTS:
+        return WORD
+    return NEWLINE if cp in NEWLINE_SET else OTHER
+
+
+def _markers(prev: int, nxt: int) -> tuple[int, ...]:
+    """The markers between a ``prev``-class and a ``nxt``-class character.
+
+    Openers come first, then the closers, each in canonical order:
+    start-of-text, start-of-line, start-of-word; end-of-word,
+    end-of-line, end-of-text.  A newline ends one line and begins the
+    next while staying in the stream as an ordinary symbol.
+    """
+    rules = (
+        (BOT, prev == EDGE),
+        (BOL, prev in (EDGE, NEWLINE)),
+        (BOW, nxt == WORD and prev != WORD),
+        (EOW, prev == WORD and nxt != WORD),
+        (EOL, nxt in (EDGE, NEWLINE)),
+        (EOT, nxt == EDGE),
+    )
+    return tuple(m for m, applies in rules if applies)
+
+
+# ``BOUNDARY[prev][next]``: the markers at a boundary, by the classes
+# around it.
+BOUNDARY = tuple(tuple(_markers(p, q) for q in range(4)) for p in range(4))
 
 
 @dataclass(frozen=True)
@@ -49,40 +92,22 @@ class AnchoredStream:
 
 
 def inject_anchors(text: str) -> AnchoredStream:
-    """Make every boundary of ``text`` explicit.
-
-    At one boundary the applicable openers come first, then the closers,
-    each in canonical order: start-of-text, start-of-line, start-of-word;
-    end-of-word, end-of-line, end-of-text.  A newline ends one line and
-    begins the next while staying in the stream as an ordinary symbol.
-    """
-    n = len(text)
-
-    def word(i: int) -> bool:
-        return 0 <= i < n and text[i] in WORD_CHARS
-
+    """Make every boundary of ``text`` explicit, by ``BOUNDARY``."""
     symbols: list[int] = []
     origins: list[int] = [0]
-    for i in range(n + 1):
-        marks: list[int] = []
-        if i == 0:
-            marks.append(BOT)
-        if i == 0 or text[i - 1] == "\n":
-            marks.append(BOL)
-        if word(i) and not word(i - 1):
-            marks.append(BOW)
-        if word(i - 1) and not word(i):
-            marks.append(EOW)
-        if i == n or text[i] == "\n":
-            marks.append(EOL)
-        if i == n:
-            marks.append(EOT)
-        for m in sorted(marks):
+    prev = EDGE
+    for i, c in enumerate(text):
+        cp = ord(c)
+        k = char_class(cp)
+        for m in BOUNDARY[prev][k]:
             symbols.append(m)
             origins.append(i)
-        if i < n:
-            symbols.append(ord(text[i]))
-            origins.append(i + 1)
+        symbols.append(cp)
+        origins.append(i + 1)
+        prev = k
+    for m in BOUNDARY[prev][EDGE]:
+        symbols.append(m)
+        origins.append(len(text))
     return AnchoredStream(tuple(symbols), tuple(origins))
 
 

@@ -6,24 +6,34 @@ construction terminates with finitely many states.  Transitions are
 keyed by derivative-class blocks, never by single symbols.  Tagged
 machines additionally carry memory-operation programs on transitions,
 an initial program, and a result bank per accepting state.
+
+At run time a machine looks its edges up by index.  Sorted cut points
+split the symbols into intervals, each inside one block of every state,
+and each state gets a row indexed by interval id; an entry is filled by
+the block scan when a run first needs it.  The matching loops walk the
+text itself: the anchor markers at a boundary come from the
+``anchors.BOUNDARY`` table, by the classes of the characters around it,
+so no anchor stream is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
-from .anchors import inject_anchors
-from .charset import Alphabet, CharSet
+from .anchors import BOUNDARY, EDGE, NEWLINE_SET, OTHER, WORD_SET, char_class
+from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
+from .charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, CharSet
 from .engine import MatchResult, Span, start, step
 from .semantics import derivative_classes, nu_ways
 from .semantics import derive  # kept: perfbench/tracing.py wraps this name
 from .submatch import (
     HIGHER,
     POLICY_POSIX,
-    Cells,
     CopyBank,
     InitBank,
     SetSlot,
@@ -38,8 +48,14 @@ from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this na
 from .syntax import (
     EMPTY,
     EPSILON,
+    Alt,
     Bank,
+    Cat,
+    Inter,
+    Not,
     Regex,
+    Star,
+    Sym,
     TagTable,
     alt,
     alt_terms,
@@ -61,22 +77,113 @@ class StateLimitError(RuntimeError):
         self.bound = bound
 
 
+# ---------------------------------------------------------------------------
+# Run-time dispatch: rows indexed by interval id
+# ---------------------------------------------------------------------------
+
+
+def _outside(cp: int) -> ValueError:
+    return ValueError(f"symbol {cp:#x} outside the working alphabet")
+
+
+class _Rows:
+    """A machine's run-time table: per-state rows indexed by interval id.
+
+    ``cuts`` split the symbols into intervals, each inside one block of
+    every row, so a symbol's interval id (``bisect_right(cuts, cp)``, or
+    ``ascii[cp]`` below 128) picks its edge.  Interval ``k > 0`` starts
+    at ``cuts[k - 1]``; interval 0 and the last one lie outside every
+    block.  An entry is None until a run first needs it.  A tagged
+    machine adds the marker runs and the class of each interval
+    (``TaggedDfa.table``).
+    """
+
+    def __init__(self, cuts: list[int]):
+        self.cuts = cuts
+        self.width = len(cuts) + 1
+        self.ascii = [0] * 128
+        for k, cp in enumerate(cuts, 1):
+            if cp >= 128:
+                break
+            self.ascii[cp:] = [k] * (128 - cp)
+        self.rows: list[list] = []
+        self.runs: list[list[tuple[int, ...]]] = []
+        self.classes: list[int] = []
+
+    def interval(self, cp: int) -> int:
+        return self.ascii[cp] if 0 <= cp < 128 else bisect_right(self.cuts, cp)
+
+    def add_rows(self, n: int) -> None:
+        self.rows += [[None] * self.width for _ in range(n)]
+
+    def edge(self, row, k: int):
+        """The edge of ``row`` whose block holds interval ``k``; None outside the alphabet."""
+        if k:
+            cp = self.cuts[k - 1]
+            for edge in row:
+                if cp in edge[0]:
+                    return edge
+        return None
+
+
+def _atom_bounds(e: Regex) -> set[int]:
+    """The bounds of every symbol-class atom of ``e``."""
+    bounds: set[int] = set()
+    seen = set()  # ids of the inner nodes walked: hash-consed nodes are shared
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is Sym:
+            bounds.update(x.chars.bounds)
+        elif id(x) not in seen:
+            seen.add(id(x))
+            if kind is Cat:
+                stack += (x.head, x.tail)
+            elif kind is Alt or kind is Inter:
+                stack.extend(x.terms)
+            elif kind is Star or kind is Not or kind is Bank:
+                stack.append(x.body)
+    return bounds
+
+
 @dataclass(frozen=True)
 class Dfa:
     alphabet: Alphabet
     states: list[Regex]
     transitions: tuple[tuple[tuple[CharSet, int], ...], ...]
     accepting: frozenset[int]
+    # Made by the first run, from the bounds of the rows' blocks.
+    _table: Optional[_Rows] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
+    def table(self) -> _Rows:
+        if self._table is None:
+            t = _Rows(sorted({b for row in self.transitions for block, _ in row
+                              for b in block.bounds}))
+            t.add_rows(self.n_states)
+            object.__setattr__(self, "_table", t)
+        return self._table
+
+    def _fill(self, state: int, k: int) -> Optional[int]:
+        edge = self._table.edge(self.transitions[state], k)
+        if edge is None:
+            return None
+        self._table.rows[state][k] = edge[1]
+        return edge[1]
+
     def step(self, state: int, cp: int) -> int:
-        for block, target in self.transitions[state]:
-            if cp in block:
-                return target
-        raise ValueError(f"symbol {cp:#x} outside the working alphabet")
+        t = self.table()
+        k = t.interval(cp)
+        target = t.rows[state][k]
+        if target is None:
+            target = self._fill(state, k)
+            if target is None:
+                raise _outside(cp)
+        return target
 
 
 @dataclass(frozen=True)
@@ -182,6 +289,7 @@ class TaggedDfa:
         self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}
         self.dead: Optional[int] = None  # the ∅ state, once created
+        self._table: Optional[_Rows] = None  # made by the first run
         self._state_id(expr, store, 0)
 
     @property
@@ -213,6 +321,8 @@ class TaggedDfa:
             self.stores.append(st)
             blocks = derivative_classes(e, self.alphabet).blocks
             self.transitions.append([[b, None, ()] for b in sorted(blocks, key=lambda b: b.bounds)])
+            if self._table is not None:
+                self._table.rows.append([None] * self._table.width)
             info = _accept_info(e, depth, st, self.tags)
             if info is not None:
                 self.accepting[j] = info
@@ -225,13 +335,54 @@ class TaggedDfa:
         de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st)
         edge[1:] = self._state_id(de, st, d + 1), tuple(ops)
 
+    def table(self) -> _Rows:
+        """The run-time table, made by the first run; states created
+        later get their rows as they are created.
+
+        The cuts are the bounds of the atoms of state 0 (every later
+        state is built from them), of the alphabet, of each anchor and
+        of the boundary classes, so ``cuts[-1]`` is ``UNIVERSE_END`` and
+        no text character falls in the last interval: the loop uses its
+        id for the end of the text.  ``runs[prev][k]`` lists the ids a
+        character of interval ``k`` adds to the stream after one of
+        class ``prev``: the boundary's markers, then its own.
+        """
+        t = self._table
+        if t is None:
+            cuts = _atom_bounds(self.states[0])
+            for extra in (self.alphabet.working.bounds, range(ANCHOR_MIN, UNIVERSE_END + 1),
+                          WORD_SET.bounds, NEWLINE_SET.bounds):
+                cuts.update(extra)
+            t = self._table = _Rows(sorted(cuts))
+            top = len(t.cuts)
+            classes = [OTHER] + [char_class(cp) for cp in t.cuts[:-1]] + [EDGE]
+            marks = [[tuple(bisect_right(t.cuts, mk) for mk in between) if self.anchored else ()
+                      for between in row] for row in BOUNDARY]
+            t.runs = [[marks[prev][classes[k]] + (k,) for k in range(top)] + [marks[prev][EDGE]]
+                      for prev in range(EDGE + 1)]
+            t.classes = classes
+            t.add_rows(self.n_states)
+        return t
+
+    def _fill(self, i: int, k: int) -> Optional[tuple]:
+        """Row ``i``'s entry for interval ``k``: target, program and the
+        target's ``AcceptInfo``; None outside the alphabet."""
+        t = self._table
+        edge = t.edge(self.transitions[i], k)
+        if edge is None:
+            return None
+        if edge[1] is None:
+            self._take(i, edge)
+        entry = t.rows[i][k] = (edge[1], edge[2], self.accepting.get(edge[1]))
+        return entry
+
     def step(self, i: int, cp: int) -> tuple[int, tuple]:
-        for edge in self.transitions[i]:
-            if cp in edge[0]:
-                if edge[1] is None:
-                    self._take(i, edge)
-                return edge[1], edge[2]
-        raise ValueError(f"symbol {cp:#x} outside the working alphabet")
+        t = self.table()
+        k = t.interval(cp)
+        entry = t.rows[i][k] or self._fill(i, k)
+        if entry is None:
+            raise _outside(cp)
+        return entry[0], entry[1]
 
     def build(self) -> "TaggedDfa":
         """Take every edge, state by state in creation (worklist) order."""
@@ -263,11 +414,19 @@ def make_dfa(
 
 
 def dfa_match(m: Dfa, s) -> bool:
-    """Whole-sequence recognition (no anchor preprocessing)."""
+    """Whole-sequence recognition (no anchor preprocessing); ``s`` is a
+    string or a sequence of code points."""
+    t = m.table()
+    rows, ascii_ids, cuts = t.rows, t.ascii, t.cuts
     state = 0
-    for c in s:
-        cp = ord(c) if isinstance(c, str) else c
-        state = m.step(state, cp)
+    for cp in map(ord, s) if isinstance(s, str) else s:
+        k = ascii_ids[cp] if 0 <= cp < 128 else bisect_right(cuts, cp)
+        target = rows[state][k]
+        if target is None:
+            target = m._fill(state, k)
+            if target is None:
+                raise _outside(cp)
+        state = target
     return state in m.accepting
 
 
@@ -282,49 +441,82 @@ def make_tagged_dfa(
     return TaggedDfa(r, tags, policy, alphabet, state_limit).build()
 
 
+def _offer(best: Optional[tuple], info: AcceptInfo, store: Store, p: int,
+           tags: TagTable) -> tuple:
+    """The result that ranks higher under a priority policy: ``best`` or
+    the accepting state's result at ``p``; a new one wins only if its
+    bank ranks higher.  Results are (end, cells, pending ops)."""
+    cells = store.get(info.bank)
+    if cells is not None:
+        cells = apply_writes(cells, [(op.slot, p + op.offset) for op in info.ops])
+    if best is None or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER):
+        return p, cells, ()
+    return best
+
+
 def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     """The one matching loop: run a ``TaggedDfa``, built or not, over text.
 
-    Each accepting position offers its state's compiled result, the
-    state's bank after its acceptance ops: under posix the later end
-    wins, otherwise the earlier one unless the new bank ranks higher.
-    The run stops in the ∅ state.
+    The loop walks the text and looks each character's interval up in
+    the table; an anchored machine first steps through the markers
+    ``m.table().runs`` lists for the boundary before it.  Positions
+    count stream symbols, markers included.  Each accepting position
+    offers its state's compiled result, the state's bank after its
+    acceptance ops: under posix the later end wins (its ops are applied
+    once, at the end), otherwise the earlier one unless the new bank
+    ranks higher.  The run stops in the ∅ state.
     """
-    if m.anchored:
-        stream = inject_anchors(text)
-        symbols, origin = stream.symbols, stream.boundary_origin
-    else:
-        symbols = tuple(ord(c) for c in text)
-        origin = tuple(range(len(text) + 1))
+    t = m.table()
+    rows, ascii_ids, cuts, runs, classes = t.rows, t.ascii, t.cuts, t.runs, t.classes
     tags = m.tags
     n_slots = tags.num_tags
     posix = m.policy == POLICY_POSIX
-    accepting, dead, step_ = m.accepting, m.dead, m.step
     store: Store = {}
-    _apply_rel_ops(store, m.initial_ops, 0, n_slots)
-    best: Optional[tuple[int, Optional[Cells]]] = None  # match end, cells
+    if m.initial_ops:
+        _apply_rel_ops(store, m.initial_ops, 0, n_slots)
+    info = m.accepting.get(0)
+    best = None  # (match end, cells, acceptance ops still to apply)
+    if info is not None:
+        best = _offer(None, info, store, 0, tags)
+    dead = m.dead
     state = p = 0
-    while True:
-        info = accepting.get(state)
-        if info is not None:
-            cells = (apply_writes(store[info.bank], [(op.slot, p + op.offset) for op in info.ops])
-                     if n_slots else None)
-            if (best is None or posix
-                    or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER)):
-                best = (p, cells)
-        if p == len(symbols) or state == dead:
+    prev = EDGE
+    starts = []  # stream position of each text boundary's first symbol
+    # UNIVERSE_END is no character: its interval's run is the closing markers.
+    for cp in chain(map(ord, text), (UNIVERSE_END,)):
+        starts.append(p)
+        k = ascii_ids[cp] if cp < 128 else bisect_right(cuts, cp)
+        for s in runs[prev][k]:
+            entry = rows[state][s]
+            if entry is None:
+                entry = m._fill(state, s)
+                if entry is None:  # markers are in every anchored alphabet
+                    raise _outside(cp)
+                dead = m.dead  # an on-demand machine creates ∅ when a run first reaches it
+            state, ops, info = entry
+            p += 1
+            if ops:
+                _apply_rel_ops(store, ops, p, n_slots)
+            if info is not None:
+                if posix:
+                    best = (p, store.get(info.bank), info.ops)
+                else:
+                    best = _offer(best, info, store, p, tags)
+        if state == dead:
             break
-        state, ops = step_(state, symbols[p])
-        if dead is None:  # an on-demand machine creates ∅ when a run first reaches it
-            dead = m.dead
-        p += 1
-        _apply_rel_ops(store, ops, p, n_slots)
+        prev = classes[k]
     if best is None:
         return MatchResult(False)
-    end, cells = best
-    groups: list[Optional[Span]] = [(0, end if stream_offsets else origin[end])]
+    end, cells, ops = best
+    if ops:
+        cells = apply_writes(cells, [(op.slot, end + op.offset) for op in ops])
+    # The boundary before stream position q is text boundary i when
+    # starts[i] <= q < starts[i + 1].
+    positions = [end, *(q for q in cells or () if q is not None)]
+    origin = {q: q if stream_offsets else bisect_right(starts, q) - 1 for q in positions}
+    groups: list[Optional[Span]] = [(0, origin[end])]
     if n_slots:
-        groups.extend(extract_submatches(cells, tags, None if stream_offsets else origin))
+        groups.extend(extract_submatches(cells, tags, origin))
     return MatchResult(True, cells, tuple(groups), end)
 
 

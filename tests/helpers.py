@@ -7,10 +7,18 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from drex.anchors import BOW, EOW, AnchoredStream
+from drex.anchors import BOW, EOW, AnchoredStream, inject_anchors
 from drex.charset import ANCHORS, FULL, CharSet, from_chars, is_anchor, single
+from drex.engine import MatchResult
 from drex.semantics import SymbolPartition, Way, derive, nu_ways
-from drex.submatch import HIGHER, bank_compare
+from drex.submatch import (
+    HIGHER,
+    POLICY_POSIX,
+    apply_ops,
+    apply_writes,
+    bank_compare,
+    extract_submatches,
+)
 from drex.syntax import (
     EARLY,
     EMPTY,
@@ -157,6 +165,42 @@ def rand_tagged_pattern(rnd, depth, groups_left):
 def strip_anchors(stream: AnchoredStream) -> str:
     """The text of an anchored stream: its symbols without the anchors."""
     return "".join(chr(c) for c in stream.symbols if not is_anchor(c))
+
+
+def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
+    """``tagged_dfa_match`` over a materialized stream: ``m.step`` over
+    ``inject_anchors(text).symbols``, every op applied where it occurs,
+    offsets mapped through ``boundary_origin``."""
+    if m.anchored:
+        stream = inject_anchors(text)
+        symbols, origin = stream.symbols, stream.boundary_origin
+    else:
+        symbols, origin = [ord(c) for c in text], range(len(text) + 1)
+    n_slots = m.tags.num_tags
+    store = {}
+    apply_ops(store, m.initial_ops, 0, n_slots)
+    best = None  # match end, cells
+    state = 0
+    for p in range(len(symbols) + 1):
+        info = m.accepting.get(state)
+        if info is not None:
+            cells = (apply_writes(store[info.bank], [(op.slot, p + op.offset) for op in info.ops])
+                     if n_slots else None)
+            if (best is None or m.policy == POLICY_POSIX
+                    or (cells is not None and bank_compare(cells, best[1], m.tags) == HIGHER)):
+                best = (p, cells)
+        if p == len(symbols) or state == m.dead:
+            break
+        state, ops = m.step(state, symbols[p])
+        apply_ops(store, ops, p + 1, n_slots)
+    if best is None:
+        return MatchResult(False)
+    end, cells = best
+    origin = None if stream_offsets else origin
+    groups = [(0, end if origin is None else origin[end])]
+    if n_slots:
+        groups.extend(extract_submatches(cells, m.tags, origin))
+    return MatchResult(True, cells, tuple(groups), end)
 
 
 def strings_upto(syms: str, max_len: int) -> list[str]:

@@ -67,6 +67,48 @@ class TestInjectAnchors:
         assert st.boundary_origin[0] == 0
         assert st.boundary_origin[-1] == 5
 
+    def test_boundary_table_equals_the_positional_rules(self):
+        # The table keyed by the classes around a boundary gives, on
+        # every short text, the stream the rules stated per text
+        # position give.
+        texts = strings_upto("a_1 \n", 5)
+        assert len(texts) == 3906
+        for t in texts:
+            st, want = inject_anchors(t), _inject_by_position(t)
+            assert (st.symbols, st.boundary_origin) == want, t
+
+
+def _inject_by_position(text):
+    """Symbols and boundary origins of ``text``, with each marker's rule
+    tested at every text position."""
+    n = len(text)
+
+    def word(i):
+        return 0 <= i < n and (text[i].isascii() and text[i].isalpha() or text[i] == "_")
+
+    symbols, origins = [], [0]
+    for i in range(n + 1):
+        marks = []
+        if i == 0:
+            marks.append(BOT)
+        if i == 0 or text[i - 1] == "\n":
+            marks.append(BOL)
+        if word(i) and not word(i - 1):
+            marks.append(BOW)
+        if word(i - 1) and not word(i):
+            marks.append(EOW)
+        if i == n or text[i] == "\n":
+            marks.append(EOL)
+        if i == n:
+            marks.append(EOT)
+        for m in marks:
+            symbols.append(m)
+            origins.append(i)
+        if i < n:
+            symbols.append(ord(text[i]))
+            origins.append(i + 1)
+    return tuple(symbols), tuple(origins)
+
 
 class TestCombinators:
     def test_exactly_symbol_derivatives(self):

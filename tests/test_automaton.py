@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from drex import anchors
 from drex.automaton import (
     AcceptInfo,
     CopyBank,
@@ -35,6 +36,16 @@ from oracle import language_upto
 
 ABC = alphabet_from_chars("abc")
 AB = alphabet_from_chars("ab")
+
+
+class CountingText(str):
+    """A text that counts the characters its latest iteration handed out."""
+
+    def __iter__(self):
+        self.taken = 0
+        for c in str.__iter__(self):
+            self.taken += 1
+            yield c
 
 
 def table_of(m: Dfa):
@@ -107,6 +118,35 @@ class TestDfaMatch:
         with pytest.raises(ValueError):
             dfa_match(m, "axb")
 
+    def test_sequence_of_code_points(self):
+        r, _ = parse("ab*")
+        m = make_dfa(r, ABC)
+        for s in ("", "a", "abb", "ba", "abc"):
+            assert dfa_match(m, [ord(c) for c in s]) == dfa_match(m, s), s
+        for foreign in (0x78, 0xE9):
+            with pytest.raises(ValueError, match=f"{foreign:#x} outside the working alphabet"):
+                dfa_match(m, [ord("a"), foreign])
+        # Every code point is in this alphabet; a negative int is none.
+        anything = make_dfa(parse(".*")[0])
+        assert dfa_match(anything, [0, 0x7F, 0xE9, 0x10FFFF])
+        with pytest.raises(ValueError, match="-0x1 outside the working alphabet"):
+            dfa_match(anything, [0x7F, -1])
+
+    def test_both_loops_reject_a_foreign_symbol_alike(self):
+        # The ASCII list and the bisect path of the lookup fail the same
+        # way in the plain and the tagged loop.
+        r, t = parse("(a*)b")
+        loops = [(make_dfa(r, AB), dfa_match),
+                 (make_tagged_dfa(r, t, alphabet=AB), tagged_dfa_match),
+                 (TaggedDfa(r, t, alphabet=AB), tagged_dfa_match)]
+        for text, cp in (("axb", 0x78), ("aéb", 0xE9), ("a\U0010ffff", 0x10FFFF)):
+            errors = set()
+            for m, run in loops:
+                with pytest.raises(ValueError) as err:
+                    run(m, text)
+                errors.add(str(err.value))
+            assert errors == {f"symbol {cp:#x} outside the working alphabet"}, text
+
     def test_agreement_with_lazy(self):
         rnd = random.Random(15)
         for _ in range(60):
@@ -170,24 +210,29 @@ class TestTaggedDfa:
             with pytest.raises(ValueError, match="0x63 outside the working alphabet"):
                 tagged_dfa_match(m, "acb")
 
-    def test_on_demand_run_stops_at_empty(self, monkeypatch):
+    def test_on_demand_run_stops_at_empty(self):
         # A machine built as the run reaches it creates ∅ mid-run; the run
-        # must stop there after as many steps as on the built machine.
+        # must stop there, having read as much text as on the built machine:
+        # the first "c" leads to ∅.
         r, t = parse("(a)b")
-        text = "c" * 1000
         built = make_tagged_dfa(r, t)
-        steps = []
-        step = TaggedDfa.step
-
-        def counting_step(m, i, cp):
-            steps.append(cp)
-            return step(m, i, cp)
-
-        monkeypatch.setattr(TaggedDfa, "step", counting_step)
+        text = CountingText("c" * 1000)
         assert not tagged_dfa_match(built, text).matched
-        n_built = len(steps)
+        assert text.taken == 1
         assert not match_full(r, t, text).matched
-        assert len(steps) - n_built == n_built
+        assert text.taken == 1
+
+    def test_run_builds_no_anchor_stream(self, monkeypatch):
+        # The loop generates the markers itself; only the reference and
+        # ``drex trace`` materialize the stream.
+        def refuse(*_args):
+            raise AssertionError("an anchor stream was built")
+
+        monkeypatch.setattr(anchors, "AnchoredStream", refuse)
+        r, t = parse("(\\<a*)\\> (b)$")
+        want = ((0, 4), (0, 2), (3, 4))
+        assert tagged_dfa_match(make_tagged_dfa(r, t), "aa b").groups == want
+        assert match_full(r, t, "aa b").groups == want
 
     def test_built_machine_is_complete(self):
         # make_tagged_dfa takes every edge, so a run only reads the table.

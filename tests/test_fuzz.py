@@ -5,6 +5,7 @@ import random
 
 from drex.anchors import inject_anchors
 from drex.automaton import (
+    Dfa,
     StateLimitError,
     TaggedDfa,
     dfa_match,
@@ -12,13 +13,19 @@ from drex.automaton import (
     make_tagged_dfa,
     tagged_dfa_match,
 )
-from drex.charset import Alphabet, alphabet_from_chars
+from drex.charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, alphabet_from_chars
 from drex.engine import match_full, match_lazy
 from drex.semantics import nu_ways
 from drex.submatch import HIGHER, CopyBank, SetSlot, apply_ops, apply_writes, bank_compare
 from drex.syntax import EMPTY, POLICIES, Bank, ParseError, SyntaxOptions, alt_terms, parse
 
-from helpers import banks_in_order, rand_pattern, rand_tagged_pattern, strings_upto
+from helpers import (
+    banks_in_order,
+    rand_pattern,
+    rand_tagged_pattern,
+    reference_match,
+    strings_upto,
+)
 from oracle import member_naive
 
 
@@ -264,3 +271,91 @@ def test_programs_copy_each_bank_once_before_the_sets():
                 assert len(copies) == len(set(copies)), ops
                 programs += 1
     assert programs > 2000
+
+
+def _outcome(run, m, text, stream_offsets):
+    try:
+        res = run(m, text, stream_offsets)
+    except ValueError as e:
+        return str(e)
+    return res.matched, res.groups, res.consumed, res.bank
+
+
+# Non-ASCII texts: their symbols take the bisect path of the lookup.
+NON_ASCII = ["é", "aé b", "日本\n1", "a\u2028b_"]
+
+
+def test_loop_equals_reference_over_the_stream():
+    # The loop generates the markers from the boundary table and looks
+    # symbols up by interval; the reference steps ``m.step`` over the
+    # injected stream.  Same results, positions and errors, on machines
+    # built in full and built as the runs reach them.
+    rnd = random.Random(1010)
+    anchored_texts = strings_upto("ab _\n1", 2) + NON_ASCII + [
+        "".join(rnd.choice("ab _\n1") for _ in range(rnd.randint(3, 5))) for _ in range(30)]
+    ab_texts = strings_upto("ab", 4) + NON_ASCII + ["abab", "abc"]
+    compared = 0
+    for gen in (rand_pattern, rand_tagged_pattern):
+        for policy in POLICIES:
+            for alphabet, texts in ((Alphabet(), anchored_texts),
+                                    (alphabet_from_chars("ab"), ab_texts)):
+                for _ in range(5):
+                    pattern = gen(rnd, rnd.randint(1, 4), [3])
+                    try:
+                        r, t = parse(pattern, SyntaxOptions(policy=policy))
+                        built = TaggedDfa(r, t, policy, alphabet, state_limit=2000).build()
+                    except (ParseError, StateLimitError):
+                        continue
+                    for m in (built, TaggedDfa(r, t, policy, alphabet)):
+                        for text in texts:
+                            for offsets in (False, True):
+                                got = _outcome(tagged_dfa_match, m, text, offsets)
+                                want = _outcome(reference_match, m, text, offsets)
+                                assert got == want, (policy, pattern, text, offsets)
+                                compared += 1
+    assert compared > 10000
+
+
+def _scan(row, cp):
+    """The block scan: the edge whose block holds ``cp``, or None."""
+    return next((edge for edge in row if cp in edge[0]), None)
+
+
+# Anchors, ASCII around the boundary classes, non-ASCII and the first
+# symbol past the universe.
+PROBES = ([0, 9, 10, 11, 32, 48, 49, 64, 65, 90, 91, 95, 96, 97, 98, 99, 122, 123, 127]
+          + list(range(ANCHOR_MIN, UNIVERSE_END + 1)) + [0x80, 0xE9, 0x2028, 0x3000, 0x10FFFF])
+
+
+def _plain_machines(seed: int) -> list:
+    rnd = random.Random(seed)
+    machines = []
+    for alphabet in (Alphabet(with_anchors=False), alphabet_from_chars("ab")):
+        for _ in range(15):
+            r, _ = parse(rand_pattern(rnd, rnd.randint(1, 4), [3]))
+            try:
+                machines.append(make_dfa(r, alphabet, state_limit=2000))
+            except StateLimitError:
+                continue
+    return machines
+
+
+def test_row_lookup_equals_block_scan():
+    # ``step`` reads the row indexed by interval id; every probe and every
+    # block's first, last and past-the-end symbols must find the edge the
+    # block scan finds, or fail alike outside the alphabet.
+    machines = list(_tagged_machines(11)) + _plain_machines(11)
+    probed = 0
+    for m in machines:
+        for i, row in enumerate(m.transitions):
+            extra = [b - d for edge in row for b in edge[0].bounds for d in (0, 1)]
+            for cp in PROBES + extra + [edge[0].pick() for edge in row]:
+                edge = _scan(row, cp)
+                try:
+                    got = m.step(i, cp)
+                except ValueError as e:
+                    assert edge is None and str(e) == f"symbol {cp:#x} outside the working alphabet"
+                    continue
+                assert got == (edge[1] if isinstance(m, Dfa) else (edge[1], edge[2])), (i, cp)
+                probed += 1
+    assert probed > 50000

@@ -10,10 +10,12 @@ an initial program, and a result bank per accepting state.
 At run time a machine looks its edges up by index.  Sorted cut points
 split the symbols into intervals, each inside one block of every state,
 and each state gets a row indexed by interval id; an entry is filled by
-the block scan when a run first needs it.  The matching loops walk the
-text itself: the anchor markers at a boundary come from the
+the block scan when a run first needs it.  One loop walks the text,
+``tagged_dfa_match``: the anchor markers at a boundary come from the
 ``anchors.BOUNDARY`` table, by the classes of the characters around it,
-so no anchor stream is built.
+so no anchor stream is built.  A plain ``Dfa`` from ``make_dfa`` keeps
+the tag-free, unanchored machine it was read from, and ``dfa_match`` is
+that loop's verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 
 from .anchors import BOUNDARY, EDGE, NEWLINE_SET, OTHER, WORD_SET, char_class
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
-from .charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, CharSet
+from .charset import ANCHOR_MIN, MAX_CODEPOINT, UNIVERSE_END, Alphabet, CharSet
 from .engine import MatchResult, Span, start, step
 from .semantics import derivative_classes, nu_ways
 from .semantics import derive  # kept: perfbench/tracing.py wraps this name
@@ -86,46 +88,6 @@ def _outside(cp: int) -> ValueError:
     return ValueError(f"symbol {cp:#x} outside the working alphabet")
 
 
-class _Rows:
-    """A machine's run-time table: per-state rows indexed by interval id.
-
-    ``cuts`` split the symbols into intervals, each inside one block of
-    every row, so a symbol's interval id (``bisect_right(cuts, cp)``, or
-    ``ascii[cp]`` below 128) picks its edge.  Interval ``k > 0`` starts
-    at ``cuts[k - 1]``; interval 0 and the last one lie outside every
-    block.  An entry is None until a run first needs it.  A tagged
-    machine adds the marker runs and the class of each interval
-    (``TaggedDfa.table``).
-    """
-
-    def __init__(self, cuts: list[int]):
-        self.cuts = cuts
-        self.width = len(cuts) + 1
-        self.ascii = [0] * 128
-        for k, cp in enumerate(cuts, 1):
-            if cp >= 128:
-                break
-            self.ascii[cp:] = [k] * (128 - cp)
-        self.rows: list[list] = []
-        self.runs: list[list[tuple[int, ...]]] = []
-        self.classes: list[int] = []
-
-    def interval(self, cp: int) -> int:
-        return self.ascii[cp] if 0 <= cp < 128 else bisect_right(self.cuts, cp)
-
-    def add_rows(self, n: int) -> None:
-        self.rows += [[None] * self.width for _ in range(n)]
-
-    def edge(self, row, k: int):
-        """The edge of ``row`` whose block holds interval ``k``; None outside the alphabet."""
-        if k:
-            cp = self.cuts[k - 1]
-            for edge in row:
-                if cp in edge[0]:
-                    return edge
-        return None
-
-
 def _atom_bounds(e: Regex) -> set[int]:
     """The bounds of every symbol-class atom of ``e``."""
     bounds: set[int] = set()
@@ -149,41 +111,26 @@ def _atom_bounds(e: Regex) -> set[int]:
 
 @dataclass(frozen=True)
 class Dfa:
+    """A plain DFA's table: per state, (block, target) edges; state 0 starts.
+
+    One from ``make_dfa`` keeps, as ``machine``, the tag-free, unanchored
+    ``TaggedDfa`` it was read from, and only such a ``Dfa`` can run
+    (``step``, ``dfa_match``).  A ``Dfa`` built by hand is a table for
+    ``dfa_to_regex``, ``check_minimal`` and the exports.
+    """
+
     alphabet: Alphabet
     states: list[Regex]
     transitions: tuple[tuple[tuple[CharSet, int], ...], ...]
     accepting: frozenset[int]
-    # Made by the first run, from the bounds of the rows' blocks.
-    _table: Optional[_Rows] = field(default=None, init=False, repr=False, compare=False)
+    machine: Optional[TaggedDfa] = field(default=None, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
-    def table(self) -> _Rows:
-        if self._table is None:
-            t = _Rows(sorted({b for row in self.transitions for block, _ in row
-                              for b in block.bounds}))
-            t.add_rows(self.n_states)
-            object.__setattr__(self, "_table", t)
-        return self._table
-
-    def _fill(self, state: int, k: int) -> Optional[int]:
-        edge = self._table.edge(self.transitions[state], k)
-        if edge is None:
-            return None
-        self._table.rows[state][k] = edge[1]
-        return edge[1]
-
     def step(self, state: int, cp: int) -> int:
-        t = self.table()
-        k = t.interval(cp)
-        target = t.rows[state][k]
-        if target is None:
-            target = self._fill(state, k)
-            if target is None:
-                raise _outside(cp)
-        return target
+        return self.machine.step(state, cp)[0]
 
 
 @dataclass(frozen=True)
@@ -289,7 +236,7 @@ class TaggedDfa:
         self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}
         self.dead: Optional[int] = None  # the ∅ state, once created
-        self._table: Optional[_Rows] = None  # made by the first run
+        self._table: Optional[tuple] = None  # made by the first run
         self._state_id(expr, store, 0)
 
     @property
@@ -322,7 +269,8 @@ class TaggedDfa:
             blocks = derivative_classes(e, self.alphabet).blocks
             self.transitions.append([[b, None, ()] for b in sorted(blocks, key=lambda b: b.bounds)])
             if self._table is not None:
-                self._table.rows.append([None] * self._table.width)
+                rows = self._table[0]
+                rows.append([None] * len(rows[0]))
             info = _accept_info(e, depth, st, self.tags)
             if info is not None:
                 self.accepting[j] = info
@@ -335,51 +283,58 @@ class TaggedDfa:
         de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st)
         edge[1:] = self._state_id(de, st, d + 1), tuple(ops)
 
-    def table(self) -> _Rows:
-        """The run-time table, made by the first run; states created
-        later get their rows as they are created.
+    def table(self) -> tuple:
+        """The run-time table ``(rows, ascii, cuts, runs, classes)``, made
+        by the first run; states created later get their rows as they are
+        created.
 
         The cuts are the bounds of the atoms of state 0 (every later
         state is built from them), of the alphabet, of each anchor and
-        of the boundary classes, so ``cuts[-1]`` is ``UNIVERSE_END`` and
-        no text character falls in the last interval: the loop uses its
-        id for the end of the text.  ``runs[prev][k]`` lists the ids a
-        character of interval ``k`` adds to the stream after one of
-        class ``prev``: the boundary's markers, then its own.
+        of the boundary classes, so each interval lies inside one block
+        of every state.  A symbol's interval id is ``ascii[cp]`` below
+        128, else ``bisect_right(cuts, cp)``; interval ``k > 0`` starts
+        at ``cuts[k - 1]``, and interval 0 and the last one lie outside
+        every block.  ``cuts[-1]`` is ``UNIVERSE_END``, so no text
+        character falls in the last interval: the loop uses its id for
+        the end of the text.  ``rows[i][k]`` is state ``i``'s entry for
+        interval ``k``, None until a run first needs it.  ``classes[k]``
+        is the boundary class of interval ``k``, and ``runs[prev][k]``
+        lists the ids a character of interval ``k`` adds to the stream
+        after one of class ``prev``: the boundary's markers, then its own.
         """
-        t = self._table
-        if t is None:
+        if self._table is None:
             cuts = _atom_bounds(self.states[0])
             for extra in (self.alphabet.working.bounds, range(ANCHOR_MIN, UNIVERSE_END + 1),
                           WORD_SET.bounds, NEWLINE_SET.bounds):
                 cuts.update(extra)
-            t = self._table = _Rows(sorted(cuts))
-            top = len(t.cuts)
-            classes = [OTHER] + [char_class(cp) for cp in t.cuts[:-1]] + [EDGE]
-            marks = [[tuple(bisect_right(t.cuts, mk) for mk in between) if self.anchored else ()
+            cuts = sorted(cuts)
+            top = len(cuts)
+            classes = [OTHER] + [char_class(cp) for cp in cuts[:-1]] + [EDGE]
+            marks = [[tuple(bisect_right(cuts, mk) for mk in between) if self.anchored else ()
                       for between in row] for row in BOUNDARY]
-            t.runs = [[marks[prev][classes[k]] + (k,) for k in range(top)] + [marks[prev][EDGE]]
-                      for prev in range(EDGE + 1)]
-            t.classes = classes
-            t.add_rows(self.n_states)
-        return t
+            runs = [[marks[prev][classes[k]] + (k,) for k in range(top)] + [marks[prev][EDGE]]
+                    for prev in range(EDGE + 1)]
+            rows = [[None] * (top + 1) for _ in self.states]
+            self._table = rows, [bisect_right(cuts, cp) for cp in range(128)], cuts, runs, classes
+        return self._table
 
     def _fill(self, i: int, k: int) -> Optional[tuple]:
-        """Row ``i``'s entry for interval ``k``: target, program and the
-        target's ``AcceptInfo``; None outside the alphabet."""
-        t = self._table
-        edge = t.edge(self.transitions[i], k)
-        if edge is None:
-            return None
-        if edge[1] is None:
-            self._take(i, edge)
-        entry = t.rows[i][k] = (edge[1], edge[2], self.accepting.get(edge[1]))
-        return entry
+        """Row ``i``'s entry for interval ``k``, from the block scan:
+        target, program and the target's ``AcceptInfo``; None outside
+        the alphabet."""
+        rows, _, cuts = self._table[:3]
+        for edge in self.transitions[i] if k else ():
+            if cuts[k - 1] in edge[0]:
+                if edge[1] is None:
+                    self._take(i, edge)
+                entry = rows[i][k] = (edge[1], edge[2], self.accepting.get(edge[1]))
+                return entry
+        return None
 
     def step(self, i: int, cp: int) -> tuple[int, tuple]:
-        t = self.table()
-        k = t.interval(cp)
-        entry = t.rows[i][k] or self._fill(i, k)
+        rows, ascii_ids, cuts = self.table()[:3]
+        k = ascii_ids[cp] if 0 <= cp < 128 else bisect_right(cuts, cp)
+        entry = rows[i][k] or self._fill(i, k)
         if entry is None:
             raise _outside(cp)
         return entry[0], entry[1]
@@ -405,29 +360,26 @@ def make_dfa(
     """Worklist construction over derivative-class blocks (tag-free).
 
     A plain DFA reads the text as it is, so its alphabet has no anchors.
+    The ``Dfa`` is a view of the built machine, which it keeps to run.
     """
     if alphabet.with_anchors:
         raise ValueError("a plain DFA is unanchored: use make_tagged_dfa for anchors")
     m = TaggedDfa(r, TagTable(), POLICY_POSIX, alphabet, state_limit).build()
     transitions = tuple(tuple((block, j) for block, j, _ in row) for row in m.transitions)
-    return Dfa(alphabet, m.states, transitions, frozenset(m.accepting))
+    return Dfa(alphabet, m.states, transitions, frozenset(m.accepting), m)
 
 
 def dfa_match(m: Dfa, s) -> bool:
-    """Whole-sequence recognition (no anchor preprocessing); ``s`` is a
-    string or a sequence of code points."""
-    t = m.table()
-    rows, ascii_ids, cuts = t.rows, t.ascii, t.cuts
-    state = 0
-    for cp in map(ord, s) if isinstance(s, str) else s:
-        k = ascii_ids[cp] if 0 <= cp < 128 else bisect_right(cuts, cp)
-        target = rows[state][k]
-        if target is None:
-            target = m._fill(state, k)
-            if target is None:
-                raise _outside(cp)
-        state = target
-    return state in m.accepting
+    """Whole-sequence recognition: whether ``m``'s machine matches all of
+    ``s``, a string or a sequence of code points.  Like every run, it
+    stops in the ∅ state and reads no further symbol."""
+    if not isinstance(s, str):
+        try:
+            s = "".join(map(chr, s))
+        except (ValueError, OverflowError):
+            raise _outside(next(cp for cp in s if not 0 <= cp <= MAX_CODEPOINT)) from None
+    res = tagged_dfa_match(m.machine, s)
+    return res.matched and res.consumed == len(s)
 
 
 def make_tagged_dfa(
@@ -441,15 +393,15 @@ def make_tagged_dfa(
     return TaggedDfa(r, tags, policy, alphabet, state_limit).build()
 
 
-def _offer(best: Optional[tuple], info: AcceptInfo, store: Store, p: int,
-           tags: TagTable) -> tuple:
+def _offer(best: tuple, info: AcceptInfo, store: Store, p: int, tags: TagTable) -> tuple:
     """The result that ranks higher under a priority policy: ``best`` or
     the accepting state's result at ``p``; a new one wins only if its
-    bank ranks higher.  Results are (end, cells, pending ops)."""
+    bank ranks higher.  Results are (end, cells, pending ops), and the
+    end is None before the first result."""
     cells = store.get(info.bank)
     if cells is not None:
         cells = apply_writes(cells, [(op.slot, p + op.offset) for op in info.ops])
-    if best is None or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER):
+    if best[0] is None or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER):
         return p, cells, ()
     return best
 
@@ -458,26 +410,26 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     """The one matching loop: run a ``TaggedDfa``, built or not, over text.
 
     The loop walks the text and looks each character's interval up in
-    the table; an anchored machine first steps through the markers
-    ``m.table().runs`` lists for the boundary before it.  Positions
+    the table; an anchored machine first steps through the markers that
+    ``TaggedDfa.table`` lists for the boundary before it.  Positions
     count stream symbols, markers included.  Each accepting position
     offers its state's compiled result, the state's bank after its
     acceptance ops: under posix the later end wins (its ops are applied
     once, at the end), otherwise the earlier one unless the new bank
     ranks higher.  The run stops in the ∅ state.
     """
-    t = m.table()
-    rows, ascii_ids, cuts, runs, classes = t.rows, t.ascii, t.cuts, t.runs, t.classes
+    rows, ascii_ids, cuts, runs, classes = m.table()
     tags = m.tags
     n_slots = tags.num_tags
     posix = m.policy == POLICY_POSIX
     store: Store = {}
     if m.initial_ops:
         _apply_rel_ops(store, m.initial_ops, 0, n_slots)
+    # The result: match end, its bank's cells and the acceptance ops still to apply.
+    end, cells, pending = None, None, ()
     info = m.accepting.get(0)
-    best = None  # (match end, cells, acceptance ops still to apply)
     if info is not None:
-        best = _offer(None, info, store, 0, tags)
+        end, cells, pending = _offer((end, cells, pending), info, store, 0, tags)
     dead = m.dead
     state = p = 0
     prev = EDGE
@@ -499,17 +451,16 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
                 _apply_rel_ops(store, ops, p, n_slots)
             if info is not None:
                 if posix:
-                    best = (p, store.get(info.bank), info.ops)
+                    end, cells, pending = p, store.get(info.bank), info.ops
                 else:
-                    best = _offer(best, info, store, p, tags)
+                    end, cells, pending = _offer((end, cells, pending), info, store, p, tags)
         if state == dead:
             break
         prev = classes[k]
-    if best is None:
+    if end is None:
         return MatchResult(False)
-    end, cells, ops = best
-    if ops:
-        cells = apply_writes(cells, [(op.slot, end + op.offset) for op in ops])
+    if pending:
+        cells = apply_writes(cells, [(op.slot, end + op.offset) for op in pending])
     # The boundary before stream position q is text boundary i when
     # starts[i] <= q < starts[i + 1].
     positions = [end, *(q for q in cells or () if q is not None)]
@@ -580,12 +531,14 @@ def check_minimal(m: Dfa) -> list[tuple[int, int]]:
                     refined.append(cut)
         blocks = refined
     reps = [b.pick() for b in blocks]
+    # Each representative's target, by a block scan of the table itself.
+    succ = [[next(j for b, j in row if a in b) for a in reps] for row in m.transitions]
     cls = [1 if i in m.accepting else 0 for i in range(m.n_states)]
     while True:
         sig = {}
         nxt = []
         for i in range(m.n_states):
-            key = (cls[i], tuple(cls[m.step(i, a)] for a in reps))
+            key = (cls[i], tuple(cls[j] for j in succ[i]))
             nxt.append(sig.setdefault(key, len(sig)))
         if nxt == cls:
             break

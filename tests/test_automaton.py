@@ -147,6 +147,15 @@ class TestDfaMatch:
                 errors.add(str(err.value))
             assert errors == {f"symbol {cp:#x} outside the working alphabet"}, text
 
+    def test_no_loop_reads_past_the_empty_state(self):
+        # Every run stops in ∅, so a foreign symbol after it is never read.
+        r, t = parse("(a*)b")
+        assert not dfa_match(make_dfa(r, AB), "bbx")
+        assert not dfa_match(make_dfa(r, AB), [ord("b"), ord("b"), 0x78])
+        for m in (make_tagged_dfa(r, t, alphabet=AB), TaggedDfa(r, t, alphabet=AB)):
+            assert tagged_dfa_match(m, "bbx").groups == ((0, 1), (0, 0))
+        assert not dfa_match(make_dfa(parse("ab*")[0], ABC), "bx")
+
     def test_agreement_with_lazy(self):
         rnd = random.Random(15)
         for _ in range(60):
@@ -358,6 +367,8 @@ class TestCheckMinimal:
         assert check_minimal(make_dfa(r, ABC)) == []
         m = make_dfa(EMPTY, ABC)
         assert check_minimal(m) == []
+        # A table built by hand has no machine to run: the check reads the table.
+        assert check_minimal(TestDfaToRegex().ch4_machine()) == []
 
     def test_detects_equivalent_states(self):
         r, _ = parse("(?:a+ab+b)*")

@@ -340,6 +340,21 @@ def _plain_machines(seed: int) -> list:
     return machines
 
 
+def test_make_dfa_is_a_view_of_its_machine():
+    # A plain DFA shares the states of the tag-free, unanchored machine it
+    # was read from, and its table is that machine's, programs dropped.
+    machines = _plain_machines(11)
+    assert len(machines) > 20
+    for m in machines:
+        tm = m.machine
+        assert m.states is tm.states
+        assert m.accepting == set(tm.accepting)
+        assert not tm.anchored and tm.tags.num_tags == 0
+        assert len(m.transitions) == len(tm.transitions)
+        for row, built in zip(m.transitions, tm.transitions):
+            assert list(row) == [(block, j) for block, j, _ in built]
+
+
 def test_row_lookup_equals_block_scan():
     # ``step`` reads the row indexed by interval id; every probe and every
     # block's first, last and past-the-end symbols must find the edge the

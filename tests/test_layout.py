@@ -75,3 +75,16 @@ def test_package_imports_are_used_or_kept_for_the_benchmark():
                     assert name in allowed, (path.name, name, "kept but not wrapped")
                 else:
                     assert name in loaded, (path.name, name, "imported but unused")
+
+
+def test_one_class_owns_the_run_time_table():
+    # ``table`` and ``_fill`` are the run-time dispatch; a second class
+    # defining them would be a second run-time beside ``TaggedDfa``.
+    owners = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if methods & {"table", "_fill"}:
+                    owners.append((path.name, node.name, sorted(methods & {"table", "_fill"})))
+    assert owners == [("automaton.py", "TaggedDfa", ["_fill", "table"])]

@@ -15,7 +15,7 @@ the block scan when a run first needs it.  One loop walks the text,
 ``anchors.BOUNDARY`` table, by the classes of the characters around it,
 so no anchor stream is built.  A plain ``Dfa`` from ``make_dfa`` keeps
 the tag-free, unanchored machine it was read from, and ``dfa_match`` is
-that loop's verdict.
+that loop's verdict; ``drex trace`` prints from the loop's run itself.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional
+from typing import Callable, Optional
 
 from .anchors import BOUNDARY, EDGE, NEWLINE_SET, OTHER, WORD_SET, char_class
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
@@ -406,7 +406,8 @@ def _offer(best: tuple, info: AcceptInfo, store: Store, p: int, tags: TagTable) 
     return best
 
 
-def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
+def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
+                     observe: Optional[Callable[[int, int], None]] = None) -> MatchResult:
     """The one matching loop: run a ``TaggedDfa``, built or not, over text.
 
     The loop walks the text and looks each character's interval up in
@@ -416,7 +417,9 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     offers its state's compiled result, the state's bank after its
     acceptance ops: under posix the later end wins (its ops are applied
     once, at the end), otherwise the earlier one unless the new bank
-    ranks higher.  The run stops in the ∅ state.
+    ranks higher.  The run stops in the ∅ state, before the next
+    character.  ``observe(symbol, state)``, if given, sees each stream
+    symbol (a character or marker code point) and the state it reached.
     """
     rows, ascii_ids, cuts, runs, classes = m.table()
     tags = m.tags
@@ -446,6 +449,8 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
                     raise _outside(cp)
                 dead = m.dead  # an on-demand machine creates ∅ when a run first reaches it
             state, ops, info = entry
+            if observe is not None:
+                observe(cp if s == k else cuts[s - 1], state)
             p += 1
             if ops:
                 _apply_rel_ops(store, ops, p, n_slots)

@@ -23,9 +23,8 @@ from .automaton import (
     tagged_dfa_match,
 )
 from .automaton import make_dfa, make_tagged_dfa  # kept: perfbench/tracing.py wraps these names
-from .anchors import inject_anchors
+from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
 from .charset import ALL_BASE, ASCII_BASE, Alphabet, CharSet, single
-from .engine import MatchResult
 from .engine import match_full  # kept: perfbench/tracing.py wraps this name
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import POLICY_POSIX
@@ -71,58 +70,53 @@ def _machine(args, regex: Regex, tags: TagTable, policy: str) -> TaggedDfa:
     """The run's one machine, on the flags' alphabet and state bound.
 
     It is built as runs reach its states and edges; ``build()`` takes
-    every edge at once, as ``compile`` and ``--engine dfa`` do.
+    every edge at once, as ``compile`` and ``--engine dfa`` do.  A trace
+    prints its states from the run that makes the result.
     """
     return TaggedDfa(regex, tags, policy, Alphabet(_base(args)), args.state_bound)
 
 
-def _match(args, text: str, out, policy: str) -> MatchResult:
-    """Make the run's machine, print its trace if asked, then match on it."""
-    m = _machine(args, *_parse(args), policy)
+def _cmd_run(args, text: str, out) -> int:
+    """``match``, ``submatch`` and ``trace``: one run of the machine over the text.
+
+    A trace (``trace``, ``--show-trace``) is printed as the run goes: the
+    start state's expression, the state after each stream symbol up to
+    the first ∅, then whether the last state printed accepts, which is
+    ``trace``'s verdict.
+    """
+    # Posix keeps the longest prefix match, so ``match`` has the whole
+    # text exactly when that match ends at the end of the text.
+    m = _machine(args, *_parse(args), POLICY_POSIX if args.command == "match" else args.policy)
     if args.engine == "dfa":
         m.build()
+    last, stopped = 0, False
+
+    def observe(cp: int, state: int) -> None:
+        nonlocal last, stopped
+        if not stopped:
+            print(f"D[{show_class(single(cp))}]  ->  {show(m.states[state])}", file=out)
+            last, stopped = state, state == m.dead
+
     if args.show_trace:
-        _print_trace(m, text, out)
-    return tagged_dfa_match(m, text, getattr(args, "stream_offsets", False))
-
-
-def _cmd_match(args, text: str, out) -> int:
-    # Posix keeps the longest prefix match, so the whole text is matched
-    # exactly when that match ends at the end of the text.
-    result = _match(args, text, out, POLICY_POSIX)
-    hit = result.matched and result.groups[0] == (0, len(text))
-    print("match" if hit else "no match", file=out)
-    return 0 if hit else 1
-
-
-def _cmd_submatch(args, text: str, out) -> int:
-    result = _match(args, text, out, args.policy)
-    print(result.to_json(), file=out)
-    return 0 if result.matched else 1
+        print(f"start     {show(m.states[0])}", file=out)
+    result = tagged_dfa_match(m, text, getattr(args, "stream_offsets", False),
+                              observe if args.show_trace else None)
+    verdict = last in m.accepting
+    if args.show_trace:
+        print(f"nullify   ->  {'match' if verdict else 'no match'}", file=out)
+    if args.command == "submatch":
+        print(result.to_json(), file=out)
+        return 0 if result.matched else 1
+    if args.command == "match":
+        verdict = result.matched and result.groups[0] == (0, len(text))
+        print("match" if verdict else "no match", file=out)
+    return 0 if verdict else 1
 
 
 def _cmd_compile(args, _text, out) -> int:
     machine = _machine(args, *_parse(args), args.policy).build()
     print(export_dot(machine) if args.fmt == "dot" else export_json(machine), file=out)
     return 0
-
-
-def _print_trace(m: TaggedDfa, text: str, out) -> bool:
-    """Print ``m``'s state expression after each stream symbol; returns the verdict."""
-    state = 0
-    print(f"start     {show(m.states[state])}", file=out)
-    for cp in inject_anchors(text).symbols:
-        state, _ = m.step(state, cp)
-        print(f"D[{show_class(single(cp))}]  ->  {show(m.states[state])}", file=out)
-        if state == m.dead:
-            break
-    verdict = state in m.accepting
-    print(f"nullify   ->  {'match' if verdict else 'no match'}", file=out)
-    return verdict
-
-
-def _cmd_trace(args, text: str, out) -> int:
-    return 0 if _print_trace(_machine(args, *_parse(args), args.policy), text, out) else 1
 
 
 def _cmd_grep(args, text: str, out) -> int:
@@ -184,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="print the derivative chain")
     common(p)
+    p.set_defaults(engine="lazy", show_trace=True)
 
     p = sub.add_parser("grep", help="filter lines containing a match")
     common(p)
@@ -205,13 +200,7 @@ def run(argv: list[str], out=None) -> int:
                 bad = next((c for c in text if c > "\x7f"), None)
                 if bad is not None:
                     raise ValueError(f"input symbol {ord(bad):#x} outside the --ascii alphabet")
-        handler = {
-            "match": _cmd_match,
-            "submatch": _cmd_submatch,
-            "compile": _cmd_compile,
-            "trace": _cmd_trace,
-            "grep": _cmd_grep,
-        }[args.command]
+        handler = {"compile": _cmd_compile, "grep": _cmd_grep}.get(args.command, _cmd_run)
         return handler(args, text, out)
     except (ParseError, StateLimitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

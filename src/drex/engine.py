@@ -5,7 +5,7 @@
 the only matching step: ``automaton.TaggedDfa`` takes its edges with
 them.  ``match_full`` runs ``automaton.tagged_dfa_match`` on a
 ``TaggedDfa`` that is built as the input reaches new states and edges;
-the CLI trace steps the same kind of machine.
+the CLI trace prints from that loop's run on the same kind of machine.
 """
 
 from __future__ import annotations

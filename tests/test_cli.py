@@ -5,9 +5,12 @@ import json
 
 import pytest
 
+from drex.anchors import inject_anchors
+from drex.automaton import TaggedDfa
+from drex.charset import single
 from drex.cli import run
 from drex.engine import match_lazy
-from drex.syntax import SyntaxOptions, parse
+from drex.syntax import SyntaxOptions, parse, show_class
 
 
 def call(argv, stdin=None):
@@ -58,7 +61,7 @@ class TestMatch:
                         got = call(["match", *args, "--engine", engine])[0]
                         assert got == want, (pattern, policy, text, engine)
 
-    def test_show_trace_steps_the_matching_machine(self):
+    def test_show_trace_steps_the_matching_machine(self, monkeypatch):
         # The trace lines come first, then the result, on either engine;
         # the built --ascii machine traces like the one ``trace`` builds.
         trace = call(["trace", "(a*)(b)", "aab"])[1]
@@ -69,6 +72,18 @@ class TestMatch:
         lines = out.splitlines()
         assert code == 0 and lines[:-1] == trace.splitlines()
         assert json.loads(lines[-1])["groups"][1] == {"start": 0, "end": 2}
+        # The trace prints from the run that makes the result: no second
+        # walk over an anchor stream, no stepping outside the matching loop.
+        forms = (["trace", "(a*)(b)", "aab"], ["match", "(a*)(b)", "aab", "--show-trace"],
+                 ["submatch", "(a*)(b)", "aab", "--show-trace", "--engine", "dfa"])
+        want = [call(argv) for argv in forms]
+
+        def refuse(*_):
+            raise AssertionError("stepped outside the matching loop")
+
+        monkeypatch.setattr(TaggedDfa, "step", refuse)
+        monkeypatch.setattr("drex.cli.inject_anchors", refuse)
+        assert [call(argv) for argv in forms] == want
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "in.txt"
@@ -183,6 +198,21 @@ class TestTrace:
         code, out = call(["trace", "ab*", "baaa"])
         assert code == 1
         assert out.splitlines()[-2:] == ["D[b]  ->  ∅", "nullify   ->  no match"]
+        # It stops there also when ∅ comes partway through a boundary's markers.
+        code, out = call(["trace", "^&\\>.*", "a"])
+        assert code == 1
+        assert out.splitlines()[-2:] == ["D[^]  ->  ∅", "nullify   ->  no match"]
+
+    def test_trace_symbols_are_the_anchored_stream(self):
+        # One line per symbol of the anchored stream, up to the first ∅:
+        # each names the character itself, not its interval's first code
+        # point, below 128 and above.
+        for pattern, text in (("[a-zé]*", "zé€"), ("a*", "a\nb"), (".*", "ab\nzé€ b")):
+            lines = call(["trace", pattern, text])[1].splitlines()[1:-1]
+            shown = [line[2:line.index("]  ->  ")] for line in lines]
+            symbols = inject_anchors(text).symbols
+            assert shown == [show_class(single(cp)) for cp in symbols[:len(lines)]], pattern
+            assert len(lines) == len(symbols) or lines[-1].endswith("->  ∅"), pattern
 
     def test_trace_pinned(self):
         # Start state, one line per stream symbol (anchors included), verdict.

@@ -88,3 +88,26 @@ def test_one_class_owns_the_run_time_table():
                 if methods & {"table", "_fill"}:
                     owners.append((path.name, node.name, sorted(methods & {"table", "_fill"})))
     assert owners == [("automaton.py", "TaggedDfa", ["_fill", "table"])]
+
+
+def test_one_loop_steps_a_machine_over_input():
+    # ``tagged_dfa_match`` is the only loop that steps a machine over
+    # input: nothing in the package builds an anchor stream to walk, and
+    # the one ``.step`` call is ``Dfa.step`` handing off to its machine.
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "inject_anchors" or (name == "step" and isinstance(f, ast.Attribute)):
+                    calls.append((where, name))
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    assert calls == [("Dfa.step", "step")]

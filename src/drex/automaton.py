@@ -31,8 +31,8 @@ from .anchors import BOUNDARY, EDGE, NEWLINE_SET, OTHER, WORD_SET, char_class
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
 from .charset import ANCHOR_MIN, MAX_CODEPOINT, UNIVERSE_END, Alphabet, CharSet
 from .engine import MatchResult, Span, start, step
-from .semantics import derivative_classes, nu_ways
-from .semantics import derive  # kept: perfbench/tracing.py wraps this name
+from .semantics import derivative_classes
+from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import (
     HIGHER,
     POLICY_POSIX,
@@ -40,7 +40,6 @@ from .submatch import (
     InitBank,
     SetSlot,
     Store,
-    apply_writes,
     bank_compare,
     extract_submatches,
     op_banks,
@@ -62,6 +61,7 @@ from .syntax import (
     alt,
     alt_terms,
     cat,
+    is_nullable,
     show,
     show_class,
     star,
@@ -135,14 +135,11 @@ class Dfa:
 
 @dataclass(frozen=True)
 class AcceptInfo:
-    """The result of one accepting state.
-
-    A run that stops here reports bank ``bank`` after ``ops``, its slot
-    writes at the acceptance position.
-    """
+    """The result of one accepting state: a run that stops here reports
+    bank ``bank``'s cells as they stand (None without tracked tags)."""
 
     bank: Optional[int]
-    ops: tuple = ()
+    ops = ()  # always empty: perfbench/worker.py machine_size reads it
 
 
 # ---------------------------------------------------------------------------
@@ -173,31 +170,25 @@ def _store_signature(store: Store, banks: list[int], n_slots: int, p: int) -> tu
     return tuple(sig)
 
 
-def _accept_info(e: Regex, depth: int, store: Store, tags: TagTable) -> Optional[AcceptInfo]:
-    """The nullable way whose bank ranks highest once its writes stamp ``depth``.
+def _accept_info(e: Regex, store: Store, tags: TagTable) -> Optional[AcceptInfo]:
+    """The highest-ranked nullable bank on the store as it stands.
 
-    The store signature is part of the state's identity, so every run
-    that reaches the state ranks the ways alike: the choice is compiled
-    here, once.  Ways without an owning bank carry no memory and are
-    skipped; without tracked tags the first way wins.  None when no way
-    qualifies.
+    Tag evaluation has already written each alternative's slots into its
+    bank, so the bank is the result.  The store signature is part of the
+    state's identity, so every run that reaches the state ranks the banks
+    alike: the choice is compiled here, once; ties go to the earlier
+    bank.  Without tracked tags only nullability counts.  None when no
+    alternative is nullable.
     """
-    ways = nu_ways(e, depth)
-    if any(v != depth for owner, writes in ways if owner is not None for _, v in writes):
-        raise AssertionError("acceptance writes must be at the current position")
-    if tags.num_tags:
-        best = None  # (cells, way)
-        for way in ways:
-            if way[0] is not None:
-                cells = apply_writes(store[way[0]], way[1])
-                if best is None or bank_compare(cells, best[0], tags) == HIGHER:
-                    best = (cells, way)
-        ways = [best[1]] if best else []
-    if not ways:
-        return None
-    owner, writes = ways[0]
-    ops = () if owner is None else tuple(SetSlot(owner, slot, 0) for slot, _ in writes)
-    return AcceptInfo(owner, ops)
+    if not tags.num_tags:
+        return AcceptInfo(None) if is_nullable(e) else None
+    best = None
+    for t in alt_terms(e):
+        if not is_nullable(t):
+            continue
+        if best is None or bank_compare(store[t.bank], store[best], tags) == HIGHER:
+            best = t.bank
+    return None if best is None else AcceptInfo(best)
 
 
 def _banks(e: Regex) -> list[int]:
@@ -271,7 +262,7 @@ class TaggedDfa:
             if self._table is not None:
                 rows = self._table[0]
                 rows.append([None] * len(rows[0]))
-            info = _accept_info(e, depth, st, self.tags)
+            info = _accept_info(e, st, self.tags)
             if info is not None:
                 self.accepting[j] = info
             if e == EMPTY:
@@ -393,19 +384,6 @@ def make_tagged_dfa(
     return TaggedDfa(r, tags, policy, alphabet, state_limit).build()
 
 
-def _offer(best: tuple, info: AcceptInfo, store: Store, p: int, tags: TagTable) -> tuple:
-    """The result that ranks higher under a priority policy: ``best`` or
-    the accepting state's result at ``p``; a new one wins only if its
-    bank ranks higher.  Results are (end, cells, pending ops), and the
-    end is None before the first result."""
-    cells = store.get(info.bank)
-    if cells is not None:
-        cells = apply_writes(cells, [(op.slot, p + op.offset) for op in info.ops])
-    if best[0] is None or (cells is not None and bank_compare(cells, best[1], tags) == HIGHER):
-        return p, cells, ()
-    return best
-
-
 def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
                      observe: Optional[Callable[[int, int], None]] = None) -> MatchResult:
     """The one matching loop: run a ``TaggedDfa``, built or not, over text.
@@ -414,12 +392,12 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
     the table; an anchored machine first steps through the markers that
     ``TaggedDfa.table`` lists for the boundary before it.  Positions
     count stream symbols, markers included.  Each accepting position
-    offers its state's compiled result, the state's bank after its
-    acceptance ops: under posix the later end wins (its ops are applied
-    once, at the end), otherwise the earlier one unless the new bank
-    ranks higher.  The run stops in the ∅ state, before the next
-    character.  ``observe(symbol, state)``, if given, sees each stream
-    symbol (a character or marker code point) and the state it reached.
+    offers its state's compiled bank, whose cells as they stand are the
+    result: under posix the later end wins, otherwise the earlier one
+    unless the new bank ranks higher.  The run stops in the ∅ state,
+    before the next character.  ``observe(symbol, state)``, if given,
+    sees each stream symbol (a character or marker code point) and the
+    state it reached.
     """
     rows, ascii_ids, cuts, runs, classes = m.table()
     tags = m.tags
@@ -428,11 +406,10 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
     store: Store = {}
     if m.initial_ops:
         _apply_rel_ops(store, m.initial_ops, 0, n_slots)
-    # The result: match end, its bank's cells and the acceptance ops still to apply.
-    end, cells, pending = None, None, ()
+    end = cells = None  # the result: match end and its bank's cells
     info = m.accepting.get(0)
     if info is not None:
-        end, cells, pending = _offer((end, cells, pending), info, store, 0, tags)
+        end, cells = 0, store.get(info.bank)
     dead = m.dead
     state = p = 0
     prev = EDGE
@@ -455,17 +432,15 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
             if ops:
                 _apply_rel_ops(store, ops, p, n_slots)
             if info is not None:
-                if posix:
-                    end, cells, pending = p, store.get(info.bank), info.ops
-                else:
-                    end, cells, pending = _offer((end, cells, pending), info, store, p, tags)
+                new = store.get(info.bank)
+                if (posix or end is None
+                        or (new is not None and bank_compare(new, cells, tags) == HIGHER)):
+                    end, cells = p, new
         if state == dead:
             break
         prev = classes[k]
     if end is None:
         return MatchResult(False)
-    if pending:
-        cells = apply_writes(cells, [(op.slot, end + op.offset) for op in pending])
     # The boundary before stream position q is text boundary i when
     # starts[i] <= q < starts[i + 1].
     positions = [end, *(q for q in cells or () if q is not None)]
@@ -619,13 +594,7 @@ def export_json(m) -> str:
             for block, j in row
         ]
         return json.dumps(doc, indent=2)
-    doc["accepting"] = {
-        str(i): {
-            "bank": info.bank,
-            "ops": [_op_json(o) for o in info.ops],
-        }
-        for i, info in sorted(m.accepting.items())
-    }
+    doc["accepting"] = {str(i): {"bank": info.bank} for i, info in sorted(m.accepting.items())}
     doc["transitions"] = [
         {
             "from": i,

@@ -15,7 +15,6 @@ from drex.submatch import (
     HIGHER,
     POLICY_POSIX,
     apply_ops,
-    apply_writes,
     bank_compare,
     extract_submatches,
 )
@@ -184,8 +183,7 @@ def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     for p in range(len(symbols) + 1):
         info = m.accepting.get(state)
         if info is not None:
-            cells = (apply_writes(store[info.bank], [(op.slot, p + op.offset) for op in info.ops])
-                     if n_slots else None)
+            cells = store[info.bank] if n_slots else None
             if (best is None or m.policy == POLICY_POSIX
                     or (cells is not None and bank_compare(cells, best[1], m.tags) == HIGHER)):
                 best = (p, cells)

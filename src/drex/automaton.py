@@ -116,7 +116,8 @@ class Dfa:
     One from ``make_dfa`` keeps, as ``machine``, the tag-free, unanchored
     ``TaggedDfa`` it was read from, and only such a ``Dfa`` can run
     (``step``, ``dfa_match``).  A ``Dfa`` built by hand is a table for
-    ``dfa_to_regex``, ``check_minimal`` and the exports.
+    ``dfa_to_regex``, ``check_minimal`` and the exports; running it
+    raises ``ValueError``.
     """
 
     alphabet: Alphabet
@@ -130,7 +131,14 @@ class Dfa:
         return len(self.states)
 
     def step(self, state: int, cp: int) -> int:
-        return self.machine.step(state, cp)[0]
+        return _runnable(self).step(state, cp)[0]
+
+
+def _runnable(m: Dfa) -> TaggedDfa:
+    """The machine ``m`` runs on; a ``Dfa`` built by hand has none."""
+    if m.machine is None:
+        raise ValueError("only a Dfa from make_dfa can run: this one is a table built by hand")
+    return m.machine
 
 
 @dataclass(frozen=True)
@@ -203,7 +211,10 @@ class TaggedDfa:
     banks when tags are tracked.  Its ``AcceptInfo`` and derivative-class
     blocks are computed when it is created, and an edge (``engine.step``
     at one symbol of the block, from the state's first depth and store)
-    when a run first takes it; ``build`` takes every edge.  Programs are
+    when a run first takes it; ``build`` takes every edge.  The steps of
+    one machine share a derivative memo (see ``semantics.derive``): it
+    lives and dies with the construction tables (``index``, ``depths``,
+    ``stores``), which ``build`` releases.  Programs are
     position-relative, so the machine is depth-independent at run time.
     The alphabet decides anchoring: with anchors, the machine pads the
     pattern with the trailing anchor run and runs on the anchor-injected
@@ -223,6 +234,7 @@ class TaggedDfa:
         self.states: list[Regex] = []
         self.depths: Optional[list[int]] = []
         self.stores: Optional[list[Store]] = []
+        self._memo: Optional[dict] = {}  # (node, symbol) -> derivative
         # Per state, [block, target, program] edges; target None until taken.
         self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}
@@ -271,7 +283,7 @@ class TaggedDfa:
 
     def _take(self, i: int, edge: list) -> None:
         d, st = self.depths[i], dict(self.stores[i])
-        de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st)
+        de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st, self._memo)
         edge[1:] = self._state_id(de, st, d + 1), tuple(ops)
 
     def table(self) -> tuple:
@@ -339,7 +351,7 @@ class TaggedDfa:
                     self._take(i, edge)
             i += 1
         # A complete machine takes no more edges: release the construction tables.
-        self.index = self.depths = self.stores = None
+        self.index = self.depths = self.stores = self._memo = None
         return self
 
 
@@ -369,7 +381,7 @@ def dfa_match(m: Dfa, s) -> bool:
             s = "".join(map(chr, s))
         except (ValueError, OverflowError):
             raise _outside(next(cp for cp in s if not 0 <= cp <= MAX_CODEPOINT)) from None
-    res = tagged_dfa_match(m.machine, s)
+    res = tagged_dfa_match(_runnable(m), s)
     return res.matched and res.consumed == len(s)
 
 

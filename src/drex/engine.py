@@ -67,11 +67,16 @@ class MatchResult:
 
 
 def match_lazy(r: Regex, s) -> bool:
-    """Whole-string recognition by iterated derivatives (no anchors)."""
+    """Whole-string recognition by iterated derivatives (no anchors).
+
+    One derivative memo serves the whole run, so a repeated (state,
+    symbol) pair of a tag-free run is derived once.
+    """
     pos = 0
+    memo: dict = {}
     for c in s:
         cp = ord(c) if isinstance(c, str) else c
-        r = derive(r, cp, pos)
+        r = derive(r, cp, pos, memo=memo)
         pos += 1
         if r == EMPTY:
             return False
@@ -101,7 +106,8 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, list]:
 
 
 def step(
-    expr: Regex, cp: int, pos: int, tags: TagTable, store: Store
+    expr: Regex, cp: int, pos: int, tags: TagTable, store: Store,
+    memo: Optional[dict] = None,
 ) -> tuple[Regex, list]:
     """Consume the symbol at ``pos``: derive, then normalize at ``pos + 1``.
 
@@ -109,12 +115,13 @@ def step(
     the surviving banks 1..k) updates ``store`` in place and returns the
     ops it applied.  Without
     tracked tags positions are irrelevant, so the derivative is taken at
-    position 0 and equal residuals stay equal trees.
+    position 0 and equal residuals stay equal trees.  ``memo`` is
+    ``derive``'s derivative memo, shared by the steps of one machine.
     """
     alloc = BankAlloc.after(expr)
     if not tags.num_tags:
-        return derive(expr, cp, 0, alloc), []
-    expr = derive(expr, cp, pos, alloc)
+        return derive(expr, cp, 0, alloc, memo), []
+    expr = derive(expr, cp, pos, alloc, memo)
     if expr == EMPTY:
         return expr, []
     return normalize_step(expr, tags, store, pos + 1, alloc)

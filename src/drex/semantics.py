@@ -5,6 +5,12 @@ values are plain integers supplied by the caller; a derivative taken at
 position ``p`` stamps ``p`` into the slot writes it emits for every tag
 it crosses.  Fresh banks created by copy-on-distribution come from a
 caller-supplied allocator so one matching step stays deterministic.
+
+Below a node without memory (no tag, bank or pending write) neither the
+position nor the allocator is read, so that node's derivative depends on
+the symbol alone.  Such nodes are hash-consed and shared by the states
+of a machine, so a derivative memo keyed by (node, symbol) serves every
+state and every step that meets them.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .syntax import (
     bank,
     cat,
     comp,
+    has_memory,
     inter,
     is_nullable,
     writes_chain,
@@ -109,19 +116,24 @@ def _dedup(ways: list[Way]) -> list[Way]:
 # ---------------------------------------------------------------------------
 
 
-def derive(r: Regex, cp: int, pos: int = 0, alloc: Optional[BankAlloc] = None) -> Regex:
+def derive(r: Regex, cp: int, pos: int = 0, alloc: Optional[BankAlloc] = None,
+           memo: Optional[dict] = None) -> Regex:
     """The derivative of ``r`` with respect to one working-alphabet symbol.
 
     Tags crossed on the way emit pending slot writes stamped with
     ``pos``; bank copies created by distributing over a union draw fresh
     ids from ``alloc`` (one is created from the tree when omitted).
+    ``memo`` maps (node, symbol) to the derivative of each memory-free
+    inner node met: such a derivative reads neither ``pos`` nor
+    ``alloc``, so one memo may serve many calls at any position; a fresh
+    one is used when omitted.
     """
     if alloc is None:
         alloc = BankAlloc.after(r)
-    return _derive(r, cp, pos, alloc)
+    return _derive(r, cp, pos, alloc, {} if memo is None else memo)
 
 
-def _derive(r: Regex, cp: int, pos: int, alloc: BankAlloc) -> Regex:
+def _derive(r: Regex, cp: int, pos: int, alloc: BankAlloc, memo: dict) -> Regex:
     if isinstance(r, (Empty, Eps, Tag, Write)):
         return EMPTY
     if isinstance(r, Sym):
@@ -130,26 +142,38 @@ def _derive(r: Regex, cp: int, pos: int, alloc: BankAlloc) -> Regex:
         if r.transparent and is_anchor(cp):
             return r
         return EMPTY
+    # Leaves are cheaper to derive than to look up; inner nodes without
+    # memory (never a Bank) are derived once per symbol.
+    key = None
+    if not has_memory(r):
+        key = (r, cp)
+        d = memo.get(key)
+        if d is not None:
+            return d
     if isinstance(r, Star):
-        return cat(_derive(r.body, cp, pos, alloc), r)
-    if isinstance(r, Cat):
-        parts = [cat(_derive(r.head, cp, pos, alloc), r.tail)]
+        d = cat(_derive(r.body, cp, pos, alloc, memo), r)
+    elif isinstance(r, Cat):
+        parts = [cat(_derive(r.head, cp, pos, alloc, memo), r.tail)]
         for owner, writes in nu_ways(r.head, pos):
-            d = _derive(r.tail, cp, pos, alloc)
-            piece = cat(writes_chain(writes), d) if writes else d
+            rest = _derive(r.tail, cp, pos, alloc, memo)
+            piece = cat(writes_chain(writes), rest) if writes else rest
             if owner is not None:
                 piece = bank(owner, (), piece, alloc)
             parts.append(piece)
-        return alt(parts)
-    if isinstance(r, Alt):
-        return alt([_derive(t, cp, pos, alloc) for t in r.terms])
-    if isinstance(r, Inter):
-        return inter([_derive(t, cp, pos, alloc) for t in r.terms])
-    if isinstance(r, Not):
-        return comp(_derive(r.body, cp, pos, alloc))
-    if isinstance(r, Bank):
-        return bank(r.bank, r.writes, _derive(r.body, cp, pos, alloc), alloc, src=r.src)
-    raise TypeError(f"not a Regex: {r!r}")
+        d = alt(parts)
+    elif isinstance(r, Alt):
+        d = alt([_derive(t, cp, pos, alloc, memo) for t in r.terms])
+    elif isinstance(r, Inter):
+        d = inter([_derive(t, cp, pos, alloc, memo) for t in r.terms])
+    elif isinstance(r, Not):
+        d = comp(_derive(r.body, cp, pos, alloc, memo))
+    elif isinstance(r, Bank):
+        return bank(r.bank, r.writes, _derive(r.body, cp, pos, alloc, memo), alloc, src=r.src)
+    else:
+        raise TypeError(f"not a Regex: {r!r}")
+    if key is not None:
+        memo[key] = d
+    return d
 
 
 # ---------------------------------------------------------------------------

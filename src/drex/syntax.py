@@ -230,7 +230,9 @@ def has_memory(r: Regex) -> bool:
         return has_memory(r.body)
     if isinstance(r, Cat):
         return has_memory(r.head) or has_memory(r.tail)
-    return any(has_memory(t) for t in r.terms)
+    if isinstance(r, (Alt, Inter)):
+        return any(has_memory(t) for t in r.terms)
+    raise TypeError(f"not a Regex: {r!r}")
 
 
 @lru_cache(maxsize=None)

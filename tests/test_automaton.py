@@ -156,6 +156,19 @@ class TestDfaMatch:
             assert tagged_dfa_match(m, "bbx").groups == ((0, 1), (0, 0))
         assert not dfa_match(make_dfa(parse("ab*")[0], ABC), "bx")
 
+    def test_hand_built_table_cannot_run(self):
+        # A Dfa built by hand has no machine: both ways to run it say so,
+        # and the table-only functions still read it.
+        m = TestDfaToRegex().ch4_machine()
+        with pytest.raises(ValueError, match="only a Dfa from make_dfa can run"):
+            m.step(0, ord("a"))
+        for text in ("ab", [ord("a")]):
+            with pytest.raises(ValueError, match="only a Dfa from make_dfa can run"):
+                dfa_match(m, text)
+        assert check_minimal(m) == []
+        assert json.loads(export_json(m))["accepting"] == [0]
+        assert export_dot(m).startswith("digraph")
+
     def test_agreement_with_lazy(self):
         rnd = random.Random(15)
         for _ in range(60):
@@ -256,6 +269,24 @@ class TestTaggedDfa:
                 tagged_dfa_match(m, "".join(rnd.choice("ab c") for _ in range(rnd.randint(0, 8))))
             assert m.n_states == n_states, pat
             assert [[tuple(edge) for edge in row] for row in m.transitions] == edges, pat
+
+    def test_memo_lives_and_dies_with_the_construction_tables(self):
+        # Each machine starts with an empty memo of its own, whatever was
+        # built before for the same pattern; build() releases it with the
+        # tables it belongs to, and an on-demand machine keeps it.
+        r, t = parse("(a+b)*a(a+b)(a+b)")
+        for tags, alphabet in ((t, Alphabet()), (TagTable(), AB)):
+            first = TaggedDfa(r, tags, alphabet=alphabet)
+            memo = first._memo
+            first.build()
+            assert first._memo is None and memo
+            on_demand = TaggedDfa(r, tags, alphabet=alphabet)
+            tagged_dfa_match(on_demand, "abab")
+            assert on_demand._memo
+            fresh = TaggedDfa(r, tags, alphabet=alphabet)
+            assert fresh._memo == {} and fresh._memo is not on_demand._memo
+        assert make_dfa(r, AB).machine._memo is None
+        assert make_tagged_dfa(r, t)._memo is None
 
     def test_lazy_variant_same_graph_other_banks(self):
         r, t = parse("(?la*)(?la*)a")

@@ -13,13 +13,14 @@ from drex.automaton import (
     StateLimitError,
     TaggedDfa,
     dfa_match,
+    export_dot,
     export_json,
     make_dfa,
     make_tagged_dfa,
     tagged_dfa_match,
 )
 from drex.charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, alphabet_from_chars
-from drex.engine import match_full, match_lazy
+from drex.engine import match_full, match_lazy, step
 from drex.semantics import nu_ways
 from drex.submatch import HIGHER, CopyBank, SetSlot, apply_ops, bank_compare
 from drex.syntax import (
@@ -28,6 +29,7 @@ from drex.syntax import (
     Bank,
     ParseError,
     SyntaxOptions,
+    TagTable,
     alt_terms,
     is_nullable,
     parse,
@@ -446,3 +448,66 @@ def test_row_lookup_equals_block_scan():
                 assert got == (edge[1] if isinstance(m, Dfa) else (edge[1], edge[2])), (i, cp)
                 probed += 1
     assert probed > 50000
+
+
+class _Forgetful(dict):
+    """A memo that never stores: every derivative is taken afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _memo_machines() -> list:
+    """(pattern, machine, depths, stores, memo) over both generators,
+    every policy, tagged and tag-free; the references to the state
+    tables and the memo outlive ``build``, which releases them."""
+    rnd = random.Random(1414)
+    out = []
+    for gen in (rand_pattern, rand_tagged_pattern):
+        for policy in POLICIES:
+            for _ in range(25):
+                pattern = gen(rnd, rnd.randint(1, 4), [3])
+                try:
+                    r, t = parse(pattern, SyntaxOptions(policy=policy))
+                except ParseError:
+                    continue
+                for tags, alphabet in ((t, Alphabet()), (TagTable(), alphabet_from_chars("ab"))):
+                    m = TaggedDfa(r, tags, policy, alphabet, state_limit=2000)
+                    depths, stores, memo = m.depths, m.stores, m._memo
+                    try:
+                        m.build()
+                    except StateLimitError:
+                        continue
+                    out.append((pattern, m, depths, stores, memo))
+    return out
+
+
+def test_memoized_edges_equal_fresh_derivatives():
+    # Every edge of a machine built with its memo is the step taken
+    # again without one: same target expression, same program.
+    edges = memoized = 0
+    for pattern, m, depths, stores, memo in _memo_machines():
+        memoized += bool(memo)
+        for i, row in enumerate(m.transitions):
+            for block, j, ops in row:
+                de, fresh = step(m.states[i], block.pick(), depths[i], m.tags,
+                                 dict(stores[i]), memo=None)
+                assert de is m.states[j] and tuple(fresh) == ops, (pattern, i, block)
+                edges += 1
+    assert edges > 3000 and memoized > 100
+
+
+def test_exports_equal_a_build_that_never_memoizes(monkeypatch):
+    # A memo that never stores derives every node afresh; the machines,
+    # and so their exports, are the ones the memo builds.
+    remembered = [(p, export_json(m), export_dot(m)) for p, m, *_ in _memo_machines()]
+    init = TaggedDfa.__init__
+
+    def forgetful_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._memo = _Forgetful()
+
+    monkeypatch.setattr(TaggedDfa, "__init__", forgetful_init)
+    machines = _memo_machines()
+    assert all(isinstance(memo, _Forgetful) and not memo for *_, memo in machines)
+    assert [(p, export_json(m), export_dot(m)) for p, m, *_ in machines] == remembered

@@ -111,3 +111,40 @@ def test_one_loop_steps_a_machine_over_input():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
     assert calls == [("Dfa.step", "step")]
+
+
+_MAPPINGS = {"dict", "defaultdict", "OrderedDict", "Counter",
+             "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def _callee(node) -> str:
+    """The name a call or decorator names, without its module."""
+    f = node.func if isinstance(node, ast.Call) else node
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+
+def test_no_cache_outlives_a_machine():
+    # Derivative memos live on the machine (``TaggedDfa._memo``) and are
+    # released with its construction tables.  The package keeps its six
+    # ``lru_cache``s and the intern table, and no module holds a mapping
+    # that starts empty, the shape of a memo that outlives every call.
+    cached, empty = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                cached += [(path.stem, node.name) for d in node.decorator_list
+                           if _callee(d) in ("lru_cache", "cache")]
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            value = node.value
+            if ((isinstance(value, ast.Dict) and not value.keys)
+                    or (isinstance(value, ast.Call) and not value.args
+                        and _callee(value) in _MAPPINGS)):
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                empty.append((path.stem, ast.unparse(target)))
+    assert sorted(cached) == [("semantics", "_dca"), ("syntax", "has_memory"),
+                              ("syntax", "is_memory_eps"), ("syntax", "is_nullable"),
+                              ("syntax", "max_bank"), ("syntax", "order_key")]
+    assert empty == [("syntax", "_INTERNED")], empty

@@ -30,10 +30,12 @@ from drex.syntax import (
     LATE,
     Not,
     Star,
+    Sym,
     Tag,
     alt,
     cat,
     comp,
+    has_memory,
     is_nullable,
     parse,
     show,
@@ -124,6 +126,23 @@ class TestDerive:
         assert derive_string(r, "abb") == star(B)
         assert derive_string(r, "") == r
         assert derive_string(A, "b") == EMPTY
+
+    def test_memo_is_shared_and_holds_memory_free_inner_nodes(self):
+        # One memo across symbols, positions and trees gives every
+        # derivative a fresh call gives; it keys only inner nodes without
+        # memory, whose derivative reads neither position nor allocator.
+        rnd = random.Random(14)
+        memo = {}
+        for _ in range(150):
+            mid, rest = rand_expr(rnd, 3), rand_expr(rnd, 3)
+            r = Bank(1, (), cat(Tag(EARLY, 0), cat(mid, cat(Tag(LATE, 1), rest))))
+            for pos, c in enumerate("abcab"):
+                for e in (r, mid, cat(mid, rest)):
+                    assert derive(e, ord(c), pos, memo=memo) == derive(e, ord(c), pos)
+        assert len(memo) > 100
+        for node, cp in memo:
+            assert not isinstance(node, (Sym, Bank, Tag)) and not has_memory(node), node
+            assert memo[node, cp] == derive(node, cp)
 
 
 class TestDerivativeClasses:

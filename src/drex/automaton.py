@@ -10,7 +10,11 @@ an initial program, and a result bank per accepting state.
 At run time a machine looks its edges up by index.  Sorted cut points
 split the symbols into intervals, each inside one block of every state,
 and each state gets a row indexed by interval id; an entry is filled by
-the block scan when a run first needs it.  One loop walks the text,
+the block scan when a run first needs it.  An entry is ``(target, ops,
+accept_info, plan)``: ``plan`` is the edge's program ``ops`` as bank
+rebuilds (``submatch.plan_ops``), made once per distinct program and
+kept on the machine, which the loop applies inline; ``step`` and the
+exports read ``ops``.  One loop walks the text,
 ``tagged_dfa_match``: the anchor markers at a boundary come from the
 ``anchors.BOUNDARY`` table, by the classes of the characters around it,
 so no anchor stream is built.  A plain ``Dfa`` from ``make_dfa`` keeps
@@ -43,6 +47,7 @@ from .submatch import (
     bank_compare,
     extract_submatches,
     op_banks,
+    plan_ops,
 )
 from .submatch import apply_ops as _apply_rel_ops  # kept: perfbench/tracing.py wraps this name
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
@@ -235,6 +240,7 @@ class TaggedDfa:
         self.depths: Optional[list[int]] = []
         self.stores: Optional[list[Store]] = []
         self._memo: Optional[dict] = {}  # (node, symbol) -> derivative
+        self._plans: dict = {}  # program -> its plan (submatch.plan_ops)
         # Per state, [block, target, program] edges; target None until taken.
         self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}
@@ -300,7 +306,8 @@ class TaggedDfa:
         every block.  ``cuts[-1]`` is ``UNIVERSE_END``, so no text
         character falls in the last interval: the loop uses its id for
         the end of the text.  ``rows[i][k]`` is state ``i``'s entry for
-        interval ``k``, None until a run first needs it.  ``classes[k]``
+        interval ``k``, ``(target, ops, accept_info, plan)`` (see
+        ``_fill``), None until a run first needs it.  ``classes[k]``
         is the boundary class of interval ``k``, and ``runs[prev][k]``
         lists the ids a character of interval ``k`` adds to the stream
         after one of class ``prev``: the boundary's markers, then its own.
@@ -323,14 +330,20 @@ class TaggedDfa:
 
     def _fill(self, i: int, k: int) -> Optional[tuple]:
         """Row ``i``'s entry for interval ``k``, from the block scan:
-        target, program and the target's ``AcceptInfo``; None outside
-        the alphabet."""
+        target, program, the target's ``AcceptInfo`` and the program's
+        plan; None outside the alphabet.  The plan (``submatch.plan_ops``)
+        is made at the first fill of an entry with that program and then
+        shared through ``_plans``, so equal programs share one plan."""
         rows, _, cuts = self._table[:3]
         for edge in self.transitions[i] if k else ():
             if cuts[k - 1] in edge[0]:
                 if edge[1] is None:
                     self._take(i, edge)
-                entry = rows[i][k] = (edge[1], edge[2], self.accepting.get(edge[1]))
+                ops = edge[2]
+                plan = self._plans.get(ops)
+                if plan is None:
+                    plan = self._plans[ops] = plan_ops(ops)
+                entry = rows[i][k] = (edge[1], ops, self.accepting.get(edge[1]), plan)
                 return entry
         return None
 
@@ -437,12 +450,19 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
                 if entry is None:  # markers are in every anchored alphabet
                     raise _outside(cp)
                 dead = m.dead  # an on-demand machine creates ∅ when a run first reaches it
-            state, ops, info = entry
+            state, _, info, plan = entry
             if observe is not None:
                 observe(cp if s == k else cuts[s - 1], state)
             p += 1
-            if ops:
-                _apply_rel_ops(store, ops, p, n_slots)
+            if plan:  # submatch.plan_ops, inlined: one rebuild per written bank
+                for dst, src, writes in plan:
+                    if writes:
+                        buf = list(store[src])
+                        for slot, offset in writes:
+                            buf[slot] = p + offset
+                        store[dst] = tuple(buf)
+                    else:
+                        store[dst] = store[src]
             if info is not None:
                 new = store.get(info.bank)
                 if (posix or end is None

@@ -160,7 +160,8 @@ def _derive(r: Regex, cp: int, pos: int, alloc: BankAlloc, memo: dict) -> Regex:
             if owner is not None:
                 piece = bank(owner, (), piece, alloc)
             parts.append(piece)
-        d = alt(parts)
+        # A non-nullable head leaves one part, already canonical: alt([x]) is x.
+        d = parts[0] if len(parts) == 1 else alt(parts)
     elif isinstance(r, Alt):
         d = alt([_derive(t, cp, pos, alloc, memo) for t in r.terms])
     elif isinstance(r, Inter):

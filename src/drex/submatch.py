@@ -104,6 +104,38 @@ def apply_ops(store: Store, ops: Iterable[MemoryOp], pos: int, n_slots: int) -> 
             raise TypeError(f"not a memory op: {op!r}")
 
 
+Plan = tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+
+
+def plan_ops(ops: Iterable[MemoryOp]) -> Plan:
+    """A transition's program as bank rebuilds: ``(dst, src, writes)`` steps.
+
+    A step makes ``store[dst]`` the cells of ``store[src]`` with each
+    ``(slot, offset)`` of ``writes`` set to ``pos + offset``, in order;
+    ``()`` is a plain copy.  A slot write joins the step that last wrote
+    its bank unless a later step read that bank in between, so a bank
+    that is copied and then written is rebuilt once.  Transitions carry
+    copies and slot writes only (``disambiguate``), so an ``InitBank``
+    raises ``TypeError``; ``apply_ops`` stays the reference.
+    """
+    steps: list[tuple[int, int, list[tuple[int, int]]]] = []
+    growing: dict[int, list[tuple[int, int]]] = {}  # bank -> writes of its step, while it may grow
+    for op in ops:
+        if isinstance(op, SetSlot):
+            writes = growing.get(op.bank)
+            if writes is None:
+                writes = growing[op.bank] = []
+                steps.append((op.bank, op.bank, writes))
+            writes.append((op.slot, op.offset))
+        elif isinstance(op, CopyBank):
+            growing.pop(op.src, None)
+            growing[op.dst] = []
+            steps.append((op.dst, op.src, growing[op.dst]))
+        else:
+            raise TypeError(f"not a transition op: {op!r}")
+    return tuple((dst, src, tuple(writes)) for dst, src, writes in steps)
+
+
 def apply_writes(cells: Cells, writes: Iterable[tuple[int, int]]) -> Cells:
     out = list(cells)
     for slot, value in writes:

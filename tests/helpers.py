@@ -201,6 +201,19 @@ def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     return MatchResult(True, cells, tuple(groups), end)
 
 
+def apply_plan(store, plan, pos: int) -> None:
+    """A ``submatch.plan_ops`` plan at ``pos``, as ``tagged_dfa_match``
+    applies it inline: one rebuild per written bank, copies shared."""
+    for dst, src, writes in plan:
+        if writes:
+            buf = list(store[src])
+            for slot, offset in writes:
+                buf[slot] = pos + offset
+            store[dst] = tuple(buf)
+        else:
+            store[dst] = store[src]
+
+
 def strings_upto(syms: str, max_len: int) -> list[str]:
     out = [""]
     for n in range(1, max_len + 1):

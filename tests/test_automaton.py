@@ -29,6 +29,7 @@ from drex.automaton import (
 )
 from drex.charset import Alphabet, alphabet_from_chars, from_chars, single
 from drex.engine import match_full, match_lazy
+from drex.submatch import plan_ops
 from drex.syntax import EMPTY, SyntaxOptions, TagTable, parse, show, star, sym
 
 from helpers import rand_expr, strings_upto
@@ -287,6 +288,33 @@ class TestTaggedDfa:
             assert fresh._memo == {} and fresh._memo is not on_demand._memo
         assert make_dfa(r, AB).machine._memo is None
         assert make_tagged_dfa(r, t)._memo is None
+
+    def test_step_and_exports_see_ops_and_plans_live_on_the_machine(self):
+        # A row entry holds (target, ops, accept info, plan); ``step`` hands
+        # out the ops, the exports read the edges' ops, and each machine
+        # keeps its own plans, one per distinct program.
+        r, t = parse("(a*)(a*)a")
+        built = make_tagged_dfa(r, t)
+        exported = export_json(built), export_dot(built)
+        machines = [built, TaggedDfa(r, t), TaggedDfa(r, t)]
+        assert all(m._plans == {} for m in machines)
+        for m in machines[:2]:
+            for text in ("", "a", "aab", "aaaba"):
+                tagged_dfa_match(m, text)
+            for i, row in enumerate(m.transitions):
+                for block, target, ops in row:
+                    if target is None:
+                        continue
+                    assert m.step(i, block.pick()) == (target, ops)
+                    assert all(isinstance(op, (CopyBank, SetSlot)) for op in ops)
+            entries = [e for row in m.table()[0] for e in row if e is not None]
+            assert entries and all(len(e) == 4 for e in entries)
+            for e in entries:
+                assert e[3] is m._plans[e[1]] and e[3] == plan_ops(e[1])
+        assert any(ops for ops in built._plans)
+        assert machines[0]._plans is not machines[1]._plans
+        assert machines[2]._plans == {}
+        assert (export_json(built), export_dot(built)) == exported
 
     def test_lazy_variant_same_graph_other_banks(self):
         r, t = parse("(?la*)(?la*)a")

@@ -22,20 +22,27 @@ from drex.automaton import (
 from drex.charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, alphabet_from_chars
 from drex.engine import match_full, match_lazy, step
 from drex.semantics import nu_ways
-from drex.submatch import HIGHER, CopyBank, SetSlot, apply_ops, bank_compare
+from drex.submatch import HIGHER, CopyBank, SetSlot, apply_ops, bank_compare, op_banks, plan_ops
 from drex.syntax import (
     EMPTY,
     POLICIES,
+    Alt,
     Bank,
+    Cat,
+    Inter,
+    Not,
     ParseError,
+    Star,
     SyntaxOptions,
     TagTable,
+    alt,
     alt_terms,
     is_nullable,
     parse,
 )
 
 from helpers import (
+    apply_plan,
     banks_in_order,
     rand_pattern,
     rand_tagged_pattern,
@@ -345,6 +352,61 @@ def test_programs_copy_each_bank_once_before_the_sets():
                 assert len(copies) == len(set(copies)), ops
                 programs += 1
     assert programs > 2000
+
+
+def test_plans_equal_apply_ops():
+    # Every distinct program of the corpus, from random stores at random
+    # positions: its plan leaves the store ``apply_ops`` leaves.  The
+    # loop's inline copy of ``helpers.apply_plan`` is checked end to end
+    # by ``test_loop_equals_reference_over_the_stream``, whose
+    # ``reference_match`` applies every op through ``apply_ops``.
+    rnd = random.Random(15)
+    programs = {(ops, m.tags.num_tags) for m in _tagged_machines(11)
+                for row in m.transitions for _, _, ops in row}
+    assert len(programs) > 400
+    merged = 0
+    for ops, n_slots in programs:
+        banks = {b for op in ops for b in op_banks(op)}
+        plan = plan_ops(ops)
+        merged += len(plan) < len(ops)
+        for _ in range(4):
+            store = {b: tuple(rnd.choice((None, rnd.randrange(20))) for _ in range(n_slots))
+                     for b in banks}
+            pos = rnd.randrange(1, 30)
+            want, got = dict(store), dict(store)
+            apply_ops(want, ops, pos, n_slots)
+            apply_plan(got, plan, pos)
+            assert got == want, (ops, store, pos)
+    assert merged > 100
+
+
+def _subterms(e):
+    seen, stack = set(), [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        yield x
+        if isinstance(x, Cat):
+            stack += (x.head, x.tail)
+        elif isinstance(x, (Alt, Inter)):
+            stack.extend(x.terms)
+        elif isinstance(x, (Star, Not, Bank)):
+            stack.append(x.body)
+
+
+def test_one_part_union_is_the_part():
+    # ``_derive`` returns a lone part without ``alt``: sound because a
+    # canonical tree is its own one-term union, here for every state of
+    # the corpus and every node below one.
+    checked = 0
+    for m in _tagged_machines(11):
+        for e in m.states:
+            for x in _subterms(e):
+                assert alt([x]) is x, x
+                checked += 1
+    assert checked > 10000
 
 
 def _outcome(run, m, text, stream_offsets):

@@ -18,6 +18,7 @@ from drex.submatch import (
     disambiguate,
     extract_submatches,
     normalize_step,
+    plan_ops,
     sequence_moves,
     teval,
 )
@@ -40,7 +41,7 @@ from drex.syntax import (
     sym,
 )
 
-from helpers import rand_tagged
+from helpers import apply_plan, rand_tagged
 from oracle import language_upto
 
 A = sym(from_chars("a"))
@@ -242,6 +243,48 @@ class TestCompaction:
         ops = sequence_moves([(1, 2), (2, 3), (3, 1)], scratch=4)
         apply_ops(store, ops, 0, 1)
         assert (store[1], store[2], store[3]) == ((20,), (30,), (10,))
+
+
+class TestPlans:
+    """``plan_ops`` against ``apply_ops`` on hand-written programs; the
+    corpus check is in ``test_fuzz.py``."""
+
+    STORE = {1: (10, None, 12), 2: (20, 21, None), 3: (30, 31, 32)}
+
+    def both(self, ops, pos=7):
+        want, got = dict(self.STORE), dict(self.STORE)
+        apply_ops(want, ops, pos, 3)
+        apply_plan(got, plan_ops(ops), pos)
+        assert got == want
+        return plan_ops(ops), got
+
+    def test_copies_then_a_write_rebuild_once(self):
+        plan, _ = self.both([CopyBank(1, 2), CopyBank(2, 3), SetSlot(2, 1, 0)])
+        assert plan == ((1, 2, ()), (2, 3, ((1, 0),)))
+
+    def test_cycle_parked_in_a_scratch_bank(self):
+        ops = sequence_moves([(1, 2), (2, 3), (3, 1)], scratch=4)
+        plan, store = self.both(ops)
+        assert [s[2] for s in plan] == [()] * 4
+        assert (store[1], store[2], store[3]) == (self.STORE[2], self.STORE[3], self.STORE[1])
+
+    def test_the_last_write_to_a_slot_wins(self):
+        plan, store = self.both([SetSlot(1, 0, -1), SetSlot(1, 0, 0)])
+        assert plan == ((1, 1, ((0, -1), (0, 0))),)
+        assert store[1] == (7, None, 12)
+
+    def test_a_write_after_a_read_of_its_bank_starts_a_step(self):
+        # Bank 1 must receive bank 2 with its first write only.
+        plan, store = self.both([SetSlot(2, 0, 0), CopyBank(1, 2), SetSlot(2, 1, -1)])
+        assert plan == ((2, 2, ((0, 0),)), (1, 2, ()), (2, 2, ((1, -1),)))
+        assert store[1] == (7, 21, None) and store[2] == (7, 6, None)
+
+    def test_empty_program(self):
+        assert plan_ops(()) == ()
+
+    def test_init_is_no_transition_op(self):
+        with pytest.raises(TypeError):
+            plan_ops([CopyBank(1, 2), InitBank(3)])
 
 
 class TestExtractSubmatches:

@@ -4,17 +4,16 @@ States are canonical expression trees; expanded similarity (structural
 equality of canonical trees, banks blinded) decides state identity, so
 construction terminates with finitely many states.  Transitions are
 keyed by derivative-class blocks, never by single symbols.  Tagged
-machines additionally carry memory-operation programs on transitions,
-an initial program, and a result bank per accepting state.
+machines additionally carry memory programs on transitions (the ordered
+bank rebuilds of ``submatch.disambiguate``), an initial program, and a
+result bank per accepting state.
 
 At run time a machine looks its edges up by index.  Sorted cut points
 split the symbols into intervals, each inside one block of every state,
 and each state gets a row indexed by interval id; an entry is filled by
-the block scan when a run first needs it.  An entry is ``(target, ops,
-accept_info, plan)``: ``plan`` is the edge's program ``ops`` as bank
-rebuilds (``submatch.plan_ops``), made once per distinct program and
-kept on the machine, which the loop applies inline; ``step`` and the
-exports read ``ops``.  One loop walks the text,
+the block scan when a run first needs it.  An entry is ``(target,
+program, accept_info)``; the loop applies the program inline, and
+``step`` and the exports read the same program.  One loop walks the text,
 ``tagged_dfa_match``: the anchor markers at a boundary come from the
 ``anchors.BOUNDARY`` table, by the classes of the characters around it,
 so no anchor stream is built.  A plain ``Dfa`` from ``make_dfa`` keeps
@@ -40,16 +39,12 @@ from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these
 from .submatch import (
     HIGHER,
     POLICY_POSIX,
-    CopyBank,
-    InitBank,
-    SetSlot,
+    Rebuild,
     Store,
     bank_compare,
     extract_submatches,
-    op_banks,
-    plan_ops,
 )
-from .submatch import apply_ops as _apply_rel_ops  # kept: perfbench/tracing.py wraps this name
+from .submatch import apply_program as _apply_rel_ops  # the name perfbench/tracing.py wraps
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
 from .syntax import (
     EMPTY,
@@ -210,7 +205,7 @@ def _banks(e: Regex) -> list[int]:
 
 
 class TaggedDfa:
-    """A DFA whose transitions carry memory-op programs; state 0 is ``engine.start``.
+    """A DFA whose transitions carry memory programs; state 0 is ``engine.start``.
 
     A state is keyed by its expression, plus the signature of its live
     banks when tags are tracked.  Its ``AcceptInfo`` and derivative-class
@@ -229,18 +224,16 @@ class TaggedDfa:
     def __init__(self, r: Regex, tags: TagTable, policy: str = POLICY_POSIX,
                  alphabet: Alphabet = Alphabet(), state_limit: float = math.inf):
         self.anchored = alphabet.with_anchors
-        expr, store, init_ops = start(r, tags, self.anchored)
+        expr, store, self.initial_ops = start(r, tags, self.anchored)
         self.tags = tags
         self.policy = policy
         self.alphabet = alphabet
         self.state_limit = state_limit
-        self.initial_ops = tuple(init_ops)
         self.index: Optional[dict] = {}
         self.states: list[Regex] = []
         self.depths: Optional[list[int]] = []
         self.stores: Optional[list[Store]] = []
         self._memo: Optional[dict] = {}  # (node, symbol) -> derivative
-        self._plans: dict = {}  # program -> its plan (submatch.plan_ops)
         # Per state, [block, target, program] edges; target None until taken.
         self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}
@@ -255,8 +248,8 @@ class TaggedDfa:
     @property
     def bank_count(self) -> int:
         banks = _banks(self.states[0])
-        banks += [b for row in self.transitions for _, _, ops in row
-                  for op in ops for b in op_banks(op)]
+        banks += [b for row in self.transitions for _, _, program in row
+                  for dst, src, _ in program for b in (dst, src)]
         return max(banks, default=0) + 1
 
     def _state_id(self, e: Regex, st: Store, depth: int) -> int:
@@ -289,8 +282,8 @@ class TaggedDfa:
 
     def _take(self, i: int, edge: list) -> None:
         d, st = self.depths[i], dict(self.stores[i])
-        de, ops = step(self.states[i], edge[0].pick(), d, self.tags, st, self._memo)
-        edge[1:] = self._state_id(de, st, d + 1), tuple(ops)
+        de, program = step(self.states[i], edge[0].pick(), d, self.tags, st, self._memo)
+        edge[1:] = self._state_id(de, st, d + 1), program
 
     def table(self) -> tuple:
         """The run-time table ``(rows, ascii, cuts, runs, classes)``, made
@@ -306,7 +299,7 @@ class TaggedDfa:
         every block.  ``cuts[-1]`` is ``UNIVERSE_END``, so no text
         character falls in the last interval: the loop uses its id for
         the end of the text.  ``rows[i][k]`` is state ``i``'s entry for
-        interval ``k``, ``(target, ops, accept_info, plan)`` (see
+        interval ``k``, ``(target, program, accept_info)`` (see
         ``_fill``), None until a run first needs it.  ``classes[k]``
         is the boundary class of interval ``k``, and ``runs[prev][k]``
         lists the ids a character of interval ``k`` adds to the stream
@@ -330,20 +323,14 @@ class TaggedDfa:
 
     def _fill(self, i: int, k: int) -> Optional[tuple]:
         """Row ``i``'s entry for interval ``k``, from the block scan:
-        target, program, the target's ``AcceptInfo`` and the program's
-        plan; None outside the alphabet.  The plan (``submatch.plan_ops``)
-        is made at the first fill of an entry with that program and then
-        shared through ``_plans``, so equal programs share one plan."""
+        target, program and the target's ``AcceptInfo``; None outside the
+        alphabet."""
         rows, _, cuts = self._table[:3]
         for edge in self.transitions[i] if k else ():
             if cuts[k - 1] in edge[0]:
                 if edge[1] is None:
                     self._take(i, edge)
-                ops = edge[2]
-                plan = self._plans.get(ops)
-                if plan is None:
-                    plan = self._plans[ops] = plan_ops(ops)
-                entry = rows[i][k] = (edge[1], ops, self.accepting.get(edge[1]), plan)
+                entry = rows[i][k] = (edge[1], edge[2], self.accepting.get(edge[1]))
                 return entry
         return None
 
@@ -353,7 +340,7 @@ class TaggedDfa:
         entry = rows[i][k] or self._fill(i, k)
         if entry is None:
             raise _outside(cp)
-        return entry[0], entry[1]
+        return entry[:2]
 
     def build(self) -> "TaggedDfa":
         """Take every edge, state by state in creation (worklist) order."""
@@ -405,7 +392,7 @@ def make_tagged_dfa(
     alphabet: Alphabet = Alphabet(),
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> TaggedDfa:
-    """Construct a DFA whose transitions carry memory-op programs."""
+    """Construct a DFA whose transitions carry memory programs."""
     return TaggedDfa(r, tags, policy, alphabet, state_limit).build()
 
 
@@ -450,12 +437,12 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
                 if entry is None:  # markers are in every anchored alphabet
                     raise _outside(cp)
                 dead = m.dead  # an on-demand machine creates ∅ when a run first reaches it
-            state, _, info, plan = entry
+            state, program, info = entry
             if observe is not None:
                 observe(cp if s == k else cuts[s - 1], state)
             p += 1
-            if plan:  # submatch.plan_ops, inlined: one rebuild per written bank
-                for dst, src, writes in plan:
+            if program:  # submatch.apply_program, inlined: a transition's src is a bank
+                for dst, src, writes in program:
                     if writes:
                         buf = list(store[src])
                         for slot, offset in writes:
@@ -568,25 +555,15 @@ def check_minimal(m: Dfa) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _op_str(op) -> str:
-    if isinstance(op, InitBank):
-        return f"init b{op.bank}"
-    if isinstance(op, CopyBank):
-        return f"b{op.dst} <- b{op.src}"
-    if isinstance(op, SetSlot):
-        when = "p-1" if op.offset == -1 else "p"
-        return f"b{op.bank}[{op.slot}] <- {when}"
-    raise TypeError(f"not a machine op: {op!r}")
+def _op_str(step: Rebuild) -> str:
+    dst, src, writes = step
+    sets = "".join(f"[{slot}]=p{offset or ''}" for slot, offset in writes)
+    return f"b{dst} <- {'unset' if src is None else f'b{src}'}{sets}"
 
 
-def _op_json(op) -> dict:
-    if isinstance(op, InitBank):
-        return {"op": "init", "bank": op.bank}
-    if isinstance(op, CopyBank):
-        return {"op": "copy", "dst": op.dst, "src": op.src}
-    if isinstance(op, SetSlot):
-        return {"op": "set", "bank": op.bank, "slot": op.slot, "offset": op.offset}
-    raise TypeError(f"not a machine op: {op!r}")
+def _op_json(step: Rebuild) -> dict:
+    dst, src, writes = step
+    return {"bank": dst, "from": src, "sets": [list(w) for w in writes]}
 
 
 def export_dot(m) -> str:
@@ -602,10 +579,10 @@ def export_dot(m) -> str:
                 block, j = entry
                 label = show_class(block)
             else:
-                block, j, ops = entry
+                block, j, program = entry
                 label = show_class(block)
-                if ops:
-                    label += "\\n" + "; ".join(_op_str(o) for o in ops)
+                if program:
+                    label += "\\n" + "; ".join(map(_op_str, program))
             label = label.replace('"', '\\"')
             lines.append(f'  q{i} -> q{j} [label="{label}"];')
     lines.append("}")
@@ -632,12 +609,12 @@ def export_json(m) -> str:
             "from": i,
             "symbols": show_class(block),
             "to": j,
-            "ops": [_op_json(o) for o in ops],
+            "ops": list(map(_op_json, program)),
         }
         for i, row in enumerate(m.transitions)
-        for block, j, ops in row
+        for block, j, program in row
     ]
-    doc["initial_ops"] = [_op_json(o) for o in m.initial_ops]
+    doc["initial_ops"] = list(map(_op_json, m.initial_ops))
     doc["bank_count"] = m.bank_count
     doc["policy"] = m.policy
     doc["anchored"] = m.anchored

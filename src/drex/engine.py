@@ -21,9 +21,9 @@ from .semantics import nu_ways  # kept: perfbench/tracing.py wraps this name
 from .submatch import (
     POLICY_POSIX,
     Cells,
-    InitBank,
+    Program,
     Store,
-    apply_ops,
+    apply_program,
     normalize_step,
 )
 from .syntax import (
@@ -83,47 +83,48 @@ def match_lazy(r: Regex, s) -> bool:
     return is_nullable(r)
 
 
-def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, list]:
-    """The state before the first symbol: expression, bank store, ops.
+def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, Program]:
+    """The state before the first symbol: expression, bank store, program.
 
     With ``pad`` the pattern absorbs the trailing anchor run of the
     stream, which belongs to no atom of the pattern (leading anchors are
     skipped by the pattern's own transparent atoms, or by this same pad
     when the pattern consumes nothing).  When tags are tracked, bank 1
-    is opened and the first tag evaluation runs at position 0; the
-    returned ops have already been applied to the store.
+    is opened all unset, ``(1, None, ())``, and the first tag evaluation
+    runs at position 0; the returned program has already been applied to
+    the store.
     """
     expr = cat(r, ANCHOR_RUN) if pad else r
     store: Store = {}
-    ops: list = []
+    program: Program = ()
     if tags.num_tags:
         expr = Bank(1, (), expr)
-        ops.append(InitBank(1))
-        apply_ops(store, ops, 0, tags.num_tags)
+        program = ((1, None, ()),)
+        apply_program(store, program, 0, tags.num_tags)
         expr, more = normalize_step(expr, tags, store, 0, BankAlloc.after(expr))
-        ops.extend(more)
-    return expr, store, ops
+        program += more
+    return expr, store, program
 
 
 def step(
     expr: Regex, cp: int, pos: int, tags: TagTable, store: Store,
     memo: Optional[dict] = None,
-) -> tuple[Regex, list]:
+) -> tuple[Regex, Program]:
     """Consume the symbol at ``pos``: derive, then normalize at ``pos + 1``.
 
     Normalization (tag evaluation, then disambiguation, which numbers
     the surviving banks 1..k) updates ``store`` in place and returns the
-    ops it applied.  Without
+    program it applied.  Without
     tracked tags positions are irrelevant, so the derivative is taken at
     position 0 and equal residuals stay equal trees.  ``memo`` is
     ``derive``'s derivative memo, shared by the steps of one machine.
     """
     alloc = BankAlloc.after(expr)
     if not tags.num_tags:
-        return derive(expr, cp, 0, alloc, memo), []
+        return derive(expr, cp, 0, alloc, memo), ()
     expr = derive(expr, cp, pos, alloc, memo)
     if expr == EMPTY:
-        return expr, []
+        return expr, ()
     return normalize_step(expr, tags, store, pos + 1, alloc)
 
 

@@ -4,12 +4,13 @@ A match run owns a bank store (bank id -> slot cells); expressions carry
 pending writes at their bank heads.  Tag evaluation converts tags that
 head nullable paths into writes; disambiguation applies pendings, keeps
 the highest-priority bank of every group of structurally equal
-alternatives, and emits the memory operations realizing the survivors.
+alternatives, and emits the memory program realizing the survivors: an
+ordered tuple of bank rebuilds ``(dst, src, writes)``, ``apply_program``
+runs one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .semantics import nu_ways
@@ -52,88 +53,26 @@ Cells = tuple[Optional[int], ...]
 Store = dict[int, Cells]
 
 
-# --- memory operations ------------------------------------------------------
+# --- memory programs --------------------------------------------------------
+
+Rebuild = tuple[int, Optional[int], tuple[tuple[int, int], ...]]
+Program = tuple[Rebuild, ...]
 
 
-@dataclass(frozen=True)
-class InitBank:
-    bank: int
+def apply_program(store: Store, program: Program, pos: int, n_slots: int) -> None:
+    """Run a memory program against ``store`` at position ``pos``.
 
-
-@dataclass(frozen=True)
-class CopyBank:
-    dst: int
-    src: int
-
-
-@dataclass(frozen=True)
-class SetSlot:
-    """Write the position ``pos + offset`` into one slot.
-
-    ``pos`` is the position after the symbol that triggered the
-    transition, so offset -1 names that symbol's own position and
-    offset 0 the position after it (tag evaluation and acceptance).
+    Each step ``(dst, src, writes)`` in turn makes ``store[dst]`` the
+    cells of ``store[src]``, all unset when ``src`` is None, with each
+    ``(slot, offset)`` of ``writes`` set to ``pos + offset``: offset -1
+    names the position of the symbol that fired the transition, 0 the
+    position after it.
     """
-
-    bank: int
-    slot: int
-    offset: int
-
-
-MemoryOp = object  # InitBank | CopyBank | SetSlot
-
-
-def op_banks(op) -> tuple[int, ...]:
-    """The banks a memory op writes or reads."""
-    return (op.dst, op.src) if isinstance(op, CopyBank) else (op.bank,)
-
-
-def apply_ops(store: Store, ops: Iterable[MemoryOp], pos: int, n_slots: int) -> None:
-    """Run a memory-op program against ``store`` at position ``pos``."""
-    for op in ops:
-        # Slot writes are the most frequent op on a run, so they are tested first.
-        if isinstance(op, SetSlot):
-            cells = list(store[op.bank])
-            cells[op.slot] = pos + op.offset
-            store[op.bank] = tuple(cells)
-        elif isinstance(op, CopyBank):
-            store[op.dst] = store[op.src]
-        elif isinstance(op, InitBank):
-            store[op.bank] = (UNSET,) * n_slots
-        else:
-            raise TypeError(f"not a memory op: {op!r}")
-
-
-Plan = tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-
-
-def plan_ops(ops: Iterable[MemoryOp]) -> Plan:
-    """A transition's program as bank rebuilds: ``(dst, src, writes)`` steps.
-
-    A step makes ``store[dst]`` the cells of ``store[src]`` with each
-    ``(slot, offset)`` of ``writes`` set to ``pos + offset``, in order;
-    ``()`` is a plain copy.  A slot write joins the step that last wrote
-    its bank unless a later step read that bank in between, so a bank
-    that is copied and then written is rebuilt once.  Transitions carry
-    copies and slot writes only (``disambiguate``), so an ``InitBank``
-    raises ``TypeError``; ``apply_ops`` stays the reference.
-    """
-    steps: list[tuple[int, int, list[tuple[int, int]]]] = []
-    growing: dict[int, list[tuple[int, int]]] = {}  # bank -> writes of its step, while it may grow
-    for op in ops:
-        if isinstance(op, SetSlot):
-            writes = growing.get(op.bank)
-            if writes is None:
-                writes = growing[op.bank] = []
-                steps.append((op.bank, op.bank, writes))
-            writes.append((op.slot, op.offset))
-        elif isinstance(op, CopyBank):
-            growing.pop(op.src, None)
-            growing[op.dst] = []
-            steps.append((op.dst, op.src, growing[op.dst]))
-        else:
-            raise TypeError(f"not a transition op: {op!r}")
-    return tuple((dst, src, tuple(writes)) for dst, src, writes in steps)
+    for dst, src, writes in program:
+        cells = list(store[src]) if src is not None else [UNSET] * n_slots
+        for slot, offset in writes:
+            cells[slot] = pos + offset
+        store[dst] = tuple(cells)
 
 
 def apply_writes(cells: Cells, writes: Iterable[tuple[int, int]]) -> Cells:
@@ -240,18 +179,17 @@ def _teval(r: Regex, pos: int, alloc: BankAlloc) -> Regex:
 
 def disambiguate(
     r: Regex, tags: TagTable, store: Store, pos: int
-) -> tuple[Regex, list[MemoryOp]]:
+) -> tuple[Regex, Program]:
     """Keep the highest-priority bank of each group of equal alternatives.
 
     Top-level alternatives structurally equal up to banks form a group
     (adjacent, as union terms are sorted); each group's bank that ranks
     highest after its pending writes survives.  The survivors are
     renumbered 1..k in term order.  Returns the pruned expression
-    (pendings cleared) and its program against ``store``: the moves of
-    the survivors' source banks into their new ids, then their writes as
-    slot offsets from ``pos``, the position of this step's tag
-    evaluation.  The writes come last because a new id may be another
-    survivor's source.
+    (pendings cleared) and its program against ``store``: one rebuild
+    for each survivor that moves or is written, its source bank's cells
+    with its writes as slot offsets from ``pos``, the position of this
+    step's tag evaluation, in the order ``order_rebuilds`` gives.
     """
     best: dict[tuple, tuple[Bank, Cells]] = {}
     pruned: list[Regex] = []
@@ -264,48 +202,43 @@ def disambiguate(
         if key not in best or bank_compare(cells, best[key][1], tags) == HIGHER:
             best[key] = (t, cells)
     if not best:
-        return r, []
-    moves: list[tuple[int, int]] = []
-    sets: list[MemoryOp] = []
+        return r, ()
+    rebuilds: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
     for new, (t, _) in enumerate(best.values(), 1):
-        moves.append((new, t.src or t.bank))
         pruned.append(Bank(new, (), t.body))
-        for slot, value in t.writes:
-            offset = value - pos
-            if offset not in (-1, 0):
-                raise AssertionError(f"write offset {offset} out of range")
-            sets.append(SetSlot(new, slot, offset))
-    # Scratch banks lie above every id the moves touch, kept ones
+        src = t.src or t.bank
+        writes = tuple((slot, value - pos) for slot, value in t.writes)
+        if any(offset not in (-1, 0) for _, offset in writes):
+            raise AssertionError(f"write offsets {writes} out of range")
+        if src != new or writes:
+            rebuilds[new] = (src, writes)
+    # Scratch banks lie above every survivor id and source, kept ones
     # included, so parking a cycle overwrites no survivor.
-    scratch = 1 + max(max(mv) for mv in moves)
-    copies = sequence_moves([mv for mv in moves if mv[0] != mv[1]], scratch)
-    return alt(pruned), copies + sets
+    scratch = 1 + max([len(best)] + [src for src, _ in rebuilds.values()])
+    return alt(pruned), order_rebuilds(rebuilds, scratch)
 
 
-def sequence_moves(moves: list[tuple[int, int]], scratch: int) -> list[MemoryOp]:
-    """Serialize parallel bank moves (dst, src), each dst once.
+def order_rebuilds(rebuilds: dict[int, tuple[int, tuple]], scratch: int) -> Program:
+    """Order parallel rebuilds ``dst -> (src, writes)`` into program steps.
 
-    Cycles are broken through scratch banks numbered upward from
-    ``scratch``, one per cycle, so no bank receives two copies.
+    Each step reads its source before another step overwrites it.  A
+    cycle is broken by parking one of its banks in a scratch bank,
+    numbered upward from ``scratch``, and redirecting its reader there,
+    so no bank is written twice.
     """
-    pending = dict(moves)  # dst -> src
-    ops: list[MemoryOp] = []
+    pending = dict(rebuilds)
+    steps: list[Rebuild] = []
     while pending:
-        emitted = False
-        for dst in list(pending):
-            if dst not in pending.values():
-                ops.append(CopyBank(dst, pending.pop(dst)))
-                emitted = True
-        if pending and not emitted:
-            # Pure cycles remain: park one destination in a scratch bank
-            # and redirect its readers there.
-            dst = next(iter(pending))
-            ops.append(CopyBank(scratch, dst))
-            for d, s in list(pending.items()):
-                if s == dst:
-                    pending[d] = scratch
+        read = {src for dst, (src, _) in pending.items() if src != dst}
+        ready = [dst for dst in pending if dst not in read]
+        if not ready:  # only cycles remain
+            parked = next(iter(pending))
+            steps.append((scratch, parked, ()))
+            pending = {d: (scratch if s == parked else s, w) for d, (s, w) in pending.items()}
             scratch += 1
-    return ops
+        for dst in ready:
+            steps.append((dst, *pending.pop(dst)))
+    return tuple(steps)
 
 
 def normalize_step(
@@ -314,16 +247,16 @@ def normalize_step(
     store: Store,
     pos: int,
     alloc: Optional[BankAlloc] = None,
-) -> tuple[Regex, list[MemoryOp]]:
+) -> tuple[Regex, Program]:
     """One engine step after a derivative: teval, then disambiguate.
 
     Returns the normalized expression (banks 1..k, no pendings) and its
-    memory-op program, which has already been applied to ``store``.
+    memory program, which has already been applied to ``store``.
     """
     r = teval(r, pos, alloc if alloc is not None else BankAlloc.after(r))
-    r, ops = disambiguate(r, tags, store, pos)
-    apply_ops(store, ops, pos, tags.num_tags)
-    return r, ops
+    r, program = disambiguate(r, tags, store, pos)
+    apply_program(store, program, pos, tags.num_tags)
+    return r, program
 
 
 # --- submatch extraction ----------------------------------------------------

@@ -756,6 +756,8 @@ class _Parser:
         if c == "\u2205":
             self.take()
             return ("empty",)
+        if not c:
+            raise self.error("unexpected end of pattern")
         if c in "*)]":
             raise self.error(f"unexpected {c!r}")
         self.take()
@@ -775,7 +777,7 @@ class _Parser:
                 capture = False
             else:
                 self.i = open_pos + 1
-                raise self.error(f"unknown group modifier (?{m!r}")
+                raise self.error(f"unknown group modifier (?{m!r}" if m else "unexpected end of pattern")
         gid = None
         if capture:
             self.n_groups += 1

@@ -14,7 +14,7 @@ from drex.semantics import SymbolPartition, Way, derive, nu_ways
 from drex.submatch import (
     HIGHER,
     POLICY_POSIX,
-    apply_ops,
+    apply_program,
     bank_compare,
     extract_submatches,
 )
@@ -169,7 +169,9 @@ def strip_anchors(stream: AnchoredStream) -> str:
 def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     """``tagged_dfa_match`` over a materialized stream: ``m.step`` over
     ``inject_anchors(text).symbols``, every op applied where it occurs,
-    offsets mapped through ``boundary_origin``."""
+    offsets mapped through ``boundary_origin``.  It applies each program
+    through ``submatch.apply_program``, of which the loop runs an inline
+    copy."""
     if m.anchored:
         stream = inject_anchors(text)
         symbols, origin = stream.symbols, stream.boundary_origin
@@ -177,7 +179,7 @@ def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
         symbols, origin = [ord(c) for c in text], range(len(text) + 1)
     n_slots = m.tags.num_tags
     store = {}
-    apply_ops(store, m.initial_ops, 0, n_slots)
+    apply_program(store, m.initial_ops, 0, n_slots)
     best = None  # match end, cells
     state = 0
     for p in range(len(symbols) + 1):
@@ -189,8 +191,8 @@ def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
                 best = (p, cells)
         if p == len(symbols) or state == m.dead:
             break
-        state, ops = m.step(state, symbols[p])
-        apply_ops(store, ops, p + 1, n_slots)
+        state, program = m.step(state, symbols[p])
+        apply_program(store, program, p + 1, n_slots)
     if best is None:
         return MatchResult(False)
     end, cells = best
@@ -201,17 +203,45 @@ def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     return MatchResult(True, cells, tuple(groups), end)
 
 
-def apply_plan(store, plan, pos: int) -> None:
-    """A ``submatch.plan_ops`` plan at ``pos``, as ``tagged_dfa_match``
-    applies it inline: one rebuild per written bank, copies shared."""
-    for dst, src, writes in plan:
-        if writes:
-            buf = list(store[src])
-            for slot, offset in writes:
-                buf[slot] = pos + offset
-            store[dst] = tuple(buf)
-        else:
-            store[dst] = store[src]
+def apply_parallel(store, rebuilds, pos: int, n_slots: int) -> None:
+    """Rebuilds ``(dst, src, writes)``, each ``dst`` once, in their
+    parallel meaning: every new bank is computed from a snapshot of the
+    store taken before any is assigned, so their order does not matter."""
+    old = dict(store)
+    for dst, src, writes in rebuilds:
+        cells = list(old[src]) if src is not None else [None] * n_slots
+        for slot, offset in writes:
+            cells[slot] = pos + offset
+        store[dst] = tuple(cells)
+
+
+def assert_reads_defined(m) -> None:
+    """Check statically that a step's ``src`` is None or a bank defined on
+    every path from the start state that reaches the edge; the result
+    bank of an accepting state is defined on every path that reaches it."""
+    defined = set()
+    for dst, src, _ in m.initial_ops:
+        assert src is None or src in defined, m.initial_ops
+        defined.add(dst)
+    live = {0: frozenset(defined)}
+    work = [0]
+    while work:
+        i = work.pop()
+        for _, j, program in m.transitions[i]:
+            defined = set(live[i])
+            for dst, src, _ in program:
+                assert src is None or src in defined, (i, j, program)
+                defined.add(dst)
+            keep = frozenset(defined)
+            if j not in live:
+                live[j] = keep
+                work.append(j)
+            elif live[j] - keep:
+                live[j] &= keep
+                work.append(j)
+    for i, info in m.accepting.items():
+        if info.bank is not None:
+            assert info.bank in live[i], (i, info.bank)
 
 
 def strings_upto(syms: str, max_len: int) -> list[str]:

@@ -12,10 +12,7 @@ import pytest
 from drex import anchors
 from drex.automaton import (
     AcceptInfo,
-    CopyBank,
     Dfa,
-    InitBank,
-    SetSlot,
     StateLimitError,
     TaggedDfa,
     check_minimal,
@@ -29,10 +26,9 @@ from drex.automaton import (
 )
 from drex.charset import Alphabet, alphabet_from_chars, from_chars, single
 from drex.engine import match_full, match_lazy
-from drex.submatch import plan_ops
 from drex.syntax import EMPTY, SyntaxOptions, TagTable, parse, show, star, sym
 
-from helpers import rand_expr, strings_upto
+from helpers import assert_reads_defined, rand_expr, strings_upto
 from oracle import language_upto
 
 ABC = alphabet_from_chars("abc")
@@ -188,7 +184,7 @@ class TestTaggedDfa:
     def test_fig_shape_and_initial_ops(self):
         m, _ = self.fig_machine()
         assert m.n_states == 3
-        assert m.initial_ops == (InitBank(1), SetSlot(1, 0, 0))
+        assert m.initial_ops == ((1, None, ()), (1, 1, ((0, 0),)))
         accept = [info for info in m.accepting.values()]
         assert len(accept) == 1
         assert accept[0].bank is not None
@@ -196,11 +192,11 @@ class TestTaggedDfa:
     def test_fig_transition_ops_copy_and_stamp(self):
         m, _ = self.fig_machine()
         a_row = [e for e in m.transitions[0] if ord("a") in e[0]]
-        (block, target, ops) = a_row[0]
-        copies = [op for op in ops if isinstance(op, CopyBank)]
-        stamps = [op for op in ops if isinstance(op, SetSlot)]
-        assert len(copies) == 2 and all(c.src == 1 for c in copies)
-        assert {op.offset for op in stamps} == {-1}
+        (block, target, program) = a_row[0]
+        copies = [(dst, src) for dst, src, _ in program if dst != src]
+        stamps = [offset for _, _, writes in program for _, offset in writes]
+        assert len(copies) == 2 and all(src == 1 for _, src in copies)
+        assert set(stamps) == {-1}
 
     def test_fig_submatches(self):
         m, _ = self.fig_machine()
@@ -289,31 +285,27 @@ class TestTaggedDfa:
         assert make_dfa(r, AB).machine._memo is None
         assert make_tagged_dfa(r, t)._memo is None
 
-    def test_step_and_exports_see_ops_and_plans_live_on_the_machine(self):
-        # A row entry holds (target, ops, accept info, plan); ``step`` hands
-        # out the ops, the exports read the edges' ops, and each machine
-        # keeps its own plans, one per distinct program.
+    def test_step_exports_and_loop_read_one_program(self):
+        # A row entry holds (target, program, accept info): the loop runs
+        # the edge's own program, ``step`` hands it out, and the exports,
+        # read before and after the runs, render it.
         r, t = parse("(a*)(a*)a")
         built = make_tagged_dfa(r, t)
         exported = export_json(built), export_dot(built)
-        machines = [built, TaggedDfa(r, t), TaggedDfa(r, t)]
-        assert all(m._plans == {} for m in machines)
-        for m in machines[:2]:
+        for m in (built, TaggedDfa(r, t)):
             for text in ("", "a", "aab", "aaaba"):
                 tagged_dfa_match(m, text)
+            programs = set()  # ids: the machine holds every program
             for i, row in enumerate(m.transitions):
-                for block, target, ops in row:
+                for block, target, program in row:
                     if target is None:
                         continue
-                    assert m.step(i, block.pick()) == (target, ops)
-                    assert all(isinstance(op, (CopyBank, SetSlot)) for op in ops)
+                    assert m.step(i, block.pick()) == (target, program)
+                    programs.add(id(program))
             entries = [e for row in m.table()[0] for e in row if e is not None]
-            assert entries and all(len(e) == 4 for e in entries)
-            for e in entries:
-                assert e[3] is m._plans[e[1]] and e[3] == plan_ops(e[1])
-        assert any(ops for ops in built._plans)
-        assert machines[0]._plans is not machines[1]._plans
-        assert machines[2]._plans == {}
+            assert entries and all(len(e) == 3 for e in entries)
+            assert all(id(e[1]) in programs for e in entries)
+            assert any(e[1] for e in entries)
         assert (export_json(built), export_dot(built)) == exported
 
     def test_lazy_variant_same_graph_other_banks(self):
@@ -339,47 +331,12 @@ class TestTaggedDfa:
                     assert a == b, (policy, pat, s)
 
     def test_ops_never_read_undefined_banks(self):
-        # static check: on every path from the start state, a bank is
-        # copied or initialized before it is read
-        pats = ["(a*)(a*)a", "(a(b)*)*a*", "((a+b)*)b", "(a*)(b(a)*)*"]
-        for pat in pats:
+        # static check: on every path from the start state, a step reads
+        # a bank that is defined there, or opens one all unset; the
+        # corpus is checked in test_fuzz.py
+        for pat in ["(a*)(a*)a", "(a(b)*)*a*", "((a+b)*)b", "(a*)(b(a)*)*"]:
             r, t = parse(pat)
-            m = make_tagged_dfa(r, t)
-            defined0 = set()
-            for op in m.initial_ops:
-                if isinstance(op, InitBank):
-                    defined0.add(op.bank)
-                elif isinstance(op, CopyBank):
-                    assert op.src in defined0
-                    defined0.add(op.dst)
-                else:
-                    assert op.bank in defined0
-            live = {0: frozenset(defined0)}
-            work = [0]
-            while work:
-                i = work.pop()
-                for _, j, ops in m.transitions[i]:
-                    defined = set(live[i])
-                    for op in ops:
-                        if isinstance(op, InitBank):
-                            defined.add(op.bank)
-                        elif isinstance(op, CopyBank):
-                            assert op.src in defined, (pat, i, j, ops)
-                            defined.add(op.dst)
-                        else:
-                            assert op.bank in defined, (pat, i, j, ops)
-                    keep = frozenset(defined)
-                    if j not in live:
-                        live[j] = keep
-                        work.append(j)
-                    else:
-                        merged = live[j] & keep
-                        if merged != live[j]:
-                            live[j] = merged
-                            work.append(j)
-                info = m.accepting.get(i)
-                if info is not None and info.bank is not None:
-                    assert info.bank in live[i]
+            assert_reads_defined(make_tagged_dfa(r, t))
 
 
 class TestDfaToRegex:
@@ -457,7 +414,8 @@ class TestExports:
         assert doc["bank_count"] == m.bank_count
         assert doc["tags"]["groups"] == [[0, 1], [2, 3]]
         assert any(tr["ops"] for tr in doc["transitions"])
-        assert doc["initial_ops"][0] == {"op": "init", "bank": 1}
+        assert doc["initial_ops"] == [{"bank": 1, "from": None, "sets": []},
+                                      {"bank": 1, "from": 1, "sets": [[0, 0]]}]
 
 
 _EXPORT_SCRIPT = """

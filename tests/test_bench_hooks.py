@@ -42,3 +42,21 @@ def test_cleared_caches_exist():
         info = cache.cache_info()
         for field in ("currsize", "hits", "misses"):
             assert isinstance(getattr(info, field), int), (cache, field)
+
+
+def test_machine_size_reads_built_machines():
+    # The worker sizes each machine outside its per-call ``try``, reading
+    # the rows, the programs and ``AcceptInfo.ops``; a change to their
+    # shape must fail here rather than kill the worker.
+    from drex.automaton import make_dfa, make_tagged_dfa
+    from drex.charset import alphabet_from_chars
+    from drex.syntax import parse
+
+    r, t = parse("(a*)(a*)a")
+    tagged = make_tagged_dfa(r, t)
+    states, transitions, ops = worker.machine_size(tagged)
+    assert (states, transitions) == (tagged.n_states, sum(map(len, tagged.transitions)))
+    assert ops == len(tagged.initial_ops) + sum(len(e[2]) for row in tagged.transitions for e in row)
+    assert ops > len(tagged.initial_ops)
+    plain = make_dfa(r, alphabet_from_chars("ab"))
+    assert worker.machine_size(plain) == (plain.n_states, sum(map(len, plain.transitions)), 0)

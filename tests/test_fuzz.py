@@ -22,7 +22,7 @@ from drex.automaton import (
 from drex.charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, alphabet_from_chars
 from drex.engine import match_full, match_lazy, step
 from drex.semantics import nu_ways
-from drex.submatch import HIGHER, CopyBank, SetSlot, apply_ops, bank_compare, op_banks, plan_ops
+from drex.submatch import HIGHER, apply_program, bank_compare
 from drex.syntax import (
     EMPTY,
     POLICIES,
@@ -42,7 +42,8 @@ from drex.syntax import (
 )
 
 from helpers import (
-    apply_plan,
+    apply_parallel,
+    assert_reads_defined,
     banks_in_order,
     rand_pattern,
     rand_tagged_pattern,
@@ -225,7 +226,7 @@ def _check_acceptance(m, text) -> int:
     symbols = inject_anchors(text).symbols if m.anchored else [ord(c) for c in text]
     n_slots = m.tags.num_tags
     store = {}
-    apply_ops(store, m.initial_ops, 0, n_slots)
+    apply_program(store, m.initial_ops, 0, n_slots)
     state = compared = 0
     for p in range(len(symbols) + 1):
         info = m.accepting.get(state)
@@ -235,8 +236,8 @@ def _check_acceptance(m, text) -> int:
             compared += 1
         if p == len(symbols) or state == m.dead:
             break
-        state, ops = m.step(state, symbols[p])
-        apply_ops(store, ops, p + 1, n_slots)
+        state, program = m.step(state, symbols[p])
+        apply_program(store, program, p + 1, n_slots)
     return compared
 
 
@@ -309,7 +310,9 @@ def test_exports_follow_the_schema():
     props = schema["properties"]
     entry_keys = set(props["accepting"]["oneOf"][1]["additionalProperties"]["required"])
     transition_keys = set(props["transitions"]["items"]["properties"])
-    exported = 0
+    op = schema["$defs"]["op"]
+    offsets = op["properties"]["sets"]["items"]["prefixItems"][1]["enum"]
+    exported = steps = 0
     for m in list(_tagged_machines(11)) + _plain_machines(11):
         doc = json.loads(export_json(m))
         assert set(doc) <= set(props), set(doc) - set(props)
@@ -319,7 +322,14 @@ def test_exports_follow_the_schema():
                 exported += 1
         for tr in doc["transitions"]:
             assert set(tr) <= transition_keys, tr
-    assert exported > 500
+        for step in doc.get("initial_ops", []) + [s for tr in doc["transitions"]
+                                                  for s in tr.get("ops", [])]:
+            assert set(step) == set(op["required"]) == set(op["properties"]), step
+            assert isinstance(step["bank"], int) and isinstance(step["from"], (int, type(None)))
+            assert all(isinstance(slot, int) and offset in offsets
+                       for slot, offset in step["sets"]), step
+            steps += 1
+    assert exported > 500 and steps > 2000
 
 
 def test_states_are_alternatives_of_dense_banks():
@@ -338,46 +348,69 @@ def test_states_are_alternatives_of_dense_banks():
             assert all(not banks_in_order(t.body) for t in terms), e
 
 
+def _unparked(program):
+    """The rebuild map a program realizes, and its parked banks: a bank
+    that a later step reads after this step wrote it is a scratch bank,
+    and a read of it is a read of the bank parked there."""
+    parked, rebuilds = {}, {}
+    for n, (dst, src, writes) in enumerate(program):
+        src = parked.get(src, src)
+        if any(s == dst for _, s, _ in program[n + 1:]):
+            assert not writes, program
+            parked[dst] = src
+        else:
+            rebuilds[dst] = (src, writes)
+    return rebuilds, parked
+
+
+def _corpus_programs():
+    """Each distinct (program, slots, live banks of the target) of the corpus."""
+    return {(program, m.tags.num_tags, len(alt_terms(m.states[j])) if m.states[j] != EMPTY else 0)
+            for m in _tagged_machines(11) for row in m.transitions for _, j, program in row}
+
+
 def test_programs_copy_each_bank_once_before_the_sets():
-    # Each new bank receives its source once, in one serialized batch of
-    # moves; the slot writes then land on the new banks.
-    programs = 0
-    for m in _tagged_machines(11):
-        for row in m.transitions:
-            for _, _, ops in row:
-                kinds = [type(op) for op in ops]
-                copies = [op.dst for op in ops if isinstance(op, CopyBank)]
-                assert set(kinds) <= {CopyBank, SetSlot}, ops
-                assert kinds == sorted(kinds, key=lambda k: k is SetSlot), ops
-                assert len(copies) == len(set(copies)), ops
-                programs += 1
-    assert programs > 2000
-
-
-def test_plans_equal_apply_ops():
-    # Every distinct program of the corpus, from random stores at random
-    # positions: its plan leaves the store ``apply_ops`` leaves.  The
-    # loop's inline copy of ``helpers.apply_plan`` is checked end to end
-    # by ``test_loop_equals_reference_over_the_stream``, whose
-    # ``reference_match`` applies every op through ``apply_ops``.
-    rnd = random.Random(15)
-    programs = {(ops, m.tags.num_tags) for m in _tagged_machines(11)
-                for row in m.transitions for _, _, ops in row}
+    # Each bank is rebuilt at most once: a survivor's copy and its slot
+    # writes ride in one step, the writes as offsets -1 or 0, and every
+    # source is a bank (None only opens the initial bank).
+    programs = _corpus_programs()
     assert len(programs) > 400
-    merged = 0
-    for ops, n_slots in programs:
-        banks = {b for op in ops for b in op_banks(op)}
-        plan = plan_ops(ops)
-        merged += len(plan) < len(ops)
+    for program, n_slots, _ in programs:
+        dsts = [dst for dst, _, _ in program]
+        assert len(dsts) == len(set(dsts)), program
+        for _, src, writes in program:
+            assert src is not None, program
+            assert all(0 <= slot < n_slots and offset in (-1, 0) for slot, offset in writes), program
+
+
+def test_programs_have_the_parallel_meaning():
+    # Every distinct program of the corpus, from random stores at random
+    # positions, leaves each bank as ``helpers.apply_parallel`` leaves it
+    # for the rebuilds the program realizes.  Its scratch banks lie above
+    # every bank of the target state and every source, so parking a
+    # cycle overwrites no kept bank.
+    rnd = random.Random(15)
+    cycles = 0
+    for program, n_slots, live in _corpus_programs():
+        rebuilds, parked = _unparked(program)
+        touched = {live, *rebuilds, *(src for src, _ in rebuilds.values())}
+        assert all(b > max(touched) for b in parked), program
+        cycles += bool(parked)
+        banks = touched | set(range(1, live + 1))
         for _ in range(4):
             store = {b: tuple(rnd.choice((None, rnd.randrange(20))) for _ in range(n_slots))
                      for b in banks}
             pos = rnd.randrange(1, 30)
             want, got = dict(store), dict(store)
-            apply_ops(want, ops, pos, n_slots)
-            apply_plan(got, plan, pos)
-            assert got == want, (ops, store, pos)
-    assert merged > 100
+            apply_parallel(want, [(dst, *rb) for dst, rb in rebuilds.items()], pos, n_slots)
+            apply_program(got, program, pos, n_slots)
+            assert {b: got[b] for b in want} == want, (program, store, pos)
+    assert cycles > 50
+
+
+def test_programs_never_read_undefined_banks():
+    for m in _tagged_machines(11):
+        assert_reads_defined(m)
 
 
 def _subterms(e):

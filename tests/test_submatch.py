@@ -6,20 +6,17 @@ import pytest
 
 from drex.charset import from_chars
 from drex.semantics import nu_ways
+from drex.automaton import make_tagged_dfa
 from drex.submatch import (
-    CopyBank,
     EQUAL,
     HIGHER,
-    InitBank,
     LOWER,
-    SetSlot,
-    apply_ops,
+    apply_program,
     bank_compare,
     disambiguate,
     extract_submatches,
     normalize_step,
-    plan_ops,
-    sequence_moves,
+    order_rebuilds,
     teval,
 )
 from drex.syntax import (
@@ -41,7 +38,7 @@ from drex.syntax import (
     sym,
 )
 
-from helpers import apply_plan, rand_tagged
+from helpers import apply_parallel, rand_tagged
 from oracle import language_upto
 
 A = sym(from_chars("a"))
@@ -196,7 +193,7 @@ class TestDisambiguate:
         terms = alt_terms(pruned)
         assert len(terms) == 3
         new_store = dict(store)
-        apply_ops(new_store, ops, 2, 4)
+        apply_program(new_store, ops, 2, 4)
         surviving = sorted(t.bank for t in terms)
         assert surviving == [1, 2, 3]
         # the kept banks carry the first-most-longest memories
@@ -216,7 +213,7 @@ class TestDisambiguate:
         d = teval(d, 2, alloc)
         pruned, ops = disambiguate(d, LAZY2, store, 2)
         new_store = dict(store)
-        apply_ops(new_store, ops, 2, 4)
+        apply_program(new_store, ops, 2, 4)
         cells = {new_store[t.bank] for t in alt_terms(pruned)}
         assert (0, 0, 0, None) in cells  # the earlier-slot bank wins lazily
         assert (0, 0, 0, 1) in cells
@@ -225,7 +222,7 @@ class TestDisambiguate:
         r = Bank(1, ((0, 2),), star(A))
         pruned, ops = disambiguate(r, GREEDY2, {1: (None,) * 4}, 2)
         assert pruned == Bank(1, (), star(A))
-        assert ops == [SetSlot(1, 0, 0)]
+        assert ops == ((1, 1, ((0, 0),)),)
 
 
 class TestCompaction:
@@ -234,57 +231,96 @@ class TestCompaction:
         store = {4: (1,), 7: (2,)}
         out, ops = disambiguate(r, TagTable((EARLY,)), store, 0)
         assert [t.bank for t in alt_terms(out)] == [1, 2]
-        apply_ops(store, ops, 0, 1)
+        apply_program(store, ops, 0, 1)
         got = {t.bank: store[t.bank] for t in alt_terms(out)}
         assert set(got.values()) == {(1,), (2,)}
 
     def test_sequence_moves_cycle(self):
         store = {1: (10,), 2: (20,), 3: (30,)}
-        ops = sequence_moves([(1, 2), (2, 3), (3, 1)], scratch=4)
-        apply_ops(store, ops, 0, 1)
+        ops = order_rebuilds({1: (2, ()), 2: (3, ()), 3: (1, ())}, scratch=4)
+        apply_program(store, ops, 0, 1)
         assert (store[1], store[2], store[3]) == ((20,), (30,), (10,))
 
 
 class TestPlans:
-    """``plan_ops`` against ``apply_ops`` on hand-written programs; the
-    corpus check is in ``test_fuzz.py``."""
+    """``order_rebuilds`` against ``helpers.apply_parallel`` on
+    hand-written rebuild maps; random maps and the corpus are checked in
+    ``test_fuzz.py``."""
 
     STORE = {1: (10, None, 12), 2: (20, 21, None), 3: (30, 31, 32)}
 
-    def both(self, ops, pos=7):
+    def both(self, rebuilds, pos=7):
+        program = order_rebuilds(rebuilds, scratch=4)
         want, got = dict(self.STORE), dict(self.STORE)
-        apply_ops(want, ops, pos, 3)
-        apply_plan(got, plan_ops(ops), pos)
-        assert got == want
-        return plan_ops(ops), got
+        apply_parallel(want, [(dst, *rb) for dst, rb in rebuilds.items()], pos, 3)
+        apply_program(got, program, pos, 3)
+        assert {b: got[b] for b in want} == want
+        return program, got
 
     def test_copies_then_a_write_rebuild_once(self):
-        plan, _ = self.both([CopyBank(1, 2), CopyBank(2, 3), SetSlot(2, 1, 0)])
-        assert plan == ((1, 2, ()), (2, 3, ((1, 0),)))
+        # A survivor that moves and is written gets one step.
+        r = Bank(3, ((0, 2), (2, 1)), star(A))
+        pruned, program = disambiguate(r, GREEDY2, {3: (None,) * 4}, 2)
+        assert pruned == Bank(1, (), star(A))
+        assert program == ((1, 3, ((0, 0), (2, -1))),)
+        program, _ = self.both({1: (2, ()), 2: (3, ((1, 0),))})
+        assert program == ((1, 2, ()), (2, 3, ((1, 0),)))
 
     def test_cycle_parked_in_a_scratch_bank(self):
-        ops = sequence_moves([(1, 2), (2, 3), (3, 1)], scratch=4)
-        plan, store = self.both(ops)
-        assert [s[2] for s in plan] == [()] * 4
-        assert (store[1], store[2], store[3]) == (self.STORE[2], self.STORE[3], self.STORE[1])
+        program, store = self.both({1: (2, ()), 2: (3, ()), 3: (1, ())})
+        assert len(program) == 4 and program[0] == (4, 1, ())
+        assert [s[2] for s in program] == [()] * 4
+        program, store = self.both({1: (2, ((0, 0),)), 2: (1, ((2, -1),))})
+        assert [s[0] for s in program] == [4, 1, 2]
+        assert store[1] == (7, 21, None) and store[2] == (10, None, 6)
 
     def test_the_last_write_to_a_slot_wins(self):
-        plan, store = self.both([SetSlot(1, 0, -1), SetSlot(1, 0, 0)])
-        assert plan == ((1, 1, ((0, -1), (0, 0))),)
+        store = dict(self.STORE)
+        apply_program(store, ((1, 1, ((0, -1), (0, 0))),), 7, 3)
         assert store[1] == (7, None, 12)
 
     def test_a_write_after_a_read_of_its_bank_starts_a_step(self):
-        # Bank 1 must receive bank 2 with its first write only.
-        plan, store = self.both([SetSlot(2, 0, 0), CopyBank(1, 2), SetSlot(2, 1, -1)])
-        assert plan == ((2, 2, ((0, 0),)), (1, 2, ()), (2, 2, ((1, -1),)))
-        assert store[1] == (7, 21, None) and store[2] == (7, 6, None)
+        # Bank 1 must receive bank 2 before bank 2's write.
+        program, store = self.both({2: (2, ((0, 0),)), 1: (2, ())})
+        assert program == ((1, 2, ()), (2, 2, ((0, 0),)))
+        assert store[1] == (20, 21, None) and store[2] == (7, 21, None)
 
     def test_empty_program(self):
-        assert plan_ops(()) == ()
+        assert order_rebuilds({}, scratch=1) == ()
+        assert disambiguate(star(A), GREEDY2, {}, 2) == (star(A), ())
 
     def test_init_is_no_transition_op(self):
-        with pytest.raises(TypeError):
-            plan_ops([CopyBank(1, 2), InitBank(3)])
+        # Only the initial program opens a bank all unset (src None).
+        r, t = parse("(a*)(a*)a")
+        m = make_tagged_dfa(r, t)
+        assert m.initial_ops[0] == (1, None, ())
+        assert all(src is not None for row in m.transitions for _, _, program in row
+                   for _, src, _ in program)
+        store = {}
+        apply_program(store, ((2, None, ((1, 0),)),), 5, 3)
+        assert store == {2: (None, 5, None)}
+
+    def test_random_maps_keep_the_parallel_meaning(self):
+        # Random maps over up to 6 banks, cycles and self-writes included:
+        # the program leaves each bank as the parallel reference does,
+        # and writes no bank twice.
+        rnd = random.Random(16)
+        for _ in range(2000):
+            n = rnd.randint(1, 6)
+            rebuilds = {}
+            for dst in rnd.sample(range(1, n + 1), rnd.randint(0, n)):
+                writes = tuple((rnd.randrange(3), rnd.choice((-1, 0)))
+                               for _ in range(rnd.choice((0, 0, 1, 2))))
+                rebuilds[dst] = (rnd.randint(1, n), writes)
+            store = {b: tuple(rnd.choice((None, rnd.randrange(9))) for _ in range(3))
+                     for b in range(1, n + 1)}
+            want, got = dict(store), dict(store)
+            apply_parallel(want, [(dst, *rb) for dst, rb in rebuilds.items()], 5, 3)
+            program = order_rebuilds(rebuilds, scratch=n + 1)
+            apply_program(got, program, 5, 3)
+            assert {b: got[b] for b in want} == want, (rebuilds, program)
+            dsts = [dst for dst, _, _ in program]
+            assert len(dsts) == len(set(dsts)), program
 
 
 class TestExtractSubmatches:

@@ -234,6 +234,10 @@ class TestParser:
             with pytest.raises(ParseError) as e:
                 parse(pat)
             assert e.value.position == pos
+        for pat, pos in [("~", 1), ("a~", 2), ("(?", 1)]:
+            with pytest.raises(ParseError, match="^unexpected end of pattern") as e:
+                parse(pat)
+            assert e.value.position == pos
 
     def test_non_capturing_groups(self):
         r, t = parse("(?:a+b)c")

@@ -29,7 +29,6 @@ from .submatch import (
 from .syntax import (
     EMPTY,
     Bank,
-    BankAlloc,
     Regex,
     TagTable,
     cat,
@@ -101,7 +100,7 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, Program]:
         expr = Bank(1, (), expr)
         program = ((1, None, ()),)
         apply_program(store, program, 0, tags.num_tags)
-        expr, more = normalize_step(expr, tags, store, 0, BankAlloc.after(expr))
+        expr, more = normalize_step(expr, tags, store, 0)
         program += more
     return expr, store, program
 
@@ -119,13 +118,12 @@ def step(
     position 0 and equal residuals stay equal trees.  ``memo`` is
     ``derive``'s derivative memo, shared by the steps of one machine.
     """
-    alloc = BankAlloc.after(expr)
     if not tags.num_tags:
-        return derive(expr, cp, 0, alloc, memo), ()
-    expr = derive(expr, cp, pos, alloc, memo)
+        return derive(expr, cp, 0, memo), ()
+    expr = derive(expr, cp, pos, memo)
     if expr == EMPTY:
         return expr, ()
-    return normalize_step(expr, tags, store, pos + 1, alloc)
+    return normalize_step(expr, tags, store, pos + 1)
 
 
 def match_full(

@@ -3,13 +3,14 @@
 Everything here is a pure function over canonical trees.  Position
 values are plain integers supplied by the caller; a derivative taken at
 position ``p`` stamps ``p`` into the slot writes it emits for every tag
-it crosses.  Fresh banks created by copy-on-distribution come from a
-caller-supplied allocator so one matching step stays deterministic.
+it crosses.  A bank copied by distributing over a union keeps the id of
+the bank it reads, so a derivative names only banks of its input and
+changes no state outside its result.
 
-Below a node without memory (no tag, bank or pending write) neither the
-position nor the allocator is read, so that node's derivative depends on
-the symbol alone.  Such nodes are hash-consed and shared by the states
-of a machine, so a derivative memo keyed by (node, symbol) serves every
+Below a node without memory (no tag, bank or pending write) the
+position is not read, so that node's derivative depends on the symbol
+alone.  Such nodes are hash-consed and shared by the states of a
+machine, so a derivative memo keyed by (node, symbol) serves every
 state and every step that meets them.
 """
 
@@ -25,7 +26,6 @@ from .syntax import (
     EPSILON,
     Alt,
     Bank,
-    BankAlloc,
     Cat,
     Empty,
     Eps,
@@ -116,24 +116,20 @@ def _dedup(ways: list[Way]) -> list[Way]:
 # ---------------------------------------------------------------------------
 
 
-def derive(r: Regex, cp: int, pos: int = 0, alloc: Optional[BankAlloc] = None,
-           memo: Optional[dict] = None) -> Regex:
+def derive(r: Regex, cp: int, pos: int = 0, memo: Optional[dict] = None) -> Regex:
     """The derivative of ``r`` with respect to one working-alphabet symbol.
 
     Tags crossed on the way emit pending slot writes stamped with
-    ``pos``; bank copies created by distributing over a union draw fresh
-    ids from ``alloc`` (one is created from the tree when omitted).
-    ``memo`` maps (node, symbol) to the derivative of each memory-free
-    inner node met: such a derivative reads neither ``pos`` nor
-    ``alloc``, so one memo may serve many calls at any position; a fresh
+    ``pos``; a bank copied by distributing over a union keeps the id of
+    the bank it reads.  ``memo`` maps (node, symbol) to the derivative
+    of each memory-free inner node met: such a derivative does not read
+    ``pos``, so one memo may serve many calls at any position; a fresh
     one is used when omitted.
     """
-    if alloc is None:
-        alloc = BankAlloc.after(r)
-    return _derive(r, cp, pos, alloc, {} if memo is None else memo)
+    return _derive(r, cp, pos, {} if memo is None else memo)
 
 
-def _derive(r: Regex, cp: int, pos: int, alloc: BankAlloc, memo: dict) -> Regex:
+def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
     if isinstance(r, (Empty, Eps, Tag, Write)):
         return EMPTY
     if isinstance(r, Sym):
@@ -151,25 +147,25 @@ def _derive(r: Regex, cp: int, pos: int, alloc: BankAlloc, memo: dict) -> Regex:
         if d is not None:
             return d
     if isinstance(r, Star):
-        d = cat(_derive(r.body, cp, pos, alloc, memo), r)
+        d = cat(_derive(r.body, cp, pos, memo), r)
     elif isinstance(r, Cat):
-        parts = [cat(_derive(r.head, cp, pos, alloc, memo), r.tail)]
+        parts = [cat(_derive(r.head, cp, pos, memo), r.tail)]
         for owner, writes in nu_ways(r.head, pos):
-            rest = _derive(r.tail, cp, pos, alloc, memo)
+            rest = _derive(r.tail, cp, pos, memo)
             piece = cat(writes_chain(writes), rest) if writes else rest
             if owner is not None:
-                piece = bank(owner, (), piece, alloc)
+                piece = bank(owner, (), piece)
             parts.append(piece)
         # A non-nullable head leaves one part, already canonical: alt([x]) is x.
         d = parts[0] if len(parts) == 1 else alt(parts)
     elif isinstance(r, Alt):
-        d = alt([_derive(t, cp, pos, alloc, memo) for t in r.terms])
+        d = alt([_derive(t, cp, pos, memo) for t in r.terms])
     elif isinstance(r, Inter):
-        d = inter([_derive(t, cp, pos, alloc, memo) for t in r.terms])
+        d = inter([_derive(t, cp, pos, memo) for t in r.terms])
     elif isinstance(r, Not):
-        d = comp(_derive(r.body, cp, pos, alloc, memo))
+        d = comp(_derive(r.body, cp, pos, memo))
     elif isinstance(r, Bank):
-        return bank(r.bank, r.writes, _derive(r.body, cp, pos, alloc, memo), alloc, src=r.src)
+        return bank(r.bank, r.writes, _derive(r.body, cp, pos, memo))
     else:
         raise TypeError(f"not a Regex: {r!r}")
     if key is not None:

@@ -18,7 +18,6 @@ from .syntax import (
     EPSILON,
     Alt,
     Bank,
-    BankAlloc,
     Cat,
     Empty,
     Eps,
@@ -112,17 +111,6 @@ def bank_compare(c1: Cells, c2: Cells, tags: TagTable) -> int:
 # --- tag evaluation ---------------------------------------------------------
 
 
-def teval(r: Regex, pos: int, alloc: Optional[BankAlloc] = None) -> Regex:
-    """Convert every tag heading a nullable path into a slot write at ``pos``.
-
-    Language-preserving and idempotent.  Fresh banks created when a
-    write-headed union distributes come from ``alloc``.
-    """
-    if alloc is None:
-        alloc = BankAlloc.after(r)
-    return _teval(r, pos, alloc)
-
-
 def _eps_plus(ways, pos: int) -> Regex:
     # (eps + nullify-writes ...): the plain epsilon is absorbed whenever
     # a way carries writes, preferring recorded positions.
@@ -136,7 +124,12 @@ def _eps_plus(ways, pos: int) -> Regex:
     return alt(terms)
 
 
-def _teval(r: Regex, pos: int, alloc: BankAlloc) -> Regex:
+def teval(r: Regex, pos: int) -> Regex:
+    """Convert every tag heading a nullable path into a slot write at ``pos``.
+
+    Language-preserving and idempotent.  A bank copied when a
+    write-headed union distributes keeps the id of the bank it reads.
+    """
     if isinstance(r, (Empty, Eps, Sym, Write)):
         return r
     if isinstance(r, Tag):
@@ -148,29 +141,29 @@ def _teval(r: Regex, pos: int, alloc: BankAlloc) -> Regex:
             # engine stamps derivatives one position earlier, so fresh
             # input never carries current-position writes.)
             return r
-        return bank(r.bank, r.writes, _teval(r.body, pos, alloc), alloc, src=r.src)
+        return bank(r.bank, r.writes, teval(r.body, pos))
     if isinstance(r, Star):
-        prefix = _eps_plus(nu_ways(_teval(r.body, pos, alloc), pos), pos)
+        prefix = _eps_plus(nu_ways(teval(r.body, pos), pos), pos)
         return cat(prefix, r)
     if isinstance(r, Not):
-        return comp(_teval(r.body, pos, alloc))
+        return comp(teval(r.body, pos))
     if isinstance(r, Alt):
-        return alt([_teval(t, pos, alloc) for t in r.terms])
+        return alt([teval(t, pos) for t in r.terms])
     if isinstance(r, Inter):
-        return inter([_teval(t, pos, alloc) for t in r.terms])
+        return inter([teval(t, pos) for t in r.terms])
     if isinstance(r, Cat):
         head, tail = r.head, r.tail
         if isinstance(head, Write):
             run, rest = _split_write_run(r)
             if any(v == pos for _, v in run):
                 return r
-            return cat(writes_chain(run), _teval(rest, pos, alloc))
+            return cat(writes_chain(run), teval(rest, pos))
         if isinstance(head, Tag):
-            return cat(_teval(head, pos, alloc), _teval(tail, pos, alloc))
+            return cat(teval(head, pos), teval(tail, pos))
         if not is_nullable(head):
-            return cat(_teval(head, pos, alloc), tail)
-        prefix = _eps_plus(nu_ways(_teval(tail, pos, alloc), pos), pos)
-        return cat(prefix, cat(_teval(head, pos, alloc), tail))
+            return cat(teval(head, pos), tail)
+        prefix = _eps_plus(nu_ways(teval(tail, pos), pos), pos)
+        return cat(prefix, cat(teval(head, pos), tail))
     raise TypeError(f"not a Regex: {r!r}")
 
 
@@ -182,14 +175,16 @@ def disambiguate(
 ) -> tuple[Regex, Program]:
     """Keep the highest-priority bank of each group of equal alternatives.
 
-    Top-level alternatives structurally equal up to banks form a group
-    (adjacent, as union terms are sorted); each group's bank that ranks
-    highest after its pending writes survives.  The survivors are
-    renumbered 1..k in term order.  Returns the pruned expression
-    (pendings cleared) and its program against ``store``: one rebuild
-    for each survivor that moves or is written, its source bank's cells
-    with its writes as slot offsets from ``pos``, the position of this
-    step's tag evaluation, in the order ``order_rebuilds`` gives.
+    Each top-level bank names the bank of ``store`` it reads; several
+    alternatives may read one bank.  Alternatives structurally equal up
+    to banks form a group (adjacent, as union terms are sorted); each
+    group's bank that ranks highest after its pending writes survives.
+    The survivors are numbered 1..k in term order.  Returns the pruned
+    expression (pendings cleared) and its program against ``store``:
+    one rebuild for each survivor that moves or is written, the cells
+    of the bank it reads with its writes as slot offsets from ``pos``,
+    the position of this step's tag evaluation, in the order
+    ``order_rebuilds`` gives.
     """
     best: dict[tuple, tuple[Bank, Cells]] = {}
     pruned: list[Regex] = []
@@ -198,7 +193,7 @@ def disambiguate(
             pruned.append(t)
             continue
         key = order_key(t)
-        cells = apply_writes(store[t.src or t.bank], t.writes)
+        cells = apply_writes(store[t.bank], t.writes)
         if key not in best or bank_compare(cells, best[key][1], tags) == HIGHER:
             best[key] = (t, cells)
     if not best:
@@ -206,12 +201,11 @@ def disambiguate(
     rebuilds: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
     for new, (t, _) in enumerate(best.values(), 1):
         pruned.append(Bank(new, (), t.body))
-        src = t.src or t.bank
         writes = tuple((slot, value - pos) for slot, value in t.writes)
         if any(offset not in (-1, 0) for _, offset in writes):
             raise AssertionError(f"write offsets {writes} out of range")
-        if src != new or writes:
-            rebuilds[new] = (src, writes)
+        if t.bank != new or writes:
+            rebuilds[new] = (t.bank, writes)
     # Scratch banks lie above every survivor id and source, kept ones
     # included, so parking a cycle overwrites no survivor.
     scratch = 1 + max([len(best)] + [src for src, _ in rebuilds.values()])
@@ -241,19 +235,14 @@ def order_rebuilds(rebuilds: dict[int, tuple[int, tuple]], scratch: int) -> Prog
     return tuple(steps)
 
 
-def normalize_step(
-    r: Regex,
-    tags: TagTable,
-    store: Store,
-    pos: int,
-    alloc: Optional[BankAlloc] = None,
-) -> tuple[Regex, Program]:
+def normalize_step(r: Regex, tags: TagTable, store: Store, pos: int) -> tuple[Regex, Program]:
     """One engine step after a derivative: teval, then disambiguate.
 
-    Returns the normalized expression (banks 1..k, no pendings) and its
-    memory program, which has already been applied to ``store``.
+    Every bank of ``r`` names a bank of ``store``.  Returns the
+    normalized expression (banks 1..k, no pendings) and its memory
+    program, which has already been applied to ``store``.
     """
-    r = teval(r, pos, alloc if alloc is not None else BankAlloc.after(r))
+    r = teval(r, pos)
     r, program = disambiguate(r, tags, store, pos)
     apply_program(store, program, pos, tags.num_tags)
     return r, program

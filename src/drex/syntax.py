@@ -32,7 +32,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .charset import (
     ALL_BASE,
@@ -163,35 +163,19 @@ class Write(Regex):
 class Bank(Regex):
     """A memory bank heading one alternative, with pending slot writes.
 
-    ``src`` names the bank this one was copied from during the current
-    derivation step; it is cleared once the copy has been realized.
+    Between derivation and disambiguation several alternatives may name
+    one bank: each is a copy of that bank's cells, and disambiguation
+    numbers the survivors 1..k.
     """
 
     bank: int
     writes: tuple[tuple[int, int], ...]
     body: Regex
-    src: Optional[int] = None
 
 
 EMPTY = Empty()
 EPSILON = Eps()
 TOP = Not(EMPTY)  # the universal language, kept in this canonical shape
-
-
-class BankAlloc:
-    """Step-scoped source of fresh bank ids for copy-on-distribution."""
-
-    def __init__(self, next_id: int = 2):
-        self.next_id = next_id
-
-    def fresh(self) -> int:
-        n = self.next_id
-        self.next_id += 1
-        return n
-
-    @classmethod
-    def after(cls, r: Regex) -> "BankAlloc":
-        return cls(max_bank(r) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +219,12 @@ def has_memory(r: Regex) -> bool:
     raise TypeError(f"not a Regex: {r!r}")
 
 
+# Unused by the package: perfbench/worker.py clears this cache by name
+# before every call, so the name stays until the benchmark drops it.
 @lru_cache(maxsize=None)
 def max_bank(r: Regex) -> int:
     if isinstance(r, Bank):
-        return max(r.bank, r.src or 0, max_bank(r.body))
+        return max(r.bank, max_bank(r.body))
     if isinstance(r, (Star, Not)):
         return max_bank(r.body)
     if isinstance(r, Cat):
@@ -394,7 +380,7 @@ def cat(a: Regex, b: Regex) -> Regex:
         return a
     if isinstance(a, Bank):
         # A bank heads its whole alternative: bk(c) z = bk(c z)
-        return bank(a.bank, a.writes, cat(a.body, b), src=a.src)
+        return bank(a.bank, a.writes, cat(a.body, b))
     if _memory_headed_union(a):
         # Distribute memory-headed unions so pendings stay at term heads.
         return alt([cat(t, b) for t in a.terms])
@@ -402,8 +388,7 @@ def cat(a: Regex, b: Regex) -> Regex:
         run, rest = _split_write_run(Cat(a, b))
         if isinstance(rest, Bank):
             # writes ahead of a bank head fold into its pending list
-            return bank(rest.bank, _merge_writes(rest.writes, run), rest.body,
-                        src=rest.src)
+            return bank(rest.bank, _merge_writes(rest.writes, run), rest.body)
         if isinstance(rest, Alt):
             # keep every alternative's writes at its own head
             merged = _merge_writes((), run)
@@ -551,13 +536,7 @@ def comp(r: Regex) -> Regex:
     return Not(rest)
 
 
-def bank(
-    bk: int,
-    writes: tuple[tuple[int, int], ...],
-    body: Regex,
-    alloc: Optional[BankAlloc] = None,
-    src: Optional[int] = None,
-) -> Regex:
+def bank(bk: int, writes: tuple[tuple[int, int], ...], body: Regex) -> Regex:
     if isinstance(body, Empty):
         return EMPTY
     run, body = _split_write_run(body)
@@ -565,18 +544,12 @@ def bank(
         writes = _merge_writes(writes, run)
     if isinstance(body, Bank):
         # Adjacent banks collapse; the outer one owns the alternative.
-        return bank(bk, _merge_writes(writes, body.writes), body.body, alloc, src)
+        return bank(bk, _merge_writes(writes, body.writes), body.body)
     if isinstance(body, Alt):
-        # Copy-on-distribution: the first term keeps this bank, each
-        # following term receives a fresh copy.  The ids need no order:
-        # disambiguation renumbers the surviving banks 1..k.
-        if alloc is None:
-            alloc = BankAlloc(max(max_bank(body), bk) + 1)
-        copy_src = src if src is not None else bk
-        parts = [bank(bk, writes, body.terms[0], alloc, src)]
-        parts += [bank(alloc.fresh(), writes, t, alloc, copy_src) for t in body.terms[1:]]
-        return alt(parts)
-    return Bank(bk, tuple(sorted(dict(writes).items())), body, src)
+        # Copy-on-distribution: every term gets a copy of this bank, named
+        # by the bank it reads; disambiguation numbers the survivors 1..k.
+        return alt([bank(bk, writes, t) for t in body.terms])
+    return Bank(bk, tuple(sorted(dict(writes).items())), body)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +786,7 @@ class _Parser:
             if c == "]":
                 self.take()
                 break
+            start = self.i
             lo = self._class_char()
             if (
                 self.peek() == "-"
@@ -821,6 +795,9 @@ class _Parser:
             ):
                 self.take()
                 hi = self._class_char()
+                if hi < lo:
+                    self.i = start
+                    raise self.error("reversed class range")
                 ranges.append((lo, hi))
             else:
                 ranges.append((lo, lo))
@@ -1009,8 +986,6 @@ def _show(r: Regex, prec: int) -> str:
     if isinstance(r, Bank):
         w = ",".join(f"s{s}\u2190{v}" for s, v in r.writes)
         head = f"\u03b2{r.bank}"
-        if r.src is not None:
-            head += f"^{r.src}"
         if w:
             head += "{" + w + "}"
         if isinstance(r.body, Eps):

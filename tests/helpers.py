@@ -25,7 +25,6 @@ from drex.syntax import (
     LATE,
     Alt,
     Bank,
-    BankAlloc,
     Cat,
     Inter,
     Not,
@@ -344,7 +343,7 @@ def derive_string(r: Regex, symbols, start_pos: int = 0) -> Regex:
     pos = start_pos
     for s in symbols:
         cp = ord(s) if isinstance(s, str) else s
-        r = derive(r, cp, pos, BankAlloc.after(r))
+        r = derive(r, cp, pos)
         pos += 1
     return r
 

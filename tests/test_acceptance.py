@@ -22,7 +22,7 @@ from drex.charset import alphabet_from_chars, single
 from drex.engine import match_full, match_lazy
 from drex.semantics import derivative_classes, derive
 from drex.submatch import POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER, teval
-from drex.syntax import BankAlloc, SyntaxOptions, is_nullable, parse, show
+from drex.syntax import SyntaxOptions, is_nullable, parse, show
 
 from helpers import oracle_posix_result, rand_expr, rand_tagged, strings_upto
 from oracle import language_upto
@@ -205,13 +205,13 @@ def test_criterion_10_teval_laws_and_dca_soundness():
         for _ in range(500):
             r = rand_tagged(rnd, rnd.randint(2, 5), list(range(6)))
             p = rnd.randint(0, 3)
-            once = teval(r, p, BankAlloc.after(r))
-            twice = teval(once, p, BankAlloc.after(once))
+            once = teval(r, p)
+            twice = teval(once, p)
             assert once == twice, show(r)
             assert language_upto(r, 5, "abc") == language_upto(once, 5, "abc"), show(r)
             for block in derivative_classes(r, ABC).blocks:
                 cps = list(block.codepoints())
-                ds = {derive(r, cp, 1, BankAlloc.after(r)) for cp in cps[:4]}
+                ds = {derive(r, cp, 1) for cp in cps[:4]}
                 assert len(ds) == 1, show(r)
 
 

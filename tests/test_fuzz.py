@@ -21,8 +21,8 @@ from drex.automaton import (
 )
 from drex.charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, alphabet_from_chars
 from drex.engine import match_full, match_lazy, step
-from drex.semantics import nu_ways
-from drex.submatch import HIGHER, apply_program, bank_compare
+from drex.semantics import derive, nu_ways
+from drex.submatch import HIGHER, apply_program, bank_compare, teval
 from drex.syntax import (
     EMPTY,
     POLICIES,
@@ -271,8 +271,12 @@ def test_compiled_acceptance_equals_run_time_ranking():
 
 
 @functools.lru_cache(maxsize=None)
-def _tagged_machines(seed: int) -> tuple:
-    """Built tagged machines: both generators x every policy x anchored/``ab``."""
+def _tagged_construction(seed: int) -> tuple:
+    """Built tagged machines: both generators x every policy x anchored/``ab``.
+
+    Each comes with the first depth and store of every state, captured
+    before ``build`` releases them.
+    """
     rnd = random.Random(seed)
     machines = []
     for gen in (rand_pattern, rand_tagged_pattern):
@@ -283,11 +287,32 @@ def _tagged_machines(seed: int) -> tuple:
                     try:
                         r, t = parse(pattern, SyntaxOptions(policy=policy))
                         if t.num_tags:
-                            machines.append(
-                                TaggedDfa(r, t, policy, alphabet, state_limit=2000).build())
+                            m = TaggedDfa(r, t, policy, alphabet, state_limit=2000)
+                            depths, stores = m.depths, m.stores
+                            machines.append((m.build(), depths, stores))
                     except (ParseError, StateLimitError):
                         continue
     return tuple(machines)
+
+
+def _tagged_machines(seed: int) -> tuple:
+    return tuple(m for m, _, _ in _tagged_construction(seed))
+
+
+def test_copies_name_the_banks_they_read():
+    # A bank copied by derivation or tag evaluation keeps the id of the
+    # bank it reads, so every top-level bank before disambiguation names
+    # a bank of the store the step runs against.
+    banks = 0
+    for m, depths, stores in _tagged_construction(11):
+        for i, row in enumerate(m.transitions):
+            for block, _, _ in row:
+                d = derive(m.states[i], block.pick(), depths[i])
+                for t in alt_terms(teval(d, depths[i] + 1)):
+                    if isinstance(t, Bank):
+                        assert t.bank in stores[i], (m.states[i], block, t)
+                        banks += 1
+    assert banks > 5000
 
 
 def test_accepting_states_are_the_nullable_ones():

@@ -21,7 +21,6 @@ from drex.semantics import (
 from drex.syntax import (
     Alt,
     Bank,
-    BankAlloc,
     Cat,
     EARLY,
     EMPTY,
@@ -130,7 +129,7 @@ class TestDerive:
     def test_memo_is_shared_and_holds_memory_free_inner_nodes(self):
         # One memo across symbols, positions and trees gives every
         # derivative a fresh call gives; it keys only inner nodes without
-        # memory, whose derivative reads neither position nor allocator.
+        # memory, whose derivative does not read the position.
         rnd = random.Random(14)
         memo = {}
         for _ in range(150):

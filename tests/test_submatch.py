@@ -21,7 +21,6 @@ from drex.submatch import (
 )
 from drex.syntax import (
     Bank,
-    BankAlloc,
     EARLY,
     EPSILON,
     LATE,
@@ -75,15 +74,15 @@ class TestTeval:
         for _ in range(500):
             r = rand_tagged(rnd, rnd.randint(2, 5), list(range(6)))
             p = rnd.randint(0, 3)
-            once = teval(r, p, BankAlloc.after(r))
-            twice = teval(once, p, BankAlloc.after(once))
+            once = teval(r, p)
+            twice = teval(once, p)
             assert once == twice, show(r)
 
     def test_preserves_language(self):
         rnd = random.Random(4321)
         for _ in range(200):
             r = rand_tagged(rnd, rnd.randint(2, 4), list(range(6)))
-            out = teval(r, rnd.randint(0, 3), BankAlloc.after(r))
+            out = teval(r, rnd.randint(0, 3))
             assert language_upto(r, 5, "abc") == language_upto(out, 5, "abc"), show(r)
 
     def test_emits_all_nullable_subexpression_tags(self):
@@ -125,7 +124,7 @@ class TestTeval:
             r = rand_tagged(rnd, rnd.randint(1, 4), list(range(4)))
             if not is_nullable(r):
                 continue
-            out = teval(r, 2, BankAlloc.after(r))
+            out = teval(r, 2)
             expected = nullable_tags(r)
             written = set()
             for term in alt_terms(out):
@@ -185,9 +184,7 @@ class TestDisambiguate:
         from drex.semantics import derive
 
         state, store = self.worked_state()
-        alloc = BankAlloc.after(state)
-        d = derive(state, ord("a"), 1, alloc)
-        d = teval(d, 2, alloc)
+        d = teval(derive(state, ord("a"), 1), 2)
         assert len(alt_terms(d)) == 5
         pruned, ops = disambiguate(d, GREEDY2, store, 2)
         terms = alt_terms(pruned)
@@ -208,9 +205,7 @@ class TestDisambiguate:
         from drex.semantics import derive
 
         state, store = self.worked_state()
-        alloc = BankAlloc.after(state)
-        d = derive(state, ord("a"), 1, alloc)
-        d = teval(d, 2, alloc)
+        d = teval(derive(state, ord("a"), 1), 2)
         pruned, ops = disambiguate(d, LAZY2, store, 2)
         new_store = dict(store)
         apply_program(new_store, ops, 2, 4)

@@ -238,6 +238,10 @@ class TestParser:
             with pytest.raises(ParseError, match="^unexpected end of pattern") as e:
                 parse(pat)
             assert e.value.position == pos
+        for pat, pos in [("[z-a]", 1), (r"x[\A-z]", 2)]:
+            with pytest.raises(ParseError, match="^reversed class range") as e:
+                parse(pat)
+            assert e.value.position == pos
 
     def test_non_capturing_groups(self):
         r, t = parse("(?:a+b)c")
@@ -282,7 +286,7 @@ class TestHashConsing:
     def test_defaults_filled_before_lookup(self):
         e = cat(A, B)
         assert Bank(1, (), e) == Bank(1, (), e)
-        assert Bank(1, (), e) is Bank(1, (), e, None)
+        assert Bank(1, (), e) is Bank(bank=1, writes=(), body=e)
         cs = from_chars("xy")
         assert Sym(cs) is Sym(cs, True) is Sym(chars=from_chars("yx"))
         assert Sym(cs) is not Sym(cs, False)

@@ -97,7 +97,7 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, Program]:
     store: Store = {}
     program: Program = ()
     if tags.num_tags:
-        expr = Bank(1, (), expr)
+        expr = Bank(1, expr)
         program = ((1, None, ()),)
         apply_program(store, program, 0, tags.num_tags)
         expr, more = normalize_step(expr, tags, store, 0)

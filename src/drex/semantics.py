@@ -72,10 +72,7 @@ def nu_ways(r: Regex, pos: int) -> list[Way]:
     if isinstance(r, Write):
         return [(None, ((r.slot, r.value),))]
     if isinstance(r, Bank):
-        out = []
-        for owner, w in nu_ways(r.body, pos):
-            out.append((r.bank, _merge_writes(r.writes, w)))
-        return _dedup(out)
+        return _dedup([(r.bank, w) for _, w in nu_ways(r.body, pos)])
     if isinstance(r, Cat):
         left = nu_ways(r.head, pos)
         if not left:
@@ -154,7 +151,7 @@ def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
             rest = _derive(r.tail, cp, pos, memo)
             piece = cat(writes_chain(writes), rest) if writes else rest
             if owner is not None:
-                piece = bank(owner, (), piece)
+                piece = bank(owner, piece)
             parts.append(piece)
         # A non-nullable head leaves one part, already canonical: alt([x]) is x.
         d = parts[0] if len(parts) == 1 else alt(parts)
@@ -165,7 +162,7 @@ def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
     elif isinstance(r, Not):
         d = comp(_derive(r.body, cp, pos, memo))
     elif isinstance(r, Bank):
-        return bank(r.bank, r.writes, _derive(r.body, cp, pos, memo))
+        return bank(r.bank, _derive(r.body, cp, pos, memo))
     else:
         raise TypeError(f"not a Regex: {r!r}")
     if key is not None:

@@ -1,12 +1,12 @@
 """Memory machinery: banks, slot writes, tag evaluation, disambiguation.
 
-A match run owns a bank store (bank id -> slot cells); expressions carry
-pending writes at their bank heads.  Tag evaluation converts tags that
-head nullable paths into writes; disambiguation applies pendings, keeps
-the highest-priority bank of every group of structurally equal
-alternatives, and emits the memory program realizing the survivors: an
-ordered tuple of bank rebuilds ``(dst, src, writes)``, ``apply_program``
-runs one.
+A match run owns a bank store (bank id -> slot cells); a bank's pending
+writes are the ``Write`` run that starts its body.  Tag evaluation
+converts tags that head nullable paths into writes; disambiguation
+applies the pending runs, keeps the highest-priority bank of every group
+of structurally equal alternatives, and emits the memory program
+realizing the survivors: an ordered tuple of bank rebuilds
+``(dst, src, writes)``, ``apply_program`` runs one.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _eps_plus(ways, pos: int) -> Regex:
         if writes:
             piece: Regex = writes_chain(writes)
             if owner is not None:
-                piece = Bank(owner, tuple(writes), EPSILON)
+                piece = Bank(owner, piece)
             terms.append(piece)
     return alt(terms)
 
@@ -127,7 +127,8 @@ def _eps_plus(ways, pos: int) -> Regex:
 def teval(r: Regex, pos: int) -> Regex:
     """Convert every tag heading a nullable path into a slot write at ``pos``.
 
-    Language-preserving and idempotent.  A bank copied when a
+    Language-preserving and idempotent.  The new writes join a bank's
+    pending run at the start of its body; a bank copied when a
     write-headed union distributes keeps the id of the bank it reads.
     """
     if isinstance(r, (Empty, Eps, Sym, Write)):
@@ -135,13 +136,7 @@ def teval(r: Regex, pos: int) -> Regex:
     if isinstance(r, Tag):
         return Write(r.index, pos)
     if isinstance(r, Bank):
-        if any(v == pos for _, v in r.writes):
-            # A pending write stamped with the current position marks a
-            # subterm this evaluation already produced: fixpoint.  (The
-            # engine stamps derivatives one position earlier, so fresh
-            # input never carries current-position writes.)
-            return r
-        return bank(r.bank, r.writes, teval(r.body, pos))
+        return bank(r.bank, teval(r.body, pos))
     if isinstance(r, Star):
         prefix = _eps_plus(nu_ways(teval(r.body, pos), pos), pos)
         return cat(prefix, r)
@@ -156,6 +151,10 @@ def teval(r: Regex, pos: int) -> Regex:
         if isinstance(head, Write):
             run, rest = _split_write_run(r)
             if any(v == pos for _, v in run):
+                # A write stamped with the current position marks a
+                # subterm this evaluation already produced: fixpoint.
+                # (The engine stamps derivatives one position earlier,
+                # so fresh input never carries current-position writes.)
                 return r
             return cat(writes_chain(run), teval(rest, pos))
         if isinstance(head, Tag):
@@ -177,35 +176,37 @@ def disambiguate(
 
     Each top-level bank names the bank of ``store`` it reads; several
     alternatives may read one bank.  Alternatives structurally equal up
-    to banks form a group (adjacent, as union terms are sorted); each
-    group's bank that ranks highest after its pending writes survives.
-    The survivors are numbered 1..k in term order.  Returns the pruned
-    expression (pendings cleared) and its program against ``store``:
+    to banks and pending writes form a group (adjacent, as union terms
+    are sorted); each group's bank that ranks highest after its pending
+    writes, the ``Write`` run that starts its body, survives.  The
+    survivors are numbered 1..k in term order.  Returns the pruned
+    expression (write runs dropped) and its program against ``store``:
     one rebuild for each survivor that moves or is written, the cells
     of the bank it reads with its writes as slot offsets from ``pos``,
     the position of this step's tag evaluation, in the order
     ``order_rebuilds`` gives.
     """
-    best: dict[tuple, tuple[Bank, Cells]] = {}
+    best: dict[tuple, tuple[int, list, Regex, Cells]] = {}
     pruned: list[Regex] = []
     for t in alt_terms(r):
         if not isinstance(t, Bank):
             pruned.append(t)
             continue
         key = order_key(t)
-        cells = apply_writes(store[t.bank], t.writes)
-        if key not in best or bank_compare(cells, best[key][1], tags) == HIGHER:
-            best[key] = (t, cells)
+        run, body = _split_write_run(t.body)
+        cells = apply_writes(store[t.bank], run)
+        if key not in best or bank_compare(cells, best[key][3], tags) == HIGHER:
+            best[key] = (t.bank, run, body, cells)
     if not best:
         return r, ()
     rebuilds: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    for new, (t, _) in enumerate(best.values(), 1):
-        pruned.append(Bank(new, (), t.body))
-        writes = tuple((slot, value - pos) for slot, value in t.writes)
+    for new, (src, run, body, _) in enumerate(best.values(), 1):
+        pruned.append(Bank(new, body))
+        writes = tuple((slot, value - pos) for slot, value in run)
         if any(offset not in (-1, 0) for _, offset in writes):
             raise AssertionError(f"write offsets {writes} out of range")
-        if t.bank != new or writes:
-            rebuilds[new] = (t.bank, writes)
+        if src != new or writes:
+            rebuilds[new] = (src, writes)
     # Scratch banks lie above every survivor id and source, kept ones
     # included, so parking a cycle overwrites no survivor.
     scratch = 1 + max([len(best)] + [src for src, _ in rebuilds.values()])

@@ -46,6 +46,7 @@ from .charset import (
     FULL,
     CharSet,
     from_ranges,
+    is_anchor,
     single,
 )
 
@@ -161,15 +162,16 @@ class Write(Regex):
 
 @_node
 class Bank(Regex):
-    """A memory bank heading one alternative, with pending slot writes.
+    """A memory bank heading one alternative.
 
-    Between derivation and disambiguation several alternatives may name
-    one bank: each is a copy of that bank's cells, and disambiguation
-    numbers the survivors 1..k.
+    The bank's pending slot writes are the ``Write`` run that starts its
+    body, in canonical order (by slot).  Between derivation and
+    disambiguation several alternatives may name one bank: each is a
+    copy of that bank's cells, and disambiguation numbers the survivors
+    1..k.
     """
 
     bank: int
-    writes: tuple[tuple[int, int], ...]
     body: Regex
 
 
@@ -307,7 +309,7 @@ def order_key(r: Regex) -> tuple:
     if isinstance(r, Write):
         return (k, r.slot, r.value)
     if isinstance(r, Bank):
-        return (k, order_key(r.body))
+        return (k, order_key(_split_write_run(r.body)[1]))
     if isinstance(r, (Star, Not)):
         return (k, order_key(r.body))
     if isinstance(r, Cat):
@@ -346,7 +348,7 @@ def writes_chain(writes: Iterable[tuple[int, int]], rest: Regex = EPSILON) -> Re
     """Prefix ``rest`` with a canonical run of slot writes.
 
     ``writes`` must already be deduped; ``rest`` must not itself start
-    with a write or a bank (callers strip those first).
+    with a write (callers strip those first).
     """
     r = rest
     for slot, value in sorted(writes, reverse=True):
@@ -380,15 +382,12 @@ def cat(a: Regex, b: Regex) -> Regex:
         return a
     if isinstance(a, Bank):
         # A bank heads its whole alternative: bk(c) z = bk(c z)
-        return bank(a.bank, a.writes, cat(a.body, b))
+        return bank(a.bank, cat(a.body, b))
     if _memory_headed_union(a):
         # Distribute memory-headed unions so pendings stay at term heads.
         return alt([cat(t, b) for t in a.terms])
     if isinstance(a, Write):
         run, rest = _split_write_run(Cat(a, b))
-        if isinstance(rest, Bank):
-            # writes ahead of a bank head fold into its pending list
-            return bank(rest.bank, _merge_writes(rest.writes, run), rest.body)
         if isinstance(rest, Alt):
             # keep every alternative's writes at its own head
             merged = _merge_writes((), run)
@@ -536,20 +535,16 @@ def comp(r: Regex) -> Regex:
     return Not(rest)
 
 
-def bank(bk: int, writes: tuple[tuple[int, int], ...], body: Regex) -> Regex:
+def bank(bk: int, body: Regex) -> Regex:
+    """Bank ``bk`` heading ``body``; a leading write run stays pending."""
     if isinstance(body, Empty):
         return EMPTY
-    run, body = _split_write_run(body)
-    if run:
-        writes = _merge_writes(writes, run)
-    if isinstance(body, Bank):
-        # Adjacent banks collapse; the outer one owns the alternative.
-        return bank(bk, _merge_writes(writes, body.writes), body.body)
     if isinstance(body, Alt):
-        # Copy-on-distribution: every term gets a copy of this bank, named
-        # by the bank it reads; disambiguation numbers the survivors 1..k.
-        return alt([bank(bk, writes, t) for t in body.terms])
-    return Bank(bk, tuple(sorted(dict(writes).items())), body)
+        # Copy-on-distribution: every term, with its own writes, gets a
+        # copy of this bank, named by the bank it reads; disambiguation
+        # numbers the survivors 1..k.
+        return alt([bank(bk, t) for t in body.terms])
+    return Bank(bk, body)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +767,7 @@ class _Parser:
                 return _ANCHOR_ESCAPES[e]
             if e in _CHAR_ESCAPES:
                 return _CHAR_ESCAPES[e]
-            self.i -= 1
+            self.i -= 2  # at the backslash, as outside a class
             raise self.error(f"unknown escape \\{e}" if e else "dangling escape")
         return ord(c)
 
@@ -798,6 +793,10 @@ class _Parser:
                 if hi < lo:
                     self.i = start
                     raise self.error("reversed class range")
+                if lo != hi and (is_anchor(lo) or is_anchor(hi)):
+                    # Anchors are symbols of their own, not a code-point span.
+                    self.i = start
+                    raise self.error("anchor escape in class range")
                 ranges.append((lo, hi))
             else:
                 ranges.append((lo, lo))
@@ -984,10 +983,7 @@ def _show(r: Regex, prec: int) -> str:
     if isinstance(r, Write):
         return f"s{r.slot}\u2190{r.value}"
     if isinstance(r, Bank):
-        w = ",".join(f"s{s}\u2190{v}" for s, v in r.writes)
         head = f"\u03b2{r.bank}"
-        if w:
-            head += "{" + w + "}"
         if isinstance(r.body, Eps):
             return head
         return head + "\u00b7" + _show(r.body, 2)

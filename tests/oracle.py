@@ -264,10 +264,7 @@ def enumerate_matches(r: Regex, tags: TagTable, s) -> set[BankValues]:
         if isinstance(r, Write):
             return {_set(b, r.slot, r.value)} if i == j else set()
         if isinstance(r, Bank):
-            cur = b
-            for slot, value in r.writes:
-                cur = _set(cur, slot, value)
-            return set(ways(r.body, i, j, cur))
+            return set(ways(r.body, i, j, b))
         if isinstance(r, Sym):
             return {b} if member_naive(r, w[i:j]) else set()
         if isinstance(r, Cat):

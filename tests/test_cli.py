@@ -100,10 +100,13 @@ class TestMatch:
             assert code == 2, engine
         assert call(["match", "--ascii", "~a", "e"])[0] == 0
 
-    def test_recursion_overflow_exit_2(self):
+    def test_recursion_overflow_exit_2(self, capsys):
         literal = "a" * 30_000
-        code, out = call(["match", literal, literal])
-        assert code == 2 and out == ""
+        nested = "(" * 5000 + "a" + ")" * 5000
+        for pattern, text in [(literal, literal), (nested, "a")]:
+            code, out = call(["match", pattern, text])
+            assert code == 2 and out == ""
+            assert "nests too deeply for the stack" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self):
         code, _ = call(["match", "(a", "x"])

@@ -35,6 +35,7 @@ from drex.syntax import (
     Star,
     SyntaxOptions,
     TagTable,
+    Write,
     alt,
     alt_terms,
     is_nullable,
@@ -315,6 +316,20 @@ def test_copies_name_the_banks_they_read():
     assert banks > 5000
 
 
+def test_teval_is_idempotent_on_banked_input():
+    # A bank's pending writes start its body, so a second evaluation
+    # stops at the run's current-position writes and returns the first.
+    checked = 0
+    for m, depths, _ in _tagged_construction(11):
+        for i, row in enumerate(m.transitions):
+            for block, _, _ in row:
+                d = depths[i]
+                once = teval(derive(m.states[i], block.pick(), d), d + 1)
+                assert teval(once, d + 1) is once, (m.states[i], block)
+                checked += 1
+    assert checked > 5000
+
+
 def test_accepting_states_are_the_nullable_ones():
     # Acceptance reads nullability and the banks as they stand; a state
     # accepts exactly when it has a way to accept the empty string, an
@@ -371,6 +386,22 @@ def test_states_are_alternatives_of_dense_banks():
             assert all(isinstance(t, Bank) for t in terms), e
             assert [t.bank for t in terms] == list(range(1, len(terms) + 1)), e
             assert all(not banks_in_order(t.body) for t in terms), e
+
+
+def test_states_hold_no_pending_writes():
+    # Disambiguation drops every bank's pending write run, and a bank
+    # heads only a top-level alternative: no tagged state holds a
+    # ``Write``, and no ``Bank`` lies below a top-level term.  A plain
+    # machine tracks no tags, so it holds no bank at all (the writes its
+    # derivatives emit are never applied).
+    for m in _tagged_machines(11):
+        for e in m.states:
+            for t in alt_terms(e):
+                body = t.body if isinstance(t, Bank) else t
+                assert not any(isinstance(x, (Bank, Write)) for x in _subterms(body)), e
+    for m in _plain_machines(11):
+        for e in m.states:
+            assert not any(isinstance(x, Bank) for x in _subterms(e)), e
 
 
 def _unparked(program):

@@ -31,6 +31,7 @@ from drex.syntax import (
     Star,
     Sym,
     Tag,
+    Write,
     alt,
     cat,
     comp,
@@ -68,21 +69,21 @@ class TestNullify:
         assert nullify(EPSILON).kind == NULLABLE_PLAIN
 
     def test_tagged_concat_not_nullable(self):
-        r = Bank(1, (), cat(Tag(EARLY, 0), cat(A, Tag(LATE, 1))))
+        r = Bank(1, cat(Tag(EARLY, 0), cat(A, Tag(LATE, 1))))
         assert nullify(r, 0).kind == NOT_NULLABLE
 
     def test_worked_three_term_expression(self):
         # only the bare-bank alternative accepts the empty string
-        long = Bank(1, (), cat(star(A), cat(Tag(LATE, 1),
+        long = Bank(1, cat(star(A), cat(Tag(LATE, 1),
                    cat(Tag(EARLY, 2), cat(star(A), cat(Tag(LATE, 3), A))))))
-        short = Bank(2, (), cat(star(A), cat(Tag(LATE, 3), A)))
-        bare = Bank(3, (), EPSILON)
+        short = Bank(2, cat(star(A), cat(Tag(LATE, 3), A)))
+        bare = Bank(3, EPSILON)
         res = nullify(alt([long, short, bare]), 2)
         assert res.kind == NULLABLE_WITH_MEMORY
         assert res.entries == ((3, ()),)
 
     def test_tag_nulls_emit_position(self):
-        r = Bank(1, (), cat(Tag(EARLY, 0), cat(star(A), Tag(LATE, 1))))
+        r = Bank(1, cat(Tag(EARLY, 0), cat(star(A), Tag(LATE, 1))))
         res = nullify(r, 5)
         assert res.entries == ((1, ((0, 5), (1, 5))),)
 
@@ -109,9 +110,9 @@ class TestDerive:
     def test_tag_crossing_emits_pending_write(self):
         # deriving across an opening tag records the current position on
         # the bank, leaving the rest of the group pending
-        r = Bank(1, (), cat(Tag(EARLY, 0), cat(A, cat(Tag(LATE, 1), B))))
+        r = Bank(1, cat(Tag(EARLY, 0), cat(A, cat(Tag(LATE, 1), B))))
         d = derive(r, ord("a"), 0)
-        assert d == Bank(1, ((0, 0),), cat(Tag(LATE, 1), B))
+        assert d == Bank(1, cat(Write(0, 0), cat(Tag(LATE, 1), B)))
 
     def test_derivative_of_complement_commutes(self):
         rnd = random.Random(11)
@@ -134,7 +135,7 @@ class TestDerive:
         memo = {}
         for _ in range(150):
             mid, rest = rand_expr(rnd, 3), rand_expr(rnd, 3)
-            r = Bank(1, (), cat(Tag(EARLY, 0), cat(mid, cat(Tag(LATE, 1), rest))))
+            r = Bank(1, cat(Tag(EARLY, 0), cat(mid, cat(Tag(LATE, 1), rest))))
             for pos, c in enumerate("abcab"):
                 for e in (r, mid, cat(mid, rest)):
                     assert derive(e, ord(c), pos, memo=memo) == derive(e, ord(c), pos)

@@ -55,8 +55,8 @@ LAZY2 = table([EARLY, EARLY, EARLY, EARLY])
 
 class TestTeval:
     def test_pending_late_tag_becomes_write(self):
-        r = Bank(1, ((0, 0),), Tag(LATE, 1))
-        assert teval(r, 1) == Bank(1, ((0, 0), (1, 1)), EPSILON)
+        r = Bank(1, cat(Write(0, 0), Tag(LATE, 1)))
+        assert teval(r, 1) == Bank(1, cat(Write(0, 0), Write(1, 1)))
 
     def test_nullable_star_body_stamps_whole_pair(self):
         body = cat(Tag(EARLY, 0), cat(star(cat(Tag(EARLY, 2), cat(A, Tag(LATE, 3)))),
@@ -172,10 +172,10 @@ class TestDisambiguate:
     def worked_state(self):
         # the three-alternative state of the running example, with its
         # banks holding the positions recorded after one symbol
-        long = Bank(1, (), cat(star(A), cat(Tag(LATE, 1),
+        long = Bank(1, cat(star(A), cat(Tag(LATE, 1),
                    cat(Tag(EARLY, 2), cat(star(A), cat(Tag(LATE, 3), A))))))
-        short = Bank(2, (), cat(star(A), cat(Tag(LATE, 3), A)))
-        bare = Bank(3, (), EPSILON)
+        short = Bank(2, cat(star(A), cat(Tag(LATE, 3), A)))
+        bare = Bank(3, EPSILON)
         state = alt([long, short, bare])
         store = {1: (0, None, None, None), 2: (0, 0, 0, None), 3: (0, 0, 0, 0)}
         return state, store
@@ -214,15 +214,15 @@ class TestDisambiguate:
         assert (0, 0, 0, 1) in cells
 
     def test_single_term_passthrough(self):
-        r = Bank(1, ((0, 2),), star(A))
+        r = Bank(1, cat(Write(0, 2), star(A)))
         pruned, ops = disambiguate(r, GREEDY2, {1: (None,) * 4}, 2)
-        assert pruned == Bank(1, (), star(A))
+        assert pruned == Bank(1, star(A))
         assert ops == ((1, 1, ((0, 0),)),)
 
 
 class TestCompaction:
     def test_dense_renumbering(self):
-        r = alt([Bank(4, (), star(A)), Bank(7, (), star(B))])
+        r = alt([Bank(4, star(A)), Bank(7, star(B))])
         store = {4: (1,), 7: (2,)}
         out, ops = disambiguate(r, TagTable((EARLY,)), store, 0)
         assert [t.bank for t in alt_terms(out)] == [1, 2]
@@ -254,9 +254,9 @@ class TestPlans:
 
     def test_copies_then_a_write_rebuild_once(self):
         # A survivor that moves and is written gets one step.
-        r = Bank(3, ((0, 2), (2, 1)), star(A))
+        r = Bank(3, cat(Write(0, 2), cat(Write(2, 1), star(A))))
         pruned, program = disambiguate(r, GREEDY2, {3: (None,) * 4}, 2)
-        assert pruned == Bank(1, (), star(A))
+        assert pruned == Bank(1, star(A))
         assert program == ((1, 3, ((0, 0), (2, -1))),)
         program, _ = self.both({1: (2, ()), 2: (3, ((1, 0),))})
         assert program == ((1, 2, ()), (2, 3, ((1, 0),)))

@@ -78,9 +78,9 @@ class TestSimilarityIdentities:
     def test_eps_plus_bank(self):
         # eps + bank absorbs the epsilon (a recorded empty match beats an
         # unrecorded one)
-        bare = Bank(2, ((0, 1),), EPSILON)
+        bare = Bank(2, Write(0, 1))
         assert alt([EPSILON, bare]) == bare
-        nullable = Bank(1, (), star(A))
+        nullable = Bank(1, star(A))
         assert alt([EPSILON, nullable]) == nullable
         assert alt([EPSILON, Write(0, 3)]) == Write(0, 3)
         # a plain nullable alternative does not absorb the epsilon
@@ -101,11 +101,17 @@ class TestSimilarityIdentities:
     def test_bank_absorbs_leading_writes_and_merges(self):
         from drex.syntax import bank
 
-        assert bank(1, (), cat(Write(0, 0), cat(Write(1, 1), A))) == Bank(
-            1, ((0, 0), (1, 1)), A
+        # a write-headed body is the bank's pending run, kept as it is
+        body = cat(Write(1, 1), cat(Write(0, 0), A))
+        assert body == cat(Write(0, 0), cat(Write(1, 1), A))
+        assert bank(1, body) == Bank(1, body)
+        # a union body gives every term its own copy and its own writes
+        union = alt([cat(Write(0, 0), A), cat(Write(0, 1), B)])
+        assert bank(1, union) == alt(
+            [Bank(1, cat(Write(0, 0), A)), Bank(1, cat(Write(0, 1), B))]
         )
         # a bank heading a chain owns the whole alternative
-        assert cat(Bank(1, (), A), B) == Bank(1, (), cat(A, B))
+        assert cat(Bank(1, A), B) == Bank(1, cat(A, B))
 
 
 def test_canonicalization_idempotent_on_random_trees():
@@ -147,14 +153,14 @@ def test_normalization_preserves_language():
 
 class TestEqualModBanks:
     def test_identical_erasures(self):
-        r1 = Bank(1, (), star(A))
-        r2 = Bank(2, ((0, 3),), star(A))
+        r1 = Bank(1, star(A))
+        r2 = Bank(2, cat(Write(0, 3), star(A)))
         assert equal_mod_banks(r1, r2) == [(1, 2)]
-        assert equal_mod_banks(Bank(1, (), star(A)), Bank(1, (), star(B))) is None
+        assert equal_mod_banks(Bank(1, star(A)), Bank(1, star(B))) is None
 
     def test_positional_pairing(self):
-        r1 = alt([Bank(1, (), cat(star(A), Tag(LATE, 1))), Bank(2, (), EPSILON)])
-        r2 = alt([Bank(4, (), cat(star(A), Tag(LATE, 1))), Bank(5, (), EPSILON)])
+        r1 = alt([Bank(1, cat(star(A), Tag(LATE, 1))), Bank(2, EPSILON)])
+        r2 = alt([Bank(4, cat(star(A), Tag(LATE, 1))), Bank(5, EPSILON)])
         pairing = equal_mod_banks(r1, r2)
         assert pairing is not None
         assert sorted(pairing) == [(1, 4), (2, 5)]
@@ -226,6 +232,8 @@ class TestParser:
     def test_class_ranges_and_escapes(self):
         r, _ = parse("[a-c]")
         assert r == sym(from_chars("abc"))
+        # a range whose ends are one anchor is that anchor
+        assert parse(r"[\A-\A]")[0] == parse(r"[\A]")[0] == parse(r"\A")[0]
         r, _ = parse(r"\*\+\~")
         assert member_naive(r, "*+~")
 
@@ -242,6 +250,19 @@ class TestParser:
             with pytest.raises(ParseError, match="^reversed class range") as e:
                 parse(pat)
             assert e.value.position == pos
+        for pat, pos in [(r"[a-\z]", 1), (r"x[\A-\z]", 2), (r"[b\<-\>]", 2)]:
+            with pytest.raises(ParseError, match="^anchor escape in class range") as e:
+                parse(pat)
+            assert e.value.position == pos
+        for pat, pos, msg in [("*a", 0, r"^unexpected '\*'"), ("]a", 0, "^unexpected ']'"),
+                              (r"[\q]", 1, r"^unknown escape \\q"), ("[\\", 1, "^dangling escape")]:
+            with pytest.raises(ParseError, match=msg) as e:
+                parse(pat)
+            assert e.value.position == pos
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="^unknown policy 'x'$"):
+            parse("a", SyntaxOptions(policy="x"))
 
     def test_non_capturing_groups(self):
         r, t = parse("(?:a+b)c")
@@ -261,8 +282,8 @@ class TestParser:
 
 
 def test_order_key_blind_to_banks():
-    r1 = Bank(1, ((0, 5),), star(A))
-    r2 = Bank(9, (), star(A))
+    r1 = Bank(1, cat(Write(0, 5), star(A)))
+    r2 = Bank(9, star(A))
     assert order_key(r1) == order_key(r2)
 
 
@@ -285,8 +306,8 @@ class TestHashConsing:
 
     def test_defaults_filled_before_lookup(self):
         e = cat(A, B)
-        assert Bank(1, (), e) == Bank(1, (), e)
-        assert Bank(1, (), e) is Bank(bank=1, writes=(), body=e)
+        assert Bank(1, e) == Bank(1, e)
+        assert Bank(1, e) is Bank(bank=1, body=e)
         cs = from_chars("xy")
         assert Sym(cs) is Sym(cs, True) is Sym(chars=from_chars("yx"))
         assert Sym(cs) is not Sym(cs, False)

@@ -91,15 +91,15 @@ def _outside(cp: int) -> ValueError:
 def _atom_bounds(e: Regex) -> set[int]:
     """The bounds of every symbol-class atom of ``e``."""
     bounds: set[int] = set()
-    seen = set()  # ids of the inner nodes walked: hash-consed nodes are shared
+    seen = set()  # inner nodes walked: hash-consed, shared, hashed by identity
     stack = [e]
     while stack:
         x = stack.pop()
         kind = type(x)
         if kind is Sym:
             bounds.update(x.chars.bounds)
-        elif id(x) not in seen:
-            seen.add(id(x))
+        elif x not in seen:
+            seen.add(x)
             if kind is Cat:
                 stack += (x.head, x.tail)
             elif kind is Alt or kind is Inter:
@@ -362,7 +362,9 @@ def make_dfa(
 ) -> Dfa:
     """Worklist construction over derivative-class blocks (tag-free).
 
-    A plain DFA reads the text as it is, so its alphabet has no anchors.
+    The machine tracks no tags, so ``engine.start`` erases the pattern's
+    memory and no state holds any.  A plain DFA reads the text as it
+    is, so its alphabet has no anchors.
     The ``Dfa`` is a view of the built machine, which it keeps to run.
     """
     if alphabet.with_anchors:

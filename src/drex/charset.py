@@ -83,12 +83,6 @@ class CharSet:
             raise ValueError("empty symbol set has no members")
         return self.bounds[0]
 
-    def __str__(self) -> str:
-        parts = []
-        for lo, hi in self.ranges():
-            parts.append(f"{lo:#x}" if lo == hi else f"{lo:#x}-{hi:#x}")
-        return "{" + ",".join(parts) + "}"
-
 
 def _combine(x: CharSet, y: CharSet, table: tuple[bool, bool, bool, bool]) -> CharSet:
     """One merge of the two boundary lists.

@@ -36,7 +36,6 @@ from .syntax import (
     SyntaxOptions,
     TagTable,
     cat,
-    erase_memory,
     parse,
     show,
     show_class,
@@ -120,10 +119,10 @@ def _cmd_compile(args, _text, out) -> int:
 
 
 def _cmd_grep(args, text: str, out) -> int:
-    # Tags never change the language, and a line's verdict needs no spans.
+    # A line's verdict needs no spans: the machine tracks no tags.
     regex, _ = _parse(args)
     any_sym = star(sym(_base(args)))
-    anywhere = erase_memory(cat(any_sym, cat(regex, any_sym)))
+    anywhere = cat(any_sym, cat(regex, any_sym))
     # One machine serves every line.  Posix keeps the longest match, which
     # the whole-line test below needs.
     m = _machine(args, anywhere, TagTable(), POLICY_POSIX)

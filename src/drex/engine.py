@@ -32,6 +32,8 @@ from .syntax import (
     Regex,
     TagTable,
     cat,
+    erase_memory,
+    has_memory,
     is_nullable,
 )
 
@@ -91,8 +93,11 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, Program]:
     when the pattern consumes nothing).  When tags are tracked, bank 1
     is opened all unset, ``(1, None, ())``, and the first tag evaluation
     runs at position 0; the returned program has already been applied to
-    the store.
+    the store.  When none are, the pattern's memory is erased: tags never
+    change the language, so a tag-free machine carries none.
     """
+    if not tags.num_tags and has_memory(r):
+        r = erase_memory(r)
     expr = cat(r, ANCHOR_RUN) if pad else r
     store: Store = {}
     program: Program = ()

@@ -11,7 +11,7 @@ realizing the survivors: an ordered tuple of bank rebuilds
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .semantics import nu_ways
 from .syntax import (
@@ -253,13 +253,14 @@ def normalize_step(r: Regex, tags: TagTable, store: Store, pos: int) -> tuple[Re
 
 
 def extract_submatches(
-    cells: Cells, tags: TagTable, origin: Optional[tuple[int, ...]] = None
+    cells: Cells, tags: TagTable, origin: Optional[Mapping[int, int]] = None
 ) -> list[Optional[tuple[int, int]]]:
     """Group spans from a final bank, in user group order.
 
-    Stream positions are translated to text offsets through ``origin``
-    (identity when omitted); a group with an unset boundary is reported
-    as unmatched.
+    ``origin`` maps each stream position the bank holds to its text
+    offset (``tagged_dfa_match`` passes a dict over just those
+    positions); when omitted, positions are reported as they are.  A
+    group with an unset boundary is reported as unmatched.
     """
     spans: list[Optional[tuple[int, int]]] = []
     for open_tag, close_tag in tags.group_pairs:

@@ -6,8 +6,8 @@ symbols used for submatch tracking (position tags, memory banks, slot
 writes).  Smart constructors rewrite every expanded-similarity identity
 on the fly, so two expressions that differ only by those identities
 build the same tree.  Nodes are hash-consed: building a tree equal to a
-live one returns that very object, so ``==`` is identity and a node's
-hash is stored, both O(1) whatever the size of the tree.
+live one returns that very object, so ``==`` is identity and the hash
+is the object's own, both O(1) whatever the size of the tree.
 
 Surface syntax (full table in the README):
 
@@ -62,8 +62,9 @@ class _Interned(type):
     """Metaclass that hash-conses expression nodes.
 
     A constructor call with the fields of a live node returns that node,
-    so structurally equal trees are one object.  Defaults are filled in
-    before the lookup.
+    so structurally equal trees are one object and identity is the
+    hash.  Defaults are filled in before the lookup.  A key holds its
+    children, so no live key names a collected node.
     """
 
     def __call__(cls, *args, **kwargs):
@@ -76,8 +77,6 @@ class _Interned(type):
         node = _INTERNED.get(key)
         if node is None:
             node = super().__call__(*args)
-            # Children's hashes are stored: O(fields + terms), not O(tree).
-            object.__setattr__(node, "_hash", hash((cls.__name__, *args)))
             _INTERNED[key] = node
         return node
 
@@ -85,13 +84,11 @@ class _Interned(type):
 class Regex(metaclass=_Interned):
     """Base class for canonical expression nodes.
 
-    Nodes are hash-consed: equality is identity and the hash is stored.
+    Nodes are hash-consed, so they keep ``object``'s identity equality
+    and hash.
     """
 
-    __slots__ = ("_hash", "__weakref__")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("__weakref__",)
 
 
 _node = dataclass(frozen=True, eq=False, slots=True)

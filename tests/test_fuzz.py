@@ -34,6 +34,7 @@ from drex.syntax import (
     ParseError,
     Star,
     SyntaxOptions,
+    Tag,
     TagTable,
     Write,
     alt,
@@ -392,8 +393,9 @@ def test_states_hold_no_pending_writes():
     # Disambiguation drops every bank's pending write run, and a bank
     # heads only a top-level alternative: no tagged state holds a
     # ``Write``, and no ``Bank`` lies below a top-level term.  A plain
-    # machine tracks no tags, so it holds no bank at all (the writes its
-    # derivatives emit are never applied).
+    # machine tracks no tags, so its pattern's memory is erased first:
+    # it holds no memory at all, and ``(a)(b*)`` builds the machine of
+    # ``(?:a)(?:b*)``.
     for m in _tagged_machines(11):
         for e in m.states:
             for t in alt_terms(e):
@@ -401,7 +403,11 @@ def test_states_hold_no_pending_writes():
                 assert not any(isinstance(x, (Bank, Write)) for x in _subterms(body)), e
     for m in _plain_machines(11):
         for e in m.states:
-            assert not any(isinstance(x, Bank) for x in _subterms(e)), e
+            assert not any(isinstance(x, (Bank, Tag, Write)) for x in _subterms(e)), e
+    for alphabet in (Alphabet(with_anchors=False), alphabet_from_chars("ab")):
+        grouped, plain = (make_dfa(parse(p)[0], alphabet) for p in ("(a)(b*)", "(?:a)(?:b*)"))
+        assert export_json(grouped) == export_json(plain)
+        assert export_dot(grouped) == export_dot(plain)
 
 
 def _unparked(program):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from drex import syntax
 from drex.charset import from_chars
 from drex.syntax import (
     Alt,
@@ -17,6 +18,7 @@ from drex.syntax import (
     LATE,
     Not,
     ParseError,
+    Regex,
     Star,
     Sym,
     SyntaxOptions,
@@ -317,16 +319,20 @@ class TestHashConsing:
         assert Star(A) != Not(A)
 
     def test_equal_nodes_hash_equal(self):
-        # The hash follows the structure, not the object: a tree built
-        # again after the first one was dropped hashes the same.
+        # Equal trees are one object, so the object's own hash and
+        # equality serve; a tree built again after the first one was
+        # dropped is equal in structure, though it may be a new object.
         for seed in range(20):
             r = rand_expr(random.Random(seed), 4)
             assert rand_expr(random.Random(seed), 4) is r
-            h, text = hash(r), repr(r)
+            text = repr(r)
             del r
             gc.collect()
-            again = rand_expr(random.Random(seed), 4)
-            assert repr(again) == text and hash(again) == h
+            assert repr(rand_expr(random.Random(seed), 4)) == text
+        nodes = [c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, Regex)]
+        assert len(nodes) == 12
+        for c in nodes:
+            assert c.__hash__ is object.__hash__ and c.__eq__ is object.__eq__, c
 
     def test_unreferenced_nodes_leave_the_table(self):
         gc.collect()

@@ -212,10 +212,11 @@ class TaggedDfa:
     blocks are computed when it is created, and an edge (``engine.step``
     at one symbol of the block, from the state's first depth and store)
     when a run first takes it; ``build`` takes every edge.  The steps of
-    one machine share a derivative memo (see ``semantics.derive``): it
-    lives and dies with the construction tables (``index``, ``depths``,
-    ``stores``), which ``build`` releases.  Programs are
-    position-relative, so the machine is depth-independent at run time.
+    one machine share a derivative memo (see ``semantics.derive``) for
+    every inner node: it lives and dies with the construction tables
+    (``index``, ``depths``, ``stores``), which ``build`` releases.
+    Pending writes are step offsets from derivation on, so programs are
+    position-relative and the machine is depth-independent at run time.
     The alphabet decides anchoring: with anchors, the machine pads the
     pattern with the trailing anchor run and runs on the anchor-injected
     stream.
@@ -233,7 +234,7 @@ class TaggedDfa:
         self.states: list[Regex] = []
         self.depths: Optional[list[int]] = []
         self.stores: Optional[list[Store]] = []
-        self._memo: Optional[dict] = {}  # (node, symbol) -> derivative
+        self._memo: Optional[dict] = {}  # (node, symbol, -1) -> derivative
         # Per state, [block, target, program] edges; target None until taken.
         self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}

@@ -70,15 +70,13 @@ class MatchResult:
 def match_lazy(r: Regex, s) -> bool:
     """Whole-string recognition by iterated derivatives (no anchors).
 
-    One derivative memo serves the whole run, so a repeated (state,
-    symbol) pair of a tag-free run is derived once.
+    Every derivative is taken at position -1, as in ``step``, so one memo
+    serves the whole run and a repeated (state, symbol) pair is derived once.
     """
-    pos = 0
     memo: dict = {}
     for c in s:
         cp = ord(c) if isinstance(c, str) else c
-        r = derive(r, cp, pos, memo=memo)
-        pos += 1
+        r = derive(r, cp, -1, memo=memo)
         if r == EMPTY:
             return False
     return is_nullable(r)
@@ -116,17 +114,16 @@ def step(
 ) -> tuple[Regex, Program]:
     """Consume the symbol at ``pos``: derive, then normalize at ``pos + 1``.
 
-    Normalization (tag evaluation, then disambiguation, which numbers
-    the surviving banks 1..k) updates ``store`` in place and returns the
-    program it applied.  Without
-    tracked tags positions are irrelevant, so the derivative is taken at
-    position 0 and equal residuals stay equal trees.  ``memo`` is
-    ``derive``'s derivative memo, shared by the steps of one machine.
+    The derivative is taken at position -1, so its pending writes are
+    step offsets, equal residuals stay equal trees at every depth, and
+    ``memo``, ``derive``'s derivative memo shared by the steps of one
+    machine, serves every inner node.  Normalization (tag evaluation,
+    then disambiguation, which numbers the surviving banks 1..k) updates
+    ``store`` in place and returns the program it applied; a machine
+    tracking no tags holds no memory and skips it.
     """
-    if not tags.num_tags:
-        return derive(expr, cp, 0, memo), ()
-    expr = derive(expr, cp, pos, memo)
-    if expr == EMPTY:
+    expr = derive(expr, cp, -1, memo)
+    if not tags.num_tags or expr == EMPTY:
         return expr, ()
     return normalize_step(expr, tags, store, pos + 1)
 

@@ -7,11 +7,11 @@ it crosses.  A bank copied by distributing over a union keeps the id of
 the bank it reads, so a derivative names only banks of its input and
 changes no state outside its result.
 
-Below a node without memory (no tag, bank or pending write) the
-position is not read, so that node's derivative depends on the symbol
-alone.  Such nodes are hash-consed and shared by the states of a
-machine, so a derivative memo keyed by (node, symbol) serves every
-state and every step that meets them.
+The engine derives at position -1, so from derivation on a pending
+write holds a step offset (-1 the symbol just read, 0 the position
+after it).  A derivative then depends on node and symbol alone, and the
+hash-consed nodes are shared by a machine's states, so one memo keyed by
+(node, symbol, position) serves every inner node of every step.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .syntax import (
     bank,
     cat,
     comp,
-    has_memory,
     inter,
     is_nullable,
     writes_chain,
@@ -117,11 +116,11 @@ def derive(r: Regex, cp: int, pos: int = 0, memo: Optional[dict] = None) -> Rege
     """The derivative of ``r`` with respect to one working-alphabet symbol.
 
     Tags crossed on the way emit pending slot writes stamped with
-    ``pos``; a bank copied by distributing over a union keeps the id of
-    the bank it reads.  ``memo`` maps (node, symbol) to the derivative
-    of each memory-free inner node met: such a derivative does not read
-    ``pos``, so one memo may serve many calls at any position; a fresh
-    one is used when omitted.
+    ``pos``; the engine passes -1, so each write is a step offset.  A
+    bank copied by distributing over a union keeps the id of the bank it
+    reads.  ``memo`` maps (node, symbol, position) to the derivative of
+    every inner node met, so one memo may serve many calls; a fresh one
+    is used when omitted.
     """
     return _derive(r, cp, pos, {} if memo is None else memo)
 
@@ -135,14 +134,12 @@ def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
         if r.transparent and is_anchor(cp):
             return r
         return EMPTY
-    # Leaves are cheaper to derive than to look up; inner nodes without
-    # memory (never a Bank) are derived once per symbol.
-    key = None
-    if not has_memory(r):
-        key = (r, cp)
-        d = memo.get(key)
-        if d is not None:
-            return d
+    # Leaves are cheaper to derive than to look up; every inner node is
+    # derived once per symbol and position.
+    key = (r, cp, pos)
+    d = memo.get(key)
+    if d is not None:
+        return d
     if isinstance(r, Star):
         d = cat(_derive(r.body, cp, pos, memo), r)
     elif isinstance(r, Cat):
@@ -162,11 +159,10 @@ def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
     elif isinstance(r, Not):
         d = comp(_derive(r.body, cp, pos, memo))
     elif isinstance(r, Bank):
-        return bank(r.bank, _derive(r.body, cp, pos, memo))
+        d = bank(r.bank, _derive(r.body, cp, pos, memo))
     else:
         raise TypeError(f"not a Regex: {r!r}")
-    if key is not None:
-        memo[key] = d
+    memo[key] = d
     return d
 
 

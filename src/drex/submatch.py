@@ -1,12 +1,14 @@
 """Memory machinery: banks, slot writes, tag evaluation, disambiguation.
 
 A match run owns a bank store (bank id -> slot cells); a bank's pending
-writes are the ``Write`` run that starts its body.  Tag evaluation
-converts tags that head nullable paths into writes; disambiguation
-applies the pending runs, keeps the highest-priority bank of every group
-of structurally equal alternatives, and emits the memory program
-realizing the survivors: an ordered tuple of bank rebuilds
-``(dst, src, writes)``, ``apply_program`` runs one.
+writes are the ``Write`` run that starts its body, each a step offset
+from derivation on (-1 the symbol just read, 0 the position after it).
+Tag evaluation converts tags that head nullable paths into writes;
+disambiguation lays the pending runs over the cells at the step's
+position, keeps the highest-priority bank of every group of
+structurally equal alternatives, and emits the memory program realizing
+the survivors: an ordered tuple of bank rebuilds ``(dst, src, writes)``,
+``apply_program`` runs one.
 """
 
 from __future__ import annotations
@@ -68,16 +70,15 @@ def apply_program(store: Store, program: Program, pos: int, n_slots: int) -> Non
     position after it.
     """
     for dst, src, writes in program:
-        cells = list(store[src]) if src is not None else [UNSET] * n_slots
-        for slot, offset in writes:
-            cells[slot] = pos + offset
-        store[dst] = tuple(cells)
+        cells = store[src] if src is not None else (UNSET,) * n_slots
+        store[dst] = apply_writes(cells, writes, pos)
 
 
-def apply_writes(cells: Cells, writes: Iterable[tuple[int, int]]) -> Cells:
+def apply_writes(cells: Cells, writes: Iterable[tuple[int, int]], pos: int) -> Cells:
+    """``cells`` with each ``(slot, offset)`` of ``writes`` set to ``pos + offset``."""
     out = list(cells)
-    for slot, value in writes:
-        out[slot] = value
+    for slot, offset in writes:
+        out[slot] = pos + offset
     return tuple(out)
 
 
@@ -151,10 +152,10 @@ def teval(r: Regex, pos: int) -> Regex:
         if isinstance(head, Write):
             run, rest = _split_write_run(r)
             if any(v == pos for _, v in run):
-                # A write stamped with the current position marks a
-                # subterm this evaluation already produced: fixpoint.
-                # (The engine stamps derivatives one position earlier,
-                # so fresh input never carries current-position writes.)
+                # A write stamped with this evaluation's position marks
+                # a subterm it already produced: fixpoint.  (The engine
+                # derives at offset -1 and evaluates at offset 0, so
+                # fresh input never carries an offset-0 write.)
                 return r
             return cat(writes_chain(run), teval(rest, pos))
         if isinstance(head, Tag):
@@ -179,32 +180,29 @@ def disambiguate(
     to banks and pending writes form a group (adjacent, as union terms
     are sorted); each group's bank that ranks highest after its pending
     writes, the ``Write`` run that starts its body, survives.  The
-    survivors are numbered 1..k in term order.  Returns the pruned
-    expression (write runs dropped) and its program against ``store``:
-    one rebuild for each survivor that moves or is written, the cells
-    of the bank it reads with its writes as slot offsets from ``pos``,
-    the position of this step's tag evaluation, in the order
-    ``order_rebuilds`` gives.
+    survivors are numbered 1..k in term order.  Pending writes are step
+    offsets, laid over the cells at ``pos``, the position of this step's
+    tag evaluation, to rank a bank.  Returns the pruned expression (write
+    runs dropped) and its program against ``store``: one rebuild for
+    each survivor that moves or is written, the cells of the bank it
+    reads with its run as it is, in the order ``order_rebuilds`` gives.
     """
-    best: dict[tuple, tuple[int, list, Regex, Cells]] = {}
+    best: dict[tuple, tuple[int, tuple, Regex, Cells]] = {}
     pruned: list[Regex] = []
     for t in alt_terms(r):
         if not isinstance(t, Bank):
             pruned.append(t)
             continue
-        key = order_key(t)
         run, body = _split_write_run(t.body)
-        cells = apply_writes(store[t.bank], run)
+        key = order_key(body)
+        cells = apply_writes(store[t.bank], run, pos)
         if key not in best or bank_compare(cells, best[key][3], tags) == HIGHER:
-            best[key] = (t.bank, run, body, cells)
+            best[key] = (t.bank, tuple(run), body, cells)
     if not best:
         return r, ()
     rebuilds: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    for new, (src, run, body, _) in enumerate(best.values(), 1):
+    for new, (src, writes, body, _) in enumerate(best.values(), 1):
         pruned.append(Bank(new, body))
-        writes = tuple((slot, value - pos) for slot, value in run)
-        if any(offset not in (-1, 0) for _, offset in writes):
-            raise AssertionError(f"write offsets {writes} out of range")
         if src != new or writes:
             rebuilds[new] = (src, writes)
     # Scratch banks lie above every survivor id and source, kept ones
@@ -239,11 +237,13 @@ def order_rebuilds(rebuilds: dict[int, tuple[int, tuple]], scratch: int) -> Prog
 def normalize_step(r: Regex, tags: TagTable, store: Store, pos: int) -> tuple[Regex, Program]:
     """One engine step after a derivative: teval, then disambiguate.
 
-    Every bank of ``r`` names a bank of ``store``.  Returns the
-    normalized expression (banks 1..k, no pendings) and its memory
-    program, which has already been applied to ``store``.
+    Every bank of ``r`` names a bank of ``store``; its pending writes
+    are step offsets (the engine derives at -1, tag evaluation stamps 0),
+    laid over the store at ``pos``.  Returns the normalized expression
+    (banks 1..k, no pendings) and its memory program, which has already
+    been applied to ``store``.
     """
-    r = teval(r, pos)
+    r = teval(r, 0)
     r, program = disambiguate(r, tags, store, pos)
     apply_program(store, program, pos, tags.num_tags)
     return r, program

@@ -151,7 +151,7 @@ class Tag(Regex):
 
 @_node
 class Write(Regex):
-    """Pending update of one memory slot with a recorded position."""
+    """Pending update of one memory slot; the engine stamps a step offset."""
 
     slot: int
     value: int
@@ -384,12 +384,12 @@ def cat(a: Regex, b: Regex) -> Regex:
         # Distribute memory-headed unions so pendings stay at term heads.
         return alt([cat(t, b) for t in a.terms])
     if isinstance(a, Write):
-        run, rest = _split_write_run(Cat(a, b))
+        run, rest = _split_write_run(b)
+        merged = _merge_writes((), [(a.slot, a.value), *run])
         if isinstance(rest, Alt):
             # keep every alternative's writes at its own head
-            merged = _merge_writes((), run)
-            return alt([cat(writes_chain(merged, EPSILON), t) for t in rest.terms])
-        return writes_chain(_merge_writes((), run), rest)
+            return alt([cat(writes_chain(merged), t) for t in rest.terms])
+        return writes_chain(merged, rest)
     return Cat(a, b)
 
 

@@ -22,7 +22,7 @@ from drex.automaton import (
 from drex.charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, alphabet_from_chars
 from drex.engine import match_full, match_lazy, step
 from drex.semantics import derive, nu_ways
-from drex.submatch import HIGHER, apply_program, bank_compare, teval
+from drex.submatch import HIGHER, apply_program, bank_compare, disambiguate, teval
 from drex.syntax import (
     EMPTY,
     POLICIES,
@@ -327,6 +327,24 @@ def test_teval_is_idempotent_on_banked_input():
                 d = depths[i]
                 once = teval(derive(m.states[i], block.pick(), d), d + 1)
                 assert teval(once, d + 1) is once, (m.states[i], block)
+                checked += 1
+    assert checked > 5000
+
+
+def test_pending_writes_are_step_offsets():
+    # From derivation on, a pending write holds a step offset: derived at
+    # -1 and evaluated at 0, a step's tree holds only writes valued -1 or
+    # 0, and disambiguating it against the state's store at depth + 1
+    # gives the edge's target and program.
+    checked = 0
+    for m, depths, stores in _tagged_construction(11):
+        for i, row in enumerate(m.transitions):
+            for block, j, program in row:
+                e = teval(derive(m.states[i], block.pick(), -1), 0)
+                values = {x.value for x in _subterms(e) if isinstance(x, Write)}
+                assert values <= {-1, 0}, (m.states[i], block)
+                pruned, got = disambiguate(e, m.tags, stores[i], depths[i] + 1)
+                assert pruned is m.states[j] and got == program, (m.states[i], block)
                 checked += 1
     assert checked > 5000
 

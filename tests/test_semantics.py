@@ -25,6 +25,8 @@ from drex.syntax import (
     EARLY,
     EMPTY,
     EPSILON,
+    Empty,
+    Eps,
     Inter,
     LATE,
     Not,
@@ -127,10 +129,10 @@ class TestDerive:
         assert derive_string(r, "") == r
         assert derive_string(A, "b") == EMPTY
 
-    def test_memo_is_shared_and_holds_memory_free_inner_nodes(self):
+    def test_memo_is_shared_and_keys_every_inner_node(self):
         # One memo across symbols, positions and trees gives every
-        # derivative a fresh call gives; it keys only inner nodes without
-        # memory, whose derivative does not read the position.
+        # derivative a fresh call gives; it keys every inner node, memory
+        # or not, by (node, symbol, position).
         rnd = random.Random(14)
         memo = {}
         for _ in range(150):
@@ -140,9 +142,11 @@ class TestDerive:
                 for e in (r, mid, cat(mid, rest)):
                     assert derive(e, ord(c), pos, memo=memo) == derive(e, ord(c), pos)
         assert len(memo) > 100
-        for node, cp in memo:
-            assert not isinstance(node, (Sym, Bank, Tag)) and not has_memory(node), node
-            assert memo[node, cp] == derive(node, cp)
+        for node, cp, pos in memo:
+            assert not isinstance(node, (Sym, Tag, Write, Empty, Eps)), node
+            assert memo[node, cp, pos] == derive(node, cp, pos)
+        assert any(isinstance(node, Bank) for node, _, _ in memo)
+        assert any(has_memory(node) and not isinstance(node, Bank) for node, _, _ in memo)
 
 
 class TestDerivativeClasses:

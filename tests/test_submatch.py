@@ -184,7 +184,8 @@ class TestDisambiguate:
         from drex.semantics import derive
 
         state, store = self.worked_state()
-        d = teval(derive(state, ord("a"), 1), 2)
+        # the symbol at position 1: its writes are offsets from position 2
+        d = teval(derive(state, ord("a"), -1), 0)
         assert len(alt_terms(d)) == 5
         pruned, ops = disambiguate(d, GREEDY2, store, 2)
         terms = alt_terms(pruned)
@@ -205,7 +206,7 @@ class TestDisambiguate:
         from drex.semantics import derive
 
         state, store = self.worked_state()
-        d = teval(derive(state, ord("a"), 1), 2)
+        d = teval(derive(state, ord("a"), -1), 0)
         pruned, ops = disambiguate(d, LAZY2, store, 2)
         new_store = dict(store)
         apply_program(new_store, ops, 2, 4)
@@ -214,7 +215,7 @@ class TestDisambiguate:
         assert (0, 0, 0, 1) in cells
 
     def test_single_term_passthrough(self):
-        r = Bank(1, cat(Write(0, 2), star(A)))
+        r = Bank(1, cat(Write(0, 0), star(A)))
         pruned, ops = disambiguate(r, GREEDY2, {1: (None,) * 4}, 2)
         assert pruned == Bank(1, star(A))
         assert ops == ((1, 1, ((0, 0),)),)
@@ -254,7 +255,7 @@ class TestPlans:
 
     def test_copies_then_a_write_rebuild_once(self):
         # A survivor that moves and is written gets one step.
-        r = Bank(3, cat(Write(0, 2), cat(Write(2, 1), star(A))))
+        r = Bank(3, cat(Write(0, 0), cat(Write(2, -1), star(A))))
         pruned, program = disambiguate(r, GREEDY2, {3: (None,) * 4}, 2)
         assert pruned == Bank(1, star(A))
         assert program == ((1, 3, ((0, 0), (2, -1))),)

@@ -46,54 +46,44 @@ from .syntax import (
     _merge_writes,
 )
 
-# A "way" to accept the empty string: the owning bank (None below a bank
-# head) plus the slot writes accumulated by nulling tags on that path.
-Way = tuple[Optional[int], tuple[tuple[int, int], ...]]
-
-
-def _combine_ways(a: Way, b: Way) -> Way:
-    bank_a, wa = a
-    bank_b, wb = b
-    owner = bank_a if bank_a is not None else bank_b
-    return owner, _merge_writes(wa, wb)
+# A "way" to accept the empty string: the slot writes accumulated by
+# nulling tags on that path.  A bank heads only a top-level alternative,
+# so a state's ways are those of its banks' bodies.
+Way = tuple[tuple[int, int], ...]
 
 
 def nu_ways(r: Regex, pos: int) -> list[Way]:
     """All distinct memory outcomes of accepting the empty string."""
     if isinstance(r, (Empty, Sym)):
         return []
-    if isinstance(r, Eps):
-        return [(None, ())]
-    if isinstance(r, Star):
-        return [(None, ())]
+    if isinstance(r, (Eps, Star)):
+        return [()]
     if isinstance(r, Tag):
-        return [(None, ((r.index, pos),))]
+        return [((r.index, pos),)]
     if isinstance(r, Write):
-        return [(None, ((r.slot, r.value),))]
-    if isinstance(r, Bank):
-        return _dedup([(r.bank, w) for _, w in nu_ways(r.body, pos)])
+        return [((r.slot, r.value),)]
     if isinstance(r, Cat):
         left = nu_ways(r.head, pos)
         if not left:
             return []
         right = nu_ways(r.tail, pos)
-        return _dedup([_combine_ways(a, b) for a in left for b in right])
+        return _dedup([_merge_writes(a, b) for a in left for b in right])
     if isinstance(r, Alt):
         out: list[Way] = []
         for t in r.terms:
             out.extend(nu_ways(t, pos))
         return _dedup(out)
     if isinstance(r, Inter):
-        acc: list[Way] = [(None, ())]
+        acc: list[Way] = [()]
         for t in r.terms:
             ways = nu_ways(t, pos)
             if not ways:
                 return []
-            acc = [_combine_ways(a, b) for a in acc for b in ways]
+            acc = [_merge_writes(a, b) for a in acc for b in ways]
         return _dedup(acc)
     if isinstance(r, Not):
         # The complement of a tagged language ignores memory.
-        return [] if nu_ways(r.body, pos) else [(None, ())]
+        return [] if nu_ways(r.body, pos) else [()]
     raise TypeError(f"not a Regex: {r!r}")
 
 
@@ -144,12 +134,9 @@ def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
         d = cat(_derive(r.body, cp, pos, memo), r)
     elif isinstance(r, Cat):
         parts = [cat(_derive(r.head, cp, pos, memo), r.tail)]
-        for owner, writes in nu_ways(r.head, pos):
+        for writes in nu_ways(r.head, pos):
             rest = _derive(r.tail, cp, pos, memo)
-            piece = cat(writes_chain(writes), rest) if writes else rest
-            if owner is not None:
-                piece = bank(owner, piece)
-            parts.append(piece)
+            parts.append(cat(writes_chain(writes), rest))
         # A non-nullable head leaves one part, already canonical: alt([x]) is x.
         d = parts[0] if len(parts) == 1 else alt(parts)
     elif isinstance(r, Alt):

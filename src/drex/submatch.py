@@ -112,17 +112,10 @@ def bank_compare(c1: Cells, c2: Cells, tags: TagTable) -> int:
 # --- tag evaluation ---------------------------------------------------------
 
 
-def _eps_plus(ways, pos: int) -> Regex:
+def _eps_plus(ways) -> Regex:
     # (eps + nullify-writes ...): the plain epsilon is absorbed whenever
     # a way carries writes, preferring recorded positions.
-    terms: list[Regex] = [EPSILON]
-    for owner, writes in ways:
-        if writes:
-            piece: Regex = writes_chain(writes)
-            if owner is not None:
-                piece = Bank(owner, piece)
-            terms.append(piece)
-    return alt(terms)
+    return alt([EPSILON] + [writes_chain(w) for w in ways if w])
 
 
 def teval(r: Regex, pos: int) -> Regex:
@@ -139,7 +132,7 @@ def teval(r: Regex, pos: int) -> Regex:
     if isinstance(r, Bank):
         return bank(r.bank, teval(r.body, pos))
     if isinstance(r, Star):
-        prefix = _eps_plus(nu_ways(teval(r.body, pos), pos), pos)
+        prefix = _eps_plus(nu_ways(teval(r.body, pos), pos))
         return cat(prefix, r)
     if isinstance(r, Not):
         return comp(teval(r.body, pos))
@@ -162,7 +155,7 @@ def teval(r: Regex, pos: int) -> Regex:
             return cat(teval(head, pos), teval(tail, pos))
         if not is_nullable(head):
             return cat(teval(head, pos), tail)
-        prefix = _eps_plus(nu_ways(teval(tail, pos), pos), pos)
+        prefix = _eps_plus(nu_ways(teval(tail, pos), pos))
         return cat(prefix, cat(teval(head, pos), tail))
     raise TypeError(f"not a Regex: {r!r}")
 

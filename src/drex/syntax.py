@@ -159,13 +159,15 @@ class Write(Regex):
 
 @_node
 class Bank(Regex):
-    """A memory bank heading one alternative.
+    """A memory bank heading one top-level alternative of a state.
 
     The bank's pending slot writes are the ``Write`` run that starts its
     body, in canonical order (by slot).  Between derivation and
     disambiguation several alternatives may name one bank: each is a
     copy of that bank's cells, and disambiguation numbers the survivors
-    1..k.
+    1..k.  A bank below the top of a tree is not a drex tree: ``parse``
+    never builds a bank, and the tree code is undefined on a hand-built
+    tree that holds one.
     """
 
     bank: int
@@ -204,8 +206,8 @@ def is_nullable(r: Regex) -> bool:
 
 @lru_cache(maxsize=None)
 def has_memory(r: Regex) -> bool:
-    """Whether any tag, bank or pending write occurs in the tree."""
-    if isinstance(r, (Tag, Write, Bank)):
+    """Whether any tag or pending write occurs in the tree."""
+    if isinstance(r, (Tag, Write)):
         return True
     if isinstance(r, (Empty, Eps, Sym)):
         return False
@@ -242,8 +244,6 @@ def is_memory_eps(r: Regex) -> bool:
     """
     if isinstance(r, (Tag, Write, Eps)):
         return True
-    if isinstance(r, Bank):
-        return is_memory_eps(r.body)
     if isinstance(r, Cat):
         return is_memory_eps(r.head) and is_memory_eps(r.tail)
     return False
@@ -377,9 +377,6 @@ def cat(a: Regex, b: Regex) -> Regex:
         return cat(a.head, cat(a.tail, b))
     if isinstance(b, Eps):
         return a
-    if isinstance(a, Bank):
-        # A bank heads its whole alternative: bk(c) z = bk(c z)
-        return bank(a.bank, cat(a.body, b))
     if _memory_headed_union(a):
         # Distribute memory-headed unions so pendings stay at term heads.
         return alt([cat(t, b) for t in a.terms])
@@ -421,15 +418,9 @@ def alt(terms) -> Regex:
         if t not in seen:
             seen.add(t)
             out.append(t)
-    if has_plain_eps:
-        # eps + bank = bank: memory-carrying empty-string terms (and
-        # nullable bank-headed terms) absorb the plain epsilon.
-        absorbed = any(
-            is_memory_eps(t) or (isinstance(t, Bank) and is_nullable(t.body))
-            for t in out
-        )
-        if not absorbed:
-            out.append(EPSILON)
+    if has_plain_eps and not any(is_memory_eps(t) for t in out):
+        # Memory-carrying empty-string terms absorb the plain epsilon.
+        out.append(EPSILON)
     if not out:
         return EMPTY
     out.sort(key=order_key)
@@ -438,7 +429,7 @@ def alt(terms) -> Regex:
 
 def _memory_headed_union(r: Regex) -> bool:
     return isinstance(r, Alt) and any(
-        isinstance(head_atom(t), (Write, Tag, Bank)) for t in r.terms
+        isinstance(head_atom(t), (Write, Tag)) for t in r.terms
     )
 
 
@@ -496,11 +487,9 @@ def inter(terms) -> Regex:
 
 
 def erase_memory(r: Regex) -> Regex:
-    """Strip tags, pending writes and banks; the language is unchanged."""
+    """Strip tags and pending writes; the language is unchanged."""
     if isinstance(r, (Tag, Write)):
         return EPSILON
-    if isinstance(r, Bank):
-        return erase_memory(r.body)
     if isinstance(r, Star):
         return star(erase_memory(r.body))
     if isinstance(r, Not):

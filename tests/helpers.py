@@ -33,6 +33,7 @@ from drex.syntax import (
     Sym,
     Tag,
     alt,
+    alt_terms,
     cat,
     comp,
     inter,
@@ -279,7 +280,7 @@ NULLABLE_WITH_MEMORY = "nullable-with-memory"
 @dataclass(frozen=True)
 class NullifyResult:
     kind: str
-    entries: tuple[Way, ...] = ()
+    entries: tuple[tuple[Optional[int], Way], ...] = ()
 
     def __bool__(self) -> bool:
         return self.kind != NOT_NULLABLE
@@ -288,11 +289,14 @@ class NullifyResult:
 def nullify(r: Regex, pos: int = 0) -> NullifyResult:
     """Decide the empty-string membership, reporting memory outcomes.
 
-    For tag-bearing expressions each entry names the bank of a nullable
-    alternative together with the slot writes produced by nulling its
-    tags at ``pos``.
+    Each entry names the bank heading a nullable top-level alternative
+    (None for an alternative no bank heads) together with the slot
+    writes produced by nulling its tags at ``pos``.
     """
-    ways = nu_ways(r, pos)
+    ways: list[tuple[Optional[int], Way]] = []
+    for t in alt_terms(r):
+        owner, body = (t.bank, t.body) if isinstance(t, Bank) else (None, t)
+        ways += [(owner, w) for w in nu_ways(body, pos) if (owner, w) not in ways]
     if not ways:
         return NullifyResult(NOT_NULLABLE)
     if all(owner is None and not w for owner, w in ways):

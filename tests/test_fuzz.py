@@ -208,16 +208,17 @@ def test_writes_of_a_left_alternative_do_not_leak(policy):
     assert match_full(r, t, "b", policy=policy).groups == ((0, end), *spans)
 
 
-def _ranked_on_the_run(m, state, p, store):
-    """The run-time rule compiled acceptance replaced: rank the bank of
-    every owned nullable way of the state on the run's own store."""
+def _ranked_on_the_run(m, state, store):
+    """The run-time rule compiled acceptance replaced: rank every
+    top-level bank of the state whose body is nullable on the run's own
+    store."""
     best = None
-    for owner, _ in nu_ways(m.states[state], p):
-        if owner is None:
+    for t in alt_terms(m.states[state]):
+        if not (isinstance(t, Bank) and is_nullable(t.body)):
             continue
-        cells = store[owner]
+        cells = store[t.bank]
         if best is None or bank_compare(cells, best[1], m.tags) == HIGHER:
-            best = (owner, cells)
+            best = (t.bank, cells)
     return best
 
 
@@ -234,7 +235,7 @@ def _check_acceptance(m, text) -> int:
         info = m.accepting.get(state)
         if info is not None:
             compiled = store[info.bank]
-            assert _ranked_on_the_run(m, state, p, store) == (info.bank, compiled), (state, p)
+            assert _ranked_on_the_run(m, state, store) == (info.bank, compiled), (state, p)
             compared += 1
         if p == len(symbols) or state == m.dead:
             break
@@ -304,13 +305,14 @@ def _tagged_machines(seed: int) -> tuple:
 def test_copies_name_the_banks_they_read():
     # A bank copied by derivation or tag evaluation keeps the id of the
     # bank it reads, so every top-level bank before disambiguation names
-    # a bank of the store the step runs against.
+    # a bank of the store the step runs against.  The step is taken as
+    # the machines take it: derived at offset -1, evaluated at 0.
     banks = 0
-    for m, depths, stores in _tagged_construction(11):
+    for m, _, stores in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
             for block, _, _ in row:
-                d = derive(m.states[i], block.pick(), depths[i])
-                for t in alt_terms(teval(d, depths[i] + 1)):
+                d = derive(m.states[i], block.pick(), -1)
+                for t in alt_terms(teval(d, 0)):
                     if isinstance(t, Bank):
                         assert t.bank in stores[i], (m.states[i], block, t)
                         banks += 1
@@ -319,14 +321,15 @@ def test_copies_name_the_banks_they_read():
 
 def test_teval_is_idempotent_on_banked_input():
     # A bank's pending writes start its body, so a second evaluation
-    # stops at the run's current-position writes and returns the first.
+    # stops at the run's offset-0 writes and returns the first.  The
+    # step is taken as the machines take it: derived at offset -1,
+    # evaluated at 0.
     checked = 0
-    for m, depths, _ in _tagged_construction(11):
+    for m, _, _ in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
             for block, _, _ in row:
-                d = depths[i]
-                once = teval(derive(m.states[i], block.pick(), d), d + 1)
-                assert teval(once, d + 1) is once, (m.states[i], block)
+                once = teval(derive(m.states[i], block.pick(), -1), 0)
+                assert teval(once, 0) is once, (m.states[i], block)
                 checked += 1
     assert checked > 5000
 
@@ -351,14 +354,16 @@ def test_pending_writes_are_step_offsets():
 
 def test_accepting_states_are_the_nullable_ones():
     # Acceptance reads nullability and the banks as they stand; a state
-    # accepts exactly when it has a way to accept the empty string, an
-    # owned one when tags are tracked.
+    # accepts exactly when it has a way to accept the empty string, one
+    # of its banks' bodies when tags are tracked.
     for m in list(_tagged_machines(11)) + _plain_machines(11):
         for i, e in enumerate(m.states):
-            ways = nu_ways(e, 0)
+            if isinstance(m, Dfa):
+                ways = nu_ways(e, 0)
+            else:
+                ways = [w for t in alt_terms(e) if isinstance(t, Bank)
+                        for w in nu_ways(t.body, 0)]
             assert is_nullable(e) == bool(ways), e
-            if not isinstance(m, Dfa):
-                ways = [way for way in ways if way[0] is not None]
             assert (i in m.accepting) == bool(ways), (i, e)
 
 
@@ -409,16 +414,19 @@ def test_states_are_alternatives_of_dense_banks():
 
 def test_states_hold_no_pending_writes():
     # Disambiguation drops every bank's pending write run, and a bank
-    # heads only a top-level alternative: no tagged state holds a
-    # ``Write``, and no ``Bank`` lies below a top-level term.  A plain
-    # machine tracks no tags, so its pattern's memory is erased first:
-    # it holds no memory at all, and ``(a)(b*)`` builds the machine of
+    # heads every top-level alternative and only those: no tagged state
+    # holds a ``Write``, every top-level term of one that is not ``∅`` is
+    # a ``Bank``, and no ``Bank`` lies below one.  A plain machine tracks
+    # no tags, so its pattern's memory is erased first: it holds no
+    # memory at all, and ``(a)(b*)`` builds the machine of
     # ``(?:a)(?:b*)``.
     for m in _tagged_machines(11):
         for e in m.states:
+            if e == EMPTY:
+                continue
             for t in alt_terms(e):
-                body = t.body if isinstance(t, Bank) else t
-                assert not any(isinstance(x, (Bank, Write)) for x in _subterms(body)), e
+                assert isinstance(t, Bank), e
+                assert not any(isinstance(x, (Bank, Write)) for x in _subterms(t.body)), e
     for m in _plain_machines(11):
         for e in m.states:
             assert not any(isinstance(x, (Bank, Tag, Write)) for x in _subterms(e)), e

@@ -148,3 +148,25 @@ def test_no_cache_outlives_a_machine():
                               ("syntax", "is_memory_eps"), ("syntax", "is_nullable"),
                               ("syntax", "max_bank"), ("syntax", "order_key")]
     assert empty == [("syntax", "_INTERNED")], empty
+
+
+def test_banks_are_built_only_at_the_top_of_a_state():
+    # A bank heads only a top-level alternative of a state.  Three places
+    # build one: ``engine.start`` wraps the pattern in bank 1, ``bank``
+    # gives each term of a union its own copy, and ``disambiguate``
+    # numbers the survivors.  A ``Bank(...)`` built anywhere else would
+    # be a path for a bank below the top of a tree.
+    builders = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and _callee(child) == "Bank":
+                builders.add((module, where))
+            visit(child, module, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem, "")
+    assert builders == {("engine", "start"), ("submatch", "disambiguate"), ("syntax", "bank")}

@@ -129,7 +129,7 @@ class TestTeval:
             written = set()
             for term in alt_terms(out):
                 ways = nu_ways(term, 2)
-                for _, writes in ways:
+                for writes in ways:
                     written |= {s for s, _ in writes}
             if expected:
                 checked += 1

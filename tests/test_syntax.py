@@ -78,12 +78,8 @@ class TestSimilarityIdentities:
         assert comp(comp(A)) == A
 
     def test_eps_plus_bank(self):
-        # eps + bank absorbs the epsilon (a recorded empty match beats an
-        # unrecorded one)
-        bare = Bank(2, Write(0, 1))
-        assert alt([EPSILON, bare]) == bare
-        nullable = Bank(1, star(A))
-        assert alt([EPSILON, nullable]) == nullable
+        # eps + a memory-carrying empty string absorbs the epsilon (a
+        # recorded empty match beats an unrecorded one)
         assert alt([EPSILON, Write(0, 3)]) == Write(0, 3)
         # a plain nullable alternative does not absorb the epsilon
         assert EPSILON in alt([EPSILON, A]).terms
@@ -112,8 +108,6 @@ class TestSimilarityIdentities:
         assert bank(1, union) == alt(
             [Bank(1, cat(Write(0, 0), A)), Bank(1, cat(Write(0, 1), B))]
         )
-        # a bank heading a chain owns the whole alternative
-        assert cat(Bank(1, A), B) == Bank(1, cat(A, B))
 
 
 def test_canonicalization_idempotent_on_random_trees():

@@ -1,12 +1,13 @@
 """DFA construction, execution, export, and the automaton-to-regex path.
 
-States are canonical expression trees; expanded similarity (structural
-equality of canonical trees, banks blinded) decides state identity, so
-construction terminates with finitely many states.  Transitions are
-keyed by derivative-class blocks, never by single symbols.  Tagged
-machines additionally carry memory programs on transitions (the ordered
-bank rebuilds of ``submatch.disambiguate``), an initial program, and a
-result bank per accepting state.
+A state is a canonical expression tree, or for a tagged machine the
+tuple of its bank bodies; expanded similarity (structural equality of
+canonical trees) decides state identity, so construction terminates
+with finitely many states.  Transitions are keyed by derivative-class
+blocks, never by single symbols.  Tagged machines additionally carry
+memory programs on transitions (the ordered bank rebuilds of
+``submatch.disambiguate``), an initial program, and a result bank per
+accepting state.
 
 At run time a machine looks its edges up by index.  Sorted cut points
 split the symbols into intervals, each inside one block of every state,
@@ -43,6 +44,7 @@ from .submatch import (
     Store,
     bank_compare,
     extract_submatches,
+    show_state,
 )
 from .submatch import apply_program as _apply_rel_ops  # the name perfbench/tracing.py wraps
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
@@ -50,7 +52,6 @@ from .syntax import (
     EMPTY,
     EPSILON,
     Alt,
-    Bank,
     Cat,
     Inter,
     Not,
@@ -59,10 +60,8 @@ from .syntax import (
     Sym,
     TagTable,
     alt,
-    alt_terms,
     cat,
     is_nullable,
-    show,
     show_class,
     star,
     sym,
@@ -88,11 +87,11 @@ def _outside(cp: int) -> ValueError:
     return ValueError(f"symbol {cp:#x} outside the working alphabet")
 
 
-def _atom_bounds(e: Regex) -> set[int]:
-    """The bounds of every symbol-class atom of ``e``."""
+def _atom_bounds(e) -> set[int]:
+    """The bounds of every symbol-class atom of ``e``, a tree or a tuple of trees."""
     bounds: set[int] = set()
     seen = set()  # inner nodes walked: hash-consed, shared, hashed by identity
-    stack = [e]
+    stack = list(e) if isinstance(e, tuple) else [e]
     while stack:
         x = stack.pop()
         kind = type(x)
@@ -104,7 +103,7 @@ def _atom_bounds(e: Regex) -> set[int]:
                 stack += (x.head, x.tail)
             elif kind is Alt or kind is Inter:
                 stack.extend(x.terms)
-            elif kind is Star or kind is Not or kind is Bank:
+            elif kind is Star or kind is Not:
                 stack.append(x.body)
     return bounds
 
@@ -155,15 +154,15 @@ class AcceptInfo:
 # ---------------------------------------------------------------------------
 
 
-def _store_signature(store: Store, banks: list[int], n_slots: int, p: int) -> tuple:
+def _store_signature(store: Store, banks: range, n_slots: int, p: int) -> tuple:
     """Bounded abstraction of a bank store: per-slot value order.
 
     Records, slot by slot, the relative order of the live banks' cells,
-    which cells are unset, and which hold the current position.  Bank
-    comparisons read only this information, so two stores with the same
-    signature disambiguate identically; making it part of tagged state
-    identity keeps compiled decisions valid on every path that reaches
-    the state.
+    which cells are unset, and which hold the current position.
+    Comparisons of banks read only this information, so two stores with
+    the same signature disambiguate identically; making it part of
+    tagged state identity keeps compiled decisions valid on every path
+    that reaches the state.
     """
     sig = []
     for s in range(n_slots):
@@ -178,7 +177,7 @@ def _store_signature(store: Store, banks: list[int], n_slots: int, p: int) -> tu
     return tuple(sig)
 
 
-def _accept_info(e: Regex, store: Store, tags: TagTable) -> Optional[AcceptInfo]:
+def _accept_info(e, store: Store, tags: TagTable) -> Optional[AcceptInfo]:
     """The highest-ranked nullable bank on the store as it stands.
 
     Tag evaluation has already written each alternative's slots into its
@@ -191,30 +190,27 @@ def _accept_info(e: Regex, store: Store, tags: TagTable) -> Optional[AcceptInfo]
     if not tags.num_tags:
         return AcceptInfo(None) if is_nullable(e) else None
     best = None
-    for t in alt_terms(e):
-        if not is_nullable(t):
+    for b, body in enumerate(e, 1):
+        if not is_nullable(body):
             continue
-        if best is None or bank_compare(store[t.bank], store[best], tags) == HIGHER:
-            best = t.bank
+        if best is None or bank_compare(store[b], store[best], tags) == HIGHER:
+            best = b
     return None if best is None else AcceptInfo(best)
-
-
-def _banks(e: Regex) -> list[int]:
-    """A state's live banks, 1..k: they head its top-level alternatives."""
-    return [t.bank for t in alt_terms(e) if isinstance(t, Bank)]
 
 
 class TaggedDfa:
     """A DFA whose transitions carry memory programs; state 0 is ``engine.start``.
 
-    A state is keyed by its expression, plus the signature of its live
-    banks when tags are tracked.  Its ``AcceptInfo`` and derivative-class
-    blocks are computed when it is created, and an edge (``engine.step``
-    at one symbol of the block, from the state's first depth and store)
-    when a run first takes it; ``build`` takes every edge.  The steps of
-    one machine share a derivative memo (see ``semantics.derive``) for
-    every inner node: it lives and dies with the construction tables
-    (``index``, ``depths``, ``stores``), which ``build`` releases.
+    With tracked tags a state is the tuple of its bank bodies (bank
+    ``i`` heads the ``i``-th, ``()`` is ∅), keyed with the signature of
+    its live banks 1..k; without, it is a tree, keyed by itself.  Its
+    ``AcceptInfo`` and derivative-class blocks are computed when it is
+    created, and an edge (``engine.step`` at one symbol of the block,
+    from the state's first depth and store) when a run first takes it;
+    ``build`` takes every edge.  The steps of one machine share a
+    derivative memo (see ``semantics.derive``) for every inner node: it
+    lives and dies with the construction tables (``index``, ``depths``,
+    ``stores``), which ``build`` releases.
     Pending writes are step offsets from derivation on, so programs are
     position-relative and the machine is depth-independent at run time.
     The alphabet decides anchoring: with anchors, the machine pads the
@@ -231,7 +227,7 @@ class TaggedDfa:
         self.alphabet = alphabet
         self.state_limit = state_limit
         self.index: Optional[dict] = {}
-        self.states: list[Regex] = []
+        self.states: list = []  # trees, or tuples of bank bodies with tags
         self.depths: Optional[list[int]] = []
         self.stores: Optional[list[Store]] = []
         self._memo: Optional[dict] = {}  # (node, symbol, -1) -> derivative
@@ -248,16 +244,16 @@ class TaggedDfa:
 
     @property
     def bank_count(self) -> int:
-        banks = _banks(self.states[0])
+        banks = [len(self.states[0]) if self.tags.num_tags else 0]
         banks += [b for row in self.transitions for _, _, program in row
                   for dst, src, _ in program for b in (dst, src)]
-        return max(banks, default=0) + 1
+        return max(banks) + 1
 
-    def _state_id(self, e: Regex, st: Store, depth: int) -> int:
+    def _state_id(self, e, st: Store, depth: int) -> int:
         n_slots = self.tags.num_tags
         key = e
         if n_slots:
-            live = _banks(e)
+            live = range(1, len(e) + 1)
             st = {b: st[b] for b in live}
             key = (e, _store_signature(st, live, n_slots, depth))
         j = self.index.get(key)
@@ -277,7 +273,7 @@ class TaggedDfa:
             info = _accept_info(e, st, self.tags)
             if info is not None:
                 self.accepting[j] = info
-            if e == EMPTY:
+            if e == EMPTY or e == ():
                 self.dead = j
         return j
 
@@ -595,7 +591,7 @@ def export_dot(m) -> str:
 def export_json(m) -> str:
     """Stable JSON rendering of a machine (see docs/tagged_dfa.schema.json)."""
     doc: dict = {
-        "states": [show(e) for e in m.states],
+        "states": [show_state(e) for e in m.states],
         "initial": 0,
     }
     if isinstance(m, Dfa):

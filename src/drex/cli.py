@@ -27,7 +27,7 @@ from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this nam
 from .charset import ALL_BASE, ASCII_BASE, Alphabet, CharSet, single
 from .engine import match_full  # kept: perfbench/tracing.py wraps this name
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
-from .submatch import POLICY_POSIX
+from .submatch import POLICY_POSIX, show_state
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
 from .syntax import (
     POLICIES,
@@ -37,7 +37,6 @@ from .syntax import (
     TagTable,
     cat,
     parse,
-    show,
     show_class,
     star,
     sym,
@@ -93,11 +92,11 @@ def _cmd_run(args, text: str, out) -> int:
     def observe(cp: int, state: int) -> None:
         nonlocal last, stopped
         if not stopped:
-            print(f"D[{show_class(single(cp))}]  ->  {show(m.states[state])}", file=out)
+            print(f"D[{show_class(single(cp))}]  ->  {show_state(m.states[state])}", file=out)
             last, stopped = state, state == m.dead
 
     if args.show_trace:
-        print(f"start     {show(m.states[0])}", file=out)
+        print(f"start     {show_state(m.states[0])}", file=out)
     result = tagged_dfa_match(m, text, getattr(args, "stream_offsets", False),
                               observe if args.show_trace else None)
     verdict = last in m.accepting

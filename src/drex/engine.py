@@ -28,9 +28,9 @@ from .submatch import (
 )
 from .syntax import (
     EMPTY,
-    Bank,
     Regex,
     TagTable,
+    alt_terms,
     cat,
     erase_memory,
     has_memory,
@@ -82,17 +82,19 @@ def match_lazy(r: Regex, s) -> bool:
     return is_nullable(r)
 
 
-def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, Program]:
-    """The state before the first symbol: expression, bank store, program.
+def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex | tuple, Store, Program]:
+    """The state before the first symbol: state, bank store, program.
 
     With ``pad`` the pattern absorbs the trailing anchor run of the
     stream, which belongs to no atom of the pattern (leading anchors are
     skipped by the pattern's own transparent atoms, or by this same pad
     when the pattern consumes nothing).  When tags are tracked, bank 1
-    is opened all unset, ``(1, None, ())``, and the first tag evaluation
-    runs at position 0; the returned program has already been applied to
-    the store.  When none are, the pattern's memory is erased: tags never
-    change the language, so a tag-free machine carries none.
+    is opened all unset, ``(1, None, ())``, and reads the pattern; the
+    first tag evaluation runs at position 0, the state is the tuple of
+    bank bodies, and the returned program has already been applied to
+    the store.  When none are, the state is the pattern with its memory
+    erased: tags never change the language, so a tag-free machine
+    carries none.
     """
     if not tags.num_tags and has_memory(r):
         r = erase_memory(r)
@@ -100,32 +102,34 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex, Store, Program]:
     store: Store = {}
     program: Program = ()
     if tags.num_tags:
-        expr = Bank(1, expr)
         program = ((1, None, ()),)
         apply_program(store, program, 0, tags.num_tags)
-        expr, more = normalize_step(expr, tags, store, 0)
+        expr, more = normalize_step([(1, expr)], tags, store, 0)
         program += more
     return expr, store, program
 
 
 def step(
-    expr: Regex, cp: int, pos: int, tags: TagTable, store: Store,
+    expr, cp: int, pos: int, tags: TagTable, store: Store,
     memo: Optional[dict] = None,
-) -> tuple[Regex, Program]:
+) -> tuple[Regex | tuple, Program]:
     """Consume the symbol at ``pos``: derive, then normalize at ``pos + 1``.
 
-    The derivative is taken at position -1, so its pending writes are
-    step offsets, equal residuals stay equal trees at every depth, and
-    ``memo``, ``derive``'s derivative memo shared by the steps of one
+    A machine tracking no tags holds no memory: its state is a tree, and
+    the step is its derivative.  A tagged state is the tuple of its bank
+    bodies; each body is derived, and each term of its derivative reads
+    its bank.  The derivative is taken at position -1, so pending writes
+    are step offsets, equal residuals stay equal trees at every depth,
+    and ``memo``, ``derive``'s derivative memo shared by the steps of one
     machine, serves every inner node.  Normalization (tag evaluation,
     then disambiguation, which numbers the surviving banks 1..k) updates
-    ``store`` in place and returns the program it applied; a machine
-    tracking no tags holds no memory and skips it.
+    ``store`` in place and returns the program it applied.
     """
-    expr = derive(expr, cp, -1, memo)
-    if not tags.num_tags or expr == EMPTY:
-        return expr, ()
-    return normalize_step(expr, tags, store, pos + 1)
+    if not tags.num_tags:
+        return derive(expr, cp, -1, memo), ()
+    terms = [(b, t) for b, body in enumerate(expr, 1)
+             for t in alt_terms(derive(body, cp, -1, memo))]
+    return normalize_step(terms, tags, store, pos + 1)
 
 
 def match_full(

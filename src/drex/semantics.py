@@ -3,9 +3,8 @@
 Everything here is a pure function over canonical trees.  Position
 values are plain integers supplied by the caller; a derivative taken at
 position ``p`` stamps ``p`` into the slot writes it emits for every tag
-it crosses.  A bank copied by distributing over a union keeps the id of
-the bank it reads, so a derivative names only banks of its input and
-changes no state outside its result.
+it crosses.  Banks are no tree symbol: the engine derives each bank
+body of a tagged state on its own.
 
 The engine derives at position -1, so from derivation on a pending
 write holds a step offset (-1 the symbol just read, 0 the position
@@ -25,7 +24,6 @@ from .syntax import (
     EMPTY,
     EPSILON,
     Alt,
-    Bank,
     Cat,
     Empty,
     Eps,
@@ -37,7 +35,6 @@ from .syntax import (
     Tag,
     Write,
     alt,
-    bank,
     cat,
     comp,
     inter,
@@ -47,8 +44,8 @@ from .syntax import (
 )
 
 # A "way" to accept the empty string: the slot writes accumulated by
-# nulling tags on that path.  A bank heads only a top-level alternative,
-# so a state's ways are those of its banks' bodies.
+# nulling tags on that path.  A tagged state's ways are those of its
+# bank bodies.
 Way = tuple[tuple[int, int], ...]
 
 
@@ -106,9 +103,8 @@ def derive(r: Regex, cp: int, pos: int = 0, memo: Optional[dict] = None) -> Rege
     """The derivative of ``r`` with respect to one working-alphabet symbol.
 
     Tags crossed on the way emit pending slot writes stamped with
-    ``pos``; the engine passes -1, so each write is a step offset.  A
-    bank copied by distributing over a union keeps the id of the bank it
-    reads.  ``memo`` maps (node, symbol, position) to the derivative of
+    ``pos``; the engine passes -1, so each write is a step offset.
+    ``memo`` maps (node, symbol, position) to the derivative of
     every inner node met, so one memo may serve many calls; a fresh one
     is used when omitted.
     """
@@ -145,8 +141,6 @@ def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
         d = inter([_derive(t, cp, pos, memo) for t in r.terms])
     elif isinstance(r, Not):
         d = comp(_derive(r.body, cp, pos, memo))
-    elif isinstance(r, Bank):
-        d = bank(r.bank, _derive(r.body, cp, pos, memo))
     else:
         raise TypeError(f"not a Regex: {r!r}")
     memo[key] = d
@@ -219,8 +213,6 @@ def _dca(r: Regex) -> tuple[CharSet, ...]:
         return tuple(b for b in blocks if not b.is_empty())
     if isinstance(r, (Star, Not)):
         return _dca(r.body)
-    if isinstance(r, Bank):
-        return _dca(r.body)
     if isinstance(r, Cat):
         if is_nullable(r.head):
             return _meet(_dca(r.head), _dca(r.tail))
@@ -233,15 +225,20 @@ def _dca(r: Regex) -> tuple[CharSet, ...]:
     raise TypeError(f"not a Regex: {r!r}")
 
 
-def derivative_classes(r: Regex, alphabet: Alphabet = Alphabet()) -> SymbolPartition:
+def derivative_classes(r, alphabet: Alphabet = Alphabet()) -> SymbolPartition:
     """A partition refining the true derivative classes of ``r``.
 
-    Equal derivatives are guaranteed within each block; distinct blocks
-    may still share a derivative (the approximation may over-partition).
+    ``r`` is a tree or a tuple of trees (a tagged state's bank bodies),
+    whose partitions meet.  Equal derivatives are guaranteed within each
+    block; distinct blocks may still share a derivative (the
+    approximation may over-partition).
     """
     working = alphabet.working
+    acc = (FULL,)
+    for t in r if isinstance(r, tuple) else (r,):
+        acc = _meet(acc, _dca(t))
     blocks = []
-    for b in _dca(r):
+    for b in acc:
         cut = b.intersect(working)
         if not cut.is_empty():
             blocks.append(cut)

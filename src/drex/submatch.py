@@ -1,14 +1,18 @@
 """Memory machinery: banks, slot writes, tag evaluation, disambiguation.
 
-A match run owns a bank store (bank id -> slot cells); a bank's pending
-writes are the ``Write`` run that starts its body, each a step offset
-from derivation on (-1 the symbol just read, 0 the position after it).
-Tag evaluation converts tags that head nullable paths into writes;
+A tagged state is the ordered tuple of its bank bodies: bank ``i``
+heads the ``i``-th body, and ``()`` is the dead state.  A match run owns
+a bank store (bank id -> slot cells).  Between derivation and
+disambiguation a step holds ``(bank, term)`` pairs: each term of a
+body's derivative reads a copy of that body's bank, and its pending
+writes are the ``Write`` run that starts it, each a step offset from
+derivation on (-1 the symbol just read, 0 the position after it).  Tag
+evaluation converts tags that head nullable paths into writes;
 disambiguation lays the pending runs over the cells at the step's
-position, keeps the highest-priority bank of every group of
-structurally equal alternatives, and emits the memory program realizing
-the survivors: an ordered tuple of bank rebuilds ``(dst, src, writes)``,
-``apply_program`` runs one.
+position, keeps the highest-priority bank of every group of equal
+bodies, and emits the memory program realizing the survivors: an
+ordered tuple of bank rebuilds ``(dst, src, writes)``, ``apply_program``
+runs one.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from typing import Iterable, Mapping, Optional
 
 from .semantics import nu_ways
 from .syntax import (
+    EMPTY,
     EPSILON,
     Alt,
-    Bank,
     Cat,
     Empty,
     Eps,
@@ -33,13 +37,14 @@ from .syntax import (
     Write,
     alt,
     alt_terms,
-    bank,
     cat,
     comp,
     inter,
     is_nullable,
     order_key,
+    show,
     writes_chain,
+    _show,
     _split_write_run,
     EARLY,
 )
@@ -121,16 +126,14 @@ def _eps_plus(ways) -> Regex:
 def teval(r: Regex, pos: int) -> Regex:
     """Convert every tag heading a nullable path into a slot write at ``pos``.
 
-    Language-preserving and idempotent.  The new writes join a bank's
-    pending run at the start of its body; a bank copied when a
-    write-headed union distributes keeps the id of the bank it reads.
+    Language-preserving and idempotent.  The engine evaluates each term
+    of a step: the new writes join the term's pending run, and a union
+    that comes out holds one term per way, each reading the term's bank.
     """
     if isinstance(r, (Empty, Eps, Sym, Write)):
         return r
     if isinstance(r, Tag):
         return Write(r.index, pos)
-    if isinstance(r, Bank):
-        return bank(r.bank, teval(r.body, pos))
     if isinstance(r, Star):
         prefix = _eps_plus(nu_ways(teval(r.body, pos), pos))
         return cat(prefix, r)
@@ -164,44 +167,46 @@ def teval(r: Regex, pos: int) -> Regex:
 
 
 def disambiguate(
-    r: Regex, tags: TagTable, store: Store, pos: int
-) -> tuple[Regex, Program]:
-    """Keep the highest-priority bank of each group of equal alternatives.
+    terms: list[tuple[int, Regex]], tags: TagTable, store: Store, pos: int
+) -> tuple[tuple[Regex, ...], Program]:
+    """Keep the highest-priority bank of each group of equal bodies.
 
-    Each top-level bank names the bank of ``store`` it reads; several
-    alternatives may read one bank.  Alternatives structurally equal up
-    to banks and pending writes form a group (adjacent, as union terms
-    are sorted); each group's bank that ranks highest after its pending
-    writes, the ``Write`` run that starts its body, survives.  The
-    survivors are numbered 1..k in term order.  Pending writes are step
-    offsets, laid over the cells at ``pos``, the position of this step's
-    tag evaluation, to rank a bank.  Returns the pruned expression (write
-    runs dropped) and its program against ``store``: one rebuild for
-    each survivor that moves or is written, the cells of the bank it
-    reads with its run as it is, in the order ``order_rebuilds`` gives.
+    Each ``(bank, term)`` names the bank of ``store`` the term reads;
+    several terms may read one bank.  Terms equal up to their pending
+    writes, the ``Write`` run that starts them, form a group; the term
+    whose bank ranks highest after its writes survives, the first one
+    on a tie.  Pending writes are step offsets, laid over the cells at
+    ``pos``, the position of this step's tag evaluation, to rank a bank.
+    Returns the state, the survivors' bodies (write runs dropped) in
+    canonical order, so bank ``i`` heads the ``i``-th, and its program
+    against ``store``: one rebuild for each survivor that moves or is
+    written, the cells of the bank it reads with its run as it is, in
+    the order ``order_rebuilds`` gives.
     """
-    best: dict[tuple, tuple[int, tuple, Regex, Cells]] = {}
-    pruned: list[Regex] = []
-    for t in alt_terms(r):
-        if not isinstance(t, Bank):
-            pruned.append(t)
-            continue
-        run, body = _split_write_run(t.body)
-        key = order_key(body)
-        cells = apply_writes(store[t.bank], run, pos)
-        if key not in best or bank_compare(cells, best[key][3], tags) == HIGHER:
-            best[key] = (t.bank, tuple(run), body, cells)
-    if not best:
-        return r, ()
+    best: dict[Regex, tuple[int, tuple, Cells]] = {}
+    for src, t in terms:
+        run, body = _split_write_run(t)
+        cells = apply_writes(store[src], run, pos)
+        if body not in best or bank_compare(cells, best[body][2], tags) == HIGHER:
+            best[body] = (src, tuple(run), cells)
+    state = tuple(sorted(best, key=order_key))
     rebuilds: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    for new, (src, writes, body, _) in enumerate(best.values(), 1):
-        pruned.append(Bank(new, body))
+    for new, body in enumerate(state, 1):
+        src, writes, _ = best[body]
         if src != new or writes:
             rebuilds[new] = (src, writes)
     # Scratch banks lie above every survivor id and source, kept ones
     # included, so parking a cycle overwrites no survivor.
-    scratch = 1 + max([len(best)] + [src for src, _ in rebuilds.values()])
-    return alt(pruned), order_rebuilds(rebuilds, scratch)
+    scratch = 1 + max([len(state)] + [src for src, _ in rebuilds.values()])
+    return state, order_rebuilds(rebuilds, scratch)
+
+
+def show_state(e) -> str:
+    """Render a state: a tree, or a tagged state as ``β1·body+β2``."""
+    if not isinstance(e, tuple):
+        return show(e)
+    return "+".join(f"\u03b2{i}" if body is EPSILON else f"\u03b2{i}\u00b7{_show(body, 2)}"
+                    for i, body in enumerate(e, 1)) or "\u2205"
 
 
 def order_rebuilds(rebuilds: dict[int, tuple[int, tuple]], scratch: int) -> Program:
@@ -227,19 +232,21 @@ def order_rebuilds(rebuilds: dict[int, tuple[int, tuple]], scratch: int) -> Prog
     return tuple(steps)
 
 
-def normalize_step(r: Regex, tags: TagTable, store: Store, pos: int) -> tuple[Regex, Program]:
+def normalize_step(
+    terms: list[tuple[int, Regex]], tags: TagTable, store: Store, pos: int
+) -> tuple[tuple[Regex, ...], Program]:
     """One engine step after a derivative: teval, then disambiguate.
 
-    Every bank of ``r`` names a bank of ``store``; its pending writes
-    are step offsets (the engine derives at -1, tag evaluation stamps 0),
-    laid over the store at ``pos``.  Returns the normalized expression
-    (banks 1..k, no pendings) and its memory program, which has already
-    been applied to ``store``.
+    Each ``(bank, term)`` names the bank of ``store`` the term reads;
+    its pending writes are step offsets (the engine derives at -1, tag
+    evaluation stamps 0), laid over the store at ``pos``.  Returns the
+    normalized state (the bodies of banks 1..k, no pendings) and its
+    memory program, which has already been applied to ``store``.
     """
-    r = teval(r, 0)
-    r, program = disambiguate(r, tags, store, pos)
+    terms = [(b, u) for b, t in terms for u in alt_terms(teval(t, 0)) if u != EMPTY]
+    state, program = disambiguate(terms, tags, store, pos)
     apply_program(store, program, pos, tags.num_tags)
-    return r, program
+    return state, program
 
 
 # --- submatch extraction ----------------------------------------------------

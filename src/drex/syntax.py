@@ -2,10 +2,11 @@
 
 The tree covers the extended operator set: symbol classes, star,
 concatenation, union, intersection, complement, plus the formal memory
-symbols used for submatch tracking (position tags, memory banks, slot
-writes).  Smart constructors rewrite every expanded-similarity identity
-on the fly, so two expressions that differ only by those identities
-build the same tree.  Nodes are hash-consed: building a tree equal to a
+symbols used for submatch tracking (position tags and slot writes;
+memory banks are no tree symbol: a tagged state is the tuple of its
+bank bodies, see ``submatch``).  Smart constructors rewrite every
+expanded-similarity identity on the fly, so two expressions that differ
+only by those identities build the same tree.  Nodes are hash-consed: building a tree equal to a
 live one returns that very object, so ``==`` is identity and the hash
 is the object's own, both O(1) whatever the size of the tree.
 
@@ -157,23 +158,6 @@ class Write(Regex):
     value: int
 
 
-@_node
-class Bank(Regex):
-    """A memory bank heading one top-level alternative of a state.
-
-    The bank's pending slot writes are the ``Write`` run that starts its
-    body, in canonical order (by slot).  Between derivation and
-    disambiguation several alternatives may name one bank: each is a
-    copy of that bank's cells, and disambiguation numbers the survivors
-    1..k.  A bank below the top of a tree is not a drex tree: ``parse``
-    never builds a bank, and the tree code is undefined on a hand-built
-    tree that holds one.
-    """
-
-    bank: int
-    body: Regex
-
-
 EMPTY = Empty()
 EPSILON = Eps()
 TOP = Not(EMPTY)  # the universal language, kept in this canonical shape
@@ -189,8 +173,6 @@ def is_nullable(r: Regex) -> bool:
     """Whether the denoted language contains the empty string."""
     if isinstance(r, (Eps, Star, Tag, Write)):
         return True
-    if isinstance(r, Bank):
-        return is_nullable(r.body)
     if isinstance(r, (Empty, Sym)):
         return False
     if isinstance(r, Cat):
@@ -220,18 +202,11 @@ def has_memory(r: Regex) -> bool:
     raise TypeError(f"not a Regex: {r!r}")
 
 
-# Unused by the package: perfbench/worker.py clears this cache by name
-# before every call, so the name stays until the benchmark drops it.
+# No tree holds a bank, so this is 0; perfbench/worker.py clears this
+# cache by name before every call, so the name stays until the
+# benchmark drops it.
 @lru_cache(maxsize=None)
 def max_bank(r: Regex) -> int:
-    if isinstance(r, Bank):
-        return max(r.bank, max_bank(r.body))
-    if isinstance(r, (Star, Not)):
-        return max_bank(r.body)
-    if isinstance(r, Cat):
-        return max(max_bank(r.head), max_bank(r.tail))
-    if isinstance(r, (Alt, Inter)):
-        return max((max_bank(t) for t in r.terms), default=0)
     return 0
 
 
@@ -275,7 +250,7 @@ def head_atom(r: Regex) -> Regex:
 
 
 # ---------------------------------------------------------------------------
-# Canonical ordering and bank-blind equality
+# Canonical ordering
 # ---------------------------------------------------------------------------
 
 _RANK = {
@@ -284,18 +259,17 @@ _RANK = {
     Sym: 2,
     Tag: 3,
     Write: 4,
-    Bank: 5,
-    Star: 6,
-    Cat: 7,
-    Alt: 8,
-    Inter: 9,
-    Not: 10,
+    Star: 5,
+    Cat: 6,
+    Alt: 7,
+    Inter: 8,
+    Not: 9,
 }
 
 
 @lru_cache(maxsize=None)
 def order_key(r: Regex) -> tuple:
-    """Total-order key; bank identities and pendings compare equal."""
+    """Total-order key: equal keys are the same canonical tree."""
     k = _RANK[type(r)]
     if isinstance(r, (Empty, Eps)):
         return (k,)
@@ -305,8 +279,6 @@ def order_key(r: Regex) -> tuple:
         return (k, r.kind, r.index)
     if isinstance(r, Write):
         return (k, r.slot, r.value)
-    if isinstance(r, Bank):
-        return (k, order_key(_split_write_run(r.body)[1]))
     if isinstance(r, (Star, Not)):
         return (k, order_key(r.body))
     if isinstance(r, Cat):
@@ -519,18 +491,6 @@ def comp(r: Regex) -> Regex:
     if _is_any_star(rest):
         return EMPTY
     return Not(rest)
-
-
-def bank(bk: int, body: Regex) -> Regex:
-    """Bank ``bk`` heading ``body``; a leading write run stays pending."""
-    if isinstance(body, Empty):
-        return EMPTY
-    if isinstance(body, Alt):
-        # Copy-on-distribution: every term, with its own writes, gets a
-        # copy of this bank, named by the bank it reads; disambiguation
-        # numbers the survivors 1..k.
-        return alt([bank(bk, t) for t in body.terms])
-    return Bank(bk, body)
 
 
 # ---------------------------------------------------------------------------
@@ -968,11 +928,6 @@ def _show(r: Regex, prec: int) -> str:
         return f"{mark}{r.index}"
     if isinstance(r, Write):
         return f"s{r.slot}\u2190{r.value}"
-    if isinstance(r, Bank):
-        head = f"\u03b2{r.bank}"
-        if isinstance(r.body, Eps):
-            return head
-        return head + "\u00b7" + _show(r.body, 2)
     if isinstance(r, Star):
         return _show(r.body, 3) + "*"
     if isinstance(r, Not):

@@ -17,19 +17,14 @@ from drex.submatch import (
     apply_program,
     bank_compare,
     extract_submatches,
+    teval,
 )
 from drex.syntax import (
     EARLY,
     EMPTY,
     EPSILON,
     LATE,
-    Alt,
-    Bank,
-    Cat,
-    Inter,
-    Not,
     Regex,
-    Star,
     Sym,
     Tag,
     alt,
@@ -37,7 +32,6 @@ from drex.syntax import (
     cat,
     comp,
     inter,
-    order_key,
     star,
     sym,
 )
@@ -286,17 +280,17 @@ class NullifyResult:
         return self.kind != NOT_NULLABLE
 
 
-def nullify(r: Regex, pos: int = 0) -> NullifyResult:
+def nullify(r, pos: int = 0) -> NullifyResult:
     """Decide the empty-string membership, reporting memory outcomes.
 
-    Each entry names the bank heading a nullable top-level alternative
-    (None for an alternative no bank heads) together with the slot
-    writes produced by nulling its tags at ``pos``.
+    ``r`` is a tree or a tagged state, the tuple of its bank bodies.
+    Each entry names the bank whose body is nullable (None for a tree)
+    together with the slot writes produced by nulling its tags at
+    ``pos``.
     """
     ways: list[tuple[Optional[int], Way]] = []
-    for t in alt_terms(r):
-        owner, body = (t.bank, t.body) if isinstance(t, Bank) else (None, t)
-        ways += [(owner, w) for w in nu_ways(body, pos) if (owner, w) not in ways]
+    for owner, body in enumerate(r, 1) if isinstance(r, tuple) else [(None, r)]:
+        ways += [(owner, w) for w in nu_ways(body, pos)]
     if not ways:
         return NullifyResult(NOT_NULLABLE)
     if all(owner is None and not w for owner, w in ways):
@@ -314,28 +308,13 @@ def is_partition_of(part: SymbolPartition, universe: CharSet) -> bool:
     return seen == universe
 
 
-def equal_mod_banks(r1: Regex, r2: Regex) -> Optional[list[tuple[int, int]]]:
-    """Structural equality after erasing bank ids and pending writes.
-
-    Returns the positional bank pairing (banks of ``r1`` zipped with
-    banks of ``r2`` in tree order) when equal, else ``None``.
-    """
-    if order_key(r1) != order_key(r2):
-        return None
-    return list(zip(banks_in_order(r1), banks_in_order(r2)))
-
-
-def banks_in_order(r: Regex) -> list[int]:
-    """Every bank id of the tree, in pre-order."""
-    if isinstance(r, Bank):
-        return [r.bank] + banks_in_order(r.body)
-    if isinstance(r, (Star, Not)):
-        return banks_in_order(r.body)
-    if isinstance(r, Cat):
-        return banks_in_order(r.head) + banks_in_order(r.tail)
-    if isinstance(r, (Alt, Inter)):
-        return [b for t in r.terms for b in banks_in_order(t)]
-    return []
+def step_terms(state: tuple, cp: int) -> list[tuple[int, Regex]]:
+    """The ``(bank, term)`` list a step of a tagged state hands to
+    disambiguation, taken as the machines take it: each bank body
+    derived at offset -1, each term evaluated at 0."""
+    return [(b, u) for b, body in enumerate(state, 1)
+            for t in alt_terms(derive(body, cp, -1))
+            for u in alt_terms(teval(t, 0)) if u != EMPTY]
 
 
 def derive_string(r: Regex, symbols, start_pos: int = 0) -> Regex:

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from drex.charset import is_anchor
 from drex.syntax import (
     Alt,
-    Bank,
     Cat,
     Empty,
     Eps,
@@ -62,8 +61,6 @@ def member_naive(r: Regex, s) -> bool:
             return False
         if isinstance(r, (Eps, Tag, Write)):
             return i == j
-        if isinstance(r, Bank):
-            return match(r.body, i, j)
         if isinstance(r, Sym):
             if i == j:
                 return False
@@ -160,8 +157,6 @@ def language_upto(r: Regex, max_len: int, alphabet) -> frozenset[Symbols]:
             return frozenset()
         if isinstance(r, (Eps, Tag, Write)):
             return frozenset({()})
-        if isinstance(r, Bank):
-            return lang(r.body)
         if isinstance(r, Sym):
             finals = [c for c in syms if c in r.chars]
             if not r.transparent:
@@ -263,8 +258,6 @@ def enumerate_matches(r: Regex, tags: TagTable, s) -> set[BankValues]:
             return {_set(b, r.index, i)} if i == j else set()
         if isinstance(r, Write):
             return {_set(b, r.slot, r.value)} if i == j else set()
-        if isinstance(r, Bank):
-            return set(ways(r.body, i, j, b))
         if isinstance(r, Sym):
             return {b} if member_naive(r, w[i:j]) else set()
         if isinstance(r, Cat):

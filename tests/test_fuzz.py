@@ -24,14 +24,13 @@ from drex.engine import match_full, match_lazy, step
 from drex.semantics import derive, nu_ways
 from drex.submatch import HIGHER, apply_program, bank_compare, disambiguate, teval
 from drex.syntax import (
-    EMPTY,
     POLICIES,
     Alt,
-    Bank,
     Cat,
     Inter,
     Not,
     ParseError,
+    Regex,
     Star,
     SyntaxOptions,
     Tag,
@@ -40,16 +39,17 @@ from drex.syntax import (
     alt,
     alt_terms,
     is_nullable,
+    order_key,
     parse,
 )
 
 from helpers import (
     apply_parallel,
     assert_reads_defined,
-    banks_in_order,
     rand_pattern,
     rand_tagged_pattern,
     reference_match,
+    step_terms,
     strings_upto,
 )
 from oracle import member_naive
@@ -209,16 +209,15 @@ def test_writes_of_a_left_alternative_do_not_leak(policy):
 
 
 def _ranked_on_the_run(m, state, store):
-    """The run-time rule compiled acceptance replaced: rank every
-    top-level bank of the state whose body is nullable on the run's own
-    store."""
+    """The run-time rule compiled acceptance replaced: rank every bank
+    of the state whose body is nullable on the run's own store."""
     best = None
-    for t in alt_terms(m.states[state]):
-        if not (isinstance(t, Bank) and is_nullable(t.body)):
+    for b, body in enumerate(m.states[state], 1):
+        if not is_nullable(body):
             continue
-        cells = store[t.bank]
+        cells = store[b]
         if best is None or bank_compare(cells, best[1], m.tags) == HIGHER:
-            best = (t.bank, cells)
+            best = (b, cells)
     return best
 
 
@@ -303,51 +302,50 @@ def _tagged_machines(seed: int) -> tuple:
 
 
 def test_copies_name_the_banks_they_read():
-    # A bank copied by derivation or tag evaluation keeps the id of the
-    # bank it reads, so every top-level bank before disambiguation names
-    # a bank of the store the step runs against.  The step is taken as
-    # the machines take it: derived at offset -1, evaluated at 0.
+    # A term copied by derivation or tag evaluation reads the bank whose
+    # body it came from, so every bank named before disambiguation is a
+    # bank of the store the step runs against.
     banks = 0
     for m, _, stores in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
             for block, _, _ in row:
-                d = derive(m.states[i], block.pick(), -1)
-                for t in alt_terms(teval(d, 0)):
-                    if isinstance(t, Bank):
-                        assert t.bank in stores[i], (m.states[i], block, t)
-                        banks += 1
+                for b, t in step_terms(m.states[i], block.pick()):
+                    assert b in stores[i], (m.states[i], block, t)
+                    banks += 1
     assert banks > 5000
 
 
 def test_teval_is_idempotent_on_banked_input():
-    # A bank's pending writes start its body, so a second evaluation
+    # A bank's pending writes start its term, so a second evaluation
     # stops at the run's offset-0 writes and returns the first.  The
-    # step is taken as the machines take it: derived at offset -1,
-    # evaluated at 0.
+    # step is taken as the machines take it: each bank body derived at
+    # offset -1, each term evaluated at 0.
     checked = 0
     for m, _, _ in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
             for block, _, _ in row:
-                once = teval(derive(m.states[i], block.pick(), -1), 0)
-                assert teval(once, 0) is once, (m.states[i], block)
+                for body in m.states[i]:
+                    for t in alt_terms(derive(body, block.pick(), -1)):
+                        once = teval(t, 0)
+                        assert teval(once, 0) is once, (m.states[i], block)
                 checked += 1
     assert checked > 5000
 
 
 def test_pending_writes_are_step_offsets():
     # From derivation on, a pending write holds a step offset: derived at
-    # -1 and evaluated at 0, a step's tree holds only writes valued -1 or
-    # 0, and disambiguating it against the state's store at depth + 1
+    # -1 and evaluated at 0, a step's terms hold only writes valued -1 or
+    # 0, and disambiguating them against the state's store at depth + 1
     # gives the edge's target and program.
     checked = 0
     for m, depths, stores in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
             for block, j, program in row:
-                e = teval(derive(m.states[i], block.pick(), -1), 0)
-                values = {x.value for x in _subterms(e) if isinstance(x, Write)}
+                terms = step_terms(m.states[i], block.pick())
+                values = {x.value for _, t in terms for x in _subterms(t) if isinstance(x, Write)}
                 assert values <= {-1, 0}, (m.states[i], block)
-                pruned, got = disambiguate(e, m.tags, stores[i], depths[i] + 1)
-                assert pruned is m.states[j] and got == program, (m.states[i], block)
+                state, got = disambiguate(terms, m.tags, stores[i], depths[i] + 1)
+                assert state == m.states[j] and got == program, (m.states[i], block)
                 checked += 1
     assert checked > 5000
 
@@ -355,15 +353,15 @@ def test_pending_writes_are_step_offsets():
 def test_accepting_states_are_the_nullable_ones():
     # Acceptance reads nullability and the banks as they stand; a state
     # accepts exactly when it has a way to accept the empty string, one
-    # of its banks' bodies when tags are tracked.
+    # of its bank bodies' when tags are tracked.
     for m in list(_tagged_machines(11)) + _plain_machines(11):
         for i, e in enumerate(m.states):
             if isinstance(m, Dfa):
-                ways = nu_ways(e, 0)
+                nullable, ways = is_nullable(e), nu_ways(e, 0)
             else:
-                ways = [w for t in alt_terms(e) if isinstance(t, Bank)
-                        for w in nu_ways(t.body, 0)]
-            assert is_nullable(e) == bool(ways), e
+                nullable = any(is_nullable(body) for body in e)
+                ways = [w for body in e for w in nu_ways(body, 0)]
+            assert nullable == bool(ways), e
             assert (i in m.accepting) == bool(ways), (i, e)
 
 
@@ -398,38 +396,40 @@ def test_exports_follow_the_schema():
 
 def test_states_are_alternatives_of_dense_banks():
     # Disambiguation numbers the surviving banks 1..k in term order, and
-    # the engine reads a state's live banks off its top-level terms: so
-    # banks head top-level alternatives only, and no bank body holds one.
-    machines = _tagged_machines(11)
+    # the engine reads a state's live banks off its position in the
+    # tuple: so a tagged state is the canonically ordered tuple of
+    # distinct bodies, each one alternative, its store holds banks 1..k,
+    # and no node of a body names a bank.
+    machines = _tagged_construction(11)
     assert len(machines) > 200
-    for m in machines:
-        for e in m.states:
-            if e == EMPTY:
-                continue
-            terms = alt_terms(e)
-            assert all(isinstance(t, Bank) for t in terms), e
-            assert [t.bank for t in terms] == list(range(1, len(terms) + 1)), e
-            assert all(not banks_in_order(t.body) for t in terms), e
+    for m, _, stores in machines:
+        for e, store in zip(m.states, stores):
+            assert isinstance(e, tuple), e
+            assert list(e) == sorted(set(e), key=order_key), e
+            assert all(isinstance(t, Regex) and not isinstance(t, Alt) for t in e), e
+            assert sorted(store) == list(range(1, len(e) + 1)), e
+            assert not any(hasattr(x, "bank") for x in _subterms(e)), e
 
 
 def test_states_hold_no_pending_writes():
     # Disambiguation drops every bank's pending write run, and a bank
-    # heads every top-level alternative and only those: no tagged state
-    # holds a ``Write``, every top-level term of one that is not ``∅`` is
-    # a ``Bank``, and no ``Bank`` lies below one.  A plain machine tracks
-    # no tags, so its pattern's memory is erased first: it holds no
-    # memory at all, and ``(a)(b*)`` builds the machine of
-    # ``(?:a)(?:b*)``.
+    # heads every body of a tagged state and only those: every tagged
+    # state, ``∅`` too, is a tuple of bank bodies, and no body holds a
+    # ``Write`` or a node that names a bank.  A plain machine tracks no
+    # tags, so its pattern's memory is erased first: its states are
+    # trees that hold no memory at all, and ``(a)(b*)`` builds the
+    # machine of ``(?:a)(?:b*)``.
     for m in _tagged_machines(11):
         for e in m.states:
-            if e == EMPTY:
-                continue
-            for t in alt_terms(e):
-                assert isinstance(t, Bank), e
-                assert not any(isinstance(x, (Bank, Write)) for x in _subterms(t.body)), e
+            assert isinstance(e, tuple), e
+            for body in e:
+                assert not any(isinstance(x, Write) or hasattr(x, "bank")
+                               for x in _subterms(body)), e
     for m in _plain_machines(11):
         for e in m.states:
-            assert not any(isinstance(x, (Bank, Tag, Write)) for x in _subterms(e)), e
+            assert isinstance(e, Regex), e
+            assert not any(isinstance(x, (Tag, Write)) or hasattr(x, "bank")
+                           for x in _subterms(e)), e
     for alphabet in (Alphabet(with_anchors=False), alphabet_from_chars("ab")):
         grouped, plain = (make_dfa(parse(p)[0], alphabet) for p in ("(a)(b*)", "(?:a)(?:b*)"))
         assert export_json(grouped) == export_json(plain)
@@ -453,7 +453,7 @@ def _unparked(program):
 
 def _corpus_programs():
     """Each distinct (program, slots, live banks of the target) of the corpus."""
-    return {(program, m.tags.num_tags, len(alt_terms(m.states[j])) if m.states[j] != EMPTY else 0)
+    return {(program, m.tags.num_tags, len(m.states[j]))
             for m in _tagged_machines(11) for row in m.transitions for _, j, program in row}
 
 
@@ -502,7 +502,8 @@ def test_programs_never_read_undefined_banks():
 
 
 def _subterms(e):
-    seen, stack = set(), [e]
+    """Every node of a tree, or of each body of a tagged state, once."""
+    seen, stack = set(), list(e) if isinstance(e, tuple) else [e]
     while stack:
         x = stack.pop()
         if id(x) in seen:
@@ -513,7 +514,7 @@ def _subterms(e):
             stack += (x.head, x.tail)
         elif isinstance(x, (Alt, Inter)):
             stack.extend(x.terms)
-        elif isinstance(x, (Star, Not, Bank)):
+        elif isinstance(x, (Star, Not)):
             stack.append(x.body)
 
 
@@ -675,7 +676,7 @@ def test_memoized_edges_equal_fresh_derivatives():
             for block, j, ops in row:
                 de, fresh = step(m.states[i], block.pick(), depths[i], m.tags,
                                  dict(stores[i]), memo=None)
-                assert de is m.states[j] and tuple(fresh) == ops, (pattern, i, block)
+                assert de == m.states[j] and tuple(fresh) == ops, (pattern, i, block)
                 edges += 1
     assert edges > 3000 and memoized > 100
 

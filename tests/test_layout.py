@@ -150,23 +150,22 @@ def test_no_cache_outlives_a_machine():
     assert empty == [("syntax", "_INTERNED")], empty
 
 
-def test_banks_are_built_only_at_the_top_of_a_state():
-    # A bank heads only a top-level alternative of a state.  Three places
-    # build one: ``engine.start`` wraps the pattern in bank 1, ``bank``
-    # gives each term of a union its own copy, and ``disambiguate``
-    # numbers the survivors.  A ``Bank(...)`` built anywhere else would
-    # be a path for a bank below the top of a tree.
-    builders = set()
+def test_no_tree_node_holds_a_bank():
+    # A tagged state is the tuple of its bank bodies, so banks live only
+    # in ``engine`` and ``submatch``: no node class of the tree has a
+    # ``bank`` field, and the tree and derivative modules never name a
+    # ``Bank``.
+    from drex import syntax
 
-    def visit(node, module, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, module, child.name)
-                continue
-            if isinstance(child, ast.Call) and _callee(child) == "Bank":
-                builders.add((module, where))
-            visit(child, module, where)
-
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem, "")
-    assert builders == {("engine", "start"), ("submatch", "disambiguate"), ("syntax", "bank")}
+    nodes = [c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, syntax.Regex)]
+    assert len(nodes) > 10
+    for c in nodes:
+        assert "bank" not in getattr(c, "__dataclass_fields__", {}), c
+    for stem in ("syntax", "semantics"):
+        path = PACKAGE / f"{stem}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+        names |= {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+        assert "Bank" not in names, stem

@@ -16,11 +16,9 @@ from drex.semantics import (
     _meet,
     derivative_classes,
     derive,
-    nu_ways,
 )
 from drex.syntax import (
     Alt,
-    Bank,
     Cat,
     EARLY,
     EMPTY,
@@ -34,7 +32,6 @@ from drex.syntax import (
     Sym,
     Tag,
     Write,
-    alt,
     cat,
     comp,
     has_memory,
@@ -71,22 +68,23 @@ class TestNullify:
         assert nullify(EPSILON).kind == NULLABLE_PLAIN
 
     def test_tagged_concat_not_nullable(self):
-        r = Bank(1, cat(Tag(EARLY, 0), cat(A, Tag(LATE, 1))))
-        assert nullify(r, 0).kind == NOT_NULLABLE
+        state = (cat(Tag(EARLY, 0), cat(A, Tag(LATE, 1))),)
+        assert nullify(state, 0).kind == NOT_NULLABLE
 
     def test_worked_three_term_expression(self):
-        # only the bare-bank alternative accepts the empty string
-        long = Bank(1, cat(star(A), cat(Tag(LATE, 1),
-                   cat(Tag(EARLY, 2), cat(star(A), cat(Tag(LATE, 3), A))))))
-        short = Bank(2, cat(star(A), cat(Tag(LATE, 3), A)))
-        bare = Bank(3, EPSILON)
-        res = nullify(alt([long, short, bare]), 2)
+        # only the bare bank accepts the empty string; bank i heads the
+        # i-th body of a tagged state
+        long = cat(star(A), cat(Tag(LATE, 1),
+                   cat(Tag(EARLY, 2), cat(star(A), cat(Tag(LATE, 3), A)))))
+        short = cat(star(A), cat(Tag(LATE, 3), A))
+        bare = EPSILON
+        res = nullify((long, short, bare), 2)
         assert res.kind == NULLABLE_WITH_MEMORY
         assert res.entries == ((3, ()),)
 
     def test_tag_nulls_emit_position(self):
-        r = Bank(1, cat(Tag(EARLY, 0), cat(star(A), Tag(LATE, 1))))
-        res = nullify(r, 5)
+        state = (cat(Tag(EARLY, 0), cat(star(A), Tag(LATE, 1))),)
+        res = nullify(state, 5)
         assert res.entries == ((1, ((0, 5), (1, 5))),)
 
     def test_complement_is_memory_opaque(self):
@@ -110,11 +108,11 @@ class TestDerive:
         assert derive(atom, ord("c")) == EMPTY
 
     def test_tag_crossing_emits_pending_write(self):
-        # deriving across an opening tag records the current position on
-        # the bank, leaving the rest of the group pending
-        r = Bank(1, cat(Tag(EARLY, 0), cat(A, cat(Tag(LATE, 1), B))))
-        d = derive(r, ord("a"), 0)
-        assert d == Bank(1, cat(Write(0, 0), cat(Tag(LATE, 1), B)))
+        # deriving a bank body across an opening tag records the current
+        # position as a pending write, leaving the rest of the group pending
+        body = cat(Tag(EARLY, 0), cat(A, cat(Tag(LATE, 1), B)))
+        d = derive(body, ord("a"), 0)
+        assert d == cat(Write(0, 0), cat(Tag(LATE, 1), B))
 
     def test_derivative_of_complement_commutes(self):
         rnd = random.Random(11)
@@ -132,12 +130,15 @@ class TestDerive:
     def test_memo_is_shared_and_keys_every_inner_node(self):
         # One memo across symbols, positions and trees gives every
         # derivative a fresh call gives; it keys every inner node, memory
-        # or not, by (node, symbol, position).
+        # or not, by (node, symbol, position): bank bodies and the nodes
+        # below them alike.
         rnd = random.Random(14)
         memo = {}
+        bodies = set()
         for _ in range(150):
             mid, rest = rand_expr(rnd, 3), rand_expr(rnd, 3)
-            r = Bank(1, cat(Tag(EARLY, 0), cat(mid, cat(Tag(LATE, 1), rest))))
+            r = cat(Tag(EARLY, 0), cat(mid, cat(Tag(LATE, 1), rest)))
+            bodies.add(r)
             for pos, c in enumerate("abcab"):
                 for e in (r, mid, cat(mid, rest)):
                     assert derive(e, ord(c), pos, memo=memo) == derive(e, ord(c), pos)
@@ -145,8 +146,8 @@ class TestDerive:
         for node, cp, pos in memo:
             assert not isinstance(node, (Sym, Tag, Write, Empty, Eps)), node
             assert memo[node, cp, pos] == derive(node, cp, pos)
-        assert any(isinstance(node, Bank) for node, _, _ in memo)
-        assert any(has_memory(node) and not isinstance(node, Bank) for node, _, _ in memo)
+        assert any(node in bodies for node, _, _ in memo)
+        assert any(has_memory(node) and node not in bodies for node, _, _ in memo)
 
 
 class TestDerivativeClasses:
@@ -196,7 +197,7 @@ class TestDerivativeClasses:
                 return (x.head, x.tail)
             if isinstance(x, (Alt, Inter)):
                 return x.terms
-            if isinstance(x, (Star, Not, Bank)):
+            if isinstance(x, (Star, Not)):
                 return (x.body,)
             return ()
 
@@ -230,6 +231,19 @@ class TestDerivativeClasses:
             for block in part.blocks:
                 ds = {derive(r, cp) for cp in block.codepoints()}
                 assert len(ds) == 1, show(r)
+
+
+    def test_tagged_state_meets_its_bodies(self):
+        # A tagged state's partition refines every body's: each block
+        # gives every body one derivative.
+        rnd = random.Random(41)
+        for _ in range(100):
+            state = tuple(rand_expr(rnd, 3) for _ in range(rnd.randint(0, 3)))
+            part = derivative_classes(state, ABC)
+            assert is_partition_of(part, ABC.working)
+            for block in part.blocks:
+                for body in state:
+                    assert len({derive(body, cp) for cp in block.codepoints()}) == 1, show(body)
 
 
 class TestMembershipTheorem:

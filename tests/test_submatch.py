@@ -17,10 +17,10 @@ from drex.submatch import (
     extract_submatches,
     normalize_step,
     order_rebuilds,
+    show_state,
     teval,
 )
 from drex.syntax import (
-    Bank,
     EARLY,
     EPSILON,
     LATE,
@@ -28,16 +28,16 @@ from drex.syntax import (
     Tag,
     TagTable,
     Write,
-    alt,
     alt_terms,
     cat,
+    inter,
     parse,
     show,
     star,
     sym,
 )
 
-from helpers import apply_parallel, rand_tagged
+from helpers import apply_parallel, rand_tagged, step_terms
 from oracle import language_upto
 
 A = sym(from_chars("a"))
@@ -55,8 +55,8 @@ LAZY2 = table([EARLY, EARLY, EARLY, EARLY])
 
 class TestTeval:
     def test_pending_late_tag_becomes_write(self):
-        r = Bank(1, cat(Write(0, 0), Tag(LATE, 1)))
-        assert teval(r, 1) == Bank(1, cat(Write(0, 0), Write(1, 1)))
+        r = cat(Write(0, 0), Tag(LATE, 1))
+        assert teval(r, 1) == cat(Write(0, 0), Write(1, 1))
 
     def test_nullable_star_body_stamps_whole_pair(self):
         body = cat(Tag(EARLY, 0), cat(star(cat(Tag(EARLY, 2), cat(A, Tag(LATE, 3)))),
@@ -171,31 +171,28 @@ class TestBankCompare:
 class TestDisambiguate:
     def worked_state(self):
         # the three-alternative state of the running example, with its
-        # banks holding the positions recorded after one symbol
-        long = Bank(1, cat(star(A), cat(Tag(LATE, 1),
-                   cat(Tag(EARLY, 2), cat(star(A), cat(Tag(LATE, 3), A))))))
-        short = Bank(2, cat(star(A), cat(Tag(LATE, 3), A)))
-        bare = Bank(3, EPSILON)
-        state = alt([long, short, bare])
+        # banks holding the positions recorded after one symbol; bank i
+        # heads the i-th body
+        long = cat(star(A), cat(Tag(LATE, 1),
+                   cat(Tag(EARLY, 2), cat(star(A), cat(Tag(LATE, 3), A)))))
+        short = cat(star(A), cat(Tag(LATE, 3), A))
+        bare = EPSILON
+        state = (long, short, bare)
         store = {1: (0, None, None, None), 2: (0, 0, 0, None), 3: (0, 0, 0, 0)}
         return state, store
 
     def test_worked_example_collapse(self):
-        from drex.semantics import derive
-
         state, store = self.worked_state()
         # the symbol at position 1: its writes are offsets from position 2
-        d = teval(derive(state, ord("a"), -1), 0)
-        assert len(alt_terms(d)) == 5
+        d = step_terms(state, ord("a"))
+        assert len(set(d)) == 5
         pruned, ops = disambiguate(d, GREEDY2, store, 2)
-        terms = alt_terms(pruned)
-        assert len(terms) == 3
+        assert len(pruned) == 3
         new_store = dict(store)
         apply_program(new_store, ops, 2, 4)
-        surviving = sorted(t.bank for t in terms)
-        assert surviving == [1, 2, 3]
-        # the kept banks carry the first-most-longest memories
-        cells = {new_store[t.bank] for t in terms}
+        # the surviving banks are 1..3, and the kept ones carry the
+        # first-most-longest memories
+        cells = {new_store[b] for b in range(1, len(pruned) + 1)}
         assert cells == {
             (0, None, None, None),  # the continuing alternative
             (0, 1, 1, None),        # the late-closing two-star split
@@ -203,33 +200,32 @@ class TestDisambiguate:
         }
 
     def test_lazy_variant_keeps_other_banks(self):
-        from drex.semantics import derive
-
         state, store = self.worked_state()
-        d = teval(derive(state, ord("a"), -1), 0)
+        d = step_terms(state, ord("a"))
         pruned, ops = disambiguate(d, LAZY2, store, 2)
         new_store = dict(store)
         apply_program(new_store, ops, 2, 4)
-        cells = {new_store[t.bank] for t in alt_terms(pruned)}
+        cells = {new_store[b] for b in range(1, len(pruned) + 1)}
         assert (0, 0, 0, None) in cells  # the earlier-slot bank wins lazily
         assert (0, 0, 0, 1) in cells
 
     def test_single_term_passthrough(self):
-        r = Bank(1, cat(Write(0, 0), star(A)))
-        pruned, ops = disambiguate(r, GREEDY2, {1: (None,) * 4}, 2)
-        assert pruned == Bank(1, star(A))
+        r = cat(Write(0, 0), star(A))
+        pruned, ops = disambiguate([(1, r)], GREEDY2, {1: (None,) * 4}, 2)
+        assert pruned == (star(A),)
         assert ops == ((1, 1, ((0, 0),)),)
 
 
 class TestCompaction:
     def test_dense_renumbering(self):
-        r = alt([Bank(4, star(A)), Bank(7, star(B))])
+        terms = [(4, star(A)), (7, star(B))]
         store = {4: (1,), 7: (2,)}
-        out, ops = disambiguate(r, TagTable((EARLY,)), store, 0)
-        assert [t.bank for t in alt_terms(out)] == [1, 2]
+        out, ops = disambiguate(terms, TagTable((EARLY,)), store, 0)
+        assert out == (star(A), star(B))
+        assert sorted(dst for dst, _, _ in ops) == [1, 2]
         apply_program(store, ops, 0, 1)
-        got = {t.bank: store[t.bank] for t in alt_terms(out)}
-        assert set(got.values()) == {(1,), (2,)}
+        got = {b: store[b] for b in range(1, len(out) + 1)}
+        assert got == {1: (1,), 2: (2,)}
 
     def test_sequence_moves_cycle(self):
         store = {1: (10,), 2: (20,), 3: (30,)}
@@ -255,9 +251,9 @@ class TestPlans:
 
     def test_copies_then_a_write_rebuild_once(self):
         # A survivor that moves and is written gets one step.
-        r = Bank(3, cat(Write(0, 0), cat(Write(2, -1), star(A))))
-        pruned, program = disambiguate(r, GREEDY2, {3: (None,) * 4}, 2)
-        assert pruned == Bank(1, star(A))
+        r = cat(Write(0, 0), cat(Write(2, -1), star(A)))
+        pruned, program = disambiguate([(3, r)], GREEDY2, {3: (None,) * 4}, 2)
+        assert pruned == (star(A),)
         assert program == ((1, 3, ((0, 0), (2, -1))),)
         program, _ = self.both({1: (2, ()), 2: (3, ((1, 0),))})
         assert program == ((1, 2, ()), (2, 3, ((1, 0),)))
@@ -283,7 +279,8 @@ class TestPlans:
 
     def test_empty_program(self):
         assert order_rebuilds({}, scratch=1) == ()
-        assert disambiguate(star(A), GREEDY2, {}, 2) == (star(A), ())
+        # no term survives a step into the ∅ state, ``()``
+        assert disambiguate([], GREEDY2, {}, 2) == ((), ())
 
     def test_init_is_no_transition_op(self):
         # Only the initial program opens a bank all unset (src None).
@@ -327,3 +324,15 @@ class TestExtractSubmatches:
     def test_identity_origin(self):
         spans = extract_submatches((1, 3, 2, 2), GREEDY2)
         assert spans == [(1, 3), (2, 2)]
+
+
+def test_show_state_renders_bank_bodies():
+    # Bank i heads the i-th body; the strings are those the trace and
+    # exports printed when a state was a union of bank nodes.
+    assert show_state((cat(star(A), B), EPSILON)) == "β1·a*b+β2"
+    assert show_state((inter([star(A), cat(A, B)]),)) == "β1·(a*&ab)"
+    assert show_state((EPSILON, inter([star(A), cat(A, B)]))) == "β1+β2·(a*&ab)"
+    assert show_state((cat(star(A), B),)) == "β1·a*b"
+    assert show_state(()) == "∅"
+    # a tag-free machine's state is a tree, shown as it is
+    assert show_state(cat(star(A), B)) == show(cat(star(A), B)) == "a*b"

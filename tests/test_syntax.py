@@ -9,7 +9,6 @@ from drex import syntax
 from drex.charset import from_chars
 from drex.syntax import (
     Alt,
-    Bank,
     Cat,
     EARLY,
     EMPTY,
@@ -23,6 +22,7 @@ from drex.syntax import (
     Sym,
     SyntaxOptions,
     Tag,
+    TagTable,
     TOP,
     Write,
     alt,
@@ -37,12 +37,22 @@ from drex.syntax import (
     _INTERNED,
 )
 
-from helpers import equal_mod_banks, rand_expr, strings_upto
+from drex.submatch import disambiguate, normalize_step
+
+from helpers import rand_expr, strings_upto
 from oracle import language_upto, member_naive
 
 A = sym(from_chars("a"))
 B = sym(from_chars("b"))
 C = sym(from_chars("c"))
+
+LAZY1 = TagTable((EARLY, EARLY), ((0, 1),))
+
+
+def _group(*terms):
+    """Disambiguate ``(bank, term)`` pairs over all-unset banks."""
+    store = {b: (None, None) for b, _ in terms}
+    return disambiguate(list(terms), LAZY1, store, 0)
 
 
 class TestSimilarityIdentities:
@@ -77,7 +87,7 @@ class TestSimilarityIdentities:
     def test_complement(self):
         assert comp(comp(A)) == A
 
-    def test_eps_plus_bank(self):
+    def test_memory_eps_absorbs_plain_eps(self):
         # eps + a memory-carrying empty string absorbs the epsilon (a
         # recorded empty match beats an unrecorded one)
         assert alt([EPSILON, Write(0, 3)]) == Write(0, 3)
@@ -97,17 +107,21 @@ class TestSimilarityIdentities:
         assert r == cat(Write(1, 4), comp(A))
 
     def test_bank_absorbs_leading_writes_and_merges(self):
-        from drex.syntax import bank
-
         # a write-headed body is the bank's pending run, kept as it is
         body = cat(Write(1, 1), cat(Write(0, 0), A))
         assert body == cat(Write(0, 0), cat(Write(1, 1), A))
-        assert bank(1, body) == Bank(1, body)
-        # a union body gives every term its own copy and its own writes
+        store = {1: (None, None)}
+        assert normalize_step([(1, body)], LAZY1, store, 4) == (
+            (A,), ((1, 1, ((0, 0), (1, 1))),))
+        assert store == {1: (4, 5)}
+        # a union body gives every term its own copy of the bank it
+        # reads, with its own writes
         union = alt([cat(Write(0, 0), A), cat(Write(0, 1), B)])
-        assert bank(1, union) == alt(
-            [Bank(1, cat(Write(0, 0), A)), Bank(1, cat(Write(0, 1), B))]
-        )
+        store = {1: (None, None)}
+        state, program = normalize_step([(1, union)], LAZY1, store, 4)
+        assert state == (A, B)
+        assert sorted(program) == [(1, 1, ((0, 0),)), (2, 1, ((0, 1),))]
+        assert store == {1: (4, None), 2: (5, None)}
 
 
 def test_canonicalization_idempotent_on_random_trees():
@@ -148,29 +162,35 @@ def test_normalization_preserves_language():
 
 
 class TestEqualModBanks:
+    """Disambiguation groups terms equal after erasing the bank they
+    read and their pending writes."""
+
     def test_identical_erasures(self):
-        r1 = Bank(1, star(A))
-        r2 = Bank(2, cat(Write(0, 3), star(A)))
-        assert equal_mod_banks(r1, r2) == [(1, 2)]
-        assert equal_mod_banks(Bank(1, star(A)), Bank(1, star(B))) is None
+        # one group: the written bank ranks higher and survives as bank 1
+        state, program = _group((1, star(A)), (2, cat(Write(0, 3), star(A))))
+        assert state == (star(A),)
+        assert program == ((1, 2, ((0, 3),)),)
+        assert _group((1, star(A)), (1, star(B)))[0] == (star(A), star(B))
 
     def test_positional_pairing(self):
-        r1 = alt([Bank(1, cat(star(A), Tag(LATE, 1))), Bank(2, EPSILON)])
-        r2 = alt([Bank(4, cat(star(A), Tag(LATE, 1))), Bank(5, EPSILON)])
-        pairing = equal_mod_banks(r1, r2)
-        assert pairing is not None
-        assert sorted(pairing) == [(1, 4), (2, 5)]
+        # equal term lists read from different banks give one state, and
+        # each of its banks gets the cells of the bank its term read
+        # (t1's late tag is written at the step's position, 9)
+        t1, t2 = cat(star(A), Tag(LATE, 1)), EPSILON
+        for banks in ((1, 2), (4, 5)):
+            store = dict(zip(banks, ((1, 1), (2, 2))))
+            state, _ = normalize_step(list(zip(banks, (t1, t2))), LAZY1, store, 9)
+            assert state == (EPSILON, t1)
+            assert (store[1], store[2]) == ((2, 2), (1, 9))
 
     def test_equivalence_relation(self):
         rnd = random.Random(3)
         trees = [rand_expr(rnd, 3) for _ in range(40)]
         for r in trees:
-            assert equal_mod_banks(r, r) is not None
+            assert len(_group((1, r), (2, r))[0]) == 1
         for r in trees:
             for s in trees:
-                assert (equal_mod_banks(r, s) is None) == (
-                    equal_mod_banks(s, r) is None
-                )
+                assert _group((1, r), (2, s))[0] == _group((1, s), (2, r))[0]
 
 
 class TestParser:
@@ -278,9 +298,11 @@ class TestParser:
 
 
 def test_order_key_blind_to_banks():
-    r1 = Bank(1, cat(Write(0, 5), star(A)))
-    r2 = Bank(9, star(A))
-    assert order_key(r1) == order_key(r2)
+    # A state's order is the order of its bodies: the bank a term reads
+    # and its pending writes do not move it.
+    s1, _ = _group((1, cat(Write(0, 5), star(A))), (2, B))
+    s2, _ = _group((9, star(A)), (3, B))
+    assert s1 == s2 == tuple(sorted((star(A), B), key=order_key))
 
 
 def test_show_round_trips_through_parse():
@@ -301,9 +323,8 @@ class TestHashConsing:
         assert parse(pattern)[0] is parse(pattern)[0]
 
     def test_defaults_filled_before_lookup(self):
-        e = cat(A, B)
-        assert Bank(1, e) == Bank(1, e)
-        assert Bank(1, e) is Bank(bank=1, body=e)
+        assert Write(0, 1) == Write(0, 1)
+        assert Write(0, 1) is Write(slot=0, value=1)
         cs = from_chars("xy")
         assert Sym(cs) is Sym(cs, True) is Sym(chars=from_chars("yx"))
         assert Sym(cs) is not Sym(cs, False)
@@ -324,7 +345,7 @@ class TestHashConsing:
             gc.collect()
             assert repr(rand_expr(random.Random(seed), 4)) == text
         nodes = [c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, Regex)]
-        assert len(nodes) == 12
+        assert len(nodes) == 11
         for c in nodes:
             assert c.__hash__ is object.__hash__ and c.__eq__ is object.__eq__, c
 

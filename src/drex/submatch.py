@@ -38,7 +38,6 @@ from .syntax import (
     alt,
     alt_terms,
     cat,
-    comp,
     inter,
     is_nullable,
     order_key,
@@ -130,15 +129,13 @@ def teval(r: Regex, pos: int) -> Regex:
     of a step: the new writes join the term's pending run, and a union
     that comes out holds one term per way, each reading the term's bank.
     """
-    if isinstance(r, (Empty, Eps, Sym, Write)):
-        return r
+    if isinstance(r, (Empty, Eps, Sym, Write, Not)):
+        return r  # a complement holds no memory
     if isinstance(r, Tag):
         return Write(r.index, pos)
     if isinstance(r, Star):
         prefix = _eps_plus(nu_ways(teval(r.body, pos), pos))
         return cat(prefix, r)
-    if isinstance(r, Not):
-        return comp(teval(r.body, pos))
     if isinstance(r, Alt):
         return alt([teval(t, pos) for t in r.terms])
     if isinstance(r, Inter):

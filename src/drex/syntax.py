@@ -13,7 +13,7 @@ is the object's own, both O(1) whatever the size of the tree.
 Surface syntax (full table in the README):
 
     literals        any non-operator character
-    escapes         \\\\ \\+ \\* \\( \\) \\[ \\] \\& \\~ \\. \\n \\t \\-
+    escapes         \\\\ \\+ \\* \\( \\) \\[ \\] \\& \\~ \\. \\n \\t \\- \\\u03b5 \\\u2205
     classes         [abc], [a-c]; [] denotes the empty language
     union           r + s
     intersection    r & s
@@ -29,7 +29,6 @@ Surface syntax (full table in the README):
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -459,13 +458,14 @@ def inter(terms) -> Regex:
 
 
 def erase_memory(r: Regex) -> Regex:
-    """Strip tags and pending writes; the language is unchanged."""
+    """Strip tags and pending writes; the language is unchanged.
+
+    A complement holds no memory, so it is returned as it is.
+    """
     if isinstance(r, (Tag, Write)):
         return EPSILON
     if isinstance(r, Star):
         return star(erase_memory(r.body))
-    if isinstance(r, Not):
-        return comp(erase_memory(r.body))
     if isinstance(r, Cat):
         return cat(erase_memory(r.head), erase_memory(r.tail))
     if isinstance(r, Alt):
@@ -476,21 +476,17 @@ def erase_memory(r: Regex) -> Regex:
 
 
 def comp(r: Regex) -> Regex:
-    if isinstance(r, Not):
-        return r.body
-    # Slot writes commute with complement: hoist leading runs out.
-    run, rest = _split_write_run(r)
-    if run:
-        return writes_chain(_merge_writes((), run), comp(rest))
     # The complement of a tagged language ignores memory: positions
     # recorded inside could never delimit a submatch, and stamped
     # positions inside a complement would defeat the finiteness of the
-    # derivative set.
-    if has_memory(rest):
-        rest = erase_memory(rest)
-    if _is_any_star(rest):
+    # derivative set.  So no complement holds memory.
+    if has_memory(r):
+        r = erase_memory(r)
+    if isinstance(r, Not):
+        return r.body
+    if _is_any_star(r):
         return EMPTY
-    return Not(rest)
+    return Not(r)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +550,8 @@ _CHAR_ESCAPES = {
     "-": ord("-"),
     "^": ord("^"),
     "$": ord("$"),
+    "\u03b5": ord("\u03b5"),
+    "\u2205": ord("\u2205"),
     "n": ord("\n"),
     "t": ord("\t"),
 }
@@ -564,17 +562,6 @@ _ANCHOR_ESCAPES = {
     ">": ANCHOR_EOW,
     "z": ANCHOR_EOT,
 }
-
-
-class _Pair:
-    __slots__ = ("gid", "lazy", "open_seq", "close_seq", "tags")
-
-    def __init__(self, gid, lazy, open_seq):
-        self.gid = gid
-        self.lazy = lazy
-        self.open_seq = open_seq
-        self.close_seq = -1
-        self.tags = (-1, -1)
 
 
 class _Parser:
@@ -749,82 +736,69 @@ class _Parser:
         return ("class", from_ranges(ranges))
 
 
-def _wrap_subpatterns(tree):
-    """Wrap bare starred subpatterns in hidden capture-like pairs.
+class _Builder:
+    """One walk from the parser's tuple tree to a ``Regex``.
 
-    POSIX gives unparenthesized varying subpatterns the same
-    left-to-right longest-match status as groups; wrapping them in tag
-    pairs realizes that through the bank order.
+    A pair is a capture group or, under ``posix_subpatterns`` with the
+    posix policy, a bare starred subpattern: POSIX gives unparenthesized
+    varying subpatterns the same left-to-right longest-match status as
+    groups, and a hidden tag pair realizes that through the bank order.
+    A pair is numbered by the order in which pairs open (posix,
+    pre-order) or close (post-order); both counts are known once its
+    body is built.
     """
 
-    def walk(node, parent_is_group):
+    def __init__(self, options: SyntaxOptions):
+        self.post_order = options.policy == "post-order"
+        self.wrap_stars = options.posix_subpatterns and options.policy == "posix"
+        self.opens = 0
+        self.closes = 0
+        self.close_kinds: dict[int, str] = {}
+        self.group_pairs: dict[int, tuple[int, int]] = {}
+
+    def build(self, node, group_body: bool = False) -> Regex:
         kind = node[0]
+        if kind == "eps":
+            return EPSILON
+        if kind == "empty":
+            return EMPTY
+        if kind == "class":
+            return sym(node[1], transparent=True)
         if kind == "star":
-            inner = ("star", walk(node[1], False))
-            return inner if parent_is_group else ("group", None, False, inner)
-        if kind in ("alt", "inter", "cat"):
-            return (kind, [walk(t, False) for t in node[1]])
-        if kind == "group":
-            return ("group", node[1], node[2], walk(node[3], True))
+            if self.wrap_stars and not group_body:
+                return self.pair(None, False, node)
+            return star(self.build(node[1]))
+        if kind == "cat":
+            return cat_all(self.build(t) for t in node[1])
+        if kind == "alt":
+            return alt(self.build(t) for t in node[1])
+        if kind == "inter":
+            return inter(self.build(t) for t in node[1])
         if kind == "comp":
-            return node  # positions inside a complement never capture
-        return node
-
-    return walk(tree, False)
-
-
-def _collect_pairs(tree):
-    pairs: list[_Pair] = []
-    node_pairs: dict[int, _Pair] = {}
-    opens = itertools.count()
-    closes = itertools.count()
-
-    def walk(node):
-        kind = node[0]
+            # Positions inside a complement never capture: no hidden pairs.
+            wrap, self.wrap_stars = self.wrap_stars, False
+            body = self.build(node[1])
+            self.wrap_stars = wrap
+            # Anchors may interleave any raw text, so the complement is taken
+            # of the anchor-padded language; raw-string behavior is unchanged.
+            return comp(cat(body, star(sym(ANCHORS, transparent=False))))
         if kind == "group":
-            p = _Pair(node[1], node[2], next(opens))
-            pairs.append(p)
-            node_pairs[id(node)] = p
-            walk(node[3])
-            p.close_seq = next(closes)
-        elif kind in ("alt", "inter", "cat"):
-            for t in node[1]:
-                walk(t)
-        elif kind in ("star", "comp"):
-            walk(node[1])
+            return self.pair(node[1], node[2], node[3])
+        raise AssertionError(kind)
 
-    walk(tree)
-    return pairs, node_pairs
-
-
-def _build(node, node_pairs) -> Regex:
-    kind = node[0]
-    if kind == "eps":
-        return EPSILON
-    if kind == "empty":
-        return EMPTY
-    if kind == "class":
-        return sym(node[1], transparent=True)
-    if kind == "star":
-        return star(_build(node[1], node_pairs))
-    if kind == "cat":
-        return cat_all(_build(t, node_pairs) for t in node[1])
-    if kind == "alt":
-        return alt(_build(t, node_pairs) for t in node[1])
-    if kind == "inter":
-        return inter(_build(t, node_pairs) for t in node[1])
-    if kind == "comp":
-        body = _build(node[1], node_pairs)
-        # Anchors may interleave any raw text, so the complement is taken
-        # of the anchor-padded language; raw-string behavior is unchanged.
-        return comp(cat(body, star(sym(ANCHORS, transparent=False))))
-    if kind == "group":
-        p = node_pairs[id(node)]
-        open_tag, close_tag = p.tags
-        body = _build(node[3], node_pairs)
-        close_kind = EARLY if p.lazy else LATE
-        return cat(Tag(EARLY, open_tag), cat(body, Tag(close_kind, close_tag)))
-    raise AssertionError(kind)
+    def pair(self, gid, lazy: bool, body) -> Regex:
+        """Build ``body`` between the open and close tags of a new pair."""
+        opened = self.opens
+        self.opens += 1
+        r = self.build(body, group_body=True)
+        closed = self.closes
+        self.closes += 1
+        i = closed if self.post_order else opened
+        close_kind = EARLY if lazy else LATE
+        self.close_kinds[i] = close_kind
+        if gid is not None:
+            self.group_pairs[gid] = (2 * i, 2 * i + 1)
+        return cat(Tag(EARLY, 2 * i), cat(r, Tag(close_kind, 2 * i + 1)))
 
 
 def parse(pattern: str, options: SyntaxOptions = SyntaxOptions()) -> tuple[Regex, TagTable]:
@@ -836,25 +810,10 @@ def parse(pattern: str, options: SyntaxOptions = SyntaxOptions()) -> tuple[Regex
     """
     if options.policy not in POLICIES:
         raise ValueError(f"unknown policy {options.policy!r}")
-    p = _Parser(pattern, options)
-    tree = p.parse()
-    if options.posix_subpatterns and options.policy == "posix":
-        tree = _wrap_subpatterns(tree)
-    pairs, node_pairs = _collect_pairs(tree)
-    if options.policy == "post-order":
-        order = sorted(pairs, key=lambda g: g.close_seq)
-    else:
-        order = sorted(pairs, key=lambda g: g.open_seq)
-    kinds: list[str] = []
-    group_pairs: dict[int, tuple[int, int]] = {}
-    for i, g in enumerate(order):
-        g.tags = (2 * i, 2 * i + 1)
-        kinds += [EARLY, EARLY if g.lazy else LATE]
-        if g.gid is not None:
-            group_pairs[g.gid] = g.tags
-    regex = _build(tree, node_pairs)
-    table = TagTable(tuple(kinds), tuple(group_pairs[k] for k in sorted(group_pairs)))
-    return regex, table
+    b = _Builder(options)
+    regex = b.build(_Parser(pattern, options).parse())
+    kinds = tuple(k for i in range(len(b.close_kinds)) for k in (EARLY, b.close_kinds[i]))
+    return regex, TagTable(kinds, tuple(b.group_pairs[g] for g in sorted(b.group_pairs)))
 
 
 # ---------------------------------------------------------------------------

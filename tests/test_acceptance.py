@@ -19,7 +19,7 @@ from drex.automaton import (
     tagged_dfa_match,
 )
 from drex.charset import alphabet_from_chars, single
-from drex.engine import match_full, match_lazy
+from drex.engine import match_full
 from drex.semantics import derivative_classes, derive
 from drex.submatch import POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER, teval
 from drex.syntax import SyntaxOptions, is_nullable, parse, show

@@ -11,10 +11,10 @@ from drex.anchors import (
     EOW,
     inject_anchors,
 )
-from drex.charset import from_chars, single
+from drex.charset import single
 from drex.engine import match_full, match_lazy
 from drex.semantics import derive
-from drex.syntax import EMPTY, EPSILON, TagTable, comp, parse, show, sym
+from drex.syntax import EMPTY, EPSILON, parse, show, sym
 
 from helpers import (
     exactly_symbol,

@@ -11,7 +11,6 @@ import pytest
 
 from drex import anchors
 from drex.automaton import (
-    AcceptInfo,
     Dfa,
     StateLimitError,
     TaggedDfa,
@@ -28,7 +27,7 @@ from drex.charset import Alphabet, alphabet_from_chars, from_chars, single
 from drex.engine import match_full, match_lazy
 from drex.syntax import EMPTY, SyntaxOptions, TagTable, parse, show, star, sym
 
-from helpers import assert_reads_defined, rand_expr, strings_upto
+from helpers import assert_reads_defined, rand_expr
 from oracle import language_upto
 
 ABC = alphabet_from_chars("abc")

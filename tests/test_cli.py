@@ -3,8 +3,6 @@
 import io
 import json
 
-import pytest
-
 from drex.anchors import inject_anchors
 from drex.automaton import TaggedDfa
 from drex.charset import single

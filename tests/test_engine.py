@@ -142,7 +142,6 @@ def test_linear_growth_smoke():
     # roughly linearly with the input (monotone-linear fit, not timing
     # guarantees)
     from drex.semantics import derive
-    from drex.syntax import EMPTY
 
     r, _ = parse("(?:a+bb*a)*")
     sizes = []

@@ -169,3 +169,16 @@ def test_no_tree_node_holds_a_bank():
         names |= {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                   for a in n.names}
         assert "Bank" not in names, stem
+
+
+def test_test_modules_use_every_import():
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    assert name in loaded, (path.name, node.lineno, name)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from drex.charset import ANCHOR_BOW, from_chars, single
-from drex.syntax import EARLY, LATE, EPSILON, Tag, alt, cat, comp, inter, parse, star, sym
+from drex.syntax import EARLY, LATE, EPSILON, Tag, cat, comp, parse, sym
 
 from helpers import rand_expr
 from oracle import (

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from drex.charset import from_chars
 from drex.semantics import nu_ways
 from drex.automaton import make_tagged_dfa
@@ -15,7 +13,6 @@ from drex.submatch import (
     bank_compare,
     disambiguate,
     extract_submatches,
-    normalize_step,
     order_rebuilds,
     show_state,
     teval,
@@ -89,7 +86,7 @@ class TestTeval:
         # when the whole expression is nullable, every tag sitting in a
         # nullable subexpression turns into a write
         rnd = random.Random(777)
-        from drex.syntax import Alt, Cat, Inter, Not, Regex, is_nullable
+        from drex.syntax import Alt, Cat, Inter, Not, is_nullable
 
         def nullable_tags(r, inside_comp=False):
             if isinstance(r, Tag):

@@ -40,7 +40,7 @@ from drex.syntax import (
 from drex.submatch import disambiguate, normalize_step
 
 from helpers import rand_expr, strings_upto
-from oracle import language_upto, member_naive
+from oracle import member_naive
 
 A = sym(from_chars("a"))
 B = sym(from_chars("b"))
@@ -86,6 +86,8 @@ class TestSimilarityIdentities:
 
     def test_complement(self):
         assert comp(comp(A)) == A
+        # memory is erased first, so no complement holds a complement
+        assert comp(cat(Tag(EARLY, 0), comp(A))) == A
 
     def test_memory_eps_absorbs_plain_eps(self):
         # eps + a memory-carrying empty string absorbs the epsilon (a
@@ -103,8 +105,8 @@ class TestSimilarityIdentities:
     def test_write_hoists_from_inter_and_comp(self):
         r = inter([cat(Write(0, 2), A), B])
         assert r == cat(Write(0, 2), inter([A, B]))
-        r = comp(cat(Write(1, 4), A))
-        assert r == cat(Write(1, 4), comp(A))
+        # a complement holds no memory: its operand's writes are erased
+        assert comp(cat(Write(1, 4), A)) == comp(A)
 
     def test_bank_absorbs_leading_writes_and_merges(self):
         # a write-headed body is the bank's pending run, kept as it is
@@ -297,6 +299,34 @@ class TestParser:
             parse("(?xa)")
 
 
+_PAD = r"![\A^\<\>$\z]*"  # the anchor run a parsed complement pads with
+
+
+@pytest.mark.parametrize("pattern, policy, subpatterns, tree, kinds, pairs", [
+    # hidden pairs: a bare star gets one, numbered where it opens
+    ("(a)*", "posix", True, "τ0(τ2aλ3)*λ1", "ELEL", ((2, 3),)),
+    ("a**", "posix", True, "τ0(τ2a*λ3)*λ1", "ELEL", ()),
+    # a star that is a group's whole body gets none
+    ("((?:a*))", "posix", True, "τ0a*λ1", "EL", ((0, 1),)),
+    ("(a*b)", "posix", True, "τ0τ2a*λ3bλ1", "ELEL", ((0, 1),)),
+    # inside ~ a star gets no pair, a group is numbered but erased
+    ("a*~(b*)", "posix", True, "τ0a*λ1~(b*" + _PAD + ")", "ELEL", ((2, 3),)),
+    ("(a)~((b)c*)(d*)", "posix", True, "τ0aλ1~(bc*" + _PAD + ")τ6d*λ7",
+     "ELELELEL", ((0, 1), (2, 3), (4, 5), (6, 7))),
+    ("(a)~((b)c*)(d)", "post-order", False, "τ0aλ1~(bc*" + _PAD + ")τ6dλ7",
+     "ELELELEL", ((0, 1), (4, 5), (2, 3), (6, 7))),
+    # post-order numbers pairs where they close; a lazy pair closes early
+    ("(?l(a)b*)(c)", "post-order", False, "τ2τ0aλ1b*τ3τ4cλ5", "ELEEEL",
+     ((2, 3), (0, 1), (4, 5))),
+    # hidden pairs are a posix rule: pre-order ignores the option
+    ("(a)*b*(c*)", "pre-order", True, "(τ0aλ1)*b*τ2c*λ3", "ELEL", ((0, 1), (2, 3))),
+])
+def test_tag_numbering(pattern, policy, subpatterns, tree, kinds, pairs):
+    r, t = parse(pattern, SyntaxOptions(policy=policy, posix_subpatterns=subpatterns))
+    want_kinds = tuple(EARLY if k == "E" else LATE for k in kinds)
+    assert (show(r), t.kinds, t.group_pairs) == (tree, want_kinds, pairs)
+
+
 def test_order_key_blind_to_banks():
     # A state's order is the order of its bodies: the bank a term reads
     # and its pending writes do not move it.
@@ -315,6 +345,13 @@ def test_show_round_trips_through_parse():
         r2, _ = parse(printed)
         for s in strings_upto("abc", 3):
             assert member_naive(r2, s) == member_naive(r, s), printed
+
+
+def test_escaped_eps_and_empty_symbols_reparse():
+    # show escapes the symbols ε and ∅; parse reads the escapes back
+    for pattern in ["[ε]", "[∅]", "[∅b]ε"]:
+        r, _ = parse(pattern)
+        assert parse(show(r))[0] == r, show(r)
 
 
 class TestHashConsing:

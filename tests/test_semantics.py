@@ -2,8 +2,12 @@
 
 import random
 
+from drex.anchors import ANCHOR_RUN
 from drex.charset import (
+    ALL_BASE,
     ANCHOR_BOW,
+    ANCHOR_MAX,
+    ANCHOR_MIN,
     ANCHORS,
     FULL,
     Alphabet,
@@ -184,6 +188,15 @@ class TestDerivativeClasses:
             else:
                 kinds.add("dead")
         assert kinds == {"self", "anchors", "dead"}
+
+    def test_anchor_run_pad(self):
+        # The pad holds every marker: each one loops on it, and any base
+        # symbol kills it.
+        for m in range(ANCHOR_MIN, ANCHOR_MAX + 1):
+            assert derive(ANCHOR_RUN, m) is ANCHOR_RUN
+        assert derive(ANCHOR_RUN, ord("a")) is EMPTY
+        part = derivative_classes(ANCHOR_RUN, Alphabet())
+        assert sorted(part.blocks, key=lambda b: b.bounds) == [ALL_BASE, ANCHORS]
 
     def test_meet_is_the_pairwise_intersection(self):
         # The sweep must give exactly the blocks, in the order, of

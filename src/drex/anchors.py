@@ -7,9 +7,9 @@ other, with ``EDGE`` standing for the start of the text (as the previous
 class) and its end (as the next one).  ``BOUNDARY`` tabulates that rule
 once; ``inject_anchors`` rewrites input text with it so every boundary
 is explicit, and the matching loop in ``automaton`` reads the same table
-to generate the markers on the fly.  Transparent class atoms skip the
-markers they do not mention, so anchor-free patterns behave as if the
-markers were never there.
+to generate the markers on the fly.  Class atoms skip the markers they
+do not name, so anchor-free patterns behave as if the markers were
+never there.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .charset import (
     ANCHOR_EOT,
     ANCHOR_BOW,
     ANCHOR_EOW,
-    ANCHORS,
     from_chars,
     single,
 )
-from .syntax import Sym, star
 
 BOT = ANCHOR_BOT
 BOL = ANCHOR_BOL
@@ -109,7 +107,3 @@ def inject_anchors(text: str) -> AnchoredStream:
         symbols.append(m)
         origins.append(len(text))
     return AnchoredStream(tuple(symbols), tuple(origins))
-
-
-# Any run of anchor symbols; pads the stream ends during matching.
-ANCHOR_RUN = star(Sym(ANCHORS, transparent=False))

@@ -487,7 +487,7 @@ def dfa_to_regex(m: Dfa) -> Regex:
     const: list[Regex] = [EPSILON if i in m.accepting else EMPTY for i in range(n)]
     for i in range(n):
         for block, j in m.transitions[i]:
-            atom = sym(block, transparent=True)
+            atom = sym(block)
             coeff[i][j] = alt([coeff[i].get(j, EMPTY), atom])
     for i in range(n - 1, 0, -1):
         loop = coeff[i].pop(i, EMPTY)

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .anchors import ANCHOR_RUN
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
 from .semantics import derive
 from .semantics import nu_ways  # kept: perfbench/tracing.py wraps this name
@@ -27,6 +26,7 @@ from .submatch import (
     normalize_step,
 )
 from .syntax import (
+    ANCHOR_RUN,
     EMPTY,
     Regex,
     TagTable,
@@ -85,16 +85,16 @@ def match_lazy(r: Regex, s) -> bool:
 def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex | tuple, Store, Program]:
     """The state before the first symbol: state, bank store, program.
 
-    With ``pad`` the pattern absorbs the trailing anchor run of the
-    stream, which belongs to no atom of the pattern (leading anchors are
-    skipped by the pattern's own transparent atoms, or by this same pad
-    when the pattern consumes nothing).  When tags are tracked, bank 1
-    is opened all unset, ``(1, None, ())``, and reads the pattern; the
-    first tag evaluation runs at position 0, the state is the tuple of
-    bank bodies, and the returned program has already been applied to
-    the store.  When none are, the state is the pattern with its memory
-    erased: tags never change the language, so a tag-free machine
-    carries none.
+    With ``pad`` the pattern is followed by ``ANCHOR_RUN``, which absorbs
+    the trailing anchor run of the stream: it belongs to no atom of the
+    pattern (class atoms skip the leading markers they do not name, and
+    so does this same pad when the pattern consumes nothing).  When tags
+    are tracked, bank 1 is opened all unset, ``(1, None, ())``, and
+    reads the pattern; the first tag evaluation runs at position 0, the
+    state is the tuple of bank bodies, and the returned program has
+    already been applied to the store.  When none are, the state is the
+    pattern with its memory erased: tags never change the language, so
+    a tag-free machine carries none.
     """
     if not tags.num_tags and has_memory(r):
         r = erase_memory(r)

@@ -64,12 +64,12 @@ def nu_ways(r: Regex, pos: int) -> list[Way]:
         if not left:
             return []
         right = nu_ways(r.tail, pos)
-        return _dedup([_merge_writes(a, b) for a in left for b in right])
+        return list(dict.fromkeys(_merge_writes(a, b) for a in left for b in right))
     if isinstance(r, Alt):
         out: list[Way] = []
         for t in r.terms:
             out.extend(nu_ways(t, pos))
-        return _dedup(out)
+        return list(dict.fromkeys(out))
     if isinstance(r, Inter):
         acc: list[Way] = [()]
         for t in r.terms:
@@ -77,21 +77,11 @@ def nu_ways(r: Regex, pos: int) -> list[Way]:
             if not ways:
                 return []
             acc = [_merge_writes(a, b) for a in acc for b in ways]
-        return _dedup(acc)
+        return list(dict.fromkeys(acc))
     if isinstance(r, Not):
         # The complement of a tagged language ignores memory.
         return [] if nu_ways(r.body, pos) else [()]
     raise TypeError(f"not a Regex: {r!r}")
-
-
-def _dedup(ways: list[Way]) -> list[Way]:
-    seen = set()
-    out = []
-    for w in ways:
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +107,8 @@ def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
     if isinstance(r, Sym):
         if cp in r.chars:
             return EPSILON
-        if r.transparent and is_anchor(cp):
-            return r
-        return EMPTY
+        # A marker outside the class is skipped.
+        return r if is_anchor(cp) else EMPTY
     # Leaves are cheaper to derive than to look up; every inner node is
     # derived once per symbol and position.
     key = (r, cp, pos)
@@ -200,16 +189,13 @@ def _dca(r: Regex) -> tuple[CharSet, ...]:
     if isinstance(r, (Empty, Eps, Tag, Write)):
         return (FULL,)
     if isinstance(r, Sym):
-        if r.transparent:
-            # The atom's derivative distinguishes members, foreign
-            # anchors (skipped) and foreign base symbols (dead).
-            blocks = [
-                r.chars,
-                ANCHORS.difference(r.chars),
-                FULL.difference(ANCHORS).difference(r.chars),
-            ]
-        else:
-            blocks = [r.chars, FULL.difference(r.chars)]
+        # The atom's derivative distinguishes members, foreign anchors
+        # (skipped) and foreign base symbols (dead).
+        blocks = (
+            r.chars,
+            ANCHORS.difference(r.chars),
+            FULL.difference(ANCHORS).difference(r.chars),
+        )
         return tuple(b for b in blocks if not b.is_empty())
     if isinstance(r, (Star, Not)):
         return _dca(r.body)

@@ -4,11 +4,13 @@ The tree covers the extended operator set: symbol classes, star,
 concatenation, union, intersection, complement, plus the formal memory
 symbols used for submatch tracking (position tags and slot writes;
 memory banks are no tree symbol: a tagged state is the tuple of its
-bank bodies, see ``submatch``).  Smart constructors rewrite every
+bank bodies, see ``submatch``).  A class atom skips the anchor symbols
+its class does not name.  Smart constructors rewrite every
 expanded-similarity identity on the fly, so two expressions that differ
-only by those identities build the same tree.  Nodes are hash-consed: building a tree equal to a
-live one returns that very object, so ``==`` is identity and the hash
-is the object's own, both O(1) whatever the size of the tree.
+only by those identities build the same tree.  Nodes are hash-consed:
+building a tree equal to a live one returns that very object, so ``==``
+is identity and the hash is the object's own, both O(1) whatever the
+size of the tree.
 
 Surface syntax (full table in the README):
 
@@ -63,16 +65,15 @@ class _Interned(type):
 
     A constructor call with the fields of a live node returns that node,
     so structurally equal trees are one object and identity is the
-    hash.  Defaults are filled in before the lookup.  A key holds its
-    children, so no live key names a collected node.
+    hash.  Keywords are bound before the lookup; no field has a default.
+    A key holds its children, so no live key names a collected node.
     """
 
     def __call__(cls, *args, **kwargs):
-        fields = cls.__dataclass_fields__
-        if kwargs or len(args) != len(fields):
-            # The dataclass binds keywords and defaults; keep the fields.
+        if kwargs:
+            # The dataclass binds the keywords; keep the fields.
             probe = super().__call__(*args, **kwargs)
-            args = tuple(getattr(probe, f) for f in fields)
+            args = tuple(getattr(probe, f) for f in cls.__dataclass_fields__)
         key = (cls, *args)
         node = _INTERNED.get(key)
         if node is None:
@@ -108,13 +109,12 @@ class Eps(Regex):
 class Sym(Regex):
     """A symbol-class atom.
 
-    Transparent atoms tolerate any run of anchor symbols not named by the
-    class in front of the one symbol they consume; plain atoms match
-    exactly one symbol.
+    It consumes one symbol of its class, after any run of the anchor
+    symbols the class does not name.  A class naming every anchor skips
+    none, so it matches exactly one symbol.
     """
 
     chars: CharSet
-    transparent: bool = True
 
 
 @_node
@@ -160,6 +160,7 @@ class Write(Regex):
 EMPTY = Empty()
 EPSILON = Eps()
 TOP = Not(EMPTY)  # the universal language, kept in this canonical shape
+ANCHOR_RUN = Star(Sym(ANCHORS))  # pads complement operands and the stream end
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +274,7 @@ def order_key(r: Regex) -> tuple:
     if isinstance(r, (Empty, Eps)):
         return (k,)
     if isinstance(r, Sym):
-        return (k, r.chars.bounds, r.transparent)
+        return (k, r.chars.bounds)
     if isinstance(r, Tag):
         return (k, r.kind, r.index)
     if isinstance(r, Write):
@@ -290,10 +291,10 @@ def order_key(r: Regex) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def sym(chars: CharSet, transparent: bool = True) -> Regex:
+def sym(chars: CharSet) -> Regex:
     if chars.is_empty():
         return EMPTY
-    return Sym(chars, transparent)
+    return Sym(chars)
 
 
 def star(r: Regex) -> Regex:
@@ -536,7 +537,7 @@ class SyntaxOptions:
     base: CharSet = ALL_BASE
 
 
-_CHAR_ESCAPES = {
+_ESCAPES = {
     "\\": ord("\\"),
     "+": ord("+"),
     "*": ord("*"),
@@ -554,9 +555,6 @@ _CHAR_ESCAPES = {
     "\u2205": ord("\u2205"),
     "n": ord("\n"),
     "t": ord("\t"),
-}
-
-_ANCHOR_ESCAPES = {
     "A": ANCHOR_BOT,
     "<": ANCHOR_BOW,
     ">": ANCHOR_EOW,
@@ -641,16 +639,7 @@ class _Parser:
             self.take()
             return ("class", single(ANCHOR_EOL))
         if c == "\\":
-            self.take()
-            e = self.peek()
-            if e in _ANCHOR_ESCAPES:
-                self.take()
-                return ("class", single(_ANCHOR_ESCAPES[e]))
-            if e in _CHAR_ESCAPES:
-                self.take()
-                return ("class", single(_CHAR_ESCAPES[e]))
-            self.i -= 1
-            raise self.error(f"unknown escape \\{e}" if e else "dangling escape")
+            return ("class", single(self._char()))
         if c == "\u03b5":
             self.take()
             return ("eps",)
@@ -692,15 +681,14 @@ class _Parser:
             return body
         return ("group", gid, lazy, body)
 
-    def _class_char(self) -> int:
+    def _char(self) -> int:
+        """One literal or escaped symbol; a bad escape is reported at its backslash."""
         c = self.take()
         if c == "\\":
             e = self.take()
-            if e in _ANCHOR_ESCAPES:
-                return _ANCHOR_ESCAPES[e]
-            if e in _CHAR_ESCAPES:
-                return _CHAR_ESCAPES[e]
-            self.i -= 2  # at the backslash, as outside a class
+            if e in _ESCAPES:
+                return _ESCAPES[e]
+            self.i -= 2  # at the backslash
             raise self.error(f"unknown escape \\{e}" if e else "dangling escape")
         return ord(c)
 
@@ -715,14 +703,14 @@ class _Parser:
                 self.take()
                 break
             start = self.i
-            lo = self._class_char()
+            lo = self._char()
             if (
                 self.peek() == "-"
                 and self.i + 1 < len(self.s)
                 and self.s[self.i + 1] != "]"
             ):
                 self.take()
-                hi = self._class_char()
+                hi = self._char()
                 if hi < lo:
                     self.i = start
                     raise self.error("reversed class range")
@@ -763,7 +751,7 @@ class _Builder:
         if kind == "empty":
             return EMPTY
         if kind == "class":
-            return sym(node[1], transparent=True)
+            return sym(node[1])
         if kind == "star":
             if self.wrap_stars and not group_body:
                 return self.pair(None, False, node)
@@ -781,7 +769,7 @@ class _Builder:
             self.wrap_stars = wrap
             # Anchors may interleave any raw text, so the complement is taken
             # of the anchor-padded language; raw-string behavior is unchanged.
-            return comp(cat(body, star(sym(ANCHORS, transparent=False))))
+            return comp(cat(body, ANCHOR_RUN))
         if kind == "group":
             return self.pair(node[1], node[2], node[3])
         raise AssertionError(kind)
@@ -880,8 +868,7 @@ def _show(r: Regex, prec: int) -> str:
     if isinstance(r, Eps):
         return "\u03b5"
     if isinstance(r, Sym):
-        s = show_class(r.chars)
-        return s if r.transparent else "!" + s
+        return show_class(r.chars)
     if isinstance(r, Tag):
         mark = "\u03c4" if r.kind == EARLY else "\u03bb"
         return f"{mark}{r.index}"

@@ -333,7 +333,7 @@ def derive_string(r: Regex, symbols, start_pos: int = 0) -> Regex:
 
 # Anchor-sensitive combinators.  Exactly one (anything) symbol, repeated:
 # the top of the prefix lattice.
-_ANY_ONE = Sym(FULL, transparent=False)
+_ANY_ONE = Sym(FULL)
 ANY_STAR = star(_ANY_ONE)
 
 _WB = single(BOW).union(single(EOW))
@@ -343,21 +343,21 @@ def exactly_symbol(cp: int) -> Regex:
     """A pattern matching the one-symbol string, tolerating no anchors."""
     others = FULL.difference(single(cp))
     return inter(
-        [comp(cat(sym(others, transparent=True), ANY_STAR)),
-         sym(single(cp), transparent=True)]
+        [comp(cat(sym(others), ANY_STAR)),
+         sym(single(cp))]
     )
 
 
 def forbid_anchor_prefix(r: Regex) -> Regex:
     """Match like ``r`` but refuse any anchor at the current position."""
-    return inter([comp(cat(sym(ANCHORS, transparent=True), ANY_STAR)), r])
+    return inter([comp(cat(sym(ANCHORS), ANY_STAR)), r])
 
 
 def forbid_word_boundary(r: Regex) -> Regex:
     """Match like ``r`` but refuse a word boundary at the current position."""
-    return inter([comp(cat(sym(_WB, transparent=True), ANY_STAR)), r])
+    return inter([comp(cat(sym(_WB), ANY_STAR)), r])
 
 
 def require_word_boundary_between(s: Regex, t: Regex) -> Regex:
     """Concatenate ``s`` and ``t`` with a mandatory word boundary between."""
-    return cat(s, cat(sym(_WB, transparent=True), t))
+    return cat(s, cat(sym(_WB), t))

@@ -66,8 +66,6 @@ def member_naive(r: Regex, s) -> bool:
                 return False
             if w[j - 1] not in r.chars:
                 return False
-            if not r.transparent:
-                return j == i + 1
             return all(
                 is_anchor(w[k]) and w[k] not in r.chars for k in range(i, j - 1)
             )
@@ -159,8 +157,6 @@ def language_upto(r: Regex, max_len: int, alphabet) -> frozenset[Symbols]:
             return frozenset({()})
         if isinstance(r, Sym):
             finals = [c for c in syms if c in r.chars]
-            if not r.transparent:
-                return frozenset((c,) for c in finals)
             pad = [c for c in syms if is_anchor(c) and c not in r.chars]
             out = set()
             prefixes: list[Symbols] = [()]

@@ -119,12 +119,12 @@ class TestCombinators:
 
     def test_exactly_symbol_language(self):
         ex = exactly_symbol(ord("a"))
-        transparent = sym(single(ord("a")), transparent=True)
+        atom = sym(single(ord("a")))
         # brute-force membership over short anchor-bearing strings
         universe = [[], [ord("a")], [BOW, ord("a")], [ord("a"), BOW], [BOW], [BOT]]
         assert [member_naive(ex, s) for s in universe] == [
             False, True, False, False, False, False]
-        assert member_naive(transparent, [BOW, ord("a")])
+        assert member_naive(atom, [BOW, ord("a")])
 
     def test_forbid_anchor_prefix(self):
         r, _ = parse("ab")

@@ -217,7 +217,7 @@ class TestTrace:
 
     def test_trace_pinned(self):
         # Start state, one line per stream symbol (anchors included), verdict.
-        tail = r"![\A^\<\>$\z]*"
+        tail = r"[\A^\<\>$\z]*"
         one = f"β1·a{tail}+β2·aa*λ1τ2a*λ3a{tail}+β3·aa*λ3a{tail}"
         two = f"β1·{tail}+β2·a*λ1τ2a*λ3a{tail}+β3·a*λ3a{tail}"
         end = f"β1·{tail}+β2·a{tail}+β3·aa*λ1τ2a*λ3a{tail}+β4·aa*λ3a{tail}"

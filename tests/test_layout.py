@@ -182,3 +182,18 @@ def test_test_modules_use_every_import():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     assert name in loaded, (path.name, node.lineno, name)
+
+
+def test_boundary_rule_reads_no_tree():
+    # ``anchors`` tabulates where markers go; it knows symbols, not trees.
+    drex_modules = {module for module, _ in _imports(PACKAGE / "anchors.py")
+                    if module.startswith(".") or module.split(".")[0] == "drex"}
+    assert drex_modules <= {".charset", "drex.charset"}, drex_modules
+
+
+def test_one_kind_of_class_atom():
+    # Every class atom skips the anchors its class does not name; no flag
+    # makes a second kind.
+    from drex.syntax import Sym
+
+    assert list(Sym.__dataclass_fields__) == ["chars"]

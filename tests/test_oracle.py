@@ -31,11 +31,9 @@ def test_member_naive_examples():
     assert not member_naive(r, "a")
 
 
-def test_member_naive_transparent_vs_plain():
-    transparent = sym(single(ord("a")), transparent=True)
-    assert member_naive(transparent, [ANCHOR_BOW, ord("a")])
-    plain = sym(single(ord("a")), transparent=False)
-    assert not member_naive(plain, [ANCHOR_BOW, ord("a")])
+def test_member_naive_atom_skips_foreign_anchor():
+    atom = sym(single(ord("a")))
+    assert member_naive(atom, [ANCHOR_BOW, ord("a")])
 
 
 def test_enumerate_language_examples():

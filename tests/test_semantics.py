@@ -2,7 +2,6 @@
 
 import random
 
-from drex.anchors import ANCHOR_RUN
 from drex.charset import (
     ALL_BASE,
     ANCHOR_BOW,
@@ -22,6 +21,7 @@ from drex.semantics import (
     derive,
 )
 from drex.syntax import (
+    ANCHOR_RUN,
     Alt,
     Cat,
     EARLY,
@@ -105,8 +105,8 @@ class TestDerive:
         assert derive(A, ord("b")) == EMPTY
         assert derive(EPSILON, ord("a")) == EMPTY
 
-    def test_transparent_atom_skips_foreign_anchor(self):
-        atom = sym(from_chars("ab"), transparent=True)
+    def test_atom_skips_foreign_anchor(self):
+        atom = sym(from_chars("ab"))
         assert derive(atom, ANCHOR_BOW) == atom
         assert derive(atom, ord("a")) == EPSILON
         assert derive(atom, ord("c")) == EMPTY
@@ -176,7 +176,7 @@ class TestDerivativeClasses:
             assert is_partition_of(part, ABC.working)
 
     def test_anchored_alphabet_three_way_split(self):
-        atom = sym(single(ord("a")), transparent=True)
+        atom = sym(single(ord("a")))
         alpha = Alphabet(base=from_chars("ab"), with_anchors=True)
         part = derivative_classes(atom, alpha)
         kinds = set()

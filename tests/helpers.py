@@ -342,10 +342,7 @@ _WB = single(BOW).union(single(EOW))
 def exactly_symbol(cp: int) -> Regex:
     """A pattern matching the one-symbol string, tolerating no anchors."""
     others = FULL.difference(single(cp))
-    return inter(
-        [comp(cat(sym(others), ANY_STAR)),
-         sym(single(cp))]
-    )
+    return inter([comp(cat(sym(others), ANY_STAR)), sym(single(cp))])
 
 
 def forbid_anchor_prefix(r: Regex) -> Regex:

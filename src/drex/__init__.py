@@ -17,7 +17,7 @@ if _sys.getrecursionlimit() < 20_000:
 
 from .charset import Alphabet, CharSet, alphabet_from_chars, from_chars
 from .engine import MatchResult, match_full, match_lazy
-from .submatch import POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER
+from .syntax import POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER
 from .syntax import ParseError, Regex, SyntaxOptions, TagTable, parse, show
 from .automaton import (
     Dfa,

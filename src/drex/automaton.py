@@ -39,7 +39,6 @@ from .semantics import derivative_classes
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import (
     HIGHER,
-    POLICY_POSIX,
     Rebuild,
     Store,
     bank_compare,
@@ -51,6 +50,7 @@ from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this na
 from .syntax import (
     EMPTY,
     EPSILON,
+    POLICY_POSIX,
     Alt,
     Cat,
     Inter,
@@ -154,34 +154,36 @@ class AcceptInfo:
 # ---------------------------------------------------------------------------
 
 
-def _store_signature(store: Store, banks: range, n_slots: int, p: int) -> tuple:
-    """Bounded abstraction of a bank store: per-slot value order.
+def _canonical(store: Store, live: range, n_slots: int, p: int) -> Store:
+    """The live banks of a store at position ``p``, renamed per slot.
 
-    Records, slot by slot, the relative order of the live banks' cells,
-    which cells are unset, and which hold the current position.
-    Comparisons of banks read only this information, so two stores with
-    the same signature disambiguate identically; making it part of
-    tagged state identity keeps compiled decisions valid on every path
-    that reaches the state.
+    In each slot, a value below ``p`` becomes its rank among that slot's
+    values below ``p``, ``p`` itself becomes ``len(live)``, above every
+    rank, and an unset cell stays unset.  Comparisons of banks and the
+    step's writes (``p`` at offset -1, ``p + 1`` at offset 0) read only
+    that order, which cells are unset and which hold ``p``, so two stores
+    with the same canonical form disambiguate identically: as part of a
+    tagged state's identity it keeps compiled decisions valid on every
+    path that reaches the state.  The state then steps from position
+    ``len(live)``, where ``p`` stood, so the form holds no absolute
+    position.
     """
-    sig = []
+    columns = []
     for s in range(n_slots):
-        vals = [store[b][s] for b in banks]
-        present = sorted({v for v in vals if v is not None})
-        rank = {v: i for i, v in enumerate(present)}
-        sig.append(
-            tuple(
-                (-1, False) if v is None else (rank[v], v == p) for v in vals
-            )
-        )
-    return tuple(sig)
+        column = [store[b][s] for b in live]
+        below = sorted({v for v in column if v is not None and v < p})
+        rank = {v: i for i, v in enumerate(below)}
+        rank[p] = len(live)
+        rank[None] = None
+        columns.append([rank[v] for v in column])
+    return dict(zip(live, zip(*columns)))
 
 
 def _accept_info(e, store: Store, tags: TagTable) -> Optional[AcceptInfo]:
     """The highest-ranked nullable bank on the store as it stands.
 
     Tag evaluation has already written each alternative's slots into its
-    bank, so the bank is the result.  The store signature is part of the
+    bank, so the bank is the result.  The canonical store is part of the
     state's identity, so every run that reaches the state ranks the banks
     alike: the choice is compiled here, once; ties go to the earlier
     bank.  Without tracked tags only nullability counts.  None when no
@@ -202,15 +204,17 @@ class TaggedDfa:
     """A DFA whose transitions carry memory programs; state 0 is ``engine.start``.
 
     With tracked tags a state is the tuple of its bank bodies (bank
-    ``i`` heads the ``i``-th, ``()`` is ∅), keyed with the signature of
-    its live banks 1..k; without, it is a tree, keyed by itself.  Its
-    ``AcceptInfo`` and derivative-class blocks are computed when it is
-    created, and an edge (``engine.step`` at one symbol of the block,
-    from the state's first depth and store) when a run first takes it;
-    ``build`` takes every edge.  The steps of one machine share a
-    derivative memo (see ``semantics.derive``) for every inner node: it
-    lives and dies with the construction tables (``index``, ``depths``,
-    ``stores``), which ``build`` releases.
+    ``i`` heads the ``i``-th, ``()`` is ∅), kept with the canonical form
+    of its live banks 1..k (see ``_canonical``) as its store; without,
+    it is a tree, and its store is empty.  A state is keyed by its
+    expression and its store's cells.  Its ``AcceptInfo`` and
+    derivative-class blocks are computed when it is created, and an edge
+    (``engine.step`` at one symbol of the block, on the state's store at
+    position ``len(store)``) when a run first takes it; ``build`` takes
+    every edge.  The steps of one machine share a derivative memo (see
+    ``semantics.derive``) for every inner node: it lives and dies with
+    the construction tables (``index``, ``stores``), which ``build``
+    releases.
     Pending writes are step offsets from derivation on, so programs are
     position-relative and the machine is depth-independent at run time.
     The alphabet decides anchoring: with anchors, the machine pads the
@@ -228,7 +232,6 @@ class TaggedDfa:
         self.state_limit = state_limit
         self.index: Optional[dict] = {}
         self.states: list = []  # trees, or tuples of bank bodies with tags
-        self.depths: Optional[list[int]] = []
         self.stores: Optional[list[Store]] = []
         self._memo: Optional[dict] = {}  # (node, symbol, -1) -> derivative
         # Per state, [block, target, program] edges; target None until taken.
@@ -249,13 +252,10 @@ class TaggedDfa:
                   for dst, src, _ in program for b in (dst, src)]
         return max(banks) + 1
 
-    def _state_id(self, e, st: Store, depth: int) -> int:
-        n_slots = self.tags.num_tags
-        key = e
-        if n_slots:
-            live = range(1, len(e) + 1)
-            st = {b: st[b] for b in live}
-            key = (e, _store_signature(st, live, n_slots, depth))
+    def _state_id(self, e, st: Store, p: int) -> int:
+        if self.tags.num_tags:
+            st = _canonical(st, range(1, len(e) + 1), self.tags.num_tags, p)
+        key = (e, tuple(st.values()))
         j = self.index.get(key)
         if j is None:
             j = len(self.states)
@@ -263,7 +263,6 @@ class TaggedDfa:
                 raise StateLimitError(self.state_limit)
             self.index[key] = j
             self.states.append(e)
-            self.depths.append(depth)
             self.stores.append(st)
             blocks = derivative_classes(e, self.alphabet).blocks
             self.transitions.append([[b, None, ()] for b in sorted(blocks, key=lambda b: b.bounds)])
@@ -278,7 +277,8 @@ class TaggedDfa:
         return j
 
     def _take(self, i: int, edge: list) -> None:
-        d, st = self.depths[i], dict(self.stores[i])
+        st = dict(self.stores[i])
+        d = len(st)  # before the step, which may add scratch banks
         de, program = step(self.states[i], edge[0].pick(), d, self.tags, st, self._memo)
         edge[1:] = self._state_id(de, st, d + 1), program
 
@@ -348,7 +348,7 @@ class TaggedDfa:
                     self._take(i, edge)
             i += 1
         # A complete machine takes no more edges: release the construction tables.
-        self.index = self.depths = self.stores = self._memo = None
+        self.index = self.stores = self._memo = None
         return self
 
 

@@ -27,10 +27,11 @@ from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this nam
 from .charset import ALL_BASE, ASCII_BASE, Alphabet, CharSet, single
 from .engine import match_full  # kept: perfbench/tracing.py wraps this name
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
-from .submatch import POLICY_POSIX, show_state
+from .submatch import show_state
 from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this name
 from .syntax import (
     POLICIES,
+    POLICY_POSIX,
     ParseError,
     Regex,
     SyntaxOptions,

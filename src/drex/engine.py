@@ -18,7 +18,6 @@ from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this nam
 from .semantics import derive
 from .semantics import nu_ways  # kept: perfbench/tracing.py wraps this name
 from .submatch import (
-    POLICY_POSIX,
     Cells,
     Program,
     Store,
@@ -27,6 +26,7 @@ from .submatch import (
 )
 from .syntax import (
     ANCHOR_RUN,
+    POLICY_POSIX,
     EMPTY,
     Regex,
     TagTable,

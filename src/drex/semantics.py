@@ -80,7 +80,7 @@ def nu_ways(r: Regex, pos: int) -> list[Way]:
         return list(dict.fromkeys(acc))
     if isinstance(r, Not):
         # The complement of a tagged language ignores memory.
-        return [] if nu_ways(r.body, pos) else [()]
+        return [] if is_nullable(r.body) else [()]
     raise TypeError(f"not a Regex: {r!r}")
 
 

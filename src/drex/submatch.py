@@ -50,10 +50,6 @@ from .syntax import (
 
 UNSET = None
 
-POLICY_POSIX = "posix"
-POLICY_PRE_ORDER = "pre-order"
-POLICY_POST_ORDER = "post-order"
-
 Cells = tuple[Optional[int], ...]
 Store = dict[int, Cells]
 
@@ -103,7 +99,7 @@ def bank_compare(c1: Cells, c2: Cells, tags: TagTable) -> int:
         a, b = c1[k], c2[k]
         if a == b:
             continue
-        if tags.kind(k) == EARLY:
+        if tags.kinds[k] == EARLY:
             a2 = a if a is not None else float("inf")
             b2 = b if b is not None else float("inf")
             return HIGHER if a2 < b2 else LOWER

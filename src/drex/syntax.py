@@ -512,9 +512,6 @@ class TagTable:
     def num_groups(self) -> int:
         return len(self.group_pairs)
 
-    def kind(self, index: int) -> str:
-        return self.kinds[index]
-
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -527,12 +524,15 @@ class ParseError(ValueError):
         self.position = position
 
 
-POLICIES = ("posix", "pre-order", "post-order")
+POLICY_POSIX = "posix"
+POLICY_PRE_ORDER = "pre-order"
+POLICY_POST_ORDER = "post-order"
+POLICIES = (POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER)
 
 
 @dataclass(frozen=True)
 class SyntaxOptions:
-    policy: str = "posix"  # posix | pre-order | post-order
+    policy: str = POLICY_POSIX  # one of POLICIES
     posix_subpatterns: bool = False
     base: CharSet = ALL_BASE
 
@@ -737,8 +737,8 @@ class _Builder:
     """
 
     def __init__(self, options: SyntaxOptions):
-        self.post_order = options.policy == "post-order"
-        self.wrap_stars = options.posix_subpatterns and options.policy == "posix"
+        self.post_order = options.policy == POLICY_POST_ORDER
+        self.wrap_stars = options.posix_subpatterns and options.policy == POLICY_POSIX
         self.opens = 0
         self.closes = 0
         self.close_kinds: dict[int, str] = {}

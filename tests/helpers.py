@@ -9,11 +9,10 @@ from typing import Optional
 
 from drex.anchors import BOW, EOW, AnchoredStream, inject_anchors
 from drex.charset import ANCHORS, FULL, CharSet, from_chars, is_anchor, single
-from drex.engine import MatchResult
+from drex.engine import MatchResult, start, step
 from drex.semantics import SymbolPartition, Way, derive, nu_ways
 from drex.submatch import (
     HIGHER,
-    POLICY_POSIX,
     apply_program,
     bank_compare,
     extract_submatches,
@@ -24,14 +23,17 @@ from drex.syntax import (
     EMPTY,
     EPSILON,
     LATE,
+    POLICY_POSIX,
     Regex,
     Sym,
     Tag,
+    TagTable,
     alt,
     alt_terms,
     cat,
     comp,
     inter,
+    is_nullable,
     star,
     sym,
 )
@@ -194,6 +196,37 @@ def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
     groups = [(0, end if origin is None else origin[end])]
     if n_slots:
         groups.extend(extract_submatches(cells, m.tags, origin))
+    return MatchResult(True, cells, tuple(groups), end)
+
+
+def interpretive_match(r: Regex, tags: TagTable, policy: str, text: str) -> MatchResult:
+    """``tagged_dfa_match`` of a tagged pattern on an anchored machine,
+    made with no state table: ``engine.start``, then ``engine.step`` on
+    the run's own store, at absolute positions, at every symbol of
+    ``inject_anchors(text)``.  At each position the nullable banks are
+    ranked on that store as it stands, the earlier bank on a tie, and
+    offsets map through ``boundary_origin``.  So every disambiguation,
+    of a step or of acceptance, is made on the run's own store, where a
+    machine makes it once per state."""
+    stream = inject_anchors(text)
+    origin = stream.boundary_origin
+    state, store, _ = start(r, tags, True)
+    best = None  # match end, cells
+    for p in range(len(stream.symbols) + 1):
+        cells = None
+        for b, body in enumerate(state, 1):
+            if is_nullable(body) and (cells is None or bank_compare(store[b], cells, tags) == HIGHER):
+                cells = store[b]
+        if cells is not None and (best is None or policy == POLICY_POSIX
+                                  or bank_compare(cells, best[1], tags) == HIGHER):
+            best = (p, cells)
+        if p == len(stream.symbols) or not state:
+            break
+        state, _ = step(state, stream.symbols[p], p, tags, store)
+    if best is None:
+        return MatchResult(False)
+    end, cells = best
+    groups = [(0, origin[end]), *extract_submatches(cells, tags, origin)]
     return MatchResult(True, cells, tuple(groups), end)
 
 

@@ -21,8 +21,16 @@ from drex.automaton import (
 from drex.charset import alphabet_from_chars, single
 from drex.engine import match_full
 from drex.semantics import derivative_classes, derive
-from drex.submatch import POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER, teval
-from drex.syntax import SyntaxOptions, is_nullable, parse, show
+from drex.submatch import teval
+from drex.syntax import (
+    POLICY_POSIX,
+    POLICY_POST_ORDER,
+    POLICY_PRE_ORDER,
+    SyntaxOptions,
+    is_nullable,
+    parse,
+    show,
+)
 
 from helpers import oracle_posix_result, rand_expr, rand_tagged, strings_upto
 from oracle import language_upto

@@ -4,8 +4,14 @@ import random
 import time
 
 from drex.engine import match_full, match_lazy
-from drex.submatch import POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER
-from drex.syntax import SyntaxOptions, parse, show
+from drex.syntax import (
+    POLICY_POSIX,
+    POLICY_POST_ORDER,
+    POLICY_PRE_ORDER,
+    SyntaxOptions,
+    parse,
+    show,
+)
 
 from helpers import oracle_posix_result, rand_expr, strings_upto
 from oracle import member_naive

@@ -46,6 +46,7 @@ from drex.syntax import (
 from helpers import (
     apply_parallel,
     assert_reads_defined,
+    interpretive_match,
     rand_pattern,
     rand_tagged_pattern,
     reference_match,
@@ -244,7 +245,7 @@ def _check_acceptance(m, text) -> int:
 
 
 def test_compiled_acceptance_equals_run_time_ranking():
-    # A state's store signature fixes every bank comparison, so the way
+    # A state's canonical store fixes every bank comparison, so the way
     # ranked best when the state is created stays best on every run that
     # reaches it.  One on-demand machine serves all texts, so states are
     # reached at other positions and with other stores than at creation.
@@ -272,12 +273,39 @@ def test_compiled_acceptance_equals_run_time_ranking():
     assert compared > 5000
 
 
+def test_compiled_machine_equals_the_interpretive_run():
+    # A state's canonical store stands for the store of every run that
+    # reaches it: an on-demand machine, which decides each step and each
+    # acceptance once per state, gives what a run that decides them all
+    # on its own absolute store gives.  One machine serves all texts, so
+    # states are reached at other positions than at creation.
+    rnd = random.Random(1)
+    texts = strings_upto("ab ", 4)
+    runs = 0
+    for gen in (rand_pattern, rand_tagged_pattern):
+        for policy in POLICIES:
+            for _ in range(40):
+                pattern = gen(rnd, rnd.randint(1, 4), [3])
+                try:
+                    r, t = parse(pattern, SyntaxOptions(policy=policy))
+                except ParseError:
+                    continue
+                if not t.num_tags:
+                    continue
+                m = TaggedDfa(r, t, policy)
+                for text in texts:
+                    want = interpretive_match(r, t, policy, text)
+                    assert tagged_dfa_match(m, text) == want, (pattern, policy, text)
+                    runs += 1
+    assert runs > 10000
+
+
 @functools.lru_cache(maxsize=None)
 def _tagged_construction(seed: int) -> tuple:
     """Built tagged machines: both generators x every policy x anchored/``ab``.
 
-    Each comes with the first depth and store of every state, captured
-    before ``build`` releases them.
+    Each comes with the store of every state, captured before ``build``
+    releases them.
     """
     rnd = random.Random(seed)
     machines = []
@@ -290,15 +318,15 @@ def _tagged_construction(seed: int) -> tuple:
                         r, t = parse(pattern, SyntaxOptions(policy=policy))
                         if t.num_tags:
                             m = TaggedDfa(r, t, policy, alphabet, state_limit=2000)
-                            depths, stores = m.depths, m.stores
-                            machines.append((m.build(), depths, stores))
+                            stores = m.stores
+                            machines.append((m.build(), stores))
                     except (ParseError, StateLimitError):
                         continue
     return tuple(machines)
 
 
 def _tagged_machines(seed: int) -> tuple:
-    return tuple(m for m, _, _ in _tagged_construction(seed))
+    return tuple(m for m, _ in _tagged_construction(seed))
 
 
 def test_copies_name_the_banks_they_read():
@@ -306,7 +334,7 @@ def test_copies_name_the_banks_they_read():
     # body it came from, so every bank named before disambiguation is a
     # bank of the store the step runs against.
     banks = 0
-    for m, _, stores in _tagged_construction(11):
+    for m, stores in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
             for block, _, _ in row:
                 for b, t in step_terms(m.states[i], block.pick()):
@@ -321,7 +349,7 @@ def test_teval_is_idempotent_on_banked_input():
     # step is taken as the machines take it: each bank body derived at
     # offset -1, each term evaluated at 0.
     checked = 0
-    for m, _, _ in _tagged_construction(11):
+    for m, _ in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
             for block, _, _ in row:
                 for body in m.states[i]:
@@ -335,16 +363,20 @@ def test_teval_is_idempotent_on_banked_input():
 def test_pending_writes_are_step_offsets():
     # From derivation on, a pending write holds a step offset: derived at
     # -1 and evaluated at 0, a step's terms hold only writes valued -1 or
-    # 0, and disambiguating them against the state's store at depth + 1
-    # gives the edge's target and program.
+    # 0, and disambiguating them against the state's store at its
+    # position + 1 gives the edge's target and program.  A state's store
+    # is canonical: the state steps from position len(state), and every
+    # cell is unset or a rank up to that position.
     checked = 0
-    for m, depths, stores in _tagged_construction(11):
+    for m, stores in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
+            for cells in stores[i].values():
+                assert all(v is None or v in range(len(m.states[i]) + 1) for v in cells), cells
             for block, j, program in row:
                 terms = step_terms(m.states[i], block.pick())
                 values = {x.value for _, t in terms for x in _subterms(t) if isinstance(x, Write)}
                 assert values <= {-1, 0}, (m.states[i], block)
-                state, got = disambiguate(terms, m.tags, stores[i], depths[i] + 1)
+                state, got = disambiguate(terms, m.tags, stores[i], len(stores[i]) + 1)
                 assert state == m.states[j] and got == program, (m.states[i], block)
                 checked += 1
     assert checked > 5000
@@ -402,7 +434,7 @@ def test_states_are_alternatives_of_dense_banks():
     # and no node of a body names a bank.
     machines = _tagged_construction(11)
     assert len(machines) > 200
-    for m, _, stores in machines:
+    for m, stores in machines:
         for e, store in zip(m.states, stores):
             assert isinstance(e, tuple), e
             assert list(e) == sorted(set(e), key=order_key), e
@@ -642,7 +674,7 @@ class _Forgetful(dict):
 
 
 def _memo_machines() -> list:
-    """(pattern, machine, depths, stores, memo) over both generators,
+    """(pattern, machine, stores, memo) over both generators,
     every policy, tagged and tag-free; the references to the state
     tables and the memo outlive ``build``, which releases them."""
     rnd = random.Random(1414)
@@ -657,12 +689,12 @@ def _memo_machines() -> list:
                     continue
                 for tags, alphabet in ((t, Alphabet()), (TagTable(), alphabet_from_chars("ab"))):
                     m = TaggedDfa(r, tags, policy, alphabet, state_limit=2000)
-                    depths, stores, memo = m.depths, m.stores, m._memo
+                    stores, memo = m.stores, m._memo
                     try:
                         m.build()
                     except StateLimitError:
                         continue
-                    out.append((pattern, m, depths, stores, memo))
+                    out.append((pattern, m, stores, memo))
     return out
 
 
@@ -670,11 +702,11 @@ def test_memoized_edges_equal_fresh_derivatives():
     # Every edge of a machine built with its memo is the step taken
     # again without one: same target expression, same program.
     edges = memoized = 0
-    for pattern, m, depths, stores, memo in _memo_machines():
+    for pattern, m, stores, memo in _memo_machines():
         memoized += bool(memo)
         for i, row in enumerate(m.transitions):
             for block, j, ops in row:
-                de, fresh = step(m.states[i], block.pick(), depths[i], m.tags,
+                de, fresh = step(m.states[i], block.pick(), len(stores[i]), m.tags,
                                  dict(stores[i]), memo=None)
                 assert de == m.states[j] and tuple(fresh) == ops, (pattern, i, block)
                 edges += 1

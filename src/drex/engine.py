@@ -26,8 +26,8 @@ from .submatch import (
 )
 from .syntax import (
     ANCHOR_RUN,
-    POLICY_POSIX,
     EMPTY,
+    POLICY_POSIX,
     Regex,
     TagTable,
     alt_terms,

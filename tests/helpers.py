@@ -215,7 +215,9 @@ def interpretive_match(r: Regex, tags: TagTable, policy: str, text: str) -> Matc
     for p in range(len(stream.symbols) + 1):
         cells = None
         for b, body in enumerate(state, 1):
-            if is_nullable(body) and (cells is None or bank_compare(store[b], cells, tags) == HIGHER):
+            if not is_nullable(body):
+                continue
+            if cells is None or bank_compare(store[b], cells, tags) == HIGHER:
                 cells = store[b]
         if cells is not None and (best is None or policy == POLICY_POSIX
                                   or bank_compare(cells, best[1], tags) == HIGHER):

@@ -3,8 +3,8 @@
 Matching works by repeatedly taking Brzozowski derivatives of a
 canonical expression tree, either lazily per input symbol or ahead of
 time into a (tagged) DFA.  Submatch extraction uses position tags,
-memory banks and slot writes; anchors are ordinary symbols made explicit
-in the input stream by preprocessing.
+memory banks and slot writes; anchors are ordinary symbols that the
+matching loop adds to the stream at every boundary as it reads the text.
 """
 
 import sys as _sys

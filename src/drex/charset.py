@@ -12,7 +12,7 @@ sentinels used for context-marker (anchor) symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 MAX_CODEPOINT = 0x10FFFF
@@ -140,16 +140,16 @@ def is_anchor(cp: int) -> bool:
 class Alphabet:
     """The working alphabet for automaton construction and matching.
 
-    ``base`` is the set of ordinary input symbols; anchors are added on
-    top when ``with_anchors`` is set.
+    ``base`` is the set of ordinary input symbols; ``working`` adds the
+    anchors on top when ``with_anchors`` is set.
     """
 
     base: CharSet = ALL_BASE
     with_anchors: bool = True
+    working: CharSet = field(init=False, compare=False, repr=False)
 
-    @property
-    def working(self) -> CharSet:
-        return self.base.union(ANCHORS) if self.with_anchors else self.base
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "working", self.base.union(ANCHORS) if self.with_anchors else self.base)
 
 
 def alphabet_from_chars(chars: str, with_anchors: bool = False) -> Alphabet:

@@ -13,6 +13,7 @@ Exit codes: 0 success/match, 1 no match, 2 error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from .automaton import (
     DEFAULT_STATE_LIMIT,
@@ -24,7 +25,7 @@ from .automaton import (
 )
 from .automaton import make_dfa, make_tagged_dfa  # kept: perfbench/tracing.py wraps these names
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
-from .charset import ALL_BASE, ASCII_BASE, Alphabet, CharSet, single
+from .charset import ALL_BASE, ASCII_BASE, Alphabet, single
 from .engine import match_full  # kept: perfbench/tracing.py wraps this name
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import show_state
@@ -44,6 +45,20 @@ from .syntax import (
 )
 
 
+class _Out:
+    """Drops every write once the reader has gone (``drex grep … | head``)."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, s: str) -> None:
+        if self.stream is not None:
+            try:
+                self.stream.write(s)
+            except BrokenPipeError:
+                self.stream = None
+
+
 def _read_input(args) -> str:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -53,15 +68,10 @@ def _read_input(args) -> str:
     return sys.stdin.read()
 
 
-def _base(args) -> CharSet:
-    return ASCII_BASE if args.ascii_only else ALL_BASE
-
-
 def _parse(args) -> tuple[Regex, TagTable]:
     return parse(args.pattern, SyntaxOptions(
         policy=args.policy,
         posix_subpatterns=not getattr(args, "no_subpattern_tags", False),
-        base=_base(args),
     ))
 
 
@@ -72,7 +82,8 @@ def _machine(args, regex: Regex, tags: TagTable, policy: str) -> TaggedDfa:
     every edge at once, as ``compile`` and ``--engine dfa`` do.  A trace
     prints its states from the run that makes the result.
     """
-    return TaggedDfa(regex, tags, policy, Alphabet(_base(args)), args.state_bound)
+    return TaggedDfa(regex, tags, policy, Alphabet(ASCII_BASE if args.ascii_only else ALL_BASE),
+                     args.state_bound)
 
 
 def _cmd_run(args, text: str, out) -> int:
@@ -121,7 +132,7 @@ def _cmd_compile(args, _text, out) -> int:
 def _cmd_grep(args, text: str, out) -> int:
     # A line's verdict needs no spans: the machine tracks no tags.
     regex, _ = _parse(args)
-    any_sym = star(sym(_base(args)))
+    any_sym = star(sym(ALL_BASE))
     anywhere = cat(any_sym, cat(regex, any_sym))
     # One machine serves every line.  Posix keeps the longest match, which
     # the whole-line test below needs.
@@ -136,6 +147,8 @@ def _cmd_grep(args, text: str, out) -> int:
         if result.matched and result.groups[0] == (0, len(line)):
             print(line, file=out)
             hit_any = True
+            if out.stream is None:
+                break  # the reader has gone, and the verdict is known
     return 0 if hit_any else 1
 
 
@@ -185,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str], out=None) -> int:
-    out = out if out is not None else sys.stdout
+    out = _Out(out if out is not None else sys.stdout)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -210,7 +223,12 @@ def run(argv: list[str], out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: the flush at exit must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

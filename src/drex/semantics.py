@@ -151,37 +151,30 @@ class SymbolPartition:
     blocks: tuple[CharSet, ...]
 
 
-def _tiling(blocks: tuple[CharSet, ...]) -> list[tuple[int, int]]:
-    """(run end, block index) of every run of a partition, by run start."""
-    runs = sorted((lo, hi, i) for i, b in enumerate(blocks)
-                  for lo, hi in zip(b.bounds[::2], b.bounds[1::2]))
-    return [(hi, i) for _, hi, i in runs]
+def _minterms(parts) -> tuple[CharSet, ...]:
+    """The common refinement of any number of partitions of ``FULL``.
 
-
-def _meet(a: tuple[CharSet, ...], b: tuple[CharSet, ...]) -> tuple[CharSet, ...]:
-    """The common refinement of two partitions of ``FULL``.
-
-    One sweep over both tilings cuts ``FULL`` into intervals that lie in
-    one block of each side and groups them by that pair of blocks.  The
-    result lists every nonempty pairwise intersection, ``a``-major.
+    Each block of every part owns one bit, and each of its bounds
+    toggles that bit.  One sweep over the bounds cuts ``FULL`` into
+    intervals, and intervals with the same bits form one block.
     """
-    if len(a) == 1:
-        return b
-    if len(b) == 1:
-        return a
-    ta, tb = _tiling(a), _tiling(b)
-    # Neighbouring intervals differ in the block of one side (the sets
-    # are canonical), so the runs collected for a pair never touch.
-    groups: dict[tuple[int, int], list[int]] = {}
-    i = j = lo = 0
-    while i < len(ta):
-        (end_a, ka), (end_b, kb) = ta[i], tb[j]
-        hi = min(end_a, end_b)
-        groups.setdefault((ka, kb), []).extend((lo, hi))
-        lo = hi
-        i += end_a == hi
-        j += end_b == hi
-    return tuple(CharSet(tuple(groups[k])) for k in sorted(groups))
+    parts = [p for p in parts if len(p) > 1]
+    if len(parts) < 2:
+        return parts[0] if parts else (FULL,)
+    flips: dict[int, int] = {}
+    for k, b in enumerate(b for p in parts for b in p):
+        for x in b.bounds:
+            flips[x] = flips.get(x, 0) ^ 1 << k
+    # The mask is empty only before 0.  At each bound some part's block
+    # changes, so neighbours differ in a bit: a block's runs never touch.
+    groups: dict[int, list[int]] = {}
+    mask = lo = 0
+    for x in sorted(flips):
+        if mask:
+            groups.setdefault(mask, []).extend((lo, x))
+        mask ^= flips[x]
+        lo = x
+    return tuple(CharSet(tuple(g)) for g in groups.values())
 
 
 @lru_cache(maxsize=None)
@@ -201,13 +194,10 @@ def _dca(r: Regex) -> tuple[CharSet, ...]:
         return _dca(r.body)
     if isinstance(r, Cat):
         if is_nullable(r.head):
-            return _meet(_dca(r.head), _dca(r.tail))
+            return _minterms((_dca(r.head), _dca(r.tail)))
         return _dca(r.head)
     if isinstance(r, (Alt, Inter)):
-        acc = (FULL,)
-        for t in r.terms:
-            acc = _meet(acc, _dca(t))
-        return acc
+        return _minterms(map(_dca, r.terms))
     raise TypeError(f"not a Regex: {r!r}")
 
 
@@ -220,12 +210,5 @@ def derivative_classes(r, alphabet: Alphabet = Alphabet()) -> SymbolPartition:
     approximation may over-partition).
     """
     working = alphabet.working
-    acc = (FULL,)
-    for t in r if isinstance(r, tuple) else (r,):
-        acc = _meet(acc, _dca(t))
-    blocks = []
-    for b in acc:
-        cut = b.intersect(working)
-        if not cut.is_empty():
-            blocks.append(cut)
-    return SymbolPartition(tuple(blocks))
+    cuts = [b.intersect(working) for b in _minterms(map(_dca, r if isinstance(r, tuple) else (r,)))]
+    return SymbolPartition(tuple(b for b in cuts if not b.is_empty()))

@@ -534,7 +534,6 @@ POLICIES = (POLICY_POSIX, POLICY_PRE_ORDER, POLICY_POST_ORDER)
 class SyntaxOptions:
     policy: str = POLICY_POSIX  # one of POLICIES
     posix_subpatterns: bool = False
-    base: CharSet = ALL_BASE
 
 
 _ESCAPES = {
@@ -565,10 +564,9 @@ _ESCAPES = {
 class _Parser:
     """Recursive descent over the documented surface grammar."""
 
-    def __init__(self, pattern: str, options: SyntaxOptions):
+    def __init__(self, pattern: str):
         self.s = pattern
         self.i = 0
-        self.opts = options
         self.n_groups = 0
 
     def error(self, msg: str) -> ParseError:
@@ -631,7 +629,7 @@ class _Parser:
             return self.charclass()
         if c == ".":
             self.take()
-            return ("class", self.opts.base)
+            return ("class", ALL_BASE)
         if c == "^":
             self.take()
             return ("class", single(ANCHOR_BOL))
@@ -799,7 +797,7 @@ def parse(pattern: str, options: SyntaxOptions = SyntaxOptions()) -> tuple[Regex
     if options.policy not in POLICIES:
         raise ValueError(f"unknown policy {options.policy!r}")
     b = _Builder(options)
-    regex = b.build(_Parser(pattern, options).parse())
+    regex = b.build(_Parser(pattern).parse())
     kinds = tuple(k for i in range(len(b.close_kinds)) for k in (EARLY, b.close_kinds[i]))
     return regex, TagTable(kinds, tuple(b.group_pairs[g] for g in sorted(b.group_pairs)))
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from drex.anchors import inject_anchors
 from drex.automaton import TaggedDfa
@@ -181,6 +185,14 @@ class TestCompile:
             assert doc["tags"] == {"kinds": [], "groups": []}
             assert call(["match", pattern, text])[0] == 0, pattern
 
+    def test_ascii_state_label_reparses(self):
+        # ``.`` is every base symbol on any alphabet: --ascii narrows the
+        # machine, not the pattern, so state 0 prints as written.
+        code, out = call(["compile", ".a", "--format", "json", "--ascii"])
+        doc = json.loads(out)
+        assert code == 0 and doc["states"][0] == r".a[\A^\<\>$\z]*"
+        assert doc["transitions"][0]["symbols"] == r"[\x0000-\x007f]"
+
 
 class TestTrace:
     def test_trace_chain(self):
@@ -281,6 +293,27 @@ class TestGrep:
         code, out = call(["grep", "ab"], stdin="xab\nba\nabab\n")
         assert code == 0 and out == "xab\nabab\n"
         assert len(built) == 1
+
+    def test_closed_stdout_is_quiet(self, tmp_path):
+        # A reader that leaves early (``drex grep a --file F | head -1``)
+        # is no error: grep stops writing and exits with its verdict.  The
+        # output is larger than the pipe, so the writer meets the closed end.
+        path = tmp_path / "in.txt"
+        path.write_text("a\n" * 200_000, encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen([sys.executable, "-m", "drex.cli", "grep", "a", "--file", str(path)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"a\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0 and err == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
 
 
 def test_usage_error():

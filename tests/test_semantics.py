@@ -2,21 +2,27 @@
 
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from drex.charset import (
     ALL_BASE,
     ANCHOR_BOW,
     ANCHOR_MAX,
     ANCHOR_MIN,
     ANCHORS,
+    EMPTY_SET,
     FULL,
+    UNIVERSE_END,
     Alphabet,
+    CharSet,
     alphabet_from_chars,
     from_chars,
     single,
 )
 from drex.semantics import (
     _dca,
-    _meet,
+    _minterms,
     derivative_classes,
     derive,
 )
@@ -63,6 +69,30 @@ from oracle import member_naive
 ABC = alphabet_from_chars("abc")
 A = sym(from_chars("a"))
 B = sym(from_chars("b"))
+
+
+def pairwise(a, b):
+    """Every nonempty intersection of a block of ``a`` with one of ``b``."""
+    return tuple(z for x in a for y in b for z in [x.intersect(y)] if not z.is_empty())
+
+
+def by_bounds(blocks):
+    return sorted(blocks, key=lambda b: b.bounds)
+
+
+def _partition(cuts, labels):
+    """The partition of FULL that gives the interval after each cut its label's block."""
+    bounds = [0, *sorted(cuts), UNIVERSE_END]
+    blocks = {}
+    for lo, hi, k in zip(bounds, bounds[1:], labels):
+        blocks[k] = blocks.get(k, EMPTY_SET).union(CharSet((lo, hi)))
+    return tuple(blocks.values())
+
+
+# Few labels over few cuts: many parts have one block, and blocks of
+# different parts often coincide.
+partitions = st.builds(_partition, st.lists(st.integers(1, 40), unique=True, max_size=8),
+                       st.lists(st.integers(0, 2), min_size=9, max_size=9))
 
 
 class TestNullify:
@@ -199,12 +229,10 @@ class TestDerivativeClasses:
         assert sorted(part.blocks, key=lambda b: b.bounds) == [ALL_BASE, ANCHORS]
 
     def test_meet_is_the_pairwise_intersection(self):
-        # The sweep must give exactly the blocks, in the order, of
-        # intersecting every block of one side with every block of the other.
-        def pairwise(a, b):
-            return tuple(z for x in a for y in b for z in [x.intersect(y)]
-                         if not z.is_empty())
-
+        # At every Cat, Alt and Inter node, the sweep over the children's
+        # partitions must give exactly the blocks of intersecting every
+        # block of each child with every block of the others; and _dca is
+        # that sweep, except for a Cat whose head is not nullable.
         def children(x):
             if isinstance(x, Cat):
                 return (x.head, x.tail)
@@ -227,13 +255,15 @@ class TestDerivativeClasses:
                 x = work.pop()
                 work += children(x)
                 if isinstance(x, (Cat, Alt, Inter)):
-                    acc = (FULL,)
-                    for y in children(x):
-                        b = _dca(y)
-                        got = _meet(acc, b)
-                        assert got == pairwise(acc, b), show(x)
-                        meets += len(acc) > 1 and len(b) > 1  # both sides split
-                        acc = got
+                    parts = [_dca(y) for y in children(x)]
+                    want = (FULL,)
+                    for b in parts:
+                        meets += len(want) > 1 and len(b) > 1  # both sides split
+                        want = pairwise(want, b)
+                    got = _minterms(parts)
+                    assert by_bounds(got) == by_bounds(want), show(x)
+                    if not (isinstance(x, Cat) and not is_nullable(x.head)):
+                        assert _dca(x) == got, show(x)
         assert meets > 200
 
     def test_soundness_identical_derivatives_per_block(self):
@@ -257,6 +287,19 @@ class TestDerivativeClasses:
             for block in part.blocks:
                 for body in state:
                     assert len({derive(body, cp) for cp in block.codepoints()}) == 1, show(body)
+
+
+@given(st.lists(partitions, max_size=5), st.lists(st.integers(0, 4), max_size=2))
+def test_minterms_equal_the_pairwise_intersection(parts, repeats):
+    # Repeated parts and shared blocks must not split or drop a block.
+    parts += [parts[i % len(parts)] for i in repeats if parts]
+    want = (FULL,)
+    for p in parts:
+        want = pairwise(want, p)
+    got = _minterms(parts)
+    assert by_bounds(got) == by_bounds(want)
+    for b in got:
+        assert all(x < y for x, y in zip(b.bounds, b.bounds[1:])), b
 
 
 class TestMembershipTheorem:

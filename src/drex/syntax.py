@@ -15,7 +15,7 @@ size of the tree.
 Surface syntax (full table in the README):
 
     literals        any non-operator character
-    escapes         \\\\ \\+ \\* \\( \\) \\[ \\] \\& \\~ \\. \\n \\t \\- \\\u03b5 \\\u2205
+    escapes         \\\\ \\+ \\* \\( \\) \\[ \\] \\& \\~ \\. \\- \\^ \\$ \\\u03b5 \\\u2205 \\n \\t
     classes         [abc], [a-c]; [] denotes the empty language
     union           r + s
     intersection    r & s
@@ -536,6 +536,8 @@ class SyntaxOptions:
     posix_subpatterns: bool = False
 
 
+# The symbol vocabulary, stated once: the parser reads these two tables
+# and the printer reads them backwards.  An escape names one symbol.
 _ESCAPES = {
     "\\": ord("\\"),
     "+": ord("+"),
@@ -558,6 +560,15 @@ _ESCAPES = {
     "<": ANCHOR_BOW,
     ">": ANCHOR_EOW,
     "z": ANCHOR_EOT,
+}
+
+# A bare glyph outside a class is one parse-tree node.
+_GLYPHS = {
+    ".": ("class", ALL_BASE),
+    "^": ("class", single(ANCHOR_BOL)),
+    "$": ("class", single(ANCHOR_EOL)),
+    "\u03b5": ("eps",),
+    "\u2205": ("empty",),
 }
 
 
@@ -627,23 +638,11 @@ class _Parser:
             return self.group()
         if c == "[":
             return self.charclass()
-        if c == ".":
+        if c in _GLYPHS:
             self.take()
-            return ("class", ALL_BASE)
-        if c == "^":
-            self.take()
-            return ("class", single(ANCHOR_BOL))
-        if c == "$":
-            self.take()
-            return ("class", single(ANCHOR_EOL))
+            return _GLYPHS[c]
         if c == "\\":
             return ("class", single(self._char()))
-        if c == "\u03b5":
-            self.take()
-            return ("eps",)
-        if c == "\u2205":
-            self.take()
-            return ("empty",)
         if not c:
             raise self.error("unexpected end of pattern")
         if c in "*)]":
@@ -806,40 +805,27 @@ def parse(pattern: str, options: SyntaxOptions = SyntaxOptions()) -> tuple[Regex
 # Pretty printing (used by trace output and the DOT/JSON exports)
 # ---------------------------------------------------------------------------
 
-_ANCHOR_GLYPHS = {
-    ANCHOR_BOT: "\\A",
-    ANCHOR_BOL: "^",
-    ANCHOR_BOW: "\\<",
-    ANCHOR_EOW: "\\>",
-    ANCHOR_EOL: "$",
-    ANCHOR_EOT: "\\z",
-}
-
-_NEEDS_ESCAPE = set("\\+*()[]&~.^$\u03b5\u2205-")
+# A symbol the parser reads from an escape, or from a glyph naming that
+# one symbol, prints as that escape or glyph.
+_SHOWN = {cp: "\\" + e for e, cp in _ESCAPES.items()}
+_SHOWN.update((node[1].pick(), g) for g, node in _GLYPHS.items()
+              if node[0] == "class" and node[1].count() == 1)
 
 
 def _show_char(cp: int) -> str:
-    if cp in _ANCHOR_GLYPHS:
-        return _ANCHOR_GLYPHS[cp]
+    if cp in _SHOWN:
+        return _SHOWN[cp]
     c = chr(cp)
-    if c in _NEEDS_ESCAPE:
-        return "\\" + c
-    if c == "\n":
-        return "\\n"
-    if c == "\t":
-        return "\\t"
-    if c.isprintable():
-        return c
-    return f"\\x{cp:04x}"
+    return c if c.isprintable() else f"\\x{cp:04x}"
 
 
 def show_class(cs: CharSet) -> str:
     if cs == ALL_BASE:
         return "."
-    if cs == FULL:
-        return "[.\\A^\\<\\>$\\z]"
-    if cs == ANCHORS:
-        return "[\\A^\\<\\>$\\z]"
+    if cs in (FULL, ANCHORS):
+        # every anchor on its own, after the base symbols' "." in FULL
+        anchors = "".join(map(_show_char, ANCHORS.codepoints()))
+        return "[" + ("." if cs == FULL else "") + anchors + "]"
     runs = list(cs.ranges())
     if len(runs) == 1 and runs[0][0] == runs[0][1]:
         return _show_char(runs[0][0])

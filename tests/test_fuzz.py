@@ -279,24 +279,28 @@ def test_compiled_machine_equals_the_interpretive_run():
     # acceptance once per state, gives what a run that decides them all
     # on its own absolute store gives.  One machine serves all texts, so
     # states are reached at other positions than at creation.
+    # The fixed pattern reaches one state with two stores that rank its
+    # banks differently, which no random pattern here does: a machine
+    # keyed by the expression alone merges the two.
     rnd = random.Random(1)
+    cases = [(gen(rnd, rnd.randint(1, 4), [3]), policy)
+             for gen in (rand_pattern, rand_tagged_pattern)
+             for policy in POLICIES for _ in range(40)]
+    cases += [("(?:(b)+((?:~(?:ab))*))", policy) for policy in POLICIES]
     texts = strings_upto("ab ", 4)
     runs = 0
-    for gen in (rand_pattern, rand_tagged_pattern):
-        for policy in POLICIES:
-            for _ in range(40):
-                pattern = gen(rnd, rnd.randint(1, 4), [3])
-                try:
-                    r, t = parse(pattern, SyntaxOptions(policy=policy))
-                except ParseError:
-                    continue
-                if not t.num_tags:
-                    continue
-                m = TaggedDfa(r, t, policy)
-                for text in texts:
-                    want = interpretive_match(r, t, policy, text)
-                    assert tagged_dfa_match(m, text) == want, (pattern, policy, text)
-                    runs += 1
+    for pattern, policy in cases:
+        try:
+            r, t = parse(pattern, SyntaxOptions(policy=policy))
+        except ParseError:
+            continue
+        if not t.num_tags:
+            continue
+        m = TaggedDfa(r, t, policy)
+        for text in texts:
+            want = interpretive_match(r, t, policy, text)
+            assert tagged_dfa_match(m, text) == want, (pattern, policy, text)
+            runs += 1
     assert runs > 10000
 
 

@@ -197,3 +197,21 @@ def test_one_kind_of_class_atom():
     from drex.syntax import Sym
 
     assert list(Sym.__dataclass_fields__) == ["chars"]
+
+
+def test_docs_list_the_parser_escapes():
+    # The syntax docstring and the README list every escape the parser
+    # reads, and only those; the anchor escapes have their own row, which
+    # lists each anchor as the printer writes it.
+    from drex import syntax
+    from drex.charset import ANCHORS
+
+    plain = sorted(e for e, cp in syntax._ESCAPES.items() if cp not in ANCHORS)
+    doc_row = next(line for line in syntax.__doc__.splitlines() if line.split()[:1] == ["escapes"])
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    readme_row = next(line for line in readme if line.startswith("| escapes |"))
+    for row in (doc_row.split()[1:], readme_row.split("`")[1].split()):
+        assert all(t.startswith("\\") for t in row), row
+        assert sorted(t[1:] for t in row) == plain, row
+    anchor_row = next(line for line in readme if line.startswith("| `\\A "))
+    assert anchor_row.split("`")[1].split() == [syntax._show_char(a) for a in ANCHORS.codepoints()]

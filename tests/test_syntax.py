@@ -6,7 +6,7 @@ import random
 import pytest
 
 from drex import syntax
-from drex.charset import from_chars
+from drex.charset import ALL_BASE, ANCHOR_BOL, ANCHOR_EOL, ANCHORS, FULL, from_chars, single
 from drex.syntax import (
     Alt,
     Cat,
@@ -32,9 +32,12 @@ from drex.syntax import (
     order_key,
     parse,
     show,
+    show_class,
     star,
     sym,
+    _ESCAPES,
     _INTERNED,
+    _show_char,
 )
 
 from drex.submatch import disambiguate, normalize_step
@@ -352,6 +355,43 @@ def test_escaped_eps_and_empty_symbols_reparse():
     for pattern in ["[ε]", "[∅]", "[∅b]ε"]:
         r, _ = parse(pattern)
         assert parse(show(r))[0] == r, show(r)
+
+
+def test_printed_symbols_reparse():
+    # The printer writes each symbol of the vocabulary as the parser's
+    # escape or glyph for it, so the text parses back to that symbol,
+    # alone and, but for the line anchors, inside a class.  Printable
+    # ASCII is checked too, so a symbol dropped from the table shows.
+    line_anchors = (ANCHOR_BOL, ANCHOR_EOL)
+    symbols = {*range(0x20, 0x7F), *map(ord, "\n\t\u00e9"), *_ESCAPES.values(), *line_anchors}
+    for cp in sorted(symbols):
+        shown = _show_char(cp)
+        assert parse(shown)[0] == sym(single(cp)), shown
+        if cp not in line_anchors:
+            assert parse("[" + shown + "]")[0] == sym(single(cp)), shown
+            assert parse("[a" + shown + "z]")[0] == sym(from_chars("az").union(single(cp))), shown
+
+
+def test_whole_alphabet_labels():
+    # The anchors print one by one, FULL's after the "." of the base
+    # symbols; no other class is shown this way.
+    labels = [show_class(cs) for cs in (ALL_BASE, ANCHORS, FULL)]
+    assert labels == [".", r"[\A^\<\>$\z]", r"[.\A^\<\>$\z]"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "inside a class ^ and $ are literal characters, and no escape names "
+    "a line anchor there"))
+@pytest.mark.parametrize("cp", [ANCHOR_BOL, ANCHOR_EOL])
+def test_line_anchor_in_a_class_reparses(cp):
+    assert parse("[" + _show_char(cp) + "]")[0] == sym(single(cp))
+
+
+@pytest.mark.xfail(strict=True, raises=ParseError, reason=(
+    "a non-printable symbol prints as \\xNNNN, an escape the parser "
+    "does not know"))
+def test_non_printable_symbol_reparses():
+    assert parse(_show_char(1))[0] == sym(single(1))
 
 
 class TestHashConsing:

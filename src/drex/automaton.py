@@ -35,7 +35,7 @@ from .anchors import BOUNDARY, EDGE, NEWLINE_SET, OTHER, WORD_SET, char_class
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
 from .charset import ANCHOR_MIN, MAX_CODEPOINT, UNIVERSE_END, Alphabet, CharSet
 from .engine import MatchResult, Span, start, step
-from .semantics import derivative_classes
+from .semantics import _minterms, derivative_classes
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import (
     HIGHER,
@@ -519,16 +519,9 @@ def check_minimal(m: Dfa) -> list[tuple[int, int]]:
     Classic partition refinement over the joint refinement of all
     per-state symbol blocks.
     """
-    blocks: list[CharSet] = [m.alphabet.working]
-    for row in m.transitions:
-        refined = []
-        for g in blocks:
-            for b, _ in row:
-                cut = g.intersect(b)
-                if not cut.is_empty():
-                    refined.append(cut)
-        blocks = refined
-    reps = [b.pick() for b in blocks]
+    blocks = _minterms(tuple(b for b, _ in row) for row in m.transitions)
+    cuts = [b.intersect(m.alphabet.working) for b in blocks]
+    reps = [b.pick() for b in cuts if not b.is_empty()]
     # Each representative's target, by a block scan of the table itself.
     succ = [[next(j for b, j in row if a in b) for a in reps] for row in m.transitions]
     cls = [1 if i in m.accepting else 0 for i in range(m.n_states)]

@@ -12,6 +12,7 @@ sentinels used for context-marker (anchor) symbols.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -38,13 +39,8 @@ class CharSet:
     bounds: tuple[int, ...] = ()
 
     def __contains__(self, cp: int) -> bool:
-        # Linear scan is fine: classes have few runs in practice.
-        inside = False
-        for b in self.bounds:
-            if cp < b:
-                return inside
-            inside = not inside
-        return inside
+        # Inside exactly when an odd number of bounds lie at or below ``cp``.
+        return bisect_right(self.bounds, cp) & 1 == 1
 
     def is_empty(self) -> bool:
         return not self.bounds

@@ -78,27 +78,25 @@ def _parse(args) -> tuple[Regex, TagTable]:
 def _machine(args, regex: Regex, tags: TagTable, policy: str) -> TaggedDfa:
     """The run's one machine, on the flags' alphabet and state bound.
 
-    It is built as runs reach its states and edges; ``build()`` takes
-    every edge at once, as ``compile`` and ``--engine dfa`` do.  A trace
-    prints its states from the run that makes the result.
+    It is built as runs reach its states and edges; only ``compile``
+    calls ``build()`` to take every edge at once.  A trace prints its
+    states from the run that makes the result.
     """
     return TaggedDfa(regex, tags, policy, Alphabet(ASCII_BASE if args.ascii_only else ALL_BASE),
                      args.state_bound)
 
 
 def _cmd_run(args, text: str, out) -> int:
-    """``match``, ``submatch`` and ``trace``: one run of the machine over the text.
+    """``match``, ``submatch`` and ``trace``: one lazy run of the machine over the text.
 
-    A trace (``trace``, ``--show-trace``) is printed as the run goes: the
-    start state's expression, the state after each stream symbol up to
-    the first ∅, then whether the last state printed accepts, which is
-    ``trace``'s verdict.
+    A trace (``trace``, ``submatch --show-trace``) is printed as the run
+    goes: the start state's expression, the state after each stream
+    symbol up to the first ∅, then whether the last state printed
+    accepts, which is ``trace``'s verdict.  ``match`` parses under posix,
+    which keeps the longest prefix match, so it has the whole text
+    exactly when that match ends at the end of the text.
     """
-    # Posix keeps the longest prefix match, so ``match`` has the whole
-    # text exactly when that match ends at the end of the text.
-    m = _machine(args, *_parse(args), POLICY_POSIX if args.command == "match" else args.policy)
-    if args.engine == "dfa":
-        m.build()
+    m = _machine(args, *_parse(args), args.policy)
     last, stopped = 0, False
 
     def observe(cp: int, state: int) -> None:
@@ -166,17 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ascii", action="store_true", dest="ascii_only",
                        help="restrict the base alphabet to code points 0-127")
         p.add_argument("--state-bound", type=int, default=DEFAULT_STATE_LIMIT)
-        p.add_argument("--policy", choices=POLICIES, default=POLICY_POSIX)
+        # ``match`` and ``grep`` print a verdict, which needs no spans: they
+        # parse under posix and take no --policy.
+        p.set_defaults(policy=POLICY_POSIX, show_trace=False)
 
     p = sub.add_parser("match", help="whole-string verdict")
     common(p)
-    p.add_argument("--engine", choices=("lazy", "dfa"), default="lazy")
-    p.add_argument("--show-trace", action="store_true",
-                   help="print the derivative chain before the verdict")
 
     p = sub.add_parser("submatch", help="submatch spans as JSON")
     common(p)
-    p.add_argument("--engine", choices=("lazy", "dfa"), default="lazy")
+    p.add_argument("--policy", choices=POLICIES, default=POLICY_POSIX)
     p.add_argument("--show-trace", action="store_true",
                    help="print the derivative chain before the result")
     p.add_argument("--stream-offsets", action="store_true",
@@ -186,11 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile to a tagged DFA")
     common(p, needs_input=False)
+    p.add_argument("--policy", choices=POLICIES, default=POLICY_POSIX)
     p.add_argument("--format", choices=("dot", "json"), default="dot", dest="fmt")
 
     p = sub.add_parser("trace", help="print the derivative chain")
     common(p)
-    p.set_defaults(engine="lazy", show_trace=True)
+    p.add_argument("--policy", choices=POLICIES, default=POLICY_POSIX)
+    p.set_defaults(show_trace=True)
 
     p = sub.add_parser("grep", help="filter lines containing a match")
     common(p)

@@ -83,6 +83,8 @@ def test_set_ops_agree_with_python_sets(x, y):
                       (x.difference(y), members(x) - members(y))):
         assert_canonical(got)
         assert members(got) == want
+    for p in range(SMALL + 2):
+        assert (p in x) == (p in members(x)), p
 
 
 @given(charsets)

@@ -1,5 +1,6 @@
 """Command-line front end: verdicts, JSON, DOT, trace, grep."""
 
+import argparse
 import io
 import json
 import os
@@ -8,11 +9,11 @@ import sys
 from pathlib import Path
 
 from drex.anchors import inject_anchors
-from drex.automaton import TaggedDfa
+from drex.automaton import TaggedDfa, tagged_dfa_match
 from drex.charset import single
-from drex.cli import run
+from drex.cli import build_parser, run
 from drex.engine import match_lazy
-from drex.syntax import SyntaxOptions, parse, show_class
+from drex.syntax import POLICY_POSIX, SyntaxOptions, parse, show_class
 
 
 def call(argv, stdin=None):
@@ -39,13 +40,17 @@ class TestMatch:
         assert code == 1 and out.strip() == "no match"
 
     def test_match_dfa_engine_agrees(self):
+        # ``match`` runs its machine lazily; the same machine built in full
+        # first, as ``compile`` builds it, gives the same verdict.
         patterns = ["ab*", "(?:a+b)*a", "(a*)(a*)a", "~a", "[ab]&[bc]b*",
                     "^ab$", "(?:a+bb*a)*"]
         texts = ["", "a", "b", "ab", "ba", "abb", "bab", "aab"]
         for pattern in patterns:
+            built = TaggedDfa(*parse(pattern), POLICY_POSIX).build()
             for text in texts:
-                lazy = call(["match", pattern, text, "--engine", "lazy"])[0]
-                dfa = call(["match", pattern, text, "--engine", "dfa"])[0]
+                lazy = call(["match", pattern, text])[0]
+                result = tagged_dfa_match(built, text)
+                dfa = 0 if result.matched and result.groups[0] == (0, len(text)) else 1
                 trace = call(["trace", pattern, text])[0]
                 assert lazy == dfa == trace, (pattern, text)
 
@@ -53,31 +58,26 @@ class TestMatch:
         # The policy ranks spans; whether the whole text matches is the
         # language's verdict, which ``trace`` and ``match_lazy`` give too.
         for pattern in ("a*", "(a)*", "(a)(b*)"):
-            for policy in ("posix", "pre-order", "post-order"):
-                r, _ = parse(pattern, SyntaxOptions(policy=policy))
-                for text in ("", "a", "aaa", "ab", "abb", "ba"):
-                    args = [pattern, text, "--policy", policy]
-                    want = call(["trace", *args])[0]
+            for text in ("", "a", "aaa", "ab", "abb", "ba"):
+                got = call(["match", pattern, text])[0]
+                for policy in ("posix", "pre-order", "post-order"):
+                    r, _ = parse(pattern, SyntaxOptions(policy=policy))
+                    want = call(["trace", pattern, text, "--policy", policy])[0]
                     assert want == (0 if match_lazy(r, text) else 1), (pattern, text)
-                    for engine in ("lazy", "dfa"):
-                        got = call(["match", *args, "--engine", engine])[0]
-                        assert got == want, (pattern, policy, text, engine)
+                    assert got == want, (pattern, policy, text)
 
     def test_show_trace_steps_the_matching_machine(self, monkeypatch):
-        # The trace lines come first, then the result, on either engine;
-        # the built --ascii machine traces like the one ``trace`` builds.
+        # The trace lines come first, then the result; the --ascii
+        # machine traces like the one ``trace`` builds.
         trace = call(["trace", "(a*)(b)", "aab"])[1]
-        code, out = call(["match", "(a*)(b)", "aab", "--show-trace"])
-        assert code == 0 and out == trace + "match\n"
-        code, out = call(["submatch", "(a*)(b)", "aab", "--show-trace", "--engine", "dfa",
+        code, out = call(["submatch", "(a*)(b)", "aab", "--show-trace",
                           "--ascii", "--policy", "pre-order"])
         lines = out.splitlines()
         assert code == 0 and lines[:-1] == trace.splitlines()
         assert json.loads(lines[-1])["groups"][1] == {"start": 0, "end": 2}
         # The trace prints from the run that makes the result: no second
         # walk over an anchor stream, no stepping outside the matching loop.
-        forms = (["trace", "(a*)(b)", "aab"], ["match", "(a*)(b)", "aab", "--show-trace"],
-                 ["submatch", "(a*)(b)", "aab", "--show-trace", "--engine", "dfa"])
+        forms = (["trace", "(a*)(b)", "aab"], ["submatch", "(a*)(b)", "aab", "--show-trace"])
         want = [call(argv) for argv in forms]
 
         def refuse(*_):
@@ -94,12 +94,11 @@ class TestMatch:
         assert call(["match", "ab", "--file", str(path)]) == (1, "no match\n")
         assert call(["match", "ab", "--file", str(tmp_path / "missing")])[0] == 2
 
-    def test_ascii_rejects_wider_input_on_both_engines(self):
-        for engine in ("lazy", "dfa"):
-            code, out = call(["match", "--ascii", "~a", "é", "--engine", engine])
-            assert code == 2 and out == "", engine
-            code, _ = call(["submatch", "--ascii", "(a)", "é", "--engine", engine])
-            assert code == 2, engine
+    def test_ascii_rejects_wider_input(self, capsys):
+        for argv in (["match", "--ascii", "~a", "é"], ["submatch", "--ascii", "(a)", "é"]):
+            code, out = call(argv)
+            assert code == 2 and out == "", argv
+            assert "input symbol 0xe9 outside the --ascii alphabet" in capsys.readouterr().err
         assert call(["match", "--ascii", "~a", "e"])[0] == 0
 
     def test_recursion_overflow_exit_2(self, capsys):
@@ -110,17 +109,20 @@ class TestMatch:
             assert code == 2 and out == ""
             assert "nests too deeply for the stack" in capsys.readouterr().err
 
-    def test_parse_error_exit_2(self):
+    def test_parse_error_exit_2(self, capsys):
         code, _ = call(["match", "(a", "x"])
         assert code == 2
+        assert capsys.readouterr().err == "error: unbalanced group (at position 0)\n"
 
-    def test_state_bound_error(self):
-        # Every subcommand and both engines build under the bound.
-        bounded = ["(?:a+b)*a(?:a+b)(?:a+b)", "aab", "--state-bound", "3"]
-        for argv in (["match", *bounded, "--engine", "dfa"], ["match", *bounded],
-                     ["submatch", *bounded], ["trace", *bounded], ["grep", *bounded]):
+    def test_state_bound_error(self, capsys):
+        # Every subcommand builds under the bound, lazily or in full.
+        pattern = "(?:a+b)*a(?:a+b)(?:a+b)"
+        bounded = [pattern, "aab", "--state-bound", "3"]
+        for argv in (["match", *bounded], ["submatch", *bounded], ["trace", *bounded],
+                     ["grep", *bounded], ["compile", pattern, "--state-bound", "3"]):
             code, _ = call(argv)
             assert code == 2, argv
+            assert "state count exceeds" in capsys.readouterr().err, argv
 
     def test_stdin_input(self):
         code, _ = call(["match", "ab"], stdin="ab")
@@ -148,11 +150,6 @@ class TestSubmatch:
         code, out = call(["submatch", "(a)", "b"])
         assert code == 1
         assert json.loads(out)["matched"] is False
-
-    def test_dfa_engine_same_result(self):
-        a = call(["submatch", "(a*)(b*)", "aab"])[1]
-        b = call(["submatch", "(a*)(b*)", "aab", "--engine", "dfa"])[1]
-        assert json.loads(a) == json.loads(b)
 
     def test_stream_offsets_flag(self):
         plain = json.loads(call(["submatch", "(a)", "a"])[1])
@@ -254,12 +251,10 @@ class TestGrep:
         code, out = call(["grep", "ab*c"], stdin="xabbcx\nnope\nac\n")
         assert code == 0
         assert out.splitlines() == ["xabbcx", "ac"]
-        # Groups and the policy change spans, never which lines match.
-        for policy in ("posix", "pre-order", "post-order"):
-            code, out = call(["grep", r"\<(a)(?lb*)c\>", "--policy", policy],
-                             stdin="x abbc y\nabbcd\nac\nzac\n")
-            assert code == 0, policy
-            assert out.splitlines() == ["x abbc y", "ac"], policy
+        # Groups change spans, never which lines match.
+        code, out = call(["grep", r"\<(a)(?lb*)c\>"], stdin="x abbc y\nabbcd\nac\nzac\n")
+        assert code == 0
+        assert out.splitlines() == ["x abbc y", "ac"]
 
     def test_no_hits(self):
         code, out = call(["grep", "zz"], stdin="a\nb\n")
@@ -319,3 +314,27 @@ class TestGrep:
 def test_usage_error():
     code, _ = call(["bogus"])
     assert code == 2
+
+
+def test_every_option_changes_the_output(capsys):
+    # Each subcommand's options, pinned: one that selects nothing (a
+    # second engine, a policy over a verdict, a trace ``trace`` already
+    # prints) must not come back unnoticed.
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: [s for a in p._actions for s in a.option_strings]
+               for name, p in subparsers.choices.items()}
+    common = ["-h", "--help", "--file", "--ascii", "--state-bound"]
+    assert options == {
+        "match": common,
+        "submatch": [*common, "--policy", "--show-trace", "--stream-offsets",
+                     "--no-subpattern-tags"],
+        "compile": ["-h", "--help", "--ascii", "--state-bound", "--policy", "--format"],
+        "trace": [*common, "--policy"],
+        "grep": common,
+    }
+    for argv in (["match", "a", "a", "--engine", "dfa"], ["submatch", "a", "a", "--engine", "lazy"],
+                 ["match", "a", "a", "--show-trace"], ["match", "a", "a", "--policy", "posix"],
+                 ["grep", "a", "--policy", "posix"]):
+        assert call(argv, stdin="a\n") == (2, ""), argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv

@@ -258,6 +258,11 @@ class TestParser:
         r, _ = parse(r"\*\+\~")
         assert member_naive(r, "*+~")
 
+    def test_newline_and_tab_escapes_name_their_code_points(self):
+        assert parse(r"\n")[0] is sym(single(10))
+        assert parse(r"[\t]")[0] is sym(single(9))
+        assert show_class(single(10)) == r"\n"
+
     def test_errors_carry_position(self):
         for pat, pos in [("(a", 0), ("a)", 1), ("[ab", 3), (r"\q", 0), ("a**)", 3)]:
             with pytest.raises(ParseError) as e:

@@ -33,7 +33,6 @@ from .syntax import (
     alt_terms,
     cat,
     erase_memory,
-    has_memory,
     is_nullable,
 )
 
@@ -96,7 +95,7 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex | tuple, Store, Pr
     pattern with its memory erased: tags never change the language, so
     a tag-free machine carries none.
     """
-    if not tags.num_tags and has_memory(r):
+    if not tags.num_tags:
         r = erase_memory(r)
     expr = cat(r, ANCHOR_RUN) if pad else r
     store: Store = {}

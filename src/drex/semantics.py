@@ -59,20 +59,15 @@ def nu_ways(r: Regex, pos: int) -> list[Way]:
         return [((r.index, pos),)]
     if isinstance(r, Write):
         return [((r.slot, r.value),)]
-    if isinstance(r, Cat):
-        left = nu_ways(r.head, pos)
-        if not left:
-            return []
-        right = nu_ways(r.tail, pos)
-        return list(dict.fromkeys(_merge_writes(a, b) for a in left for b in right))
     if isinstance(r, Alt):
         out: list[Way] = []
         for t in r.terms:
             out.extend(nu_ways(t, pos))
         return list(dict.fromkeys(out))
-    if isinstance(r, Inter):
+    if isinstance(r, (Cat, Inter)):
+        # A way is sorted by slot, so merging it into () leaves it as it is.
         acc: list[Way] = [()]
-        for t in r.terms:
+        for t in (r.head, r.tail) if isinstance(r, Cat) else r.terms:
             ways = nu_ways(t, pos)
             if not ways:
                 return []

@@ -112,10 +112,11 @@ def bank_compare(c1: Cells, c2: Cells, tags: TagTable) -> int:
 # --- tag evaluation ---------------------------------------------------------
 
 
-def _eps_plus(ways) -> Regex:
-    # (eps + nullify-writes ...): the plain epsilon is absorbed whenever
-    # a way carries writes, preferring recorded positions.
-    return alt([EPSILON] + [writes_chain(w) for w in ways if w])
+def _eps_plus(r: Regex, pos: int) -> Regex:
+    # (eps + nullify-writes ...) over the ways of ``r`` evaluated at
+    # ``pos``: the plain epsilon is absorbed whenever a way carries
+    # writes, preferring recorded positions.
+    return alt([EPSILON] + [writes_chain(w) for w in nu_ways(teval(r, pos), pos) if w])
 
 
 def teval(r: Regex, pos: int) -> Regex:
@@ -130,29 +131,24 @@ def teval(r: Regex, pos: int) -> Regex:
     if isinstance(r, Tag):
         return Write(r.index, pos)
     if isinstance(r, Star):
-        prefix = _eps_plus(nu_ways(teval(r.body, pos), pos))
-        return cat(prefix, r)
+        return cat(_eps_plus(r.body, pos), r)
     if isinstance(r, Alt):
         return alt([teval(t, pos) for t in r.terms])
     if isinstance(r, Inter):
         return inter([teval(t, pos) for t in r.terms])
     if isinstance(r, Cat):
         head, tail = r.head, r.tail
-        if isinstance(head, Write):
-            run, rest = _split_write_run(r)
-            if any(v == pos for _, v in run):
+        if isinstance(head, (Tag, Write)):
+            if isinstance(head, Write) and head.value == pos:
                 # A write stamped with this evaluation's position marks
                 # a subterm it already produced: fixpoint.  (The engine
                 # derives at offset -1 and evaluates at offset 0, so
                 # fresh input never carries an offset-0 write.)
                 return r
-            return cat(writes_chain(run), teval(rest, pos))
-        if isinstance(head, Tag):
             return cat(teval(head, pos), teval(tail, pos))
         if not is_nullable(head):
             return cat(teval(head, pos), tail)
-        prefix = _eps_plus(nu_ways(teval(tail, pos), pos))
-        return cat(prefix, cat(teval(head, pos), tail))
+        return cat(_eps_plus(tail, pos), cat(teval(head, pos), tail))
     raise TypeError(f"not a Regex: {r!r}")
 
 

@@ -369,17 +369,21 @@ def cat_all(parts) -> Regex:
     return r
 
 
-def alt(terms) -> Regex:
+def _flat(terms, kind) -> list[Regex]:
     flat: list[Regex] = []
     for t in terms:
-        if isinstance(t, Alt):
+        if isinstance(t, kind):
             flat.extend(t.terms)
         else:
             flat.append(t)
+    return flat
+
+
+def alt(terms) -> Regex:
     out: list[Regex] = []
     seen = set()
     has_plain_eps = False
-    for t in flat:
+    for t in _flat(terms, Alt):
         if isinstance(t, Empty):
             continue
         if t == TOP:
@@ -406,12 +410,7 @@ def _memory_headed_union(r: Regex) -> bool:
 
 
 def inter(terms) -> Regex:
-    flat: list[Regex] = []
-    for t in terms:
-        if isinstance(t, Inter):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
+    flat = _flat(terms, Inter)
     # Intersection distributes over unions; doing so whenever a branch
     # carries memory keeps slot writes at term heads, where banks can
     # pick them up (tag-free shapes stay untouched).
@@ -461,8 +460,10 @@ def inter(terms) -> Regex:
 def erase_memory(r: Regex) -> Regex:
     """Strip tags and pending writes; the language is unchanged.
 
-    A complement holds no memory, so it is returned as it is.
+    A tree without memory, a complement among them, is returned as it is.
     """
+    if not has_memory(r):
+        return r
     if isinstance(r, (Tag, Write)):
         return EPSILON
     if isinstance(r, Star):
@@ -481,8 +482,7 @@ def comp(r: Regex) -> Regex:
     # recorded inside could never delimit a submatch, and stamped
     # positions inside a complement would defeat the finiteness of the
     # derivative set.  So no complement holds memory.
-    if has_memory(r):
-        r = erase_memory(r)
+    r = erase_memory(r)
     if isinstance(r, Not):
         return r.body
     if _is_any_star(r):
@@ -562,13 +562,13 @@ _ESCAPES = {
     "z": ANCHOR_EOT,
 }
 
-# A bare glyph outside a class is one parse-tree node.
+# A bare glyph outside a class is one tree node.
 _GLYPHS = {
-    ".": ("class", ALL_BASE),
-    "^": ("class", single(ANCHOR_BOL)),
-    "$": ("class", single(ANCHOR_EOL)),
-    "\u03b5": ("eps",),
-    "\u2205": ("empty",),
+    ".": Sym(ALL_BASE),
+    "^": Sym(single(ANCHOR_BOL)),
+    "$": Sym(single(ANCHOR_EOL)),
+    "\u03b5": EPSILON,
+    "\u2205": EMPTY,
 }
 
 
@@ -598,18 +598,18 @@ class _Parser:
         return t
 
     def disj(self):
-        terms = [self.conj()]
-        while self.peek() == "+":
-            self.take()
-            terms.append(self.conj())
-        return ("alt", terms) if len(terms) > 1 else terms[0]
+        return self.chain("+", alt, self.conj)
 
     def conj(self):
-        terms = [self.concat()]
-        while self.peek() == "&":
+        return self.chain("&", inter, self.concat)
+
+    def chain(self, op: str, join, operand):
+        """Operands separated by the infix ``op``; ``join`` builds two or more."""
+        terms = [operand()]
+        while self.peek() == op:
             self.take()
-            terms.append(self.concat())
-        return ("inter", terms) if len(terms) > 1 else terms[0]
+            terms.append(operand())
+        return (join, terms) if len(terms) > 1 else terms[0]
 
     def concat(self):
         parts = []
@@ -619,8 +619,8 @@ class _Parser:
                 break
             parts.append(self.clos())
         if not parts:
-            return ("eps",)
-        return ("cat", parts) if len(parts) > 1 else parts[0]
+            return EPSILON
+        return (cat_all, parts) if len(parts) > 1 else parts[0]
 
     def clos(self):
         if self.peek() == "~":
@@ -642,13 +642,13 @@ class _Parser:
             self.take()
             return _GLYPHS[c]
         if c == "\\":
-            return ("class", single(self._char()))
+            return sym(single(self._char()))
         if not c:
             raise self.error("unexpected end of pattern")
         if c in "*)]":
             raise self.error(f"unexpected {c!r}")
         self.take()
-        return ("class", single(ord(c)))
+        return sym(single(ord(c)))
 
     def group(self):
         open_pos = self.i
@@ -718,11 +718,15 @@ class _Parser:
                 ranges.append((lo, hi))
             else:
                 ranges.append((lo, lo))
-        return ("class", from_ranges(ranges))
+        return sym(from_ranges(ranges))
 
 
 class _Builder:
-    """One walk from the parser's tuple tree to a ``Regex``.
+    """One walk from the parser's tree to a ``Regex``.
+
+    A leaf is a ``Regex`` already, and a concatenation, union or
+    intersection names its smart constructor; star, ``~`` and group are
+    the only cases, because pair numbering builds them.
 
     A pair is a capture group or, under ``posix_subpatterns`` with the
     posix policy, a bare starred subpattern: POSIX gives unparenthesized
@@ -742,23 +746,13 @@ class _Builder:
         self.group_pairs: dict[int, tuple[int, int]] = {}
 
     def build(self, node, group_body: bool = False) -> Regex:
+        if isinstance(node, Regex):
+            return node
         kind = node[0]
-        if kind == "eps":
-            return EPSILON
-        if kind == "empty":
-            return EMPTY
-        if kind == "class":
-            return sym(node[1])
         if kind == "star":
             if self.wrap_stars and not group_body:
                 return self.pair(None, False, node)
             return star(self.build(node[1]))
-        if kind == "cat":
-            return cat_all(self.build(t) for t in node[1])
-        if kind == "alt":
-            return alt(self.build(t) for t in node[1])
-        if kind == "inter":
-            return inter(self.build(t) for t in node[1])
         if kind == "comp":
             # Positions inside a complement never capture: no hidden pairs.
             wrap, self.wrap_stars = self.wrap_stars, False
@@ -769,7 +763,7 @@ class _Builder:
             return comp(cat(body, ANCHOR_RUN))
         if kind == "group":
             return self.pair(node[1], node[2], node[3])
-        raise AssertionError(kind)
+        return kind(map(self.build, node[1]))  # cat_all, alt or inter
 
     def pair(self, gid, lazy: bool, body) -> Regex:
         """Build ``body`` between the open and close tags of a new pair."""
@@ -808,8 +802,8 @@ def parse(pattern: str, options: SyntaxOptions = SyntaxOptions()) -> tuple[Regex
 # A symbol the parser reads from an escape, or from a glyph naming that
 # one symbol, prints as that escape or glyph.
 _SHOWN = {cp: "\\" + e for e, cp in _ESCAPES.items()}
-_SHOWN.update((node[1].pick(), g) for g, node in _GLYPHS.items()
-              if node[0] == "class" and node[1].count() == 1)
+_SHOWN.update((node.chars.pick(), g) for g, node in _GLYPHS.items()
+              if isinstance(node, Sym) and node.chars.count() == 1)
 
 
 def _show_char(cp: int) -> str:

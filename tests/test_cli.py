@@ -40,8 +40,9 @@ class TestMatch:
         assert code == 1 and out.strip() == "no match"
 
     def test_match_dfa_engine_agrees(self):
-        # ``match`` runs its machine lazily; the same machine built in full
-        # first, as ``compile`` builds it, gives the same verdict.
+        # ``match`` runs a machine that tracks no tags, lazily; the tagged
+        # machine built in full first, as ``compile`` builds it, and
+        # ``trace``'s lazy tagged run give the same verdict.
         patterns = ["ab*", "(?:a+b)*a", "(a*)(a*)a", "~a", "[ab]&[bc]b*",
                     "^ab$", "(?:a+bb*a)*"]
         texts = ["", "a", "b", "ab", "ba", "abb", "bab", "aab"]
@@ -53,6 +54,11 @@ class TestMatch:
                 dfa = 0 if result.matched and result.groups[0] == (0, len(text)) else 1
                 trace = call(["trace", pattern, text])[0]
                 assert lazy == dfa == trace, (pattern, text)
+
+    def test_match_tracks_no_tags(self):
+        # The verdict needs no spans: without tags this run makes 3
+        # states, with them 6, so a bound of 4 holds.
+        assert call(["match", "((a)*b)*", "aabab", "--state-bound", "4"]) == (0, "match\n")
 
     def test_verdict_independent_of_policy(self):
         # The policy ranks spans; whether the whole text matches is the

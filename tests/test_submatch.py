@@ -66,6 +66,15 @@ class TestTeval:
         r = cat(Tag(EARLY, 0), cat(A, Tag(LATE, 1)))
         assert teval(r, 0) == cat(Write(0, 0), cat(A, Tag(LATE, 1)))
 
+    def test_a_write_stamped_pos_in_the_run_is_the_fixpoint(self):
+        # The second write of the run is stamped 5: the term is returned
+        # as it is, and the tag after the run stays a tag.
+        r = cat(Write(0, 3), cat(Write(1, 5), Tag(LATE, 2)))
+        assert teval(r, 5) is r
+        # No write stamped 5: the run is kept and the tag is evaluated.
+        r = cat(Write(0, 3), cat(Write(1, 4), Tag(LATE, 2)))
+        assert teval(r, 5) == cat(Write(0, 3), cat(Write(1, 4), Write(2, 5)))
+
     def test_idempotent_on_random_tagged_expressions(self):
         rnd = random.Random(1234)
         for _ in range(500):

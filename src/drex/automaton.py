@@ -211,10 +211,12 @@ class TaggedDfa:
     derivative-class blocks are computed when it is created, and an edge
     (``engine.step`` at one symbol of the block, on the state's store at
     position ``len(store)``) when a run first takes it; ``build`` takes
-    every edge.  The steps of one machine share a derivative memo (see
-    ``semantics.derive``) for every inner node: it lives and dies with
-    the construction tables (``index``, ``stores``), which ``build``
-    releases.
+    every edge.  One memo serves the whole construction: the derivative
+    (``semantics.derive``) and the tag evaluation (``submatch.teval``)
+    of every inner node, and the class blocks of every state
+    expression, which states that differ only in their store share.  It
+    lives and dies with the construction tables (``index``, ``stores``),
+    which ``build`` releases.
     Pending writes are step offsets from derivation on, so programs are
     position-relative and the machine is depth-independent at run time.
     The alphabet decides anchoring: with anchors, the machine pads the
@@ -225,7 +227,13 @@ class TaggedDfa:
     def __init__(self, r: Regex, tags: TagTable, policy: str = POLICY_POSIX,
                  alphabet: Alphabet = Alphabet(), state_limit: float = math.inf):
         self.anchored = alphabet.with_anchors
-        expr, store, self.initial_ops = start(r, tags, self.anchored)
+        # The construction memo, shared by every step: (node, symbol, -1)
+        # -> derivative, (node, 0) -> tag evaluation, and a state's
+        # expression -> its sorted class blocks.  No class key equals a
+        # step key: a tag-free state is a tree, not a tuple, and a tagged
+        # state is a tuple of trees, while a step key ends in an int.
+        self._memo: Optional[dict] = {}
+        expr, store, self.initial_ops = start(r, tags, self.anchored, self._memo)
         self.tags = tags
         self.policy = policy
         self.alphabet = alphabet
@@ -233,7 +241,6 @@ class TaggedDfa:
         self.index: Optional[dict] = {}
         self.states: list = []  # trees, or tuples of bank bodies with tags
         self.stores: Optional[list[Store]] = []
-        self._memo: Optional[dict] = {}  # (node, symbol, -1) -> derivative
         # Per state, [block, target, program] edges; target None until taken.
         self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}
@@ -264,8 +271,11 @@ class TaggedDfa:
             self.index[key] = j
             self.states.append(e)
             self.stores.append(st)
-            blocks = derivative_classes(e, self.alphabet).blocks
-            self.transitions.append([[b, None, ()] for b in sorted(blocks, key=lambda b: b.bounds)])
+            blocks = self._memo.get(e)
+            if blocks is None:
+                blocks = self._memo[e] = sorted(derivative_classes(e, self.alphabet).blocks,
+                                                key=lambda b: b.bounds)
+            self.transitions.append([[b, None, ()] for b in blocks])
             if self._table is not None:
                 rows = self._table[0]
                 rows.append([None] * len(rows[0]))

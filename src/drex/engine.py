@@ -81,7 +81,9 @@ def match_lazy(r: Regex, s) -> bool:
     return is_nullable(r)
 
 
-def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex | tuple, Store, Program]:
+def start(
+    r: Regex, tags: TagTable, pad: bool, memo: Optional[dict] = None,
+) -> tuple[Regex | tuple, Store, Program]:
     """The state before the first symbol: state, bank store, program.
 
     With ``pad`` the pattern is followed by ``ANCHOR_RUN``, which absorbs
@@ -91,9 +93,10 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex | tuple, Store, Pr
     are tracked, bank 1 is opened all unset, ``(1, None, ())``, and
     reads the pattern; the first tag evaluation runs at position 0, the
     state is the tuple of bank bodies, and the returned program has
-    already been applied to the store.  When none are, the state is the
-    pattern with its memory erased: tags never change the language, so
-    a tag-free machine carries none.
+    already been applied to the store.  ``memo`` is the machine's memo
+    (see ``step``), so the first evaluation fills it too.  When none are
+    tracked, the state is the pattern with its memory erased: tags never
+    change the language, so a tag-free machine carries none.
     """
     if not tags.num_tags:
         r = erase_memory(r)
@@ -103,7 +106,7 @@ def start(r: Regex, tags: TagTable, pad: bool) -> tuple[Regex | tuple, Store, Pr
     if tags.num_tags:
         program = ((1, None, ()),)
         apply_program(store, program, 0, tags.num_tags)
-        expr, more = normalize_step([(1, expr)], tags, store, 0)
+        expr, more = normalize_step([(1, expr)], tags, store, 0, memo)
         program += more
     return expr, store, program
 
@@ -119,16 +122,18 @@ def step(
     bodies; each body is derived, and each term of its derivative reads
     its bank.  The derivative is taken at position -1, so pending writes
     are step offsets, equal residuals stay equal trees at every depth,
-    and ``memo``, ``derive``'s derivative memo shared by the steps of one
-    machine, serves every inner node.  Normalization (tag evaluation,
-    then disambiguation, which numbers the surviving banks 1..k) updates
-    ``store`` in place and returns the program it applied.
+    and tags are evaluated at offset 0, so ``memo``, shared by the steps
+    of one machine, serves every inner node of both: ``derive`` keeps
+    its derivatives there and ``teval`` its evaluations.  Normalization
+    (tag evaluation, then disambiguation, which numbers the surviving
+    banks 1..k) updates ``store`` in place and returns the program it
+    applied.
     """
     if not tags.num_tags:
         return derive(expr, cp, -1, memo), ()
     terms = [(b, t) for b, body in enumerate(expr, 1)
              for t in alt_terms(derive(body, cp, -1, memo))]
-    return normalize_step(terms, tags, store, pos + 1)
+    return normalize_step(terms, tags, store, pos + 1, memo)
 
 
 def match_full(

@@ -202,8 +202,13 @@ def derivative_classes(r, alphabet: Alphabet = Alphabet()) -> SymbolPartition:
     ``r`` is a tree or a tuple of trees (a tagged state's bank bodies),
     whose partitions meet.  Equal derivatives are guaranteed within each
     block; distinct blocks may still share a derivative (the
-    approximation may over-partition).
+    approximation may over-partition).  The blocks partition ``FULL``
+    and none is empty, so on a working alphabet that is ``FULL`` they
+    are returned as they are.
     """
     working = alphabet.working
-    cuts = [b.intersect(working) for b in _minterms(map(_dca, r if isinstance(r, tuple) else (r,)))]
+    blocks = _minterms(map(_dca, r if isinstance(r, tuple) else (r,)))
+    if working == FULL:
+        return SymbolPartition(blocks)
+    cuts = [b.intersect(working) for b in blocks]
     return SymbolPartition(tuple(b for b in cuts if not b.is_empty()))

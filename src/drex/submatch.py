@@ -112,30 +112,43 @@ def bank_compare(c1: Cells, c2: Cells, tags: TagTable) -> int:
 # --- tag evaluation ---------------------------------------------------------
 
 
-def _eps_plus(r: Regex, pos: int) -> Regex:
+def _eps_plus(r: Regex, pos: int, memo: Optional[dict]) -> Regex:
     # (eps + nullify-writes ...) over the ways of ``r`` evaluated at
     # ``pos``: the plain epsilon is absorbed whenever a way carries
     # writes, preferring recorded positions.
-    return alt([EPSILON] + [writes_chain(w) for w in nu_ways(teval(r, pos), pos) if w])
+    return alt([EPSILON] + [writes_chain(w) for w in nu_ways(teval(r, pos, memo), pos) if w])
 
 
-def teval(r: Regex, pos: int) -> Regex:
+def teval(r: Regex, pos: int, memo: Optional[dict] = None) -> Regex:
     """Convert every tag heading a nullable path into a slot write at ``pos``.
 
     Language-preserving and idempotent.  The engine evaluates each term
     of a step: the new writes join the term's pending run, and a union
     that comes out holds one term per way, each reading the term's bank.
+    ``memo`` maps (node, position) to the evaluation of every inner node
+    met, so one memo may serve many calls (a machine's steps share one,
+    ``TaggedDfa._memo``); without it nothing is kept.
     """
     if isinstance(r, (Empty, Eps, Sym, Write, Not)):
         return r  # a complement holds no memory
+    if memo is None:
+        return _teval(r, pos, None)
+    key = (r, pos)
+    e = memo.get(key)
+    if e is None:
+        e = memo[key] = _teval(r, pos, memo)
+    return e
+
+
+def _teval(r: Regex, pos: int, memo: Optional[dict]) -> Regex:
     if isinstance(r, Tag):
         return Write(r.index, pos)
     if isinstance(r, Star):
-        return cat(_eps_plus(r.body, pos), r)
+        return cat(_eps_plus(r.body, pos, memo), r)
     if isinstance(r, Alt):
-        return alt([teval(t, pos) for t in r.terms])
+        return alt([teval(t, pos, memo) for t in r.terms])
     if isinstance(r, Inter):
-        return inter([teval(t, pos) for t in r.terms])
+        return inter([teval(t, pos, memo) for t in r.terms])
     if isinstance(r, Cat):
         head, tail = r.head, r.tail
         if isinstance(head, (Tag, Write)):
@@ -145,10 +158,10 @@ def teval(r: Regex, pos: int) -> Regex:
                 # derives at offset -1 and evaluates at offset 0, so
                 # fresh input never carries an offset-0 write.)
                 return r
-            return cat(teval(head, pos), teval(tail, pos))
+            return cat(teval(head, pos, memo), teval(tail, pos, memo))
         if not is_nullable(head):
-            return cat(teval(head, pos), tail)
-        return cat(_eps_plus(tail, pos), cat(teval(head, pos), tail))
+            return cat(teval(head, pos, memo), tail)
+        return cat(_eps_plus(tail, pos, memo), cat(teval(head, pos, memo), tail))
     raise TypeError(f"not a Regex: {r!r}")
 
 
@@ -222,17 +235,19 @@ def order_rebuilds(rebuilds: dict[int, tuple[int, tuple]], scratch: int) -> Prog
 
 
 def normalize_step(
-    terms: list[tuple[int, Regex]], tags: TagTable, store: Store, pos: int
+    terms: list[tuple[int, Regex]], tags: TagTable, store: Store, pos: int,
+    memo: Optional[dict] = None,
 ) -> tuple[tuple[Regex, ...], Program]:
     """One engine step after a derivative: teval, then disambiguate.
 
     Each ``(bank, term)`` names the bank of ``store`` the term reads;
     its pending writes are step offsets (the engine derives at -1, tag
-    evaluation stamps 0), laid over the store at ``pos``.  Returns the
+    evaluation stamps 0), laid over the store at ``pos``.  ``memo`` is
+    ``teval``'s memo, shared by the steps of one machine.  Returns the
     normalized state (the bodies of banks 1..k, no pendings) and its
     memory program, which has already been applied to ``store``.
     """
-    terms = [(b, u) for b, t in terms for u in alt_terms(teval(t, 0)) if u != EMPTY]
+    terms = [(b, u) for b, t in terms for u in alt_terms(teval(t, 0, memo)) if u != EMPTY]
     state, program = disambiguate(terms, tags, store, pos)
     apply_program(store, program, pos, tags.num_tags)
     return state, program

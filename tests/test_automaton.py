@@ -267,22 +267,75 @@ class TestTaggedDfa:
             assert [[tuple(edge) for edge in row] for row in m.transitions] == edges, pat
 
     def test_memo_lives_and_dies_with_the_construction_tables(self):
-        # Each machine starts with an empty memo of its own, whatever was
-        # built before for the same pattern; build() releases it with the
-        # tables it belongs to, and an on-demand machine keeps it.
+        # Each machine starts with a memo of its own, which holds only what
+        # state 0 put there (its class blocks, and with tags its start's
+        # tag evaluations), whatever was built before for the same
+        # pattern; build() releases it with the tables it belongs to, and
+        # an on-demand machine keeps it.
         r, t = parse("(a+b)*a(a+b)(a+b)")
         for tags, alphabet in ((t, Alphabet()), (TagTable(), AB)):
             first = TaggedDfa(r, tags, alphabet=alphabet)
             memo = first._memo
+            initial = dict(memo)
+            rest = [k for k in initial if k != first.states[0]]
+            assert first.states[0] in initial and all(len(k) == 2 and k[1] == 0 for k in rest)
             first.build()
-            assert first._memo is None and memo
+            assert first._memo is None and len(memo) > len(initial)
             on_demand = TaggedDfa(r, tags, alphabet=alphabet)
             tagged_dfa_match(on_demand, "abab")
-            assert on_demand._memo
+            assert len(on_demand._memo) > len(initial)
             fresh = TaggedDfa(r, tags, alphabet=alphabet)
-            assert fresh._memo == {} and fresh._memo is not on_demand._memo
+            assert fresh._memo == initial and fresh._memo is not on_demand._memo
         assert make_dfa(r, AB).machine._memo is None
         assert make_tagged_dfa(r, t)._memo is None
+
+    def test_a_built_machine_holds_no_memo(self):
+        # build() releases the whole construction memo (derivatives, tag
+        # evaluations, class blocks), whether the machine was run first
+        # or not, and so do make_dfa and make_tagged_dfa.
+        for pattern in ("(a*)(a*)a", "(a+b)*a(a+b)(a+b)", "(a)~(ab)&(a+b)*"):
+            r, t = parse(pattern)
+            for alphabet in (Alphabet(), AB):
+                assert make_tagged_dfa(r, t, alphabet=alphabet)._memo is None
+                on_demand = TaggedDfa(r, t, alphabet=alphabet)
+                tagged_dfa_match(on_demand, "abab")
+                assert on_demand._memo
+                assert on_demand.build()._memo is None
+            assert make_dfa(r, AB).machine._memo is None
+
+    def test_each_class_partition_and_tag_evaluation_is_computed_once(self, monkeypatch):
+        # A run computes the class blocks of each distinct state expression
+        # once, though states that differ only in their store share one,
+        # and evaluates each (node, position) once: the machine memo keeps
+        # both, so dropping either fails these counts.
+        from drex import automaton, submatch
+
+        classes, evals = [], []
+        real_classes, real_teval = automaton.derivative_classes, submatch._teval
+
+        def counted_classes(e, alphabet):
+            classes.append(e)
+            return real_classes(e, alphabet)
+
+        def counted_teval(r, pos, memo):
+            evals.append((r, pos))
+            return real_teval(r, pos, memo)
+
+        monkeypatch.setattr(automaton, "derivative_classes", counted_classes)
+        monkeypatch.setattr(submatch, "_teval", counted_teval)
+        kv = r"([a-z][a-z]*)=([0-9][0-9]*)(?:;([a-z][a-z]*)=([0-9][0-9]*))*"
+        for pattern, text, n_states, n_exprs, n_evals in (
+                ("(a*)(a*)a", "a" * 200, 4, 4, 25),
+                (kv, "ab=12;c=3;def=45;g=6789;h=0", 18, 11, 39)):
+            r, t = parse(pattern)
+            classes.clear()
+            evals.clear()
+            assert match_full(r, t, text).matched
+            assert len(classes) == len(set(classes)) == n_exprs, pattern
+            assert len(evals) == len(set(evals)) == n_evals, pattern
+            m = TaggedDfa(r, t)
+            tagged_dfa_match(m, text)
+            assert m.n_states == n_states and set(m.states) == set(classes), pattern
 
     def test_step_exports_and_loop_read_one_program(self):
         # A row entry holds (target, program, accept info): the loop runs

@@ -1,6 +1,7 @@
 """Randomized whole-pipeline agreement between the two engines."""
 
 import functools
+import itertools
 import json
 import random
 from pathlib import Path
@@ -21,7 +22,7 @@ from drex.automaton import (
 )
 from drex.charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, alphabet_from_chars
 from drex.engine import match_full, match_lazy, step
-from drex.semantics import derive, nu_ways
+from drex.semantics import derivative_classes, derive, nu_ways
 from drex.submatch import HIGHER, apply_program, bank_compare, disambiguate, teval
 from drex.syntax import (
     POLICIES,
@@ -302,6 +303,40 @@ def test_compiled_machine_equals_the_interpretive_run():
             assert tagged_dfa_match(m, text) == want, (pattern, policy, text)
             runs += 1
     assert runs > 10000
+
+
+def test_memoized_step_equals_the_memo_free_functions():
+    # A machine's memo keeps the tag evaluations and class blocks of its
+    # steps.  On every seed-1 corpus machine, each term a step of a state
+    # evaluates, and each body of a state, evaluates through the memo to
+    # the very node the memo-free ``teval`` gives, and so does every
+    # evaluation the memo holds; each state's memoized blocks, which its
+    # row reads, are ``derivative_classes`` sorted by bounds.
+    rnd = random.Random(1)
+    patterns = ([rand_pattern(rnd, 3, [2]) for _ in range(20)]
+                + [rand_tagged_pattern(rnd, 3, [2]) for _ in range(20)])
+    terms = states = 0
+    for pattern, policy in itertools.product(patterns, POLICIES):
+        r, t = parse(pattern, SyntaxOptions(policy=policy))
+        for alphabet in (Alphabet(), alphabet_from_chars("ab ")):
+            m = TaggedDfa(r, t, policy, alphabet)
+            memo = m._memo
+            m.build()
+            for e, row in zip(m.states, m.transitions):
+                blocks = sorted(derivative_classes(e, alphabet).blocks, key=lambda b: b.bounds)
+                assert memo[e] == [b for b, _, _ in row] == blocks, (pattern, e)
+                states += 1
+                if not t.num_tags:
+                    continue
+                for body in e:
+                    derived = [u for b in blocks for u in alt_terms(derive(body, b.pick(), -1))]
+                    for u in [body] + derived:
+                        assert teval(u, 0, memo) is teval(u, 0), (pattern, policy, u)
+                        terms += 1
+            for key, value in memo.items():
+                if isinstance(key, tuple) and len(key) == 2 and key[1] == 0:
+                    assert value is teval(key[0], 0), (pattern, policy, key)
+    assert states > 1000 and terms > 5000
 
 
 @functools.lru_cache(maxsize=None)
@@ -671,7 +706,8 @@ def test_row_lookup_equals_block_scan():
 
 
 class _Forgetful(dict):
-    """A memo that never stores: every derivative is taken afresh."""
+    """A memo that never stores: every derivative, tag evaluation and
+    class partition is computed afresh."""
 
     def __setitem__(self, key, value):
         pass
@@ -718,8 +754,9 @@ def test_memoized_edges_equal_fresh_derivatives():
 
 
 def test_exports_equal_a_build_that_never_memoizes(monkeypatch):
-    # A memo that never stores derives every node afresh; the machines,
-    # and so their exports, are the ones the memo builds.
+    # A memo that never stores derives and evaluates every node, and
+    # partitions every state, afresh; the machines, and so their exports,
+    # are the ones the memo builds.
     remembered = [(p, export_json(m), export_dot(m)) for p, m, *_ in _memo_machines()]
     init = TaggedDfa.__init__
 

@@ -124,8 +124,9 @@ def _callee(node) -> str:
 
 
 def test_no_cache_outlives_a_machine():
-    # Derivative memos live on the machine (``TaggedDfa._memo``) and are
-    # released with its construction tables.  The package keeps its six
+    # The machine memo (``TaggedDfa._memo``) holds derivatives, tag
+    # evaluations and class blocks, and is released with the machine's
+    # construction tables.  The package keeps its six
     # ``lru_cache``s and the intern table, and no module holds a mapping
     # that starts empty, the shape of a memo that outlives every call.
     cached, empty = [], []

@@ -154,31 +154,6 @@ class AcceptInfo:
 # ---------------------------------------------------------------------------
 
 
-def _canonical(store: Store, live: range, n_slots: int, p: int) -> Store:
-    """The live banks of a store at position ``p``, renamed per slot.
-
-    In each slot, a value below ``p`` becomes its rank among that slot's
-    values below ``p``, ``p`` itself becomes ``len(live)``, above every
-    rank, and an unset cell stays unset.  Comparisons of banks and the
-    step's writes (``p`` at offset -1, ``p + 1`` at offset 0) read only
-    that order, which cells are unset and which hold ``p``, so two stores
-    with the same canonical form disambiguate identically: as part of a
-    tagged state's identity it keeps compiled decisions valid on every
-    path that reaches the state.  The state then steps from position
-    ``len(live)``, where ``p`` stood, so the form holds no absolute
-    position.
-    """
-    columns = []
-    for s in range(n_slots):
-        column = [store[b][s] for b in live]
-        below = sorted({v for v in column if v is not None and v < p})
-        rank = {v: i for i, v in enumerate(below)}
-        rank[p] = len(live)
-        rank[None] = None
-        columns.append([rank[v] for v in column])
-    return dict(zip(live, zip(*columns)))
-
-
 def _accept_info(e, store: Store, tags: TagTable) -> Optional[AcceptInfo]:
     """The highest-ranked nullable bank on the store as it stands.
 
@@ -204,19 +179,20 @@ class TaggedDfa:
     """A DFA whose transitions carry memory programs; state 0 is ``engine.start``.
 
     With tracked tags a state is the tuple of its bank bodies (bank
-    ``i`` heads the ``i``-th, ``()`` is ∅), kept with the canonical form
-    of its live banks 1..k (see ``_canonical``) as its store; without,
-    it is a tree, and its store is empty.  A state is keyed by its
-    expression and its store's cells.  Its ``AcceptInfo`` and
+    ``i`` heads the ``i``-th, ``()`` is ∅), kept with the canonical
+    store that ``engine.start`` or ``engine.step`` returned for it;
+    without, it is a tree, and its store is empty.  A state is keyed by
+    its expression and its store's cells.  Its ``AcceptInfo`` and
     derivative-class blocks are computed when it is created, and an edge
-    (``engine.step`` at one symbol of the block, on the state's store at
-    position ``len(store)``) when a run first takes it; ``build`` takes
-    every edge.  One memo serves the whole construction: the derivative
-    (``semantics.derive``) and the tag evaluation (``submatch.teval``)
-    of every inner node, and the class blocks of every state
-    expression, which states that differ only in their store share.  It
-    lives and dies with the construction tables (``index``, ``stores``),
-    which ``build`` releases.
+    (``engine.step`` at one symbol of the block, from the state's store)
+    when a run first takes it; ``build`` takes every edge.  The machine
+    interns what a step returns: it copies no store, runs no program and
+    knows no position.  One memo serves the whole construction: the
+    derivative (``semantics.derive``) and the tag evaluation
+    (``submatch.teval``) of every inner node, and the class blocks of
+    every state expression, which states that differ only in their
+    store share.  It lives and dies with the construction tables
+    (``index``, ``stores``), which ``build`` releases.
     Pending writes are step offsets from derivation on, so programs are
     position-relative and the machine is depth-independent at run time.
     The alphabet decides anchoring: with anchors, the machine pads the
@@ -246,7 +222,7 @@ class TaggedDfa:
         self.accepting: dict[int, AcceptInfo] = {}
         self.dead: Optional[int] = None  # the ∅ state, once created
         self._table: Optional[tuple] = None  # made by the first run
-        self._state_id(expr, store, 0)
+        self._state_id(expr, store)
 
     @property
     def n_states(self) -> int:
@@ -259,14 +235,12 @@ class TaggedDfa:
                   for dst, src, _ in program for b in (dst, src)]
         return max(banks) + 1
 
-    def _state_id(self, e, st: Store, p: int) -> int:
-        if self.tags.num_tags:
-            st = _canonical(st, range(1, len(e) + 1), self.tags.num_tags, p)
+    def _state_id(self, e, st: Store) -> int:
         key = (e, tuple(st.values()))
         j = self.index.get(key)
         if j is None:
             j = len(self.states)
-            if j and j >= self.state_limit:
+            if j >= self.state_limit:
                 raise StateLimitError(self.state_limit)
             self.index[key] = j
             self.states.append(e)
@@ -287,10 +261,9 @@ class TaggedDfa:
         return j
 
     def _take(self, i: int, edge: list) -> None:
-        st = dict(self.stores[i])
-        d = len(st)  # before the step, which may add scratch banks
-        de, program = step(self.states[i], edge[0].pick(), d, self.tags, st, self._memo)
-        edge[1:] = self._state_id(de, st, d + 1), program
+        de, program, st = step(self.states[i], edge[0].pick(), self.tags, self.stores[i],
+                               self._memo)
+        edge[1:] = self._state_id(de, st), program
 
     def table(self) -> tuple:
         """The run-time table ``(rows, ascii, cuts, runs, classes)``, made

@@ -1,18 +1,19 @@
 """Memory machinery: banks, slot writes, tag evaluation, disambiguation.
 
 A tagged state is the ordered tuple of its bank bodies: bank ``i``
-heads the ``i``-th body, and ``()`` is the dead state.  A match run owns
-a bank store (bank id -> slot cells).  Between derivation and
-disambiguation a step holds ``(bank, term)`` pairs: each term of a
-body's derivative reads a copy of that body's bank, and its pending
-writes are the ``Write`` run that starts it, each a step offset from
-derivation on (-1 the symbol just read, 0 the position after it).  Tag
-evaluation converts tags that head nullable paths into writes;
-disambiguation lays the pending runs over the cells at the step's
-position, keeps the highest-priority bank of every group of equal
-bodies, and emits the memory program realizing the survivors: an
-ordered tuple of bank rebuilds ``(dst, src, writes)``, ``apply_program``
-runs one.
+heads the ``i``-th body, and ``()`` is the dead state.  A store maps
+bank ids to slot cells.  Between derivation and disambiguation a step
+holds ``(bank, term)`` pairs: each term of a body's derivative reads
+that body's bank, and its pending writes are the ``Write`` run that
+starts it, each a step offset from derivation on (-1 the symbol just
+read, 0 the position after it).  Tag evaluation converts tags that head
+nullable paths into writes; disambiguation lays the pending runs over
+the cells at the step's position, keeps the highest-priority bank of
+every group of equal bodies, and returns the survivors' cells as the
+next store, with the memory program that realizes them on a run's own
+store: an ordered tuple of bank rebuilds ``(dst, src, writes)``.  Only
+the matching loop runs a program (``apply_program``); a step computes
+the next store directly and leaves the one it reads untouched.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def _teval(r: Regex, pos: int, memo: Optional[dict]) -> Regex:
 
 
 def disambiguate(
-    terms: list[tuple[int, Regex]], tags: TagTable, store: Store, pos: int
-) -> tuple[tuple[Regex, ...], Program]:
+    terms: list[tuple[int, Regex]], tags: TagTable, store: Mapping[int, Cells], pos: int
+) -> tuple[tuple[Regex, ...], Program, Store]:
     """Keep the highest-priority bank of each group of equal bodies.
 
     Each ``(bank, term)`` names the bank of ``store`` the term reads;
@@ -179,11 +180,13 @@ def disambiguate(
     whose bank ranks highest after its writes survives, the first one
     on a tie.  Pending writes are step offsets, laid over the cells at
     ``pos``, the position of this step's tag evaluation, to rank a bank.
-    Returns the state, the survivors' bodies (write runs dropped) in
-    canonical order, so bank ``i`` heads the ``i``-th, and its program
-    against ``store``: one rebuild for each survivor that moves or is
-    written, the cells of the bank it reads with its run as it is, in
-    the order ``order_rebuilds`` gives.
+    Returns ``(state, program, store)``: the survivors' bodies (write
+    runs dropped) in canonical order, so bank ``i`` heads the ``i``-th;
+    the program realizing them on a run's store, one rebuild for each
+    survivor that moves or is written, the cells of the bank it reads
+    with its run as it is, in the order ``order_rebuilds`` gives; and
+    the survivors' cells, banks 1..k as that program leaves them.  The
+    ``store`` passed in is left untouched.
     """
     best: dict[Regex, tuple[int, tuple, Cells]] = {}
     for src, t in terms:
@@ -193,14 +196,15 @@ def disambiguate(
             best[body] = (src, tuple(run), cells)
     state = tuple(sorted(best, key=order_key))
     rebuilds: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+    next_store: Store = {}
     for new, body in enumerate(state, 1):
-        src, writes, _ = best[body]
+        src, writes, next_store[new] = best[body]
         if src != new or writes:
             rebuilds[new] = (src, writes)
     # Scratch banks lie above every survivor id and source, kept ones
     # included, so parking a cycle overwrites no survivor.
     scratch = 1 + max([len(state)] + [src for src, _ in rebuilds.values()])
-    return state, order_rebuilds(rebuilds, scratch)
+    return state, order_rebuilds(rebuilds, scratch), next_store
 
 
 def show_state(e) -> str:
@@ -235,22 +239,21 @@ def order_rebuilds(rebuilds: dict[int, tuple[int, tuple]], scratch: int) -> Prog
 
 
 def normalize_step(
-    terms: list[tuple[int, Regex]], tags: TagTable, store: Store, pos: int,
+    terms: list[tuple[int, Regex]], tags: TagTable, store: Mapping[int, Cells], pos: int,
     memo: Optional[dict] = None,
-) -> tuple[tuple[Regex, ...], Program]:
+) -> tuple[tuple[Regex, ...], Program, Store]:
     """One engine step after a derivative: teval, then disambiguate.
 
     Each ``(bank, term)`` names the bank of ``store`` the term reads;
     its pending writes are step offsets (the engine derives at -1, tag
     evaluation stamps 0), laid over the store at ``pos``.  ``memo`` is
-    ``teval``'s memo, shared by the steps of one machine.  Returns the
-    normalized state (the bodies of banks 1..k, no pendings) and its
-    memory program, which has already been applied to ``store``.
+    ``teval``'s memo, shared by the steps of one machine.  Returns
+    ``disambiguate``'s ``(state, program, store)``: the normalized state
+    (the bodies of banks 1..k, no pendings), its memory program, and
+    the cells of banks 1..k at ``pos``; ``store`` is left untouched.
     """
     terms = [(b, u) for b, t in terms for u in alt_terms(teval(t, 0, memo)) if u != EMPTY]
-    state, program = disambiguate(terms, tags, store, pos)
-    apply_program(store, program, pos, tags.num_tags)
-    return state, program
+    return disambiguate(terms, tags, store, pos)
 
 
 # --- submatch extraction ----------------------------------------------------

@@ -9,16 +9,19 @@ from typing import Optional
 
 from drex.anchors import BOW, EOW, AnchoredStream, inject_anchors
 from drex.charset import ANCHORS, FULL, CharSet, from_chars, is_anchor, single
-from drex.engine import MatchResult, start, step
+from drex.engine import MatchResult
 from drex.semantics import SymbolPartition, Way, derive, nu_ways
 from drex.submatch import (
     HIGHER,
     apply_program,
     bank_compare,
+    disambiguate,
     extract_submatches,
+    normalize_step,
     teval,
 )
 from drex.syntax import (
+    ANCHOR_RUN,
     EARLY,
     EMPTY,
     EPSILON,
@@ -201,16 +204,20 @@ def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
 
 def interpretive_match(r: Regex, tags: TagTable, policy: str, text: str) -> MatchResult:
     """``tagged_dfa_match`` of a tagged pattern on an anchored machine,
-    made with no state table: ``engine.start``, then ``engine.step`` on
-    the run's own store, at absolute positions, at every symbol of
-    ``inject_anchors(text)``.  At each position the nullable banks are
-    ranked on that store as it stands, the earlier bank on a tie, and
-    offsets map through ``boundary_origin``.  So every disambiguation,
-    of a step or of acceptance, is made on the run's own store, where a
-    machine makes it once per state."""
+    made with no state table and no canonical store: the padded pattern
+    reads bank 1, opened all unset, and is normalized at position 0;
+    then each symbol of ``inject_anchors(text)`` is stepped with
+    ``step_terms``, which evaluates the tags, and ``disambiguate``, on
+    the run's own store at absolute positions.  At each position the
+    nullable banks are ranked on that store as it stands, the earlier
+    bank on a tie, and offsets map through ``boundary_origin``.  So
+    every disambiguation, of a step or of acceptance, is made on the
+    run's own store, where a machine makes it once per state, and no
+    program is run."""
     stream = inject_anchors(text)
     origin = stream.boundary_origin
-    state, store, _ = start(r, tags, True)
+    opened = {1: (None,) * tags.num_tags}
+    state, _, store = normalize_step([(1, cat(r, ANCHOR_RUN))], tags, opened, 0)
     best = None  # match end, cells
     for p in range(len(stream.symbols) + 1):
         cells = None
@@ -224,7 +231,7 @@ def interpretive_match(r: Regex, tags: TagTable, policy: str, text: str) -> Matc
             best = (p, cells)
         if p == len(stream.symbols) or not state:
             break
-        state, _ = step(state, stream.symbols[p], p, tags, store)
+        state, _, store = disambiguate(step_terms(state, stream.symbols[p]), tags, store, p + 1)
     if best is None:
         return MatchResult(False)
     end, cells = best

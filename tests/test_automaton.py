@@ -85,6 +85,12 @@ class TestMakeDfa:
         with pytest.raises(StateLimitError) as e:
             make_dfa(r, AB, state_limit=4)
         assert e.value.bound == 4
+        # The start state counts too: a bound below 1 admits no machine.
+        empty, _ = parse("∅")
+        assert make_dfa(empty, AB, state_limit=1).n_states == 1
+        for bound in (0, -3):
+            with pytest.raises(StateLimitError):
+                make_dfa(empty, AB, state_limit=bound)
 
     def test_anchored_alphabet_rejected(self):
         # A plain DFA reads the text as it is; anchors need the tagged machine.

@@ -129,6 +129,12 @@ class TestMatch:
             code, _ = call(argv)
             assert code == 2, argv
             assert "state count exceeds" in capsys.readouterr().err, argv
+        # The start state counts too: a bound below 1 admits no machine.
+        for bound in ("0", "-3"):
+            code, _ = call(["compile", "∅", "--state-bound", bound])
+            assert code == 2, bound
+            assert "state count exceeds" in capsys.readouterr().err, bound
+        assert call(["compile", "∅", "--state-bound", "1"])[0] == 0
 
     def test_stdin_input(self):
         code, _ = call(["match", "ab"], stdin="ab")

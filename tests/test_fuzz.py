@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -21,7 +22,7 @@ from drex.automaton import (
     tagged_dfa_match,
 )
 from drex.charset import ANCHOR_MIN, UNIVERSE_END, Alphabet, alphabet_from_chars
-from drex.engine import match_full, match_lazy, step
+from drex.engine import _canonical, match_full, match_lazy, step
 from drex.semantics import derivative_classes, derive, nu_ways
 from drex.submatch import HIGHER, apply_program, bank_compare, disambiguate, teval
 from drex.syntax import (
@@ -405,7 +406,11 @@ def test_pending_writes_are_step_offsets():
     # 0, and disambiguating them against the state's store at its
     # position + 1 gives the edge's target and program.  A state's store
     # is canonical: the state steps from position len(state), and every
-    # cell is unset or a rank up to that position.
+    # cell is unset or a rank up to that position.  Construction runs no
+    # program, so the program is tied to the step here: run on a copy of
+    # the source's store at that position, it leaves in banks 1..k' the
+    # survivors' cells that disambiguation returns, and their canonical
+    # form is the target's store.
     checked = 0
     for m, stores in _tagged_construction(11):
         for i, row in enumerate(m.transitions):
@@ -415,8 +420,14 @@ def test_pending_writes_are_step_offsets():
                 terms = step_terms(m.states[i], block.pick())
                 values = {x.value for _, t in terms for x in _subterms(t) if isinstance(x, Write)}
                 assert values <= {-1, 0}, (m.states[i], block)
-                state, got = disambiguate(terms, m.tags, stores[i], len(stores[i]) + 1)
+                p = len(stores[i]) + 1
+                state, got, cells = disambiguate(terms, m.tags, stores[i], p)
                 assert state == m.states[j] and got == program, (m.states[i], block)
+                assert list(cells) == list(range(1, len(state) + 1)), (m.states[i], block)
+                run = dict(stores[i])
+                apply_program(run, program, p, m.tags.num_tags)
+                assert {b: run[b] for b in cells} == cells, (m.states[i], block, program)
+                assert _canonical(cells, p) == stores[j], (m.states[i], block)
                 checked += 1
     assert checked > 5000
 
@@ -740,15 +751,18 @@ def _memo_machines() -> list:
 
 def test_memoized_edges_equal_fresh_derivatives():
     # Every edge of a machine built with its memo is the step taken
-    # again without one: same target expression, same program.
+    # again without one: same target expression, same program, and the
+    # target's store.  The step reads its store through a read-only
+    # view, so it leaves the store it is given untouched.
     edges = memoized = 0
     for pattern, m, stores, memo in _memo_machines():
         memoized += bool(memo)
         for i, row in enumerate(m.transitions):
             for block, j, ops in row:
-                de, fresh = step(m.states[i], block.pick(), len(stores[i]), m.tags,
-                                 dict(stores[i]), memo=None)
+                de, fresh, store = step(m.states[i], block.pick(), m.tags,
+                                        MappingProxyType(stores[i]), memo=None)
                 assert de == m.states[j] and tuple(fresh) == ops, (pattern, i, block)
+                assert store == stores[j], (pattern, i, block)
                 edges += 1
     assert edges > 3000 and memoized > 100
 

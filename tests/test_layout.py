@@ -94,6 +94,8 @@ def test_one_loop_steps_a_machine_over_input():
     # ``tagged_dfa_match`` is the only loop that steps a machine over
     # input: nothing in the package builds an anchor stream to walk, and
     # the one ``.step`` call is ``Dfa.step`` handing off to its machine.
+    # It is also the only code that runs a memory program: construction
+    # computes each step's next store directly.
     calls = []
 
     def visit(node, where):
@@ -104,13 +106,14 @@ def test_one_loop_steps_a_machine_over_input():
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name == "inject_anchors" or (name == "step" and isinstance(f, ast.Attribute)):
+                if (name in ("inject_anchors", "apply_program", "_apply_rel_ops")
+                        or (name == "step" and isinstance(f, ast.Attribute))):
                     calls.append((where, name))
             visit(child, where)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
-    assert calls == [("Dfa.step", "step")]
+    assert calls == [("Dfa.step", "step"), ("tagged_dfa_match", "_apply_rel_ops")]
 
 
 _MAPPINGS = {"dict", "defaultdict", "OrderedDict", "Counter",

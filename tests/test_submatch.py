@@ -192,7 +192,7 @@ class TestDisambiguate:
         # the symbol at position 1: its writes are offsets from position 2
         d = step_terms(state, ord("a"))
         assert len(set(d)) == 5
-        pruned, ops = disambiguate(d, GREEDY2, store, 2)
+        pruned, ops, after = disambiguate(d, GREEDY2, store, 2)
         assert len(pruned) == 3
         new_store = dict(store)
         apply_program(new_store, ops, 2, 4)
@@ -204,31 +204,35 @@ class TestDisambiguate:
             (0, 1, 1, None),        # the late-closing two-star split
             (0, 1, 1, 1),           # the completed match
         }
+        assert after == {b: new_store[b] for b in range(1, len(pruned) + 1)}
 
     def test_lazy_variant_keeps_other_banks(self):
         state, store = self.worked_state()
         d = step_terms(state, ord("a"))
-        pruned, ops = disambiguate(d, LAZY2, store, 2)
+        pruned, ops, after = disambiguate(d, LAZY2, store, 2)
         new_store = dict(store)
         apply_program(new_store, ops, 2, 4)
         cells = {new_store[b] for b in range(1, len(pruned) + 1)}
+        assert set(after.values()) == cells
         assert (0, 0, 0, None) in cells  # the earlier-slot bank wins lazily
         assert (0, 0, 0, 1) in cells
 
     def test_single_term_passthrough(self):
         r = cat(Write(0, 0), star(A))
-        pruned, ops = disambiguate([(1, r)], GREEDY2, {1: (None,) * 4}, 2)
+        pruned, ops, after = disambiguate([(1, r)], GREEDY2, {1: (None,) * 4}, 2)
         assert pruned == (star(A),)
         assert ops == ((1, 1, ((0, 0),)),)
+        assert after == {1: (2, None, None, None)}
 
 
 class TestCompaction:
     def test_dense_renumbering(self):
         terms = [(4, star(A)), (7, star(B))]
         store = {4: (1,), 7: (2,)}
-        out, ops = disambiguate(terms, TagTable((EARLY,)), store, 0)
+        out, ops, after = disambiguate(terms, TagTable((EARLY,)), store, 0)
         assert out == (star(A), star(B))
         assert sorted(dst for dst, _, _ in ops) == [1, 2]
+        assert after == {1: (1,), 2: (2,)}
         apply_program(store, ops, 0, 1)
         got = {b: store[b] for b in range(1, len(out) + 1)}
         assert got == {1: (1,), 2: (2,)}
@@ -258,9 +262,10 @@ class TestPlans:
     def test_copies_then_a_write_rebuild_once(self):
         # A survivor that moves and is written gets one step.
         r = cat(Write(0, 0), cat(Write(2, -1), star(A)))
-        pruned, program = disambiguate([(3, r)], GREEDY2, {3: (None,) * 4}, 2)
+        pruned, program, after = disambiguate([(3, r)], GREEDY2, {3: (None,) * 4}, 2)
         assert pruned == (star(A),)
         assert program == ((1, 3, ((0, 0), (2, -1))),)
+        assert after == {1: (2, None, 1, None)}
         program, _ = self.both({1: (2, ()), 2: (3, ((1, 0),))})
         assert program == ((1, 2, ()), (2, 3, ((1, 0),)))
 
@@ -286,7 +291,7 @@ class TestPlans:
     def test_empty_program(self):
         assert order_rebuilds({}, scratch=1) == ()
         # no term survives a step into the ∅ state, ``()``
-        assert disambiguate([], GREEDY2, {}, 2) == ((), ())
+        assert disambiguate([], GREEDY2, {}, 2) == ((), (), {})
 
     def test_init_is_no_transition_op(self):
         # Only the initial program opens a bank all unset (src None).

@@ -117,16 +117,16 @@ class TestSimilarityIdentities:
         assert body == cat(Write(0, 0), cat(Write(1, 1), A))
         store = {1: (None, None)}
         assert normalize_step([(1, body)], LAZY1, store, 4) == (
-            (A,), ((1, 1, ((0, 0), (1, 1))),))
-        assert store == {1: (4, 5)}
+            (A,), ((1, 1, ((0, 0), (1, 1))),), {1: (4, 5)})
+        assert store == {1: (None, None)}
         # a union body gives every term its own copy of the bank it
         # reads, with its own writes
         union = alt([cat(Write(0, 0), A), cat(Write(0, 1), B)])
-        store = {1: (None, None)}
-        state, program = normalize_step([(1, union)], LAZY1, store, 4)
+        state, program, cells = normalize_step([(1, union)], LAZY1, store, 4)
         assert state == (A, B)
         assert sorted(program) == [(1, 1, ((0, 0),)), (2, 1, ((0, 1),))]
-        assert store == {1: (4, None), 2: (5, None)}
+        assert cells == {1: (4, None), 2: (5, None)}
+        assert store == {1: (None, None)}
 
 
 def test_canonicalization_idempotent_on_random_trees():
@@ -172,9 +172,10 @@ class TestEqualModBanks:
 
     def test_identical_erasures(self):
         # one group: the written bank ranks higher and survives as bank 1
-        state, program = _group((1, star(A)), (2, cat(Write(0, 3), star(A))))
+        state, program, cells = _group((1, star(A)), (2, cat(Write(0, 3), star(A))))
         assert state == (star(A),)
         assert program == ((1, 2, ((0, 3),)),)
+        assert cells == {1: (3, None)}
         assert _group((1, star(A)), (1, star(B)))[0] == (star(A), star(B))
 
     def test_positional_pairing(self):
@@ -184,9 +185,9 @@ class TestEqualModBanks:
         t1, t2 = cat(star(A), Tag(LATE, 1)), EPSILON
         for banks in ((1, 2), (4, 5)):
             store = dict(zip(banks, ((1, 1), (2, 2))))
-            state, _ = normalize_step(list(zip(banks, (t1, t2))), LAZY1, store, 9)
+            state, _, cells = normalize_step(list(zip(banks, (t1, t2))), LAZY1, store, 9)
             assert state == (EPSILON, t1)
-            assert (store[1], store[2]) == ((2, 2), (1, 9))
+            assert cells == {1: (2, 2), 2: (1, 9)}
 
     def test_equivalence_relation(self):
         rnd = random.Random(3)
@@ -338,8 +339,8 @@ def test_tag_numbering(pattern, policy, subpatterns, tree, kinds, pairs):
 def test_order_key_blind_to_banks():
     # A state's order is the order of its bodies: the bank a term reads
     # and its pending writes do not move it.
-    s1, _ = _group((1, cat(Write(0, 5), star(A))), (2, B))
-    s2, _ = _group((9, star(A)), (3, B))
+    s1 = _group((1, cat(Write(0, 5), star(A))), (2, B))[0]
+    s2 = _group((9, star(A)), (3, B))[0]
     assert s1 == s2 == tuple(sorted((star(A), B), key=order_key))
 
 

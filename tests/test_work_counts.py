@@ -89,7 +89,7 @@ def _counts(workload: str, workdir: str, monkeypatch) -> dict:
         return wrapped
 
     monkeypatch.setattr(automaton.TaggedDfa, "__init__", recording_init)
-    monkeypatch.setattr(automaton, "_canonical", counting("canonical", automaton._canonical))
+    monkeypatch.setattr(engine, "_canonical", counting("canonical", engine._canonical))
     ways = counting("nu_ways", semantics.nu_ways)
     for module in (semantics, submatch):
         monkeypatch.setattr(module, "nu_ways", ways)
@@ -104,7 +104,7 @@ def _counts(workload: str, workdir: str, monkeypatch) -> dict:
         out["states"] += m.n_states
         out["blocks"] += sum(len(row) for row in m.transitions)
         out["edges"] += sum(edge[1] is not None for row in m.transitions for edge in row)
-        out["ops"] += len(m.initial_ops) + sum(len(edge[2]) for row in m.transitions for edge in row)
+        out["ops"] += len(m.initial_ops) + sum(len(e[2]) for row in m.transitions for e in row)
         for key in memo:
             # A step key ends in its offset, a class key is a state expression.
             if isinstance(key, tuple) and key and isinstance(key[-1], int):

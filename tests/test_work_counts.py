@@ -25,6 +25,7 @@ from drex.syntax import SyntaxOptions, parse
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 workloads = importlib.import_module("workloads")
+worker = importlib.import_module("worker")
 
 COLUMNS = ("machines", "states", "blocks", "edges", "ops",
            "derive", "teval", "classes", "canonical", "nu_ways")
@@ -40,7 +41,7 @@ TABLE = {w: dict(zip(COLUMNS, row)) for w, row in ROWS.items()}
 
 
 def _clear_caches() -> None:
-    for name in ("is_nullable", "has_memory", "max_bank", "is_memory_eps", "order_key"):
+    for name in worker.SYNTAX_CACHES:
         getattr(syntax, name).cache_clear()
     semantics._dca.cache_clear()
 

@@ -40,7 +40,7 @@ from drex.syntax import (
     _show_char,
 )
 
-from drex.submatch import disambiguate, normalize_step
+from drex.submatch import apply_program, disambiguate, normalize_step
 
 from helpers import rand_expr, strings_upto
 from oracle import member_naive
@@ -181,13 +181,17 @@ class TestEqualModBanks:
     def test_positional_pairing(self):
         # equal term lists read from different banks give one state, and
         # each of its banks gets the cells of the bank its term read
-        # (t1's late tag is written at the step's position, 9)
+        # (t1's late tag is written at the step's position, 9).  With
+        # banks (1, 2) the program swaps them, a cycle it must park.
         t1, t2 = cat(star(A), Tag(LATE, 1)), EPSILON
         for banks in ((1, 2), (4, 5)):
             store = dict(zip(banks, ((1, 1), (2, 2))))
-            state, _, cells = normalize_step(list(zip(banks, (t1, t2))), LAZY1, store, 9)
+            state, program, cells = normalize_step(list(zip(banks, (t1, t2))), LAZY1, store, 9)
             assert state == (EPSILON, t1)
-            assert cells == {1: (2, 2), 2: (1, 9)}
+            run = dict(store)
+            apply_program(run, program, 9, 2)
+            assert {b: run[b] for b in cells} == cells == {1: (2, 2), 2: (1, 9)}
+            assert store == dict(zip(banks, ((1, 1), (2, 2))))
 
     def test_equivalence_relation(self):
         rnd = random.Random(3)

@@ -1,27 +1,24 @@
 """Exact work counts of one seed-1 round of each benchmark workload.
 
-Timings drift with the machine; these counts do not.  The inputs come
-from ``perfbench/workloads.generate``, which is pure data, and the test
-makes the round's public calls itself: ``match_full`` per
-``lazy_submatch`` text, ``make_tagged_dfa`` and ``make_dfa`` per
-``dfa_build`` pattern, the ``dfa_scan`` machines and their scans, and
-``drex grep`` per ``grep_lines`` file.  Every machine a round creates
-is recorded, with its memo, so the memo's entries are read after
-``build`` releases it.  The module caches are cleared before each call,
-as the benchmark worker clears them.  A change that moves a count
-updates ``TABLE`` and gives the old and new rows, with the reason.
+Timings drift with the machine; these counts do not.  The test runs
+what the benchmark worker runs: the cases of
+``perfbench/workloads.generate`` (pure data), their set-up through
+``workloads.prepare`` (which compiles the ``dfa_scan`` machines), and
+one round of the timed items' calls, with the caches of
+``worker._caches()`` cleared before set-up and before each call.
+Every machine set-up and the round create is recorded, with its memo,
+so the memo's entries are read after ``build`` releases it.  A change
+that moves a count updates ``TABLE`` and gives the old and new rows,
+with the reason.
 """
 
 import importlib
-import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from drex import automaton, cli, engine, semantics, submatch, syntax
-from drex.charset import Alphabet
-from drex.syntax import SyntaxOptions, parse
+from drex import automaton, engine, semantics, submatch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 workloads = importlib.import_module("workloads")
@@ -38,40 +35,6 @@ ROWS = {
     "grep_lines": (9, 100, 421, 201, 0, 597, 0, 100, 0, 309),
 }
 TABLE = {w: dict(zip(COLUMNS, row)) for w, row in ROWS.items()}
-
-
-def _clear_caches() -> None:
-    for name in worker.SYNTAX_CACHES:
-        getattr(syntax, name).cache_clear()
-    semantics._dca.cache_clear()
-
-
-def _round(workload: str, workdir: str) -> list:
-    """Make one seed-1 round's public calls; the calls, not their results."""
-    cases = workloads.generate(workload, 1)
-    workloads.write_files(cases, workdir)
-    calls = []
-    for case in cases:
-        r, tags = parse(case.pattern, SyntaxOptions(policy=case.policy,
-                                                    posix_subpatterns=case.subpatterns))
-        if case.kind == "lazy":
-            calls += [lambda r=r, t=tags, s=s, p=case.policy: engine.match_full(r, t, s, p)
-                      for s in case.texts]
-        elif case.kind == "build":
-            calls += [lambda r=r, t=tags: automaton.make_tagged_dfa(r, t),
-                      lambda r=r: automaton.make_dfa(r, Alphabet(with_anchors=False))]
-        elif case.kind in ("scan_tagged", "scan_plain"):
-            def scan(r=r, t=tags, texts=case.texts, tagged=case.kind == "scan_tagged"):
-                if tagged:
-                    m = automaton.make_tagged_dfa(r, t)
-                    return [automaton.tagged_dfa_match(m, s) for s in texts]
-                m = automaton.make_dfa(r)
-                return [automaton.dfa_match(m, s) for s in texts]
-            calls.append(scan)
-        elif case.kind == "grep":
-            calls += [lambda p=case.pattern, f=f: cli.run(["grep", p, "--file", f], io.StringIO())
-                      for f in case.files]
-    return calls
 
 
 def _counts(workload: str, workdir: str, monkeypatch) -> dict:
@@ -94,11 +57,20 @@ def _counts(workload: str, workdir: str, monkeypatch) -> dict:
     ways = counting("nu_ways", semantics.nu_ways)
     for module in (semantics, submatch):
         monkeypatch.setattr(module, "nu_ways", ways)
-    for call in _round(workload, workdir):
-        _clear_caches()
-        call()
+    syntax_caches, dca = worker._caches()
+
+    def clear():
+        for cache in (*syntax_caches, dca):
+            cache.cache_clear()
+
+    cases = workloads.generate(workload, 1)
+    workloads.write_files(cases, workdir)
+    clear()
+    for item in [it for it in workloads.prepare(cases) if it.timed]:
+        clear()
+        item.call()
     monkeypatch.undo()
-    _clear_caches()
+    clear()
     out = dict.fromkeys(COLUMNS, 0)
     out["machines"] = len(made)
     for m, memo in made:

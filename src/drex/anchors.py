@@ -28,13 +28,6 @@ from .charset import (
     single,
 )
 
-BOT = ANCHOR_BOT
-BOL = ANCHOR_BOL
-BOW = ANCHOR_BOW
-EOW = ANCHOR_EOW
-EOL = ANCHOR_EOL
-EOT = ANCHOR_EOT
-
 # Word characters for boundary detection.  Digits are deliberately not
 # word characters: a letter run next to a digit run carries a word
 # boundary between them.
@@ -62,12 +55,12 @@ def _markers(prev: int, nxt: int) -> tuple[int, ...]:
     next while staying in the stream as an ordinary symbol.
     """
     rules = (
-        (BOT, prev == EDGE),
-        (BOL, prev in (EDGE, NEWLINE)),
-        (BOW, nxt == WORD and prev != WORD),
-        (EOW, prev == WORD and nxt != WORD),
-        (EOL, nxt in (EDGE, NEWLINE)),
-        (EOT, nxt == EDGE),
+        (ANCHOR_BOT, prev == EDGE),
+        (ANCHOR_BOL, prev in (EDGE, NEWLINE)),
+        (ANCHOR_BOW, nxt == WORD and prev != WORD),
+        (ANCHOR_EOW, prev == WORD and nxt != WORD),
+        (ANCHOR_EOL, nxt in (EDGE, NEWLINE)),
+        (ANCHOR_EOT, nxt == EDGE),
     )
     return tuple(m for m, applies in rules if applies)
 

@@ -140,6 +140,22 @@ def _runnable(m: Dfa) -> TaggedDfa:
     return m.machine
 
 
+def _edges(m):
+    """Every edge of a complete machine, a ``Dfa`` or a ``TaggedDfa``, as
+    ``(i, block, j, program)``, row by row; a ``Dfa``'s program is ``()``.
+
+    An edge no run has taken yet raises ``ValueError``: its target is
+    not known until ``build()`` takes it.
+    """
+    for i, row in enumerate(m.transitions):
+        for edge in row:
+            block, j, program = (*edge, ())[:3]  # a Dfa's edge carries no program
+            if j is None:
+                raise ValueError(f"state {i} has an edge on {show_class(block)} not taken yet:"
+                                 " call build() to take every edge first")
+            yield i, block, j, program
+
+
 @dataclass(frozen=True)
 class AcceptInfo:
     """The result of one accepting state: a run that stops here reports
@@ -231,8 +247,7 @@ class TaggedDfa:
     @property
     def bank_count(self) -> int:
         banks = [len(self.states[0]) if self.tags.num_tags else 0]
-        banks += [b for row in self.transitions for _, _, program in row
-                  for dst, src, _ in program for b in (dst, src)]
+        banks += [b for *_, program in _edges(self) for dst, src, _ in program for b in (dst, src)]
         return max(banks) + 1
 
     def _state_id(self, e, st: Store) -> int:
@@ -301,10 +316,10 @@ class TaggedDfa:
             self._table = rows, [bisect_right(cuts, cp) for cp in range(128)], cuts, runs, classes
         return self._table
 
-    def _fill(self, i: int, k: int) -> Optional[tuple]:
+    def _fill(self, i: int, k: int, cp: int) -> tuple:
         """Row ``i``'s entry for interval ``k``, from the block scan:
-        target, program and the target's ``AcceptInfo``; None outside the
-        alphabet."""
+        target, program and the target's ``AcceptInfo``.  Outside the
+        alphabet it raises ``ValueError`` naming ``cp``, the symbol read."""
         rows, _, cuts = self._table[:3]
         for edge in self.transitions[i] if k else ():
             if cuts[k - 1] in edge[0]:
@@ -312,15 +327,14 @@ class TaggedDfa:
                     self._take(i, edge)
                 entry = rows[i][k] = (edge[1], edge[2], self.accepting.get(edge[1]))
                 return entry
-        return None
+        raise _outside(cp)
 
     def step(self, i: int, cp: int) -> tuple[int, tuple]:
+        """State ``i``'s edge on ``cp``, as ``(target, program)``, taken if
+        no run has taken it yet; ``ValueError`` outside the alphabet."""
         rows, ascii_ids, cuts = self.table()[:3]
         k = ascii_ids[cp] if 0 <= cp < 128 else bisect_right(cuts, cp)
-        entry = rows[i][k] or self._fill(i, k)
-        if entry is None:
-            raise _outside(cp)
-        return entry[:2]
+        return (rows[i][k] or self._fill(i, k, cp))[:2]
 
     def build(self) -> "TaggedDfa":
         """Take every edge, state by state in creation (worklist) order."""
@@ -414,10 +428,8 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
         k = ascii_ids[cp] if cp < 128 else bisect_right(cuts, cp)
         for s in runs[prev][k]:
             entry = rows[state][s]
-            if entry is None:
-                entry = m._fill(state, s)
-                if entry is None:  # markers are in every anchored alphabet
-                    raise _outside(cp)
+            if entry is None:  # markers are in every anchored alphabet: a miss names cp
+                entry = m._fill(state, s, cp)
                 dead = m.dead  # an on-demand machine creates ∅ when a run first reaches it
             state, program, info = entry
             if observe is not None:
@@ -457,21 +469,21 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def dfa_to_regex(m: Dfa) -> Regex:
+def dfa_to_regex(m) -> Regex:
     """Solve the automaton's characteristic equations for the start state.
 
-    Each state contributes one linear equation over its outgoing blocks;
-    states are eliminated highest id first, replacing every self-loop
-    ``X = L X + R`` by ``X = L* R`` (sound because every loop
-    coefficient consumes at least one symbol).
+    ``m`` is a complete machine, a ``Dfa`` or a built ``TaggedDfa``: its
+    edges come from ``_edges``, which raises ``ValueError`` at an edge
+    not taken yet.  Each state contributes one linear equation over its
+    outgoing blocks; states are eliminated highest id first, replacing
+    every self-loop ``X = L X + R`` by ``X = L* R`` (sound because every
+    loop coefficient consumes at least one symbol).
     """
     n = m.n_states
     coeff: list[dict[int, Regex]] = [dict() for _ in range(n)]
     const: list[Regex] = [EPSILON if i in m.accepting else EMPTY for i in range(n)]
-    for i in range(n):
-        for block, j in m.transitions[i]:
-            atom = sym(block)
-            coeff[i][j] = alt([coeff[i].get(j, EMPTY), atom])
+    for i, block, j, _ in _edges(m):
+        coeff[i][j] = alt([coeff[i].get(j, EMPTY), sym(block)])
     for i in range(n - 1, 0, -1):
         loop = coeff[i].pop(i, EMPTY)
         if loop != EMPTY:
@@ -542,59 +554,43 @@ def _op_json(step: Rebuild) -> dict:
 
 
 def export_dot(m) -> str:
-    """Graphviz rendering; accepting states are double circles."""
+    """Graphviz rendering of a complete machine (see ``_edges``);
+    accepting states are double circles, and a tagged edge's label
+    lists its program under its symbols."""
     lines = ["digraph dfa {", "  rankdir=LR;", '  start [shape=point, label=""];']
     for i in range(m.n_states):
         shape = "doublecircle" if i in m.accepting else "circle"
         lines.append(f'  q{i} [shape={shape}, label="q{i}"];')
     lines.append("  start -> q0;")
-    for i, row in enumerate(m.transitions):
-        for entry in row:
-            if isinstance(m, Dfa):
-                block, j = entry
-                label = show_class(block)
-            else:
-                block, j, program = entry
-                label = show_class(block)
-                if program:
-                    label += "\\n" + "; ".join(map(_op_str, program))
-            label = label.replace('"', '\\"')
-            lines.append(f'  q{i} -> q{j} [label="{label}"];')
+    for i, block, j, program in _edges(m):
+        label = show_class(block)
+        if program:
+            label += "\\n" + "; ".join(map(_op_str, program))
+        label = label.replace('"', '\\"')
+        lines.append(f'  q{i} -> q{j} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
 def export_json(m) -> str:
-    """Stable JSON rendering of a machine (see docs/tagged_dfa.schema.json)."""
+    """Stable JSON rendering of a complete machine (see ``_edges`` and
+    docs/tagged_dfa.schema.json): a ``Dfa`` gives the plain form, a
+    ``TaggedDfa`` the tagged one, with programs, banks and tags."""
+    plain = isinstance(m, Dfa)
     doc: dict = {
         "states": [show_state(e) for e in m.states],
         "initial": 0,
+        "accepting": (sorted(m.accepting) if plain else
+                      {str(i): {"bank": info.bank} for i, info in sorted(m.accepting.items())}),
+        "transitions": [],
     }
-    if isinstance(m, Dfa):
-        doc["accepting"] = sorted(m.accepting)
-        doc["transitions"] = [
-            {"from": i, "symbols": show_class(block), "to": j}
-            for i, row in enumerate(m.transitions)
-            for block, j in row
-        ]
-        return json.dumps(doc, indent=2)
-    doc["accepting"] = {str(i): {"bank": info.bank} for i, info in sorted(m.accepting.items())}
-    doc["transitions"] = [
-        {
-            "from": i,
-            "symbols": show_class(block),
-            "to": j,
-            "ops": list(map(_op_json, program)),
-        }
-        for i, row in enumerate(m.transitions)
-        for block, j, program in row
-    ]
-    doc["initial_ops"] = list(map(_op_json, m.initial_ops))
-    doc["bank_count"] = m.bank_count
-    doc["policy"] = m.policy
-    doc["anchored"] = m.anchored
-    doc["tags"] = {
-        "kinds": list(m.tags.kinds),
-        "groups": [list(p) for p in m.tags.group_pairs],
-    }
+    for i, block, j, program in _edges(m):
+        tr = {"from": i, "symbols": show_class(block), "to": j}
+        if not plain:
+            tr["ops"] = list(map(_op_json, program))
+        doc["transitions"].append(tr)
+    if not plain:
+        tags = {"kinds": list(m.tags.kinds), "groups": [list(p) for p in m.tags.group_pairs]}
+        doc.update(initial_ops=list(map(_op_json, m.initial_ops)), bank_count=m.bank_count,
+                   policy=m.policy, anchored=m.anchored, tags=tags)
     return json.dumps(doc, indent=2)

@@ -60,8 +60,10 @@ class _Out:
 
 
 def _read_input(args) -> str:
+    """The text as given: a file is read without newline translation, so
+    its carriage returns reach the matcher as they do from stdin."""
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     if args.input is not None:
         return args.input

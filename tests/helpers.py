@@ -7,8 +7,17 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from drex.anchors import BOW, EOW, AnchoredStream, inject_anchors
-from drex.charset import ANCHORS, FULL, CharSet, from_chars, is_anchor, single
+from drex.anchors import AnchoredStream, inject_anchors
+from drex.charset import (
+    ANCHOR_BOW,
+    ANCHOR_EOW,
+    ANCHORS,
+    FULL,
+    CharSet,
+    from_chars,
+    is_anchor,
+    single,
+)
 from drex.engine import MatchResult
 from drex.semantics import SymbolPartition, Way, derive, nu_ways
 from drex.submatch import (
@@ -378,7 +387,7 @@ def derive_string(r: Regex, symbols, start_pos: int = 0) -> Regex:
 _ANY_ONE = Sym(FULL)
 ANY_STAR = star(_ANY_ONE)
 
-_WB = single(BOW).union(single(EOW))
+_WB = single(ANCHOR_BOW).union(single(ANCHOR_EOW))
 
 
 def exactly_symbol(cp: int) -> Regex:

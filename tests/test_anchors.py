@@ -2,16 +2,16 @@
 
 import random
 
-from drex.anchors import (
-    BOL,
-    BOT,
-    BOW,
-    EOL,
-    EOT,
-    EOW,
-    inject_anchors,
+from drex.anchors import inject_anchors
+from drex.charset import (
+    ANCHOR_BOL,
+    ANCHOR_BOT,
+    ANCHOR_BOW,
+    ANCHOR_EOL,
+    ANCHOR_EOT,
+    ANCHOR_EOW,
+    single,
 )
-from drex.charset import single
 from drex.engine import match_full, match_lazy
 from drex.semantics import derive
 from drex.syntax import EMPTY, EPSILON, parse, show, sym
@@ -29,7 +29,8 @@ from oracle import member_naive
 
 
 def marks(stream):
-    names = {BOT: "<T", BOL: "<L", BOW: "<W", EOW: "W>", EOL: "L>", EOT: "T>"}
+    names = {ANCHOR_BOT: "<T", ANCHOR_BOL: "<L", ANCHOR_BOW: "<W",
+             ANCHOR_EOW: "W>", ANCHOR_EOL: "L>", ANCHOR_EOT: "T>"}
     return "".join(names[c] if c in names else chr(c) for c in stream.symbols)
 
 
@@ -90,17 +91,17 @@ def _inject_by_position(text):
     for i in range(n + 1):
         marks = []
         if i == 0:
-            marks.append(BOT)
+            marks.append(ANCHOR_BOT)
         if i == 0 or text[i - 1] == "\n":
-            marks.append(BOL)
+            marks.append(ANCHOR_BOL)
         if word(i) and not word(i - 1):
-            marks.append(BOW)
+            marks.append(ANCHOR_BOW)
         if word(i - 1) and not word(i):
-            marks.append(EOW)
+            marks.append(ANCHOR_EOW)
         if i == n or text[i] == "\n":
-            marks.append(EOL)
+            marks.append(ANCHOR_EOL)
         if i == n:
-            marks.append(EOT)
+            marks.append(ANCHOR_EOT)
         for m in marks:
             symbols.append(m)
             origins.append(i)
@@ -114,34 +115,35 @@ class TestCombinators:
     def test_exactly_symbol_derivatives(self):
         ex = exactly_symbol(ord("a"))
         assert derive(ex, ord("a")) == EPSILON
-        assert derive(ex, BOW) == EMPTY
+        assert derive(ex, ANCHOR_BOW) == EMPTY
         assert derive(ex, ord("b")) == EMPTY
 
     def test_exactly_symbol_language(self):
         ex = exactly_symbol(ord("a"))
         atom = sym(single(ord("a")))
         # brute-force membership over short anchor-bearing strings
-        universe = [[], [ord("a")], [BOW, ord("a")], [ord("a"), BOW], [BOW], [BOT]]
+        universe = [[], [ord("a")], [ANCHOR_BOW, ord("a")], [ord("a"), ANCHOR_BOW],
+                    [ANCHOR_BOW], [ANCHOR_BOT]]
         assert [member_naive(ex, s) for s in universe] == [
             False, True, False, False, False, False]
-        assert member_naive(atom, [BOW, ord("a")])
+        assert member_naive(atom, [ANCHOR_BOW, ord("a")])
 
     def test_forbid_anchor_prefix(self):
         r, _ = parse("ab")
         f = forbid_anchor_prefix(r)
         assert derive(f, ord("a")) == derive(r, ord("a"))
-        assert derive(f, BOT) == EMPTY
+        assert derive(f, ANCHOR_BOT) == EMPTY
 
     def test_forbid_word_boundary(self):
         r, _ = parse("ab")
         f = forbid_word_boundary(r)
         # line anchors keep the guard in place
-        d = derive(f, BOL)
+        d = derive(f, ANCHOR_BOL)
         assert d != EMPTY
-        assert d == forbid_word_boundary(derive(r, BOL))
+        assert d == forbid_word_boundary(derive(r, ANCHOR_BOL))
         # a word-boundary symbol kills the match
-        assert derive(f, BOW) == EMPTY
-        assert derive(f, EOW) == EMPTY
+        assert derive(f, ANCHOR_BOW) == EMPTY
+        assert derive(f, ANCHOR_EOW) == EMPTY
         # base symbols drop the guard
         assert derive(f, ord("a")) == derive(r, ord("a"))
 
@@ -149,8 +151,8 @@ class TestCombinators:
         s, _ = parse("a")
         t, _ = parse("b")
         r = require_word_boundary_between(s, t)
-        assert member_naive(r, [ord("a"), BOW, ord("b")])
-        assert member_naive(r, [ord("a"), EOW, ord("b")])
+        assert member_naive(r, [ord("a"), ANCHOR_BOW, ord("b")])
+        assert member_naive(r, [ord("a"), ANCHOR_EOW, ord("b")])
         assert not member_naive(r, [ord("a"), ord("b")])
 
 

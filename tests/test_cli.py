@@ -32,6 +32,13 @@ def call(argv, stdin=None):
     return code, out.getvalue()
 
 
+def _cli_env() -> dict:
+    """The environment of a ``python -m drex.cli`` subprocess: this tree's package first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 class TestMatch:
     def test_match_exit_codes(self):
         code, out = call(["match", "ab*", "abb"])
@@ -284,6 +291,29 @@ class TestGrep:
         assert call(["grep", ".*"], stdin="")[0] == 1
         assert call(["grep", "^$"], stdin="\n") == (0, "\n")
 
+    # A carriage return is an ordinary symbol whatever the input source:
+    # ``ab\r\n`` has no line ending in ``b``, ``ab\rcd\n`` is one line,
+    # and ``$`` does not hold before the ``\r`` of ``a\rb``.
+    CARRIAGE_RETURNS = [(["grep", "b$"], "ab\r\n", (1, "")),
+                        (["grep", "cd"], "ab\rcd\n", (0, "ab\rcd\n")),
+                        (["submatch", "(a)$"], "a\rb", (1, '{"matched": false, "groups": []}\n'))]
+
+    def test_every_input_source_keeps_carriage_returns(self, tmp_path):
+        path = tmp_path / "in.txt"
+        for argv, text, want in self.CARRIAGE_RETURNS:
+            path.write_bytes(text.encode("utf-8"))
+            assert call(argv, stdin=text) == want, (argv, text)
+            assert call([*argv, text]) == want, (argv, text)
+            assert call([*argv, "--file", str(path)]) == want, (argv, text)
+
+    def test_stdin_pipe_keeps_carriage_returns(self):
+        for argv, text, want in self.CARRIAGE_RETURNS:
+            proc = subprocess.run([sys.executable, "-m", "drex.cli", *argv],
+                                  input=text.encode("utf-8"), capture_output=True,
+                                  env=_cli_env(), timeout=60)
+            assert (proc.returncode, proc.stdout.decode("utf-8")) == want, (argv, text)
+            assert proc.stderr == b""
+
     def test_one_machine_per_run(self, monkeypatch):
         from drex import automaton, cli
 
@@ -307,11 +337,8 @@ class TestGrep:
         # output is larger than the pipe, so the writer meets the closed end.
         path = tmp_path / "in.txt"
         path.write_text("a\n" * 200_000, encoding="utf-8")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen([sys.executable, "-m", "drex.cli", "grep", "a", "--file", str(path)],
-                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                                env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             assert proc.stdout.readline() == b"a\n"
             proc.stdout.close()

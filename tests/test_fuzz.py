@@ -8,6 +8,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from drex.anchors import inject_anchors
 from drex.automaton import (
@@ -15,6 +16,7 @@ from drex.automaton import (
     StateLimitError,
     TaggedDfa,
     dfa_match,
+    dfa_to_regex,
     export_dot,
     export_json,
     make_dfa,
@@ -447,18 +449,34 @@ def test_accepting_states_are_the_nullable_ones():
             assert (i in m.accepting) == bool(ways), (i, e)
 
 
+def _schema(name: str) -> dict:
+    path = Path(__file__).resolve().parent.parent / "docs" / name
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def test_exports_follow_the_schema():
-    # Keys drift when the export changes and the schema does not.
-    path = Path(__file__).resolve().parent.parent / "docs" / "tagged_dfa.schema.json"
-    schema = json.loads(path.read_text(encoding="utf-8"))
+    # Keys drift when the export changes and the schema does not.  Every
+    # export is validated against the schema, and so is each result of a
+    # run of the same machines; the hand checks below pin what the schema
+    # leaves open (exact key sets, the two offsets).
+    schema = _schema("tagged_dfa.schema.json")
+    machine_schema = Draft202012Validator(schema)
+    result_schema = Draft202012Validator(_schema("matchresult.schema.json"))
     props = schema["properties"]
     entry_keys = set(props["accepting"]["oneOf"][1]["additionalProperties"]["required"])
     transition_keys = set(props["transitions"]["items"]["properties"])
     op = schema["$defs"]["op"]
     offsets = op["properties"]["sets"]["items"]["prefixItems"][1]["enum"]
     exported = steps = 0
+    validated = results = 0
     for m in list(_tagged_machines(11)) + _plain_machines(11):
         doc = json.loads(export_json(m))
+        machine_schema.validate(doc)
+        validated += 1
+        for text in strings_upto("ab", 3):
+            res = tagged_dfa_match(m.machine if isinstance(m, Dfa) else m, text)
+            result_schema.validate(res.to_dict())
+            results += res.matched
         assert set(doc) <= set(props), set(doc) - set(props)
         if isinstance(doc["accepting"], dict):
             for entry in doc["accepting"].values():
@@ -474,6 +492,25 @@ def test_exports_follow_the_schema():
                        for slot, offset in step["sets"]), step
             steps += 1
     assert exported > 500 and steps > 2000
+    assert validated > 250 and results > 2000
+
+
+def test_exports_need_every_edge_taken():
+    # A run takes only the edges it reads, and an untaken edge has no
+    # target, which the schema cannot hold: the exports and
+    # ``dfa_to_regex`` refuse the machine, naming ``build()``, until
+    # every edge is taken.
+    schema = Draft202012Validator(_schema("tagged_dfa.schema.json"))
+    m = TaggedDfa(*parse("(a*)b"))
+    assert tagged_dfa_match(m, "aab").matched
+    assert any(j is None for row in m.transitions for _, j, _ in row)
+    for export in (export_json, export_dot, dfa_to_regex):
+        with pytest.raises(ValueError, match=r"not taken yet: call build\(\)"):
+            export(m)
+    doc = json.loads(export_json(m.build()))
+    schema.validate(doc)
+    doc["transitions"][0]["to"] = None  # what an untaken edge would read as
+    assert not schema.is_valid(doc)
 
 
 def test_states_are_alternatives_of_dense_banks():

@@ -116,6 +116,49 @@ def test_one_loop_steps_a_machine_over_input():
     assert calls == [("Dfa.step", "step"), ("tagged_dfa_match", "_apply_rel_ops")]
 
 
+def _functions(path: Path) -> dict:
+    """Qualified name -> node, for every function and method of a module."""
+    found = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{where}.{child.name}" if where else child.name
+                if isinstance(child, ast.FunctionDef):
+                    found[name] = child
+                visit(child, name)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    return found
+
+
+def test_one_fill_reports_a_symbol_outside_the_alphabet():
+    # A row miss is reported where the row is filled: ``TaggedDfa._fill``
+    # raises ``_outside`` itself, so neither ``step`` nor the loop checks
+    # for a missing entry.  The only other caller is ``dfa_match``'s check
+    # of the code points it is given.
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, fn in _functions(path).items():
+            calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call) and _callee(n) == "_outside"]
+            callers += [(path.stem, name)] * len(calls)
+            if name == "TaggedDfa._fill":
+                raised = [n.exc for n in ast.walk(fn) if isinstance(n, ast.Raise)]
+                assert [_callee(e) for e in raised] == ["_outside"], raised
+    assert callers == [("automaton", "TaggedDfa._fill"), ("automaton", "dfa_match")]
+
+
+def test_exports_read_edges_through_one_walk():
+    # ``_edges`` is the one reading of a complete machine's edges, plain or
+    # tagged: the exports and the characteristic-equation solution call it
+    # and never read ``.transitions`` themselves.
+    functions = _functions(PACKAGE / "automaton.py")
+    for name in ("export_dot", "export_json", "dfa_to_regex"):
+        nodes = list(ast.walk(functions[name]))
+        assert not [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "transitions"]
+        assert [_callee(n) for n in nodes if isinstance(n, ast.Call)].count("_edges") == 1, name
+
+
 _MAPPINGS = {"dict", "defaultdict", "OrderedDict", "Counter",
              "WeakKeyDictionary", "WeakValueDictionary"}
 

@@ -33,8 +33,8 @@ from typing import Callable, Optional
 
 from .anchors import BOUNDARY, EDGE, NEWLINE_SET, OTHER, WORD_SET, char_class
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
-from .charset import ANCHOR_MIN, MAX_CODEPOINT, UNIVERSE_END, Alphabet, CharSet
-from .engine import MatchResult, Span, start, step
+from .charset import ANCHOR_MIN, MAX_CODEPOINT, UNIVERSE_END, Alphabet, CharSet, single
+from .engine import MatchResult, start, step
 from .semantics import _minterms, derivative_classes
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import (
@@ -42,7 +42,6 @@ from .submatch import (
     Rebuild,
     Store,
     bank_compare,
-    extract_submatches,
     show_state,
 )
 from .submatch import apply_program as _apply_rel_ops  # the name perfbench/tracing.py wraps
@@ -405,15 +404,16 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
     unless the new bank ranks higher.  The run stops in the ∅ state,
     before the next character.  ``observe(symbol, state)``, if given,
     sees each stream symbol (a character or marker code point) and the
-    state it reached.
+    state it reached.  ``MatchResult.from_run`` reports the match end
+    and cells, each position mapped through ``at`` to a text offset
+    (kept as it is under ``stream_offsets``).
     """
     rows, ascii_ids, cuts, runs, classes = m.table()
     tags = m.tags
-    n_slots = tags.num_tags
     posix = m.policy == POLICY_POSIX
     store: Store = {}
     if m.initial_ops:
-        _apply_rel_ops(store, m.initial_ops, 0, n_slots)
+        _apply_rel_ops(store, m.initial_ops, 0, tags.num_tags)
     end = cells = None  # the result: match end and its bank's cells
     info = m.accepting.get(0)
     if info is not None:
@@ -452,16 +452,12 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
         if state == dead:
             break
         prev = classes[k]
-    if end is None:
-        return MatchResult(False)
-    # The boundary before stream position q is text boundary i when
-    # starts[i] <= q < starts[i + 1].
-    positions = [end, *(q for q in cells or () if q is not None)]
-    origin = {q: q if stream_offsets else bisect_right(starts, q) - 1 for q in positions}
-    groups: list[Optional[Span]] = [(0, origin[end])]
-    if n_slots:
-        groups.extend(extract_submatches(cells, tags, origin))
-    return MatchResult(True, cells, tuple(groups), end)
+    # Stream position q is at text boundary i when starts[i] <= q < starts[i + 1].
+    # A default binds ``starts``: a closure would make it a cell, read
+    # indirectly in the loop above.
+    at = ((lambda q: q) if stream_offsets
+          else (lambda q, starts=starts: bisect_right(starts, q) - 1))
+    return MatchResult.from_run(end, cells, tags, at)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +508,19 @@ def check_minimal(m: Dfa) -> list[tuple[int, int]]:
     """Pairs of states recognizing the same language; empty iff minimal.
 
     Classic partition refinement over the joint refinement of all
-    per-state symbol blocks.
+    per-state symbol blocks.  A table with no edge from some state on
+    some symbol of the alphabet raises ``ValueError``.
     """
     blocks = _minterms(tuple(b for b, _ in row) for row in m.transitions)
     cuts = [b.intersect(m.alphabet.working) for b in blocks]
     reps = [b.pick() for b in cuts if not b.is_empty()]
+    for i, row in enumerate(m.transitions):
+        missing = m.alphabet.working
+        for b, _ in row:
+            missing = missing.difference(b)
+        if not missing.is_empty():
+            raise ValueError(f"state {i} has no edge on {show_class(single(missing.pick()))}:"
+                             " the table must cover the alphabet")
     # Each representative's target, by a block scan of the table itself.
     succ = [[next(j for b, j in row if a in b) for a in reps] for row in m.transitions]
     cls = [1 if i in m.accepting else 0 for i in range(m.n_states)]

@@ -164,9 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_input=True):
         p.add_argument("pattern")
-        if needs_input:
-            p.add_argument("input", nargs="?", default=None)
-            p.add_argument("--file", help="read the input from a file")
+        if needs_input:  # the text comes from one source: argument, --file or stdin
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("input", nargs="?", default=None)
+            source.add_argument("--file", help="read the input from a file")
         p.add_argument("--ascii", action="store_true", dest="ascii_only",
                        help="restrict the base alphabet to code points 0-127")
         p.add_argument("--state-bound", type=int, default=DEFAULT_STATE_LIMIT)

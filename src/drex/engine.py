@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
 from .semantics import derive
@@ -40,13 +40,27 @@ class MatchResult:
 
     ``groups[0]`` is the whole match; further entries follow the user
     group numbering.  ``consumed`` counts stream symbols (anchors
-    included) up to the match end.
+    included) up to the match end.  ``from_run`` makes every result.
     """
 
     matched: bool
     bank: Optional[Cells] = None
     groups: tuple[Optional[Span], ...] = ()
     consumed: int = 0
+
+    @classmethod
+    def from_run(cls, end: Optional[int], cells: Optional[Cells], tags: TagTable,
+                 at: Callable[[int], int]) -> MatchResult:
+        """The report of a run that ended at stream position ``end`` (None:
+        no match) with result bank ``cells``: a group is its tag pair's
+        cells, unmatched if either is unset, and ``at`` maps each position."""
+        if end is None:
+            return cls(False)
+        groups: list[Optional[Span]] = [(0, at(end))]
+        for open_tag, close_tag in tags.group_pairs:
+            a, b = cells[open_tag], cells[close_tag]
+            groups.append(None if a is None or b is None else (at(a), at(b)))
+        return cls(True, cells, tuple(groups), end)
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,9 @@ every group of equal bodies, and returns the survivors' cells as the
 next store, with the memory program that realizes them on a run's own
 store: an ordered tuple of bank rebuilds ``(dst, src, writes)``.  Only
 the matching loop runs a program (``apply_program``); a step computes
-the next store directly and leaves the one it reads untouched.
+the next store directly and leaves the one it reads untouched.  A
+match's spans are the tag values of its result bank, read off by
+``engine.MatchResult.from_run``.
 """
 
 from __future__ import annotations
@@ -255,27 +257,3 @@ def normalize_step(
     terms = [(b, u) for b, t in terms for u in alt_terms(teval(t, 0, memo)) if u != EMPTY]
     return disambiguate(terms, tags, store, pos)
 
-
-# --- submatch extraction ----------------------------------------------------
-
-
-def extract_submatches(
-    cells: Cells, tags: TagTable, origin: Optional[Mapping[int, int]] = None
-) -> list[Optional[tuple[int, int]]]:
-    """Group spans from a final bank, in user group order.
-
-    ``origin`` maps each stream position the bank holds to its text
-    offset (``tagged_dfa_match`` passes a dict over just those
-    positions); when omitted, positions are reported as they are.  A
-    group with an unset boundary is reported as unmatched.
-    """
-    spans: list[Optional[tuple[int, int]]] = []
-    for open_tag, close_tag in tags.group_pairs:
-        a, b = cells[open_tag], cells[close_tag]
-        if a is None or b is None:
-            spans.append(None)
-        elif origin is None:
-            spans.append((a, b))
-        else:
-            spans.append((origin[a], origin[b]))
-    return spans

@@ -25,7 +25,6 @@ from drex.submatch import (
     apply_program,
     bank_compare,
     disambiguate,
-    extract_submatches,
     normalize_step,
     teval,
 )
@@ -185,30 +184,25 @@ def reference_match(m, text: str, stream_offsets: bool = False) -> MatchResult:
         symbols, origin = stream.symbols, stream.boundary_origin
     else:
         symbols, origin = [ord(c) for c in text], range(len(text) + 1)
+    if stream_offsets:
+        origin = range(len(symbols) + 1)
     n_slots = m.tags.num_tags
     store = {}
     apply_program(store, m.initial_ops, 0, n_slots)
-    best = None  # match end, cells
+    end = best = None  # match end, its cells
     state = 0
     for p in range(len(symbols) + 1):
         info = m.accepting.get(state)
         if info is not None:
             cells = store[info.bank] if n_slots else None
-            if (best is None or m.policy == POLICY_POSIX
-                    or (cells is not None and bank_compare(cells, best[1], m.tags) == HIGHER)):
-                best = (p, cells)
+            if (end is None or m.policy == POLICY_POSIX
+                    or (cells is not None and bank_compare(cells, best, m.tags) == HIGHER)):
+                end, best = p, cells
         if p == len(symbols) or state == m.dead:
             break
         state, program = m.step(state, symbols[p])
         apply_program(store, program, p + 1, n_slots)
-    if best is None:
-        return MatchResult(False)
-    end, cells = best
-    origin = None if stream_offsets else origin
-    groups = [(0, end if origin is None else origin[end])]
-    if n_slots:
-        groups.extend(extract_submatches(cells, m.tags, origin))
-    return MatchResult(True, cells, tuple(groups), end)
+    return MatchResult.from_run(end, best, m.tags, origin.__getitem__)
 
 
 def interpretive_match(r: Regex, tags: TagTable, policy: str, text: str) -> MatchResult:
@@ -227,7 +221,7 @@ def interpretive_match(r: Regex, tags: TagTable, policy: str, text: str) -> Matc
     origin = stream.boundary_origin
     opened = {1: (None,) * tags.num_tags}
     state, _, store = normalize_step([(1, cat(r, ANCHOR_RUN))], tags, opened, 0)
-    best = None  # match end, cells
+    end = best = None  # match end, its cells
     for p in range(len(stream.symbols) + 1):
         cells = None
         for b, body in enumerate(state, 1):
@@ -235,17 +229,13 @@ def interpretive_match(r: Regex, tags: TagTable, policy: str, text: str) -> Matc
                 continue
             if cells is None or bank_compare(store[b], cells, tags) == HIGHER:
                 cells = store[b]
-        if cells is not None and (best is None or policy == POLICY_POSIX
-                                  or bank_compare(cells, best[1], tags) == HIGHER):
-            best = (p, cells)
+        if cells is not None and (end is None or policy == POLICY_POSIX
+                                  or bank_compare(cells, best, tags) == HIGHER):
+            end, best = p, cells
         if p == len(stream.symbols) or not state:
             break
         state, _, store = disambiguate(step_terms(state, stream.symbols[p]), tags, store, p + 1)
-    if best is None:
-        return MatchResult(False)
-    end, cells = best
-    groups = [(0, origin[end]), *extract_submatches(cells, tags, origin)]
-    return MatchResult(True, cells, tuple(groups), end)
+    return MatchResult.from_run(end, best, tags, origin.__getitem__)
 
 
 def apply_parallel(store, rebuilds, pos: int, n_slots: int) -> None:

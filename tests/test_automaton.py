@@ -25,7 +25,7 @@ from drex.automaton import (
 )
 from drex.charset import Alphabet, alphabet_from_chars, from_chars, single
 from drex.engine import match_full, match_lazy
-from drex.syntax import EMPTY, SyntaxOptions, TagTable, parse, show, star, sym
+from drex.syntax import EMPTY, EPSILON, SyntaxOptions, TagTable, parse, show, star, sym
 
 from helpers import assert_reads_defined, rand_expr
 from oracle import language_upto
@@ -447,6 +447,16 @@ class TestCheckMinimal:
     def test_detects_equivalent_states(self):
         r, _ = parse("(?:a+ab+b)*")
         assert check_minimal(make_dfa(r, ABC)) == [(0, 1)]
+
+    def test_a_missing_edge_is_named(self):
+        # The check names the first state without an edge on some symbol,
+        # and one such symbol, also where no row has an edge on it.
+        a, eps = sym(single(97)), EPSILON
+        for rows, message in [((((single(97), 1),), ()), "state 0 has no edge on b"),
+                              ((((from_chars("ab"), 1),), ()), "state 1 has no edge on a"),
+                              ((((single(97), 1),), ((single(97), 1),)), "state 0 has no edge on b")]:
+            with pytest.raises(ValueError, match=message):
+                check_minimal(Dfa(AB, [a, eps], rows, frozenset({1})))
 
 
 class TestExports:

@@ -107,6 +107,15 @@ class TestMatch:
         assert call(["match", "ab", "--file", str(path)]) == (1, "no match\n")
         assert call(["match", "ab", "--file", str(tmp_path / "missing")])[0] == 2
 
+    def test_file_and_argument_together_are_a_usage_error(self, tmp_path, capsys):
+        # The text has one source; --file does not quietly win over the argument.
+        path = tmp_path / "in.txt"
+        path.write_text("a\n", encoding="utf-8")
+        for command in ("match", "submatch", "trace", "grep"):
+            assert call([command, "a", "zzz", "--file", str(path)]) == (2, ""), command
+            assert "not allowed with argument input" in capsys.readouterr().err, command
+        assert call(["grep", "a", "--file", str(path)]) == (0, "a\n")
+
     def test_ascii_rejects_wider_input(self, capsys):
         for argv in (["match", "--ascii", "~a", "é"], ["submatch", "--ascii", "(a)", "é"]):
             code, out = call(argv)

@@ -536,8 +536,12 @@ def test_states_hold_no_pending_writes():
     # state, ``∅`` too, is a tuple of bank bodies, and no body holds a
     # ``Write`` or a node that names a bank.  A plain machine tracks no
     # tags, so its pattern's memory is erased first: its states are
-    # trees that hold no memory at all, and ``(a)(b*)`` builds the
-    # machine of ``(?:a)(?:b*)``.
+    # trees that hold no memory at all, and it recognizes the same
+    # language as the twin pattern with every group made ``(?:…)``,
+    # usually by the twin's very machine: ``(a)(b*)`` builds the machine
+    # of ``(?:a)(?:b*)``.  Where ``cat`` distributed a union over a tag,
+    # erasing keeps the distributed shape: the first pair below erases
+    # to ``abaa+(a+b)(a+b)baa``, its twin parses to ``(a+(a+b)(a+b))baa``.
     for m in _tagged_machines(11):
         for e in m.states:
             assert isinstance(e, tuple), e
@@ -553,6 +557,12 @@ def test_states_hold_no_pending_writes():
         grouped, plain = (make_dfa(parse(p)[0], alphabet) for p in ("(a)(b*)", "(?:a)(?:b*)"))
         assert export_json(grouped) == export_json(plain)
         assert export_dot(grouped) == export_dot(plain)
+    grouped, twin = (make_dfa(parse(p)[0], alphabet_from_chars("ab"))
+                     for p in ("(?:(a)+(?:a+b)(?:a+b))(ba(a))",
+                               "(?:(?:a)+(?:a+b)(?:a+b))(?:ba(?:a))"))
+    for n in range(8):
+        for w in map("".join, itertools.product("ab", repeat=n)):
+            assert dfa_match(grouped, w) == dfa_match(twin, w), w
 
 
 def _unparked(program):

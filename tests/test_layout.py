@@ -90,12 +90,10 @@ def test_one_class_owns_the_run_time_table():
     assert owners == [("automaton.py", "TaggedDfa", ["_fill", "table"])]
 
 
-def test_one_loop_steps_a_machine_over_input():
-    # ``tagged_dfa_match`` is the only loop that steps a machine over
-    # input: nothing in the package builds an anchor stream to walk, and
-    # the one ``.step`` call is ``Dfa.step`` handing off to its machine.
-    # It is also the only code that runs a memory program: construction
-    # computes each step's next store directly.
+def _calls(wanted) -> list:
+    """(qualified function, callee) for each call in the package for
+    which ``wanted(call, function)`` holds, module by module in source
+    order; a call outside every function is in function ``""``."""
     calls = []
 
     def visit(node, where):
@@ -103,17 +101,40 @@ def test_one_loop_steps_a_machine_over_input():
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if (name in ("inject_anchors", "apply_program", "_apply_rel_ops")
-                        or (name == "step" and isinstance(f, ast.Attribute))):
-                    calls.append((where, name))
+            if isinstance(child, ast.Call) and wanted(child, where):
+                calls.append((where, _callee(child)))
             visit(child, where)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    return calls
+
+
+def test_one_loop_steps_a_machine_over_input():
+    # ``tagged_dfa_match`` is the only loop that steps a machine over
+    # input: nothing in the package builds an anchor stream to walk, and
+    # the one ``.step`` call is ``Dfa.step`` handing off to its machine.
+    # It is also the only code that runs a memory program: construction
+    # computes each step's next store directly.
+    runners = ("inject_anchors", "apply_program", "_apply_rel_ops")
+    calls = _calls(lambda c, _: (_callee(c) in runners
+                                 or (_callee(c) == "step" and isinstance(c.func, ast.Attribute))))
     assert calls == [("Dfa.step", "step"), ("tagged_dfa_match", "_apply_rel_ops")]
+
+
+def test_one_report_of_a_run():
+    # ``MatchResult.from_run`` reads a run's spans off its result bank and
+    # is the only code that builds a ``MatchResult``.  The loop maps
+    # positions through one ``at``, whose ``starts`` is bound by a
+    # default, so the loop reads no variable through a closure cell.
+    from drex.automaton import tagged_dfa_match
+
+    made = _calls(lambda c, where: (_callee(c) == "MatchResult"
+                                    or (_callee(c) == "cls" and where.startswith("MatchResult."))))
+    assert made == [("MatchResult.from_run", "cls")] * 2, made
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not [n for n in _functions(path) if n.endswith("extract_submatches")], path.name
+    assert tagged_dfa_match.__code__.co_cellvars == ()
 
 
 def _functions(path: Path) -> dict:

@@ -5,6 +5,7 @@ import random
 from drex.charset import from_chars
 from drex.semantics import nu_ways
 from drex.automaton import make_tagged_dfa
+from drex.engine import MatchResult
 from drex.submatch import (
     EQUAL,
     HIGHER,
@@ -12,7 +13,6 @@ from drex.submatch import (
     apply_program,
     bank_compare,
     disambiguate,
-    extract_submatches,
     order_rebuilds,
     show_state,
     teval,
@@ -206,6 +206,14 @@ class TestDisambiguate:
         }
         assert after == {b: new_store[b] for b in range(1, len(pruned) + 1)}
 
+    def test_a_tie_keeps_the_first_term(self):
+        # Equal bodies over banks with equal cells: the first term listed
+        # survives, so the program moves its bank, 2, into bank 1.  This
+        # choice changes programs and exports, never a result.
+        store = {1: (0, None, None, None), 2: (0, None, None, None)}
+        state, program, after = disambiguate([(2, A), (1, A)], GREEDY2, store, 3)
+        assert (state, program, after) == ((A,), ((1, 2, ()),), {1: store[2]})
+
     def test_lazy_variant_keeps_other_banks(self):
         state, store = self.worked_state()
         d = step_terms(state, ord("a"))
@@ -327,14 +335,23 @@ class TestPlans:
             assert len(dsts) == len(set(dsts)), program
 
 
-class TestExtractSubmatches:
+class TestMatchResultFromRun:
     def test_spans_and_unmatched(self):
-        spans = extract_submatches((0, 4, None, None), GREEDY2, (0, 1, 1, 2, 2))
-        assert spans == [(0, 2), None]
+        res = MatchResult.from_run(4, (0, 4, None, None), GREEDY2, (0, 1, 1, 2, 2).__getitem__)
+        assert res == MatchResult(True, (0, 4, None, None), ((0, 2), (0, 2), None), 4)
 
     def test_identity_origin(self):
-        spans = extract_submatches((1, 3, 2, 2), GREEDY2)
-        assert spans == [(1, 3), (2, 2)]
+        res = MatchResult.from_run(3, (1, 3, 2, 2), GREEDY2, lambda q: q)
+        assert res.groups == ((0, 3), (1, 3), (2, 2))
+
+    def test_no_match(self):
+        assert MatchResult.from_run(None, None, GREEDY2, lambda q: q) == MatchResult(False)
+
+    def test_a_group_with_one_unset_cell_is_unmatched(self):
+        # The open cell is set and the close cell is not: either unset
+        # cell leaves the group unmatched.
+        res = MatchResult.from_run(3, (0, None, 1, 3), GREEDY2, lambda q: q)
+        assert res.groups == ((0, 3), None, (1, 3))
 
 
 def test_show_state_renders_bank_bodies():

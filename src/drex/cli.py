@@ -226,6 +226,9 @@ def run(argv: list[str], out=None) -> int:
     except RecursionError:
         print("error: pattern or input nests too deeply for the stack", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Mapping, Optional
 
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
@@ -103,15 +104,29 @@ def _canonical(store: Store, p: int) -> Store:
     path that reaches the state.  The state then steps from position
     ``len(store)``, where ``p`` stood, so the form holds no absolute
     position.
+
+    Every value is at most ``p``.  In ``step``, where ``p`` is one more
+    than the source store's bank count ``k``, a value is one of the
+    source's ranks ``0..k`` or a write of the step, ``p - 1`` or ``p``;
+    in ``start`` (``p = 0``) it is a write at 0.  So one bank needs no
+    ranking: unset stays unset, ``p`` becomes 1 and any other value 0.
+    With more banks, only a slot holding two or more distinct values
+    below ``p`` gets a rank table; any other slot maps as one bank does,
+    with ``len(store)`` in place of 1.
     """
-    columns = []
+    k = len(store)
+    if k == 1:
+        (b, cells), = store.items()
+        return {b: tuple([None if v is None else 1 if v == p else 0 for v in cells])}
+    flat = {None: None, p: k}  # a value missing from a slot's table ranks 0
+    tables = []
     for column in zip(*store.values()):
-        below = sorted({v for v in column if v is not None and v < p})
-        rank = {v: i for i, v in enumerate(below)}
-        rank[p] = len(store)
-        rank[None] = None
-        columns.append([rank[v] for v in column])
-    return dict(zip(store, zip(*columns)))
+        below = set(column) - {None, p}
+        if len(below) < 2:
+            tables.append(flat)
+        else:
+            tables.append(dict(zip(sorted(below), range(len(below)))) | flat)
+    return {b: tuple(map(dict.get, tables, cells, repeat(0))) for b, cells in store.items()}
 
 
 def start(

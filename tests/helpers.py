@@ -238,6 +238,20 @@ def interpretive_match(r: Regex, tags: TagTable, policy: str, text: str) -> Matc
     return MatchResult.from_run(end, best, tags, origin.__getitem__)
 
 
+def canonical_reference(store, p: int):
+    """The canonical store by its definition: per slot, the values below
+    ``p`` ranked, ``p`` as ``len(store)``, unset kept (``engine._canonical``
+    computes the same form, ranking only the slots that need it)."""
+    columns = []
+    for column in zip(*store.values()):
+        below = sorted({v for v in column if v is not None and v < p})
+        rank = {v: i for i, v in enumerate(below)}
+        rank[p] = len(store)
+        rank[None] = None
+        columns.append([rank[v] for v in column])
+    return dict(zip(store, zip(*columns)))
+
+
 def apply_parallel(store, rebuilds, pos: int, n_slots: int) -> None:
     """Rebuilds ``(dst, src, writes)``, each ``dst`` once, in their
     parallel meaning: every new bank is computed from a snapshot of the

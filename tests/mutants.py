@@ -120,6 +120,16 @@ MUTANTS = (
            "a is None or b is None",
            "a is None",
            "criteria 5 and 11 (from_run): a group with one unset cell reported as matched"),
+    Mutant("canonical_one_bank_p_to_0", "src/drex/engine.py",
+           "else 1 if v == p else 0",
+           "else 0 if v == p else 0",
+           "item 21: the one-bank canonical store mapping p to 0, which merges states "
+           "whose bank holds p with states whose bank holds an older value"),
+    Mutant("canonical_ranks_from_three_values", "src/drex/engine.py",
+           "if len(below) < 2:",
+           "if len(below) < 3:",
+           "item 21: a slot holding two distinct values below p left unranked, "
+           "so both become 0"),
 )
 
 

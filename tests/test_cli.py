@@ -131,6 +131,18 @@ class TestMatch:
             assert code == 2 and out == ""
             assert "nests too deeply for the stack" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_2(self, monkeypatch, capsys):
+        # The 0/1/2 contract holds when a run runs out of memory.
+        from drex import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "tagged_dfa_match", exhausted)
+        for argv in (["grep", "a", "abc"], ["match", "a", "abc"], ["submatch", "(a)", "abc"]):
+            assert call(argv) == (2, ""), argv
+            assert capsys.readouterr().err == "error: out of memory\n", argv
+
     def test_parse_error_exit_2(self, capsys):
         code, _ = call(["match", "(a", "x"])
         assert code == 2

@@ -3,7 +3,7 @@
 import random
 import time
 
-from drex.engine import match_full, match_lazy
+from drex.engine import _canonical, match_full, match_lazy
 from drex.syntax import (
     POLICY_POSIX,
     POLICY_POST_ORDER,
@@ -13,7 +13,7 @@ from drex.syntax import (
     show,
 )
 
-from helpers import oracle_posix_result, rand_expr, strings_upto
+from helpers import canonical_reference, oracle_posix_result, rand_expr, strings_upto
 from oracle import member_naive
 
 
@@ -123,11 +123,34 @@ class TestMatchFull:
         assert res.groups[2] == (0, 1)
 
 
+class TestCanonicalStore:
+    def test_agrees_with_the_reference(self):
+        # Random stores under the contract of ``_canonical``: 0-4 banks
+        # (numbered in any order) of 1-16 slots, each value in 0..p or
+        # unset.  The keys come back in the store's order.
+        rnd = random.Random(5)
+        ranked = 0  # draws with some slot holding two distinct values below p
+        for _ in range(20_000):
+            p = rnd.randrange(7)
+            values = [*range(p + 1), None]
+            n = rnd.randint(1, 16)
+            banks = rnd.sample(range(1, 9), rnd.randrange(5))
+            store = {b: tuple(rnd.choices(values, k=n)) for b in banks}
+            got = _canonical(store, p)
+            assert got == canonical_reference(store, p), (store, p)
+            assert list(got) == banks, (store, p)
+            ranked += any(len(set(column) - {None, p}) > 1 for column in zip(*store.values()))
+        assert ranked > 2_000
+
+
 class TestOracleAgreement:
     def test_posix_result_matches_exhaustive_oracle(self):
         pats = [
             "(a)(b)", "(a*)(a*)a", "(a+ab)(b+ε)", "((a+b)*)b",
             "(a(b)*)", "((a)b*)", "(?la*)(a*)", "(a*)(b*)",
+            # One live bank through the loop: whether a cell holds the
+            # current position or an older one decides the groups.
+            "b*(?:(a+ε)(a+ε)+a)",
         ]
         inputs = strings_upto("ab", 3)
         for pat in pats:

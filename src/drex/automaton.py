@@ -9,10 +9,12 @@ memory programs on transitions (the ordered bank rebuilds of
 ``submatch.disambiguate``), an initial program, and a result bank per
 accepting state.
 
-At run time a machine looks its edges up by index.  Sorted cut points
-split the symbols into intervals, each inside one block of every state,
-and each state gets a row indexed by interval id; an entry is filled by
-the block scan when a run first needs it.  An entry is ``(target,
+A machine sorts its cut points when it is created: they split the
+symbols into intervals, each inside one block of every state, so a
+state's derivative-class blocks are computed as bitmasks over the
+intervals and meet by ``&``.  At run time a machine looks its edges up
+by index: each state gets a row indexed by interval id, and an entry is
+filled by the block scan when a run first needs it.  An entry is ``(target,
 program, accept_info)``; the loop applies the program inline, and
 ``step`` and the exports read the same program.  One loop walks the text,
 ``tagged_dfa_match``: the anchor markers at a boundary come from the
@@ -33,9 +35,11 @@ from typing import Callable, Optional
 
 from .anchors import BOUNDARY, EDGE, NEWLINE_SET, OTHER, WORD_SET, char_class
 from .anchors import inject_anchors  # kept: perfbench/tracing.py wraps this name
-from .charset import ANCHOR_MIN, MAX_CODEPOINT, UNIVERSE_END, Alphabet, CharSet, single
+from .charset import (ANCHOR_MIN, ANCHORS, MAX_CODEPOINT, UNIVERSE_END, Alphabet, CharSet,
+                      interval_mask, mask_charset, single)
 from .engine import MatchResult, start, step
-from .semantics import _minterms, derivative_classes
+from .semantics import _minterms, class_masks, meet_masks
+from .semantics import derivative_classes  # kept: perfbench/tracing.py wraps this name
 from .semantics import derive, nu_ways  # kept: perfbench/tracing.py wraps these names
 from .submatch import (
     HIGHER,
@@ -198,16 +202,18 @@ class TaggedDfa:
     store that ``engine.start`` or ``engine.step`` returned for it;
     without, it is a tree, and its store is empty.  A state is keyed by
     its expression and its store's cells.  Its ``AcceptInfo`` and
-    derivative-class blocks are computed when it is created, and an edge
+    derivative-class blocks (as masks over the intervals between the cut
+    points, see ``table``) are computed when it is created, and an edge
     (``engine.step`` at one symbol of the block, from the state's store)
     when a run first takes it; ``build`` takes every edge.  The machine
     interns what a step returns: it copies no store, runs no program and
     knows no position.  One memo serves the whole construction: the
-    derivative (``semantics.derive``) and the tag evaluation
-    (``submatch.teval``) of every inner node, and the class blocks of
-    every state expression, which states that differ only in their
-    store share.  It lives and dies with the construction tables
-    (``index``, ``stores``), which ``build`` releases.
+    derivative (``semantics.derive``), the tag evaluation
+    (``submatch.teval``) and the class masks (``semantics.class_masks``)
+    of every inner node, and the class blocks of every state expression,
+    which states that differ only in their store share.  It lives and
+    dies with the construction tables (``index``, ``stores``), which
+    ``build`` releases.
     Pending writes are step offsets from derivation on, so programs are
     position-relative and the machine is depth-independent at run time.
     The alphabet decides anchoring: with anchors, the machine pads the
@@ -219,12 +225,24 @@ class TaggedDfa:
                  alphabet: Alphabet = Alphabet(), state_limit: float = math.inf):
         self.anchored = alphabet.with_anchors
         # The construction memo, shared by every step: (node, symbol, -1)
-        # -> derivative, (node, 0) -> tag evaluation, and a state's
-        # expression -> its sorted class blocks.  No class key equals a
-        # step key: a tag-free state is a tree, not a tuple, and a tagged
-        # state is a tuple of trees, while a step key ends in an int.
+        # -> derivative, (node, 0) -> tag evaluation, (node, None) -> the
+        # node's class masks, and a state's expression -> its sorted class
+        # blocks.  No two kinds of key meet: a tag-free state is a tree,
+        # not a tuple, and a tagged state is a tuple of trees, while a
+        # step key ends in an int and a mask key in None.
         self._memo: Optional[dict] = {}
         expr, store, self.initial_ops = start(r, tags, self.anchored, self._memo)
+        # The cut points (see ``table``) and, over their intervals, the
+        # masks of the working alphabet and of its anchors: the space in
+        # which ``semantics.class_masks`` computes a node's classes.
+        cuts = _atom_bounds(expr)
+        for extra in (alphabet.working.bounds, range(ANCHOR_MIN, UNIVERSE_END + 1),
+                      WORD_SET.bounds, NEWLINE_SET.bounds):
+            cuts.update(extra)
+        cuts = sorted(cuts)
+        working = interval_mask(alphabet.working, cuts)
+        self._space = cuts, working, interval_mask(ANCHORS, cuts) & working
+        self._charsets: Optional[dict[int, CharSet]] = {}  # mask -> its block, as states share them
         self.tags = tags
         self.policy = policy
         self.alphabet = alphabet
@@ -261,8 +279,7 @@ class TaggedDfa:
             self.stores.append(st)
             blocks = self._memo.get(e)
             if blocks is None:
-                blocks = self._memo[e] = sorted(derivative_classes(e, self.alphabet).blocks,
-                                                key=lambda b: b.bounds)
+                blocks = self._memo[e] = self._classes(e)
             self.transitions.append([[b, None, ()] for b in blocks])
             if self._table is not None:
                 rows = self._table[0]
@@ -274,6 +291,25 @@ class TaggedDfa:
                 self.dead = j
         return j
 
+    def _classes(self, e) -> list[CharSet]:
+        """The derivative-class blocks of state expression ``e`` (a tree or
+        a tuple of bank bodies, whose partitions meet), sorted by bounds:
+        ``derivative_classes(e, self.alphabet)``, computed as interval masks
+        and sorted by lowest bit."""
+        space, memo, charsets = self._space, self._memo, self._charsets
+        if isinstance(e, tuple):
+            masks = meet_masks([class_masks(body, space, memo) for body in e], space[1])
+        else:
+            masks = class_masks(e, space, memo)
+        blocks = []
+        # An empty alphabet's one block is the mask 0: it has no symbol.
+        for m in sorted(filter(None, masks), key=lambda m: m & -m):
+            b = charsets.get(m)
+            if b is None:
+                b = charsets[m] = mask_charset(m, space[0])
+            blocks.append(b)
+        return blocks
+
     def _take(self, i: int, edge: list) -> None:
         de, program, st = step(self.states[i], edge[0].pick(), self.tags, self.stores[i],
                                self._memo)
@@ -281,13 +317,14 @@ class TaggedDfa:
 
     def table(self) -> tuple:
         """The run-time table ``(rows, ascii, cuts, runs, classes)``, made
-        by the first run; states created later get their rows as they are
-        created.
+        by the first run from the cuts the machine sorted when it was
+        created; states created later get their rows as they are created.
 
         The cuts are the bounds of the atoms of state 0 (every later
         state is built from them), of the alphabet, of each anchor and
         of the boundary classes, so each interval lies inside one block
-        of every state.  A symbol's interval id is ``ascii[cp]`` below
+        of every state: bit ``k`` of a class mask is interval ``k``.  A
+        symbol's interval id is ``ascii[cp]`` below
         128, else ``bisect_right(cuts, cp)``; interval ``k > 0`` starts
         at ``cuts[k - 1]``, and interval 0 and the last one lie outside
         every block.  ``cuts[-1]`` is ``UNIVERSE_END``, so no text
@@ -300,11 +337,7 @@ class TaggedDfa:
         after one of class ``prev``: the boundary's markers, then its own.
         """
         if self._table is None:
-            cuts = _atom_bounds(self.states[0])
-            for extra in (self.alphabet.working.bounds, range(ANCHOR_MIN, UNIVERSE_END + 1),
-                          WORD_SET.bounds, NEWLINE_SET.bounds):
-                cuts.update(extra)
-            cuts = sorted(cuts)
+            cuts = self._space[0]
             top = len(cuts)
             classes = [OTHER] + [char_class(cp) for cp in cuts[:-1]] + [EDGE]
             marks = [[tuple(bisect_right(cuts, mk) for mk in between) if self.anchored else ()
@@ -344,7 +377,7 @@ class TaggedDfa:
                     self._take(i, edge)
             i += 1
         # A complete machine takes no more edges: release the construction tables.
-        self.index = self.stores = self._memo = None
+        self.index = self.stores = self._memo = self._charsets = None
         return self
 
 

@@ -103,6 +103,40 @@ def _combine(x: CharSet, y: CharSet, table: tuple[bool, bool, bool, bool]) -> Ch
     return CharSet(tuple(out))
 
 
+def interval_mask(cs: CharSet, cuts: list[int]) -> int:
+    """``cs`` as a bitmask over the intervals between sorted cut points.
+
+    Bit ``k`` is interval ``k``, ``[cuts[k - 1], cuts[k])``; bit 0 lies
+    below ``cuts[0]``.  Each bound of ``cs`` is expected to be a cut, so
+    that ``cs`` is a union of whole intervals.
+    """
+    b = cs.bounds
+    m = 0
+    for i in range(0, len(b), 2):
+        m |= (1 << bisect_right(cuts, b[i + 1])) - (1 << bisect_right(cuts, b[i]))
+    return m
+
+
+def mask_edges(m: int) -> list[int]:
+    """Ascending, the bits where a run of set bits of ``m`` starts and the
+    bits just past where one ends: those set in ``m ^ (m << 1)``."""
+    t = m ^ (m << 1)
+    edges = []
+    while t:  # from the top: bit_length finds the highest bit at once
+        k = t.bit_length() - 1
+        edges.append(k)
+        t ^= 1 << k
+    edges.reverse()
+    return edges
+
+
+def mask_charset(m: int, cuts: list[int]) -> CharSet:
+    """The set that ``interval_mask`` maps to ``m``, which holds neither
+    bit 0 nor bit ``len(cuts)``: a run's edge at bit ``k`` is the bound
+    ``cuts[k - 1]``."""
+    return CharSet(tuple(cuts[k - 1] for k in mask_edges(m)))
+
+
 def from_ranges(ranges: Iterable[tuple[int, int]]) -> CharSet:
     """Build a set from inclusive (lo, hi) pairs, any order, may overlap."""
     acc = EMPTY_SET

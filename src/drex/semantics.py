@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .charset import ANCHORS, FULL, Alphabet, CharSet, is_anchor
+from .charset import ANCHORS, FULL, Alphabet, CharSet, interval_mask, is_anchor, mask_edges
 from .syntax import (
     EMPTY,
     EPSILON,
@@ -212,3 +212,91 @@ def derivative_classes(r, alphabet: Alphabet = Alphabet()) -> SymbolPartition:
         return SymbolPartition(blocks)
     cuts = [b.intersect(working) for b in blocks]
     return SymbolPartition(tuple(b for b in cuts if not b.is_empty()))
+
+
+# ---------------------------------------------------------------------------
+# Derivative classes as interval masks
+# ---------------------------------------------------------------------------
+
+# A meet folds pairwise while each step takes at most this many ``&``s.
+# The fold costs the product of the sizes of the running meet and the
+# next part, cheap while the meet stays small (a state's meets hold a
+# few blocks each), but quadratic when it grows with every part: a
+# 2,000-way alternation of symbols gains a block per part.  Past it, one
+# sweep handles the rest, at a cost linear in the blocks' runs.  The
+# value is not tuned: typical states' meets stay far below it, and any
+# cutoff from 16 up to none at all builds them in the same time.
+_PAIRWISE_ANDS = 64
+
+
+def meet_masks(parts, working: int) -> tuple[int, ...]:
+    """The common refinement of partitions of ``working`` given as masks:
+    the pairwise ``&`` of their blocks, dropping zeros, folded part by
+    part until a fold step would pass ``_PAIRWISE_ANDS``, and then
+    ``_sweep_masks``.  The meet of no part is ``(working,)``."""
+    # A part met twice splits nothing more: a state's bodies often share one.
+    parts = list(dict.fromkeys(p for p in parts if len(p) > 1))
+    if not parts:
+        return (working,)
+    acc = parts[0]
+    for n in range(1, len(parts)):
+        p = parts[n]
+        if len(acc) * len(p) > _PAIRWISE_ANDS:
+            return _sweep_masks([acc, *parts[n:]])
+        acc = tuple(b for b in [x & y for x in acc for y in p] if b)
+    return acc
+
+
+def _sweep_masks(parts) -> tuple[int, ...]:
+    """``_minterms``' sweep in interval space: each distinct block owns one
+    bit, which flips at each edge of its runs (``charset.mask_edges``), and
+    the intervals with equal bits form one block."""
+    flips: dict[int, int] = {}
+    # A block that recurs in another part splits nothing more.
+    for j, b in enumerate(dict.fromkeys(b for p in parts for b in p)):
+        for k in mask_edges(b):
+            flips[k] = flips.get(k, 0) ^ 1 << j
+    # Outside the working alphabet no block holds an interval.
+    groups: dict[int, int] = {}
+    member = lo = 0
+    for k in sorted(flips):
+        if member:
+            groups[member] = groups.get(member, 0) | (1 << k) - (1 << lo)
+        member ^= flips[k]
+        lo = k
+    return tuple(groups.values())
+
+
+def class_masks(r: Regex, space: tuple, memo: dict) -> tuple[int, ...]:
+    """``derivative_classes`` of the tree ``r``, as unsorted masks over the
+    intervals between cut points (``charset.interval_mask``).
+
+    ``space`` is ``(cuts, working, anchors)``: the sorted cuts, which
+    hold every bound of every atom of ``r``, and the masks of the working
+    alphabet and of its anchors.  The rules are ``_dca``'s, each within
+    the working alphabet.  ``memo`` keeps the partition of every node
+    that is not a leaf under ``(node, None)``.
+    """
+    kind = type(r)
+    if kind is Empty or kind is Eps or kind is Tag or kind is Write:
+        return (space[1],)
+    key = (r, None)
+    p = memo.get(key)
+    if p is not None:
+        return p
+    if kind is Sym:
+        cuts, working, anchors = space
+        c = interval_mask(r.chars, cuts) & working
+        p = tuple(b for b in (c, anchors & ~c, working & ~(anchors | c)) if b)
+    elif kind is Star or kind is Not:
+        p = class_masks(r.body, space, memo)
+    elif kind is Cat:
+        p = class_masks(r.head, space, memo)
+        if is_nullable(r.head):
+            p = meet_masks((p, class_masks(r.tail, space, memo)), space[1])
+    elif kind is Alt or kind is Inter:
+        p = meet_masks([class_masks(t, space, memo) for t in r.terms], space[1])
+    else:
+        raise TypeError(f"not a Regex: {r!r}")
+    memo[key] = p
+    return p

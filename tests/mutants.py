@@ -130,6 +130,19 @@ MUTANTS = (
            "if len(below) < 3:",
            "item 21: a slot holding two distinct values below p left unranked, "
            "so both become 0"),
+    Mutant("mask_cat_meets_tail_always", "src/drex/semantics.py",
+           "if is_nullable(r.head):\n            p = meet_masks(",
+           "if True:\n            p = meet_masks(",
+           "item 17 (class masks): a Cat meeting its tail's classes even when its head "
+           "is not nullable, which over-partitions but keeps every derivative"),
+    Mutant("mask_atom_anchors_in_dead_block", "src/drex/semantics.py",
+           "(c, anchors & ~c, working & ~(anchors | c))",
+           "(c, working & ~c)",
+           "item 17 (class masks): a Sym's foreign anchors merged into its dead block"),
+    Mutant("mask_sweep_drops_last_edge", "src/drex/semantics.py",
+           "for k in sorted(flips):",
+           "for k in sorted(flips)[:-1]:",
+           "item 17 (class masks): the sweep of a wide meet dropping its last run edge"),
 )
 
 

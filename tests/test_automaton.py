@@ -274,17 +274,20 @@ class TestTaggedDfa:
 
     def test_memo_lives_and_dies_with_the_construction_tables(self):
         # Each machine starts with a memo of its own, which holds only what
-        # state 0 put there (its class blocks, and with tags its start's
-        # tag evaluations), whatever was built before for the same
-        # pattern; build() releases it with the tables it belongs to, and
-        # an on-demand machine keeps it.
+        # state 0 put there (its class blocks, the class masks of its
+        # nodes, and with tags its start's tag evaluations), whatever was
+        # built before for the same pattern; build() releases it with the
+        # tables it belongs to, and an on-demand machine keeps it.
         r, t = parse("(a+b)*a(a+b)(a+b)")
         for tags, alphabet in ((t, Alphabet()), (TagTable(), AB)):
             first = TaggedDfa(r, tags, alphabet=alphabet)
             memo = first._memo
             initial = dict(memo)
             rest = [k for k in initial if k != first.states[0]]
-            assert first.states[0] in initial and all(len(k) == 2 and k[1] == 0 for k in rest)
+            assert first.states[0] in initial
+            assert all(len(k) == 2 and k[1] in (0, None) for k in rest)
+            tree = first.states[0][0] if tags.num_tags else first.states[0]
+            assert (tree, None) in initial
             first.build()
             assert first._memo is None and len(memo) > len(initial)
             on_demand = TaggedDfa(r, tags, alphabet=alphabet)
@@ -317,17 +320,17 @@ class TestTaggedDfa:
         from drex import automaton, submatch
 
         classes, evals = [], []
-        real_classes, real_teval = automaton.derivative_classes, submatch._teval
+        real_classes, real_teval = automaton.TaggedDfa._classes, submatch._teval
 
-        def counted_classes(e, alphabet):
+        def counted_classes(self, e):
             classes.append(e)
-            return real_classes(e, alphabet)
+            return real_classes(self, e)
 
         def counted_teval(r, pos, memo):
             evals.append((r, pos))
             return real_teval(r, pos, memo)
 
-        monkeypatch.setattr(automaton, "derivative_classes", counted_classes)
+        monkeypatch.setattr(automaton.TaggedDfa, "_classes", counted_classes)
         monkeypatch.setattr(submatch, "_teval", counted_teval)
         kv = r"([a-z][a-z]*)=([0-9][0-9]*)(?:;([a-z][a-z]*)=([0-9][0-9]*))*"
         for pattern, text, n_states, n_exprs, n_evals in (

@@ -13,7 +13,10 @@ from drex.charset import (
     UNIVERSE_END,
     from_chars,
     from_ranges,
+    interval_mask,
     is_anchor,
+    mask_charset,
+    mask_edges,
     single,
 )
 
@@ -94,3 +97,18 @@ def test_complement_agrees_with_python_sets(x):
     assert members(c, SMALL + 1) == set(range(SMALL + 1)) - members(x)
     assert c.count() == UNIVERSE_END - x.count()
     assert c.bounds[-1] == UNIVERSE_END
+
+
+@given(charsets, charsets, st.lists(st.integers(0, SMALL), max_size=6))
+def test_interval_masks_are_sets_between_cut_points(x, y, extra):
+    # Over cuts that hold every bound, a set is the mask of the intervals
+    # it covers: & and | act on masks as on sets, each run's edges are
+    # the bits where membership flips, and the mask maps back to the set.
+    cuts = sorted({*x.bounds, *y.bounds, *extra, SMALL + 1})
+    mx, my = interval_mask(x, cuts), interval_mask(y, cuts)
+    for cs, m in ((x, mx), (y, my), (x.intersect(y), mx & my), (x.union(y), mx | my)):
+        assert interval_mask(cs, cuts) == m
+        assert mask_charset(m, cuts) == cs
+        assert [cuts[k - 1] for k in mask_edges(m)] == list(cs.bounds)
+        assert {k for k in range(1, len(cuts)) if m >> k & 1} == {
+            k for k in range(1, len(cuts)) if cuts[k - 1] in cs}

@@ -342,6 +342,94 @@ def test_memoized_step_equals_the_memo_free_functions():
     assert states > 1000 and terms > 5000
 
 
+def _wide_pattern(rnd, join: str) -> tuple[str, str]:
+    """A pattern around an alternation (``join`` is ``+``) or intersection
+    (``&``) of 30-300 operands (single symbols, short words, classes,
+    anchored symbols; ASCII, Greek and CJK), and the symbols its texts
+    draw from."""
+    letters = ("abcdef", "".join(map(chr, range(0x3B1, 0x3BD))),
+               "".join(chr(0x4E00 + 3 * i) for i in range(20)))
+    pool = "".join(rnd.choice(letters) for _ in range(3))
+
+    def symbol():
+        return rnd.choice(pool)
+
+    def operand():
+        k = rnd.random()
+        if k < 0.5:
+            return symbol()
+        if k < 0.65:
+            return symbol() + symbol()
+        if k < 0.93:
+            lo = symbol()
+            return f"[{lo}-{chr(ord(lo) + rnd.randint(1, 8))}{symbol()}]"
+        return rnd.choice(("^", "\\<", "$")) + symbol()
+
+    if join == "+":
+        body = "+".join(operand() for _ in range(rnd.randint(30, 300)))
+    else:
+        # Starred operands keep the intersection's machine small.
+        body = "&".join(f"(?:{operand()})*" for _ in range(rnd.randint(30, 60)))
+    return rnd.choice(("({})", "({})x", "({})(x*)")).format(body), pool
+
+
+def _renumbered(exported: str) -> dict:
+    """A machine's JSON export with its states numbered in breadth-first
+    order of their edges: a run creates states in the order it takes
+    edges, and ``build`` in block order."""
+    doc = json.loads(exported)
+    rows: dict[int, list] = {}
+    for tr in doc["transitions"]:
+        rows.setdefault(tr["from"], []).append(tr)
+    order, walk = {0: 0}, [0]
+    for i in walk:  # grows as it is walked
+        for tr in rows.get(i, ()):
+            if tr["to"] not in order:
+                order[tr["to"]] = len(walk)
+                walk.append(tr["to"])
+    doc["states"] = [doc["states"][i] for i in walk]
+    doc["accepting"] = {str(order[int(i)]): v for i, v in doc["accepting"].items()}
+    doc["transitions"] = [dict(tr, **{"from": order[i], "to": order[tr["to"]]})
+                          for i in walk for tr in rows.get(i, ())]
+    return doc
+
+
+def test_wide_meets_give_the_reference_classes(monkeypatch):
+    # No corpus pattern meets enough blocks to reach the sweep of
+    # ``semantics._sweep_masks``; wide alternations and intersections do,
+    # and their narrow subterms still fold pairwise.  Each state's blocks
+    # are ``derivative_classes``, an independent computation over symbol
+    # sets, sorted by bounds; and a machine run on texts, then built,
+    # exports as one only built, up to the numbering of its states.
+    from drex import semantics
+
+    calls = {"meet": 0, "sweep": 0}
+    for name, key in (("meet_masks", "meet"), ("_sweep_masks", "sweep")):
+        def counted(*args, fn=getattr(semantics, name), key=key):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(semantics, name, counted)
+    rnd = random.Random(35)
+    states = 0
+    for join in "+&+&":
+        pattern, pool = _wide_pattern(rnd, join)
+        r, t = parse(pattern)
+        for alphabet in (Alphabet(), alphabet_from_chars(pool[::2] + "x")):
+            built = TaggedDfa(r, t, alphabet=alphabet).build()
+            for e, row in zip(built.states, built.transitions):
+                want = sorted(derivative_classes(e, alphabet).blocks, key=lambda b: b.bounds)
+                assert [b for b, _, _ in row] == want, (pattern, e)
+                states += 1
+            run = TaggedDfa(r, t, alphabet=alphabet)
+            for _ in range(4):
+                text = "".join(rnd.choice(pool) for _ in range(rnd.randint(0, 4)))
+                if alphabet.with_anchors or all(ord(c) in alphabet.working for c in text):
+                    tagged_dfa_match(run, text)
+            assert _renumbered(export_json(run.build())) == _renumbered(export_json(built)), pattern
+    assert states > 100 and calls["sweep"] > 50, (states, calls)
+    assert calls["meet"] > 2 * calls["sweep"], calls  # the narrow meets folded pairwise
+
+
 @functools.lru_cache(maxsize=None)
 def _tagged_construction(seed: int) -> tuple:
     """Built tagged machines: both generators x every policy x anchored/``ab``.

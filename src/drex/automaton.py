@@ -12,9 +12,10 @@ accepting state.
 A machine sorts its cut points when it is created: they split the
 symbols into intervals, each inside one block of every state, so a
 state's derivative-class blocks are computed as bitmasks over the
-intervals and meet by ``&``.  At run time a machine looks its edges up
-by index: each state gets a row indexed by interval id, and an entry is
-filled by the block scan when a run first needs it.  An entry is ``(target,
+intervals and meet by ``&``.  The run-time table is made with the cuts,
+so a machine looks its edges up by index: each state starts on the
+machine's one blank row, indexed by interval id, and an entry is filled
+by the block scan when a run first needs it.  An entry is ``(target,
 program, accept_info)``; the loop applies the program inline, and
 ``step`` and the exports read the same program.  One loop walks the text,
 ``tagged_dfa_match``: the anchor markers at a boundary come from the
@@ -203,11 +204,11 @@ class TaggedDfa:
     without, it is a tree, and its store is empty.  A state is keyed by
     its expression and its store's cells.  Its ``AcceptInfo`` and
     derivative-class blocks (as masks over the intervals between the cut
-    points, see ``table``) are computed when it is created, and an edge
-    (``engine.step`` at one symbol of the block, from the state's store)
-    when a run first takes it; ``build`` takes every edge.  The machine
-    interns what a step returns: it copies no store, runs no program and
-    knows no position.  One memo serves the whole construction: the
+    points) are computed when it is created, and an edge (``engine.step``
+    at one symbol of the block, from the state's store) when a run first
+    takes it; ``build`` takes every edge.  The machine interns what a
+    step returns: it copies no store, runs no program and knows no
+    position.  One memo serves the whole construction: the
     derivative (``semantics.derive``), the tag evaluation
     (``submatch.teval``) and the class masks (``semantics.class_masks``)
     of every inner node, and the class blocks of every state expression,
@@ -219,6 +220,25 @@ class TaggedDfa:
     The alphabet decides anchoring: with anchors, the machine pads the
     pattern with the trailing anchor run and runs on the anchor-injected
     stream.
+
+    The run-time table is made with the machine.  The cuts are the
+    bounds of the atoms of state 0 (every later state is built from
+    them), of the alphabet, of each anchor and of the boundary classes,
+    so each interval lies inside one block of every state: bit ``k`` of
+    a class mask is interval ``k``.  A symbol's interval id is
+    ``ascii_ids[cp]`` below 128, else ``bisect_right(cuts, cp)``;
+    interval ``k > 0`` starts at ``cuts[k - 1]``, and interval 0 and the
+    last one lie outside every block.  ``cuts[-1]`` is ``UNIVERSE_END``,
+    so no text character falls in the last interval: the loop uses its
+    id for the end of the text.  ``rows[i][k]`` is state ``i``'s entry
+    for interval ``k``, ``(target, program, accept_info)`` (see
+    ``_fill``), None until a run first needs it; a state starts on the
+    machine's one immutable blank row, which ``_fill`` copies into a
+    list of its own when it first writes an entry, so a machine no run
+    reaches holds no row storage.  ``char_classes[k]`` is the boundary
+    class of interval ``k``, and ``runs[prev][k]`` lists the ids a
+    character of interval ``k`` adds to the stream after one of class
+    ``prev``: the boundary's markers, then its own.
     """
 
     def __init__(self, r: Regex, tags: TagTable, policy: str = POLICY_POSIX,
@@ -232,16 +252,26 @@ class TaggedDfa:
         # step key ends in an int and a mask key in None.
         self._memo: Optional[dict] = {}
         expr, store, self.initial_ops = start(r, tags, self.anchored, self._memo)
-        # The cut points (see ``table``) and, over their intervals, the
-        # masks of the working alphabet and of its anchors: the space in
-        # which ``semantics.class_masks`` computes a node's classes.
+        # The cut points and, over their intervals, the masks of the
+        # working alphabet and of its anchors: the space in which
+        # ``semantics.class_masks`` computes a node's classes.
         cuts = _atom_bounds(expr)
         for extra in (alphabet.working.bounds, range(ANCHOR_MIN, UNIVERSE_END + 1),
                       WORD_SET.bounds, NEWLINE_SET.bounds):
             cuts.update(extra)
-        cuts = sorted(cuts)
+        self.cuts = cuts = sorted(cuts)
         working = interval_mask(alphabet.working, cuts)
         self._space = cuts, working, interval_mask(ANCHORS, cuts) & working
+        # The run-time table over the same intervals (see the class docstring).
+        top = len(cuts)
+        self.ascii_ids = [bisect_right(cuts, cp) for cp in range(128)]
+        self.char_classes = [OTHER] + [char_class(cp) for cp in cuts[:-1]] + [EDGE]
+        marks = [[tuple(bisect_right(cuts, mk) for mk in between) if self.anchored else ()
+                  for between in row] for row in BOUNDARY]
+        self.runs = [[marks[prev][self.char_classes[k]] + (k,) for k in range(top)]
+                     + [marks[prev][EDGE]] for prev in range(EDGE + 1)]
+        self.rows: list = []
+        self._blank = (None,) * (top + 1)
         self._charsets: Optional[dict[int, CharSet]] = {}  # mask -> its block, as states share them
         self.tags = tags
         self.policy = policy
@@ -254,7 +284,6 @@ class TaggedDfa:
         self.transitions: list[list[list]] = []
         self.accepting: dict[int, AcceptInfo] = {}
         self.dead: Optional[int] = None  # the ∅ state, once created
-        self._table: Optional[tuple] = None  # made by the first run
         self._state_id(expr, store)
 
     @property
@@ -281,9 +310,7 @@ class TaggedDfa:
             if blocks is None:
                 blocks = self._memo[e] = self._classes(e)
             self.transitions.append([[b, None, ()] for b in blocks])
-            if self._table is not None:
-                rows = self._table[0]
-                rows.append([None] * len(rows[0]))
+            self.rows.append(self._blank)
             info = _accept_info(e, st, self.tags)
             if info is not None:
                 self.accepting[j] = info
@@ -315,58 +342,27 @@ class TaggedDfa:
                                self._memo)
         edge[1:] = self._state_id(de, st), program
 
-    def table(self) -> tuple:
-        """The run-time table ``(rows, ascii, cuts, runs, classes)``, made
-        by the first run from the cuts the machine sorted when it was
-        created; states created later get their rows as they are created.
-
-        The cuts are the bounds of the atoms of state 0 (every later
-        state is built from them), of the alphabet, of each anchor and
-        of the boundary classes, so each interval lies inside one block
-        of every state: bit ``k`` of a class mask is interval ``k``.  A
-        symbol's interval id is ``ascii[cp]`` below
-        128, else ``bisect_right(cuts, cp)``; interval ``k > 0`` starts
-        at ``cuts[k - 1]``, and interval 0 and the last one lie outside
-        every block.  ``cuts[-1]`` is ``UNIVERSE_END``, so no text
-        character falls in the last interval: the loop uses its id for
-        the end of the text.  ``rows[i][k]`` is state ``i``'s entry for
-        interval ``k``, ``(target, program, accept_info)`` (see
-        ``_fill``), None until a run first needs it.  ``classes[k]``
-        is the boundary class of interval ``k``, and ``runs[prev][k]``
-        lists the ids a character of interval ``k`` adds to the stream
-        after one of class ``prev``: the boundary's markers, then its own.
-        """
-        if self._table is None:
-            cuts = self._space[0]
-            top = len(cuts)
-            classes = [OTHER] + [char_class(cp) for cp in cuts[:-1]] + [EDGE]
-            marks = [[tuple(bisect_right(cuts, mk) for mk in between) if self.anchored else ()
-                      for between in row] for row in BOUNDARY]
-            runs = [[marks[prev][classes[k]] + (k,) for k in range(top)] + [marks[prev][EDGE]]
-                    for prev in range(EDGE + 1)]
-            rows = [[None] * (top + 1) for _ in self.states]
-            self._table = rows, [bisect_right(cuts, cp) for cp in range(128)], cuts, runs, classes
-        return self._table
-
     def _fill(self, i: int, k: int, cp: int) -> tuple:
         """Row ``i``'s entry for interval ``k``, from the block scan:
         target, program and the target's ``AcceptInfo``.  Outside the
         alphabet it raises ``ValueError`` naming ``cp``, the symbol read."""
-        rows, _, cuts = self._table[:3]
+        cuts = self.cuts
         for edge in self.transitions[i] if k else ():
             if cuts[k - 1] in edge[0]:
                 if edge[1] is None:
                     self._take(i, edge)
-                entry = rows[i][k] = (edge[1], edge[2], self.accepting.get(edge[1]))
+                row = self.rows[i]
+                if row is self._blank:
+                    row = self.rows[i] = list(row)
+                entry = row[k] = (edge[1], edge[2], self.accepting.get(edge[1]))
                 return entry
         raise _outside(cp)
 
     def step(self, i: int, cp: int) -> tuple[int, tuple]:
         """State ``i``'s edge on ``cp``, as ``(target, program)``, taken if
         no run has taken it yet; ``ValueError`` outside the alphabet."""
-        rows, ascii_ids, cuts = self.table()[:3]
-        k = ascii_ids[cp] if 0 <= cp < 128 else bisect_right(cuts, cp)
-        return (rows[i][k] or self._fill(i, k, cp))[:2]
+        k = self.ascii_ids[cp] if 0 <= cp < 128 else bisect_right(self.cuts, cp)
+        return (self.rows[i][k] or self._fill(i, k, cp))[:2]
 
     def build(self) -> "TaggedDfa":
         """Take every edge, state by state in creation (worklist) order."""
@@ -429,19 +425,19 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
     """The one matching loop: run a ``TaggedDfa``, built or not, over text.
 
     The loop walks the text and looks each character's interval up in
-    the table; an anchored machine first steps through the markers that
-    ``TaggedDfa.table`` lists for the boundary before it.  Positions
-    count stream symbols, markers included.  Each accepting position
-    offers its state's compiled bank, whose cells as they stand are the
-    result: under posix the later end wins, otherwise the earlier one
-    unless the new bank ranks higher.  The run stops in the ∅ state,
+    the machine's table; an anchored machine first steps through the
+    markers that ``TaggedDfa.runs`` lists for the boundary before it.
+    Positions count stream symbols, markers included.  Each accepting
+    position offers its state's compiled bank, whose cells as they stand
+    are the result: under posix the later end wins, otherwise the earlier
+    one unless the new bank ranks higher.  The run stops in the ∅ state,
     before the next character.  ``observe(symbol, state)``, if given,
     sees each stream symbol (a character or marker code point) and the
     state it reached.  ``MatchResult.from_run`` reports the match end
     and cells, each position mapped through ``at`` to a text offset
     (kept as it is under ``stream_offsets``).
     """
-    rows, ascii_ids, cuts, runs, classes = m.table()
+    rows, ascii_ids, cuts, runs, classes = m.rows, m.ascii_ids, m.cuts, m.runs, m.char_classes
     tags = m.tags
     posix = m.policy == POLICY_POSIX
     store: Store = {}

@@ -143,6 +143,11 @@ MUTANTS = (
            "for k in sorted(flips):",
            "for k in sorted(flips)[:-1]:",
            "item 17 (class masks): the sweep of a wide meet dropping its last run edge"),
+    Mutant("row_of_its_own_per_state", "src/drex/automaton.py",
+           "self.rows.append(self._blank)",
+           "self.rows.append(list(self._blank))",
+           "items 17 and 23: each new state given a row of its own, not the shared "
+           "blank; results stay, but a machine no run reaches holds row storage"),
 )
 
 

@@ -16,13 +16,16 @@ intervals and meet by ``&``.  The run-time table is made with the cuts,
 so a machine looks its edges up by index: each state starts on the
 machine's one blank row, indexed by interval id, and an entry is filled
 by the block scan when a run first needs it.  An entry is ``(target,
-program, accept_info)``; the loop applies the program inline, and
-``step`` and the exports read the same program.  One loop walks the text,
-``tagged_dfa_match``: the anchor markers at a boundary come from the
-``anchors.BOUNDARY`` table, by the classes of the characters around it,
-so no anchor stream is built.  A plain ``Dfa`` from ``make_dfa`` keeps
-the tag-free, unanchored machine it was read from, and ``dfa_match`` is
-that loop's verdict; ``drex trace`` prints from the loop's run itself.
+program, accept_info, fast)``; the loop applies the program inline, and
+``step`` and the exports read the same program.  ``fast`` is the
+target's set of intervals on which it loops with no markers: the loop
+skips a run of them with one set test per character.  One loop walks
+the text, ``tagged_dfa_match``: the anchor markers at a boundary come
+from the ``anchors.BOUNDARY`` table, by the classes of the characters
+around it, so no anchor stream is built.  A plain ``Dfa`` from
+``make_dfa`` keeps the tag-free, unanchored machine it was read from,
+and ``dfa_match`` is that loop's verdict; ``drex trace`` prints from the
+loop's run itself.
 """
 
 from __future__ import annotations
@@ -231,7 +234,7 @@ class TaggedDfa:
     last one lie outside every block.  ``cuts[-1]`` is ``UNIVERSE_END``,
     so no text character falls in the last interval: the loop uses its
     id for the end of the text.  ``rows[i][k]`` is state ``i``'s entry
-    for interval ``k``, ``(target, program, accept_info)`` (see
+    for interval ``k``, ``(target, program, accept_info, fast)`` (see
     ``_fill``), None until a run first needs it; a state starts on the
     machine's one immutable blank row, which ``_fill`` copies into a
     list of its own when it first writes an entry, so a machine no run
@@ -239,6 +242,23 @@ class TaggedDfa:
     class of interval ``k``, and ``runs[prev][k]`` lists the ids a
     character of interval ``k`` adds to the stream after one of class
     ``prev``: the boundary's markers, then its own.
+
+    ``fast[j, c]`` is state ``j``'s fast set for boundary class ``c``:
+    the character intervals of class ``c`` on which ``j`` steps to
+    itself with no markers and one shared program that may be applied
+    once for a whole run, so the loop skips a run of them with one set
+    test per character.  ``_fill`` decides it once per entry: interval
+    ``k`` of state ``i`` joins ``fast[i, char_classes[k]]`` when the
+    entry's target is ``i``, ``i`` is not ∅, ``runs[char_classes[k]][k]
+    == (k,)``, its program is the set's (its members share one), and the
+    program is empty or rebuilds every bank in place with writes
+    (``dst == src``) while the policy is posix or ``i`` is not
+    accepting.  Any other interval stays on the step path.  An
+    unanchored machine adds no markers, so its runs are not split by
+    class: its one set per state is keyed by ``OTHER``.  An entry's
+    ``fast`` is its target's set for the class of its interval, made
+    when the entry is filled, so the loop sees the set grow; a machine
+    no run reaches holds no set.
     """
 
     def __init__(self, r: Regex, tags: TagTable, policy: str = POLICY_POSIX,
@@ -271,6 +291,9 @@ class TaggedDfa:
         self.runs = [[marks[prev][self.char_classes[k]] + (k,) for k in range(top)]
                      + [marks[prev][EDGE]] for prev in range(EDGE + 1)]
         self.rows: list = []
+        # (state, class) -> its fast set, held as a dict's keys: most stay
+        # empty, and an empty dict is 64 bytes where an empty set is 216.
+        self.fast: dict[tuple[int, int], dict[int, None]] = {}
         self._blank = (None,) * (top + 1)
         self._charsets: Optional[dict[int, CharSet]] = {}  # mask -> its block, as states share them
         self.tags = tags
@@ -344,17 +367,29 @@ class TaggedDfa:
 
     def _fill(self, i: int, k: int, cp: int) -> tuple:
         """Row ``i``'s entry for interval ``k``, from the block scan:
-        target, program and the target's ``AcceptInfo``.  Outside the
+        target ``j``, program, ``j``'s ``AcceptInfo`` and ``j``'s fast set
+        after a symbol of ``k``.  It decides here, once, whether ``k``
+        joins ``i``'s fast set (see the class docstring).  Outside the
         alphabet it raises ``ValueError`` naming ``cp``, the symbol read."""
         cuts = self.cuts
         for edge in self.transitions[i] if k else ():
             if cuts[k - 1] in edge[0]:
                 if edge[1] is None:
                     self._take(i, edge)
+                _, j, program = edge
+                cls = self.char_classes[k] if self.anchored else OTHER
+                fast = self.fast.setdefault((j, cls), {})
+                if (j == i and i != self.dead and cuts[k - 1] <= MAX_CODEPOINT
+                        and self.runs[cls][k] == (k,)
+                        and (not program
+                             or (all(dst == src and writes for dst, src, writes in program)
+                                 and (self.policy == POLICY_POSIX or i not in self.accepting)))
+                        and (not fast or self.rows[i][next(iter(fast))][1] == program)):
+                    fast[k] = None
                 row = self.rows[i]
                 if row is self._blank:
                     row = self.rows[i] = list(row)
-                entry = row[k] = (edge[1], edge[2], self.accepting.get(edge[1]))
+                entry = row[k] = (j, program, self.accepting.get(j), fast)
                 return entry
         raise _outside(cp)
 
@@ -431,9 +466,15 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
     position offers its state's compiled bank, whose cells as they stand
     are the result: under posix the later end wins, otherwise the earlier
     one unless the new bank ranks higher.  The run stops in the ∅ state,
-    before the next character.  ``observe(symbol, state)``, if given,
-    sees each stream symbol (a character or marker code point) and the
-    state it reached.  ``MatchResult.from_run`` reports the match end
+    before the next character.  A character in the state's fast set
+    (see ``TaggedDfa``) takes no step: the loop only counts it, and the
+    first character outside the set, or the end of the text, closes the
+    run by applying the set's program once, at the run's last position,
+    and under posix offering that position at an accepting state; equal
+    cells never rank higher, so the other policies keep the first offer.
+    ``observe(symbol, state)``, if given, sees each stream symbol (a
+    character or marker code point) and the state it reached, so it
+    turns the skip off.  ``MatchResult.from_run`` reports the match end
     and cells, each position mapped through ``at`` to a text offset
     (kept as it is under ``stream_offsets``).
     """
@@ -450,19 +491,42 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
     dead = m.dead
     state = p = 0
     prev = EDGE
+    fast = ()  # the state's fast set after a symbol of class prev
     starts = []  # stream position of each text boundary's first symbol
     # UNIVERSE_END is no character: its interval's run is the closing markers.
-    for cp in chain(map(ord, text), (UNIVERSE_END,)):
-        starts.append(p)
+    symbols = chain(map(ord, text), (UNIVERSE_END,))
+    for cp in symbols:
         k = ascii_ids[cp] if cp < 128 else bisect_right(cuts, cp)
+        # A run has a loop of its own, so a step pays only the set test:
+        # a run-open flag tested on every character cost more.
+        if k in fast:  # the state loops on cp and adds no marker: skip the run
+            program = rows[state][k][1]  # the fast set's one program
+            starts.append(p)
+            p += 1
+            for cp in symbols:
+                k = ascii_ids[cp] if cp < 128 else bisect_right(cuts, cp)
+                if k not in fast:
+                    break
+                starts.append(p)
+                p += 1
+            # The run ends before cp: its program once, at its last position.
+            for dst, _, writes in program:  # every rebuild is in place (see _fill)
+                buf = list(store[dst])
+                for slot, offset in writes:
+                    buf[slot] = p + offset
+                store[dst] = tuple(buf)
+            if posix and info is not None:  # the other policies keep the first offer
+                end, cells = p, store.get(info.bank)
+        starts.append(p)
         for s in runs[prev][k]:
             entry = rows[state][s]
             if entry is None:  # markers are in every anchored alphabet: a miss names cp
                 entry = m._fill(state, s, cp)
                 dead = m.dead  # an on-demand machine creates ∅ when a run first reaches it
-            state, program, info = entry
-            if observe is not None:
+            state, program, info, fast = entry
+            if observe is not None:  # an observed run steps every symbol
                 observe(cp if s == k else cuts[s - 1], state)
+                fast = ()
             p += 1
             if program:  # submatch.apply_program, inlined: a transition's src is a bank
                 for dst, src, writes in program:

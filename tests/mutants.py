@@ -148,6 +148,30 @@ MUTANTS = (
            "self.rows.append(list(self._blank))",
            "items 17 and 23: each new state given a row of its own, not the shared "
            "blank; results stay, but a machine no run reaches holds row storage"),
+    Mutant("empty_state_joins_fast_set", "src/drex/automaton.py",
+           "if (j == i and i != self.dead and cuts[k - 1] <= MAX_CODEPOINT",
+           "if (j == i and cuts[k - 1] <= MAX_CODEPOINT",
+           "item 12: ∅ joining a fast set; the loop stops at ∅ before it tests "
+           "the set, so only a check of the sets sees it"),
+    Mutant("run_program_not_applied", "src/drex/automaton.py",
+           "for dst, _, writes in program:  # every rebuild is in place (see _fill)",
+           "for dst, _, writes in ():  # every rebuild is in place (see _fill)",
+           "item 12: a skipped run's program not applied at the run's end"),
+    Mutant("fast_set_ignores_class", "src/drex/automaton.py",
+           "cls = self.char_classes[k] if self.anchored else OTHER",
+           "cls = OTHER",
+           "item 12: an anchored machine keying its fast sets without the boundary "
+           "class, so a run crosses a word boundary without its markers"),
+    Mutant("posix_run_end_not_offered", "src/drex/automaton.py",
+           "if posix and info is not None:  # the other policies keep the first offer",
+           "if False:  # the other policies keep the first offer",
+           "item 12: under posix, a skipped run at an accepting state not offering "
+           "its last position"),
+    Mutant("accepting_program_joins_any_policy", "src/drex/automaton.py",
+           "and (self.policy == POLICY_POSIX or i not in self.accepting)))",
+           "and True))",
+           "item 12: an in-place program at an accepting state joining a fast set "
+           "under pre-order or post-order, so the run offers none of its positions"),
 )
 
 

@@ -157,6 +157,18 @@ class TestDfaMatch:
         for m in (make_tagged_dfa(r, t, alphabet=AB), TaggedDfa(r, t, alphabet=AB)):
             assert tagged_dfa_match(m, "bbx").groups == ((0, 1), (0, 0))
         assert not dfa_match(make_dfa(parse("ab*")[0], ABC), "bx")
+        # Start states that are ∅ or reach it on the first symbol: ∅
+        # loops on every symbol, but it joins no fast set, so no run
+        # skips through it to the foreign x.
+        for pattern in ("∅", "a&b"):
+            r, t = parse(pattern)
+            plain, text = make_dfa(r, AB), CountingText("aax")
+            assert not dfa_match(plain, text) and text.taken < 3, pattern
+            for m in (plain.machine, make_tagged_dfa(r, t, alphabet=AB),
+                      TaggedDfa(r, t, alphabet=AB)):
+                text = CountingText("aax")
+                assert not tagged_dfa_match(m, text).matched and text.taken < 3, pattern
+                assert not any(fast for (j, _), fast in m.fast.items() if j == m.dead), pattern
 
     def test_hand_built_table_cannot_run(self):
         # A Dfa built by hand has no machine: both ways to run it say so,
@@ -347,9 +359,9 @@ class TestTaggedDfa:
             assert m.n_states == n_states and set(m.states) == set(classes), pattern
 
     def test_step_exports_and_loop_read_one_program(self):
-        # A row entry holds (target, program, accept info): the loop runs
-        # the edge's own program, ``step`` hands it out, and the exports,
-        # read before and after the runs, render it.
+        # A row entry holds (target, program, accept info, fast set): the
+        # loop runs the edge's own program, ``step`` hands it out, and the
+        # exports, read before and after the runs, render it.
         r, t = parse("(a*)(a*)a")
         built = make_tagged_dfa(r, t)
         exported = export_json(built), export_dot(built)
@@ -364,7 +376,7 @@ class TestTaggedDfa:
                     assert m.step(i, block.pick()) == (target, program)
                     programs.add(id(program))
             entries = [e for row in m.rows for e in row if e is not None]
-            assert entries and all(len(e) == 3 for e in entries)
+            assert entries and all(len(e) == 4 for e in entries)
             assert all(id(e[1]) in programs for e in entries)
             assert any(e[1] for e in entries)
         assert (export_json(built), export_dot(built)) == exported

@@ -758,17 +758,27 @@ def _outcome(run, m, text, stream_offsets):
 
 # Non-ASCII texts: their symbols take the bisect path of the lookup.
 NON_ASCII = ["é", "aé b", "日本\n1", "a\u2028b_"]
+# Long runs of one class, some ending at the end of the text: the loop
+# skips the runs on which a state loops (its fast sets).
+LONG_RUNS = ["a" * 70, "ab" * 40, "b" + "a" * 69, "a" * 66 + "b"]
+
+
+def _observed(m, text, stream_offsets):
+    """``tagged_dfa_match`` with an ``observe`` callback, which turns the skip off."""
+    return tagged_dfa_match(m, text, stream_offsets, observe=lambda symbol, state: None)
 
 
 def test_loop_equals_reference_over_the_stream():
-    # The loop generates the markers from the boundary table and looks
-    # symbols up by interval; the reference steps ``m.step`` over the
-    # injected stream.  Same results, positions and errors, on machines
-    # built in full and built as the runs reach them.
+    # The loop generates the markers from the boundary table, looks
+    # symbols up by interval and skips self-loop runs; the reference
+    # steps ``m.step`` over the injected stream, and so does the loop
+    # when it is observed.  Same results, positions and errors, on
+    # machines built in full and built as the runs reach them.
     rnd = random.Random(1010)
     anchored_texts = strings_upto("ab _\n1", 2) + NON_ASCII + [
         "".join(rnd.choice("ab _\n1") for _ in range(rnd.randint(3, 5))) for _ in range(30)]
-    ab_texts = strings_upto("ab", 4) + NON_ASCII + ["abab", "abc"]
+    anchored_texts += LONG_RUNS + ["aaa bbb\n" * 10, "a_" * 35 + " " * 9, "\n" * 12 + "1" * 60]
+    ab_texts = strings_upto("ab", 4) + NON_ASCII + ["abab", "abc"] + LONG_RUNS
     compared = 0
     for gen in (rand_pattern, rand_tagged_pattern):
         for policy in POLICIES:
@@ -787,6 +797,8 @@ def test_loop_equals_reference_over_the_stream():
                                 got = _outcome(tagged_dfa_match, m, text, offsets)
                                 want = _outcome(reference_match, m, text, offsets)
                                 assert got == want, (policy, pattern, text, offsets)
+                                assert _outcome(_observed, m, text, offsets) == want, (
+                                    policy, pattern, text, offsets)
                                 compared += 1
     assert compared > 10000
 

@@ -19,20 +19,21 @@ by the block scan when a run first needs it.  An entry is ``(target,
 program, accept_info, fast)``; the loop applies the program inline, and
 ``step`` and the exports read the same program.  ``fast`` is the
 target's set of intervals on which it loops with no markers: the loop
-skips a run of them with one set test per character.  One loop walks
-the text, ``tagged_dfa_match``: the anchor markers at a boundary come
-from the ``anchors.BOUNDARY`` table, by the classes of the characters
-around it, so no anchor stream is built.  A plain ``Dfa`` from
-``make_dfa`` keeps the tag-free, unanchored machine it was read from,
-and ``dfa_match`` is that loop's verdict; ``drex trace`` prints from the
-loop's run itself.
+skips a run of them with one set test per character.  One loop walks the
+text, ``tagged_dfa_match``: the anchor markers at a boundary come from
+the ``anchors.BOUNDARY`` table, by the classes of the characters around
+it, so no anchor stream is built, and it records only the markers'
+stream positions, to map positions to text offsets.  A plain ``Dfa``
+from ``make_dfa`` keeps the tag-free, unanchored machine it was read
+from, and ``dfa_match`` is that loop's verdict; ``drex trace`` prints
+from the loop's run itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Optional
@@ -436,6 +437,7 @@ def dfa_match(m: Dfa, s) -> bool:
     ``s``, a string or a sequence of code points.  Like every run, it
     stops in the ∅ state and reads no further symbol."""
     if not isinstance(s, str):
+        s = list(s)  # a one-shot iterable is read once, here
         try:
             s = "".join(map(chr, s))
         except (ValueError, OverflowError):
@@ -474,9 +476,10 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
     cells never rank higher, so the other policies keep the first offer.
     ``observe(symbol, state)``, if given, sees each stream symbol (a
     character or marker code point) and the state it reached, so it
-    turns the skip off.  ``MatchResult.from_run`` reports the match end
-    and cells, each position mapped through ``at`` to a text offset
-    (kept as it is under ``stream_offsets``).
+    turns the skip off.  The loop records each marker's position, and
+    nothing per character: ``MatchResult.from_run`` reports the match
+    end and cells, each position mapped through ``at`` to a text offset,
+    less the markers before it (kept as it is under ``stream_offsets``).
     """
     rows, ascii_ids, cuts, runs, classes = m.rows, m.ascii_ids, m.cuts, m.runs, m.char_classes
     tags = m.tags
@@ -492,7 +495,7 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
     state = p = 0
     prev = EDGE
     fast = ()  # the state's fast set after a symbol of class prev
-    starts = []  # stream position of each text boundary's first symbol
+    marks = []  # stream position of each marker stepped
     # UNIVERSE_END is no character: its interval's run is the closing markers.
     symbols = chain(map(ord, text), (UNIVERSE_END,))
     for cp in symbols:
@@ -501,14 +504,11 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
         # a run-open flag tested on every character cost more.
         if k in fast:  # the state loops on cp and adds no marker: skip the run
             program = rows[state][k][1]  # the fast set's one program
-            starts.append(p)
-            p += 1
-            for cp in symbols:
+            for cp in symbols:  # UNIVERSE_END is in no set, so the count stops
+                p += 1
                 k = ascii_ids[cp] if cp < 128 else bisect_right(cuts, cp)
                 if k not in fast:
                     break
-                starts.append(p)
-                p += 1
             # The run ends before cp: its program once, at its last position.
             for dst, _, writes in program:  # every rebuild is in place (see _fill)
                 buf = list(store[dst])
@@ -517,13 +517,14 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
                 store[dst] = tuple(buf)
             if posix and info is not None:  # the other policies keep the first offer
                 end, cells = p, store.get(info.bank)
-        starts.append(p)
         for s in runs[prev][k]:
             entry = rows[state][s]
             if entry is None:  # markers are in every anchored alphabet: a miss names cp
                 entry = m._fill(state, s, cp)
                 dead = m.dead  # an on-demand machine creates ∅ when a run first reaches it
             state, program, info, fast = entry
+            if s != k:  # a marker: the text offset stays behind
+                marks.append(p)
             if observe is not None:  # an observed run steps every symbol
                 observe(cp if s == k else cuts[s - 1], state)
                 fast = ()
@@ -545,11 +546,10 @@ def tagged_dfa_match(m, text: str, stream_offsets: bool = False,
         if state == dead:
             break
         prev = classes[k]
-    # Stream position q is at text boundary i when starts[i] <= q < starts[i + 1].
-    # A default binds ``starts``: a closure would make it a cell, read
-    # indirectly in the loop above.
+    # Position q is at text offset q less the markers stepped before it.
+    # A default binds ``marks``: as a closure cell the loop would read it slowly.
     at = ((lambda q: q) if stream_offsets
-          else (lambda q, starts=starts: bisect_right(starts, q) - 1))
+          else (lambda q, marks=marks: q - bisect_left(marks, q)))
     return MatchResult.from_run(end, cells, tags, at)
 
 

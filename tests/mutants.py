@@ -172,6 +172,16 @@ MUTANTS = (
            "and True))",
            "item 12: an in-place program at an accepting state joining a fast set "
            "under pre-order or post-order, so the run offers none of its positions"),
+    Mutant("marks_every_symbol", "src/drex/automaton.py",
+           "if s != k:  # a marker: the text offset stays behind",
+           "if True:  # a marker: the text offset stays behind",
+           "item 22: the loop recording every stepped symbol as a marker, so a "
+           "position maps to an offset short by the characters stepped before it"),
+    Mutant("marks_count_the_one_at_q", "src/drex/automaton.py",
+           "q - bisect_left(marks, q)",
+           "q - bisect_right(marks, q)",
+           "item 22: the offset map counting the marker at position q itself, "
+           "so a position before a boundary's markers maps one offset back"),
 )
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -125,9 +126,13 @@ class TestDfaMatch:
         m = make_dfa(r, ABC)
         for s in ("", "a", "abb", "ba", "abc"):
             assert dfa_match(m, [ord(c) for c in s]) == dfa_match(m, s), s
+            assert dfa_match(m, iter(map(ord, s))) == dfa_match(m, s), s
         for foreign in (0x78, 0xE9):
             with pytest.raises(ValueError, match=f"{foreign:#x} outside the working alphabet"):
                 dfa_match(m, [ord("a"), foreign])
+        # A one-shot iterable is read once: the error still names its symbol.
+        with pytest.raises(ValueError, match="0x110000 outside the working alphabet"):
+            dfa_match(make_dfa(parse("a*")[0], AB), iter([97, 0x110000, 97]))
         # Every code point is in this alphabet; a negative int is none.
         anything = make_dfa(parse(".*")[0])
         assert dfa_match(anything, [0, 0x7F, 0xE9, 0x10FFFF])
@@ -539,3 +544,20 @@ def test_json_independent_of_hash_seed():
                               capture_output=True, text=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_a_run_holds_no_memory_per_character():
+    # The loop records the markers it steps, not the characters, so a run
+    # whose text has markers only at its ends holds no memory per character.
+    r, t = parse("((?:a+b)*)")
+    tagged = make_tagged_dfa(r, t)
+    plain = make_dfa(parse("(a+b)*")[0], AB)
+    text = "ab" * 100_000
+    for run in (lambda: tagged_dfa_match(tagged, text).matched, lambda: dfa_match(plain, text)):
+        tracemalloc.start()
+        try:
+            assert run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024, peak

@@ -769,11 +769,12 @@ def _observed(m, text, stream_offsets):
 
 
 def test_loop_equals_reference_over_the_stream():
-    # The loop generates the markers from the boundary table, looks
-    # symbols up by interval and skips self-loop runs; the reference
-    # steps ``m.step`` over the injected stream, and so does the loop
-    # when it is observed.  Same results, positions and errors, on
-    # machines built in full and built as the runs reach them.
+    # The loop generates the markers from the boundary table, maps
+    # positions through the ones it steps, looks symbols up by interval
+    # and skips self-loop runs; the reference steps ``m.step`` over the
+    # injected stream and maps through its ``boundary_origin``, and the
+    # observed loop steps every symbol.  Same results, positions and
+    # errors, on machines built in full and built as the runs reach them.
     rnd = random.Random(1010)
     anchored_texts = strings_upto("ab _\n1", 2) + NON_ASCII + [
         "".join(rnd.choice("ab _\n1") for _ in range(rnd.randint(3, 5))) for _ in range(30)]

@@ -127,8 +127,9 @@ def test_one_loop_steps_a_machine_over_input():
 def test_one_report_of_a_run():
     # ``MatchResult.from_run`` reads a run's spans off its result bank and
     # is the only code that builds a ``MatchResult``.  The loop maps
-    # positions through one ``at``, whose ``starts`` is bound by a
-    # default, so the loop reads no variable through a closure cell.
+    # positions through one ``at``, whose ``marks`` (the markers' stream
+    # positions) is bound by a default, so the loop reads no variable
+    # through a closure cell.
     from drex.automaton import tagged_dfa_match
 
     made = _calls(lambda c, where: (_callee(c) == "MatchResult"

@@ -51,29 +51,30 @@ Way = tuple[tuple[int, int], ...]
 
 def nu_ways(r: Regex, pos: int) -> list[Way]:
     """All distinct memory outcomes of accepting the empty string."""
-    if isinstance(r, (Empty, Sym)):
+    kind = type(r)
+    if kind is Empty or kind is Sym:
         return []
-    if isinstance(r, (Eps, Star)):
+    if kind is Eps or kind is Star:
         return [()]
-    if isinstance(r, Tag):
+    if kind is Tag:
         return [((r.index, pos),)]
-    if isinstance(r, Write):
+    if kind is Write:
         return [((r.slot, r.value),)]
-    if isinstance(r, Alt):
+    if kind is Alt:
         out: list[Way] = []
         for t in r.terms:
             out.extend(nu_ways(t, pos))
         return list(dict.fromkeys(out))
-    if isinstance(r, (Cat, Inter)):
+    if kind is Cat or kind is Inter:
         # A way is sorted by slot, so merging it into () leaves it as it is.
         acc: list[Way] = [()]
-        for t in (r.head, r.tail) if isinstance(r, Cat) else r.terms:
+        for t in (r.head, r.tail) if kind is Cat else r.terms:
             ways = nu_ways(t, pos)
             if not ways:
                 return []
             acc = [_merge_writes(a, b) for a in acc for b in ways]
         return list(dict.fromkeys(acc))
-    if isinstance(r, Not):
+    if kind is Not:
         # The complement of a tagged language ignores memory.
         return [] if is_nullable(r.body) else [()]
     raise TypeError(f"not a Regex: {r!r}")
@@ -97,9 +98,10 @@ def derive(r: Regex, cp: int, pos: int = 0, memo: Optional[dict] = None) -> Rege
 
 
 def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
-    if isinstance(r, (Empty, Eps, Tag, Write)):
+    kind = type(r)
+    if kind is Empty or kind is Eps or kind is Tag or kind is Write:
         return EMPTY
-    if isinstance(r, Sym):
+    if kind is Sym:
         if cp in r.chars:
             return EPSILON
         # A marker outside the class is skipped.
@@ -110,20 +112,22 @@ def _derive(r: Regex, cp: int, pos: int, memo: dict) -> Regex:
     d = memo.get(key)
     if d is not None:
         return d
-    if isinstance(r, Star):
+    if kind is Star:
         d = cat(_derive(r.body, cp, pos, memo), r)
-    elif isinstance(r, Cat):
-        parts = [cat(_derive(r.head, cp, pos, memo), r.tail)]
-        for writes in nu_ways(r.head, pos):
+    elif kind is Cat:
+        head = r.head
+        d = cat(_derive(head, cp, pos, memo), r.tail)
+        # A head that is not nullable has no ways and leaves this one
+        # part, already canonical; a nullable head adds the tail's
+        # derivative once per way.
+        if is_nullable(head):
             rest = _derive(r.tail, cp, pos, memo)
-            parts.append(cat(writes_chain(writes), rest))
-        # A non-nullable head leaves one part, already canonical: alt([x]) is x.
-        d = parts[0] if len(parts) == 1 else alt(parts)
-    elif isinstance(r, Alt):
+            d = alt([d, *(cat(writes_chain(writes), rest) for writes in nu_ways(head, pos))])
+    elif kind is Alt:
         d = alt([_derive(t, cp, pos, memo) for t in r.terms])
-    elif isinstance(r, Inter):
+    elif kind is Inter:
         d = inter([_derive(t, cp, pos, memo) for t in r.terms])
-    elif isinstance(r, Not):
+    elif kind is Not:
         d = comp(_derive(r.body, cp, pos, memo))
     else:
         raise TypeError(f"not a Regex: {r!r}")
@@ -174,9 +178,10 @@ def _minterms(parts) -> tuple[CharSet, ...]:
 
 @lru_cache(maxsize=None)
 def _dca(r: Regex) -> tuple[CharSet, ...]:
-    if isinstance(r, (Empty, Eps, Tag, Write)):
+    kind = type(r)
+    if kind is Empty or kind is Eps or kind is Tag or kind is Write:
         return (FULL,)
-    if isinstance(r, Sym):
+    if kind is Sym:
         # The atom's derivative distinguishes members, foreign anchors
         # (skipped) and foreign base symbols (dead).
         blocks = (
@@ -185,13 +190,13 @@ def _dca(r: Regex) -> tuple[CharSet, ...]:
             FULL.difference(ANCHORS).difference(r.chars),
         )
         return tuple(b for b in blocks if not b.is_empty())
-    if isinstance(r, (Star, Not)):
+    if kind is Star or kind is Not:
         return _dca(r.body)
-    if isinstance(r, Cat):
+    if kind is Cat:
         if is_nullable(r.head):
             return _minterms((_dca(r.head), _dca(r.tail)))
         return _dca(r.head)
-    if isinstance(r, (Alt, Inter)):
+    if kind is Alt or kind is Inter:
         return _minterms(map(_dca, r.terms))
     raise TypeError(f"not a Regex: {r!r}")
 

@@ -132,7 +132,8 @@ def teval(r: Regex, pos: int, memo: Optional[dict] = None) -> Regex:
     met, so one memo may serve many calls (a machine's steps share one,
     ``TaggedDfa._memo``); without it nothing is kept.
     """
-    if isinstance(r, (Empty, Eps, Sym, Write, Not)):
+    kind = type(r)
+    if kind is Empty or kind is Eps or kind is Sym or kind is Write or kind is Not:
         return r  # a complement holds no memory
     if memo is None:
         return _teval(r, pos, None)
@@ -144,18 +145,20 @@ def teval(r: Regex, pos: int, memo: Optional[dict] = None) -> Regex:
 
 
 def _teval(r: Regex, pos: int, memo: Optional[dict]) -> Regex:
-    if isinstance(r, Tag):
+    kind = type(r)
+    if kind is Tag:
         return Write(r.index, pos)
-    if isinstance(r, Star):
+    if kind is Star:
         return cat(_eps_plus(r.body, pos, memo), r)
-    if isinstance(r, Alt):
+    if kind is Alt:
         return alt([teval(t, pos, memo) for t in r.terms])
-    if isinstance(r, Inter):
+    if kind is Inter:
         return inter([teval(t, pos, memo) for t in r.terms])
-    if isinstance(r, Cat):
+    if kind is Cat:
         head, tail = r.head, r.tail
-        if isinstance(head, (Tag, Write)):
-            if isinstance(head, Write) and head.value == pos:
+        head_kind = type(head)
+        if head_kind is Tag or head_kind is Write:
+            if head_kind is Write and head.value == pos:
                 # A write stamped with this evaluation's position marks
                 # a subterm it already produced: fixpoint.  (The engine
                 # derives at offset -1 and evaluates at offset 0, so

@@ -12,6 +12,13 @@ building a tree equal to a live one returns that very object, so ``==``
 is identity and the hash is the object's own, both O(1) whatever the
 size of the tree.
 
+Node classes are final, so tree code tests a node's kind by its exact
+type (``kind = type(r)``, then ``kind is Cat``) or, for the interned
+singletons, by identity (``r is EMPTY``, ``EPSILON``, ``TOP``), never
+with ``isinstance``.  The interning metaclass keeps CPython off its
+fast path for ``isinstance``: one that misses looks up and calls
+``__instancecheck__``, about ten times the cost of the type test.
+
 Surface syntax (full table in the README):
 
     literals        any non-operator character
@@ -67,6 +74,9 @@ class _Interned(type):
     so structurally equal trees are one object and identity is the
     hash.  Keywords are bound before the lookup; no field has a default.
     A key holds its children, so no live key names a collected node.
+    Node classes are final (``Regex`` refuses a subclass of one), so
+    tree code dispatches on ``type(r)``: with this metaclass an
+    ``isinstance`` that misses takes CPython's slow path.
     """
 
     def __call__(cls, *args, **kwargs):
@@ -90,6 +100,12 @@ class Regex(metaclass=_Interned):
     """
 
     __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, **kwargs):
+        if cls.__bases__ != (Regex,):
+            raise TypeError(f"node classes are final: {cls.__name__} subclasses "
+                            f"{', '.join(b.__name__ for b in cls.__bases__)}")
+        super().__init_subclass__(**kwargs)
 
 
 _node = dataclass(frozen=True, eq=False, slots=True)
@@ -171,17 +187,18 @@ ANCHOR_RUN = Star(Sym(ANCHORS))  # pads complement operands and the stream end
 @lru_cache(maxsize=None)
 def is_nullable(r: Regex) -> bool:
     """Whether the denoted language contains the empty string."""
-    if isinstance(r, (Eps, Star, Tag, Write)):
+    kind = type(r)
+    if kind is Eps or kind is Star or kind is Tag or kind is Write:
         return True
-    if isinstance(r, (Empty, Sym)):
+    if kind is Empty or kind is Sym:
         return False
-    if isinstance(r, Cat):
+    if kind is Cat:
         return is_nullable(r.head) and is_nullable(r.tail)
-    if isinstance(r, Alt):
+    if kind is Alt:
         return any(is_nullable(t) for t in r.terms)
-    if isinstance(r, Inter):
+    if kind is Inter:
         return all(is_nullable(t) for t in r.terms)
-    if isinstance(r, Not):
+    if kind is Not:
         return not is_nullable(r.body)
     raise TypeError(f"not a Regex: {r!r}")
 
@@ -189,15 +206,16 @@ def is_nullable(r: Regex) -> bool:
 @lru_cache(maxsize=None)
 def has_memory(r: Regex) -> bool:
     """Whether any tag or pending write occurs in the tree."""
-    if isinstance(r, (Tag, Write)):
+    kind = type(r)
+    if kind is Tag or kind is Write:
         return True
-    if isinstance(r, (Empty, Eps, Sym)):
+    if kind is Empty or kind is Eps or kind is Sym:
         return False
-    if isinstance(r, (Star, Not)):
+    if kind is Star or kind is Not:
         return has_memory(r.body)
-    if isinstance(r, Cat):
+    if kind is Cat:
         return has_memory(r.head) or has_memory(r.tail)
-    if isinstance(r, (Alt, Inter)):
+    if kind is Alt or kind is Inter:
         return any(has_memory(t) for t in r.terms)
     raise TypeError(f"not a Regex: {r!r}")
 
@@ -217,36 +235,37 @@ def is_memory_eps(r: Regex) -> bool:
     Such terms absorb a plain epsilon alternative: recording a position
     beats not recording one.
     """
-    if isinstance(r, (Tag, Write, Eps)):
+    kind = type(r)
+    if kind is Tag or kind is Write or kind is Eps:
         return True
-    if isinstance(r, Cat):
+    if kind is Cat:
         return is_memory_eps(r.head) and is_memory_eps(r.tail)
     return False
 
 
 def _is_any_star(r: Regex) -> bool:
     return (
-        isinstance(r, Star)
-        and isinstance(r.body, Sym)
+        type(r) is Star
+        and type(r.body) is Sym
         and r.body.chars == FULL
     )
 
 
 def cat_atoms(r: Regex) -> Iterator[Regex]:
     """Iterate the concatenation spine left to right."""
-    while isinstance(r, Cat):
+    while type(r) is Cat:
         yield r.head
         r = r.tail
-    if not isinstance(r, Eps):
+    if r is not EPSILON:
         yield r
 
 
 def alt_terms(r: Regex) -> tuple[Regex, ...]:
-    return r.terms if isinstance(r, Alt) else (r,)
+    return r.terms if type(r) is Alt else (r,)
 
 
 def head_atom(r: Regex) -> Regex:
-    return r.head if isinstance(r, Cat) else r
+    return r.head if type(r) is Cat else r
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +289,21 @@ _RANK = {
 @lru_cache(maxsize=None)
 def order_key(r: Regex) -> tuple:
     """Total-order key: equal keys are the same canonical tree."""
-    k = _RANK[type(r)]
-    if isinstance(r, (Empty, Eps)):
+    kind = type(r)
+    k = _RANK.get(kind)
+    if k is None:
+        raise TypeError(f"not a Regex: {r!r}")
+    if kind is Empty or kind is Eps:
         return (k,)
-    if isinstance(r, Sym):
+    if kind is Sym:
         return (k, r.chars.bounds)
-    if isinstance(r, Tag):
+    if kind is Tag:
         return (k, r.kind, r.index)
-    if isinstance(r, Write):
+    if kind is Write:
         return (k, r.slot, r.value)
-    if isinstance(r, (Star, Not)):
+    if kind is Star or kind is Not:
         return (k, order_key(r.body))
-    if isinstance(r, Cat):
+    if kind is Cat:
         return (k, order_key(r.head), order_key(r.tail))
     return (k, tuple(order_key(t) for t in r.terms))
 
@@ -298,9 +320,9 @@ def sym(chars: CharSet) -> Regex:
 
 
 def star(r: Regex) -> Regex:
-    if isinstance(r, Star):
+    if type(r) is Star:
         return r
-    if isinstance(r, (Eps, Empty)):
+    if r is EPSILON or r is EMPTY:
         return EPSILON
     return Star(r)
 
@@ -321,7 +343,7 @@ def writes_chain(writes: Iterable[tuple[int, int]], rest: Regex = EPSILON) -> Re
     """
     r = rest
     for slot, value in sorted(writes, reverse=True):
-        r = Cat(Write(slot, value), r) if not isinstance(r, Eps) else Write(slot, value)
+        r = Cat(Write(slot, value), r) if r is not EPSILON else Write(slot, value)
     return r
 
 
@@ -329,10 +351,11 @@ def _split_write_run(r: Regex) -> tuple[list[tuple[int, int]], Regex]:
     """Peel the maximal leading run of slot writes off a spine."""
     run: list[tuple[int, int]] = []
     while True:
-        if isinstance(r, Write):
+        kind = type(r)
+        if kind is Write:
             run.append((r.slot, r.value))
             return run, EPSILON
-        if isinstance(r, Cat) and isinstance(r.head, Write):
+        if kind is Cat and type(r.head) is Write:
             run.append((r.head.slot, r.head.value))
             r = r.tail
             continue
@@ -340,22 +363,23 @@ def _split_write_run(r: Regex) -> tuple[list[tuple[int, int]], Regex]:
 
 
 def cat(a: Regex, b: Regex) -> Regex:
-    if isinstance(a, Empty) or isinstance(b, Empty):
+    if a is EMPTY or b is EMPTY:
         return EMPTY
-    if isinstance(a, Eps):
+    if a is EPSILON:
         return b
-    if isinstance(a, Cat):
+    kind = type(a)
+    if kind is Cat:
         # Right-associate: (x y) z -> x (y z)
         return cat(a.head, cat(a.tail, b))
-    if isinstance(b, Eps):
+    if b is EPSILON:
         return a
     if _memory_headed_union(a):
         # Distribute memory-headed unions so pendings stay at term heads.
         return alt([cat(t, b) for t in a.terms])
-    if isinstance(a, Write):
+    if kind is Write:
         run, rest = _split_write_run(b)
         merged = _merge_writes((), [(a.slot, a.value), *run])
-        if isinstance(rest, Alt):
+        if type(rest) is Alt:
             # keep every alternative's writes at its own head
             return alt([cat(writes_chain(merged), t) for t in rest.terms])
         return writes_chain(merged, rest)
@@ -372,7 +396,7 @@ def cat_all(parts) -> Regex:
 def _flat(terms, kind) -> list[Regex]:
     flat: list[Regex] = []
     for t in terms:
-        if isinstance(t, kind):
+        if type(t) is kind:
             flat.extend(t.terms)
         else:
             flat.append(t)
@@ -384,11 +408,11 @@ def alt(terms) -> Regex:
     seen = set()
     has_plain_eps = False
     for t in _flat(terms, Alt):
-        if isinstance(t, Empty):
+        if t is EMPTY:
             continue
-        if t == TOP:
+        if t is TOP:
             return TOP
-        if isinstance(t, Eps):
+        if t is EPSILON:
             has_plain_eps = True
             continue
         if t not in seen:
@@ -404,9 +428,13 @@ def alt(terms) -> Regex:
 
 
 def _memory_headed_union(r: Regex) -> bool:
-    return isinstance(r, Alt) and any(
-        isinstance(head_atom(t), (Write, Tag)) for t in r.terms
-    )
+    if type(r) is not Alt:
+        return False
+    for t in r.terms:
+        kind = type(head_atom(t))
+        if kind is Write or kind is Tag:
+            return True
+    return False
 
 
 def inter(terms) -> Regex:
@@ -428,15 +456,15 @@ def inter(terms) -> Regex:
     out: list[Regex] = []
     seen = set()
     for t in stripped:
-        if isinstance(t, Empty):
+        if t is EMPTY:
             return EMPTY
-        if t == TOP:
+        if t is TOP:
             continue
         if t not in seen:
             seen.add(t)
             out.append(t)
-    if any(isinstance(t, Eps) for t in out):
-        rest = [t for t in out if not isinstance(t, Eps)]
+    if EPSILON in seen:
+        rest = [t for t in out if t is not EPSILON]
         if not all(is_nullable(t) for t in rest):
             core: Regex = EMPTY
         elif not any(has_memory(t) for t in rest):
@@ -452,7 +480,7 @@ def inter(terms) -> Regex:
     else:
         out.sort(key=order_key)
         core = Inter(tuple(out))
-    if hoisted and not isinstance(core, Empty):
+    if hoisted and core is not EMPTY:
         return writes_chain(_merge_writes((), hoisted), core)
     return core
 
@@ -464,15 +492,16 @@ def erase_memory(r: Regex) -> Regex:
     """
     if not has_memory(r):
         return r
-    if isinstance(r, (Tag, Write)):
+    kind = type(r)
+    if kind is Tag or kind is Write:
         return EPSILON
-    if isinstance(r, Star):
+    if kind is Star:
         return star(erase_memory(r.body))
-    if isinstance(r, Cat):
+    if kind is Cat:
         return cat(erase_memory(r.head), erase_memory(r.tail))
-    if isinstance(r, Alt):
+    if kind is Alt:
         return alt([erase_memory(t) for t in r.terms])
-    if isinstance(r, Inter):
+    if kind is Inter:
         return inter([erase_memory(t) for t in r.terms])
     return r
 
@@ -483,7 +512,7 @@ def comp(r: Regex) -> Regex:
     # positions inside a complement would defeat the finiteness of the
     # derivative set.  So no complement holds memory.
     r = erase_memory(r)
-    if isinstance(r, Not):
+    if type(r) is Not:
         return r.body
     if _is_any_star(r):
         return EMPTY
@@ -803,7 +832,7 @@ def parse(pattern: str, options: SyntaxOptions = SyntaxOptions()) -> tuple[Regex
 # one symbol, prints as that escape or glyph.
 _SHOWN = {cp: "\\" + e for e, cp in _ESCAPES.items()}
 _SHOWN.update((node.chars.pick(), g) for g, node in _GLYPHS.items()
-              if isinstance(node, Sym) and node.chars.count() == 1)
+              if type(node) is Sym and node.chars.count() == 1)
 
 
 def _show_char(cp: int) -> str:
@@ -841,32 +870,33 @@ def show(r: Regex) -> str:
 
 def _show(r: Regex, prec: int) -> str:
     # precedence levels: 0 union, 1 intersection, 2 concat, 3 atom
-    if isinstance(r, Empty):
+    kind = type(r)
+    if kind is Empty:
         return "\u2205"
-    if isinstance(r, Eps):
+    if kind is Eps:
         return "\u03b5"
-    if isinstance(r, Sym):
+    if kind is Sym:
         return show_class(r.chars)
-    if isinstance(r, Tag):
+    if kind is Tag:
         mark = "\u03c4" if r.kind == EARLY else "\u03bb"
         return f"{mark}{r.index}"
-    if isinstance(r, Write):
+    if kind is Write:
         return f"s{r.slot}\u2190{r.value}"
-    if isinstance(r, Star):
+    if kind is Star:
         return _show(r.body, 3) + "*"
-    if isinstance(r, Not):
+    if kind is Not:
         out = "~" + _show(r.body, 3)
         return f"({out})" if prec > 2 else out
-    if isinstance(r, Cat):
+    if kind is Cat:
         s = "".join(
-            _show(a, 3) if isinstance(a, (Alt, Inter)) else _show(a, 2)
+            _show(a, 3) if type(a) is Alt or type(a) is Inter else _show(a, 2)
             for a in cat_atoms(r)
         )
         return f"({s})" if prec > 2 else s
-    if isinstance(r, Alt):
+    if kind is Alt:
         s = "+".join(_show(t, 1) for t in r.terms)
         return f"({s})" if prec > 0 else s
-    if isinstance(r, Inter):
+    if kind is Inter:
         s = "&".join(_show(t, 2) for t in r.terms)
         return f"({s})" if prec > 1 else s
     raise TypeError(f"not a Regex: {r!r}")

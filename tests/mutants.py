@@ -95,12 +95,12 @@ MUTANTS = (
            '"^": Sym(single(ANCHOR_EOL)),',
            "item 19 (PR 29 tree rules): ^ read as end of line"),
     Mutant("teval_without_fixpoint", "src/drex/submatch.py",
-           "if isinstance(head, Write) and head.value == pos:",
+           "if head_kind is Write and head.value == pos:",
            "if False:",
            "item 19 (PR 29 tree rules): teval without its fixpoint"),
     Mutant("erase_memory_guard_inverted", "src/drex/syntax.py",
-           "    if not has_memory(r):\n        return r\n    if isinstance(r, (Tag, Write)):",
-           "    if has_memory(r):\n        return r\n    if isinstance(r, (Tag, Write)):",
+           "    if not has_memory(r):\n        return r\n    kind = type(r)\n",
+           "    if has_memory(r):\n        return r\n    kind = type(r)\n",
            "item 19 (PR 29 tree rules): the inverted erase_memory guard"),
     Mutant("disambiguate_tie_to_later_term", "src/drex/submatch.py",
            "bank_compare(cells, best[body][2], tags) == HIGHER",

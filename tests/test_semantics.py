@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,12 +21,16 @@ from drex.charset import (
     from_chars,
     single,
 )
+from drex.automaton import TaggedDfa
 from drex.semantics import (
     _dca,
     _minterms,
+    class_masks,
     derivative_classes,
     derive,
+    nu_ways,
 )
+from drex.submatch import teval
 from drex.syntax import (
     ANCHOR_RUN,
     Alt,
@@ -44,8 +49,10 @@ from drex.syntax import (
     Write,
     cat,
     comp,
+    erase_memory,
     has_memory,
     is_nullable,
+    order_key,
     parse,
     show,
     star,
@@ -341,3 +348,29 @@ class TestMembershipTheorem:
                         seen.add(d)
                         frontier.append(d)
                 assert len(seen) < 4000, show(r)
+
+
+def test_tree_functions_refuse_a_tagged_state():
+    # A tagged state is the tuple of its bank bodies, not a tree: each
+    # tree function refuses one with a TypeError that names it, whatever
+    # table or cache it reaches first.
+    m = TaggedDfa(*parse("(a*)(b+c)*"))
+    m.build()
+    state = max(m.states, key=len)
+    assert len(state) > 1
+    calls = {
+        "derive": lambda: derive(state, ord("a")),
+        "nu_ways": lambda: nu_ways(state, -1),
+        "teval": lambda: teval(state, 0),
+        "teval with a memo": lambda: teval(state, 0, {}),
+        "is_nullable": lambda: is_nullable(state),
+        "has_memory": lambda: has_memory(state),
+        "order_key": lambda: order_key(state),
+        "erase_memory": lambda: erase_memory(state),
+        "show": lambda: show(state),
+        "class_masks": lambda: class_masks(state, m._space, {}),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError) as raised:
+            call()
+        assert str(raised.value) == f"not a Regex: {state!r}", name

@@ -435,6 +435,16 @@ class TestHashConsing:
         for c in nodes:
             assert c.__hash__ is object.__hash__ and c.__eq__ is object.__eq__, c
 
+    def test_node_classes_are_final(self):
+        # Tree code dispatches on ``type(r)``, which a subclass would escape.
+        nodes = [c for c in vars(syntax).values()
+                 if isinstance(c, type) and issubclass(c, Regex) and c is not Regex]
+        assert len(nodes) == 10
+        for c in nodes:
+            assert c.__bases__ == (Regex,), c
+            with pytest.raises(TypeError, match=f"final: Sub subclasses {c.__name__}"):
+                type(c)("Sub", (c,), {"__slots__": ()})
+
     def test_unreferenced_nodes_leave_the_table(self):
         gc.collect()
         before = len(_INTERNED)

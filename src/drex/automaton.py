@@ -58,6 +58,7 @@ from .submatch import normalize_step  # kept: perfbench/tracing.py wraps this na
 from .syntax import (
     EMPTY,
     EPSILON,
+    POLICIES,
     POLICY_POSIX,
     Alt,
     Cat,
@@ -264,6 +265,8 @@ class TaggedDfa:
 
     def __init__(self, r: Regex, tags: TagTable, policy: str = POLICY_POSIX,
                  alphabet: Alphabet = Alphabet(), state_limit: float = math.inf):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
         self.anchored = alphabet.with_anchors
         # The construction memo, shared by every step: (node, symbol, -1)
         # -> derivative, (node, 0) -> tag evaluation, (node, None) -> the

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .charset import ANCHORS, FULL, Alphabet, CharSet, interval_mask, is_anchor, mask_edges
+from .charset import ANCHORS, FULL, Alphabet, CharSet, interval_mask, is_anchor
 from .syntax import (
     EMPTY,
     EPSILON,
@@ -223,53 +223,18 @@ def derivative_classes(r, alphabet: Alphabet = Alphabet()) -> SymbolPartition:
 # Derivative classes as interval masks
 # ---------------------------------------------------------------------------
 
-# A meet folds pairwise while each step takes at most this many ``&``s.
-# The fold costs the product of the sizes of the running meet and the
-# next part, cheap while the meet stays small (a state's meets hold a
-# few blocks each), but quadratic when it grows with every part: a
-# 2,000-way alternation of symbols gains a block per part.  Past it, one
-# sweep handles the rest, at a cost linear in the blocks' runs.  The
-# value is not tuned: typical states' meets stay far below it, and any
-# cutoff from 16 up to none at all builds them in the same time.
-_PAIRWISE_ANDS = 64
-
-
 def meet_masks(parts, working: int) -> tuple[int, ...]:
     """The common refinement of partitions of ``working`` given as masks:
     the pairwise ``&`` of their blocks, dropping zeros, folded part by
-    part until a fold step would pass ``_PAIRWISE_ANDS``, and then
-    ``_sweep_masks``.  The meet of no part is ``(working,)``."""
+    part.  The meet of no part is ``(working,)``."""
     # A part met twice splits nothing more: a state's bodies often share one.
     parts = list(dict.fromkeys(p for p in parts if len(p) > 1))
     if not parts:
         return (working,)
     acc = parts[0]
-    for n in range(1, len(parts)):
-        p = parts[n]
-        if len(acc) * len(p) > _PAIRWISE_ANDS:
-            return _sweep_masks([acc, *parts[n:]])
-        acc = tuple(b for b in [x & y for x in acc for y in p] if b)
+    for p in parts[1:]:
+        acc = tuple(filter(None, [x & y for x in acc for y in p]))
     return acc
-
-
-def _sweep_masks(parts) -> tuple[int, ...]:
-    """``_minterms``' sweep in interval space: each distinct block owns one
-    bit, which flips at each edge of its runs (``charset.mask_edges``), and
-    the intervals with equal bits form one block."""
-    flips: dict[int, int] = {}
-    # A block that recurs in another part splits nothing more.
-    for j, b in enumerate(dict.fromkeys(b for p in parts for b in p)):
-        for k in mask_edges(b):
-            flips[k] = flips.get(k, 0) ^ 1 << j
-    # Outside the working alphabet no block holds an interval.
-    groups: dict[int, int] = {}
-    member = lo = 0
-    for k in sorted(flips):
-        if member:
-            groups[member] = groups.get(member, 0) | (1 << k) - (1 << lo)
-        member ^= flips[k]
-        lo = k
-    return tuple(groups.values())
 
 
 def class_masks(r: Regex, space: tuple, memo: dict) -> tuple[int, ...]:

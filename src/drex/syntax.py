@@ -240,7 +240,9 @@ def is_memory_eps(r: Regex) -> bool:
         return True
     if kind is Cat:
         return is_memory_eps(r.head) and is_memory_eps(r.tail)
-    return False
+    if kind is Empty or kind is Sym or kind is Star or kind is Not or kind is Alt or kind is Inter:
+        return False
+    raise TypeError(f"not a Regex: {r!r}")
 
 
 def _is_any_star(r: Regex) -> bool:

@@ -139,10 +139,11 @@ MUTANTS = (
            "(c, anchors & ~c, working & ~(anchors | c))",
            "(c, working & ~c)",
            "item 17 (class masks): a Sym's foreign anchors merged into its dead block"),
-    Mutant("mask_sweep_drops_last_edge", "src/drex/semantics.py",
-           "for k in sorted(flips):",
-           "for k in sorted(flips)[:-1]:",
-           "item 17 (class masks): the sweep of a wide meet dropping its last run edge"),
+    Mutant("mask_fold_skips_last_part", "src/drex/semantics.py",
+           "for p in parts[1:]:",
+           "for p in parts[1:-1]:",
+           "item 17 (class masks): a meet of three or more parts leaving the last "
+           "one out of its fold"),
     Mutant("row_of_its_own_per_state", "src/drex/automaton.py",
            "self.rows.append(self._blank)",
            "self.rows.append(list(self._blank))",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from drex import anchors
+from drex import anchors, automaton
 from drex.automaton import (
     Dfa,
     StateLimitError,
@@ -240,6 +240,28 @@ class TestTaggedDfa:
                 (block.bounds, j) for row in tagged.transitions for block, j, _ in row
             ] == [(block.bounds, j) for row in plain.transitions for block, j in row]
             assert set(tagged.accepting) == set(plain.accepting)
+
+    def test_unknown_policy_is_refused(self, monkeypatch):
+        # A policy string outside POLICIES would run as pre-order and be
+        # exported as given; the machine refuses it with parse's error,
+        # before it derives anything.
+        def no_start(*args):
+            raise AssertionError("the machine started")
+
+        r, t = parse("(a*)")
+        monkeypatch.setattr(automaton, "start", no_start)
+        makers = {
+            "match_full": lambda policy: match_full(r, t, "aa", policy),
+            "make_tagged_dfa": lambda policy: make_tagged_dfa(r, t, policy),
+            "TaggedDfa": lambda policy: TaggedDfa(r, t, policy),
+        }
+        for policy in ("bogus", "Posix", ""):
+            with pytest.raises(ValueError) as want:
+                parse("(a*)", SyntaxOptions(policy=policy))
+            for name, make in makers.items():
+                with pytest.raises(ValueError) as got:
+                    make(policy)
+                assert str(got.value) == str(want.value) == f"unknown policy {policy!r}", name
 
     def test_symbol_outside_alphabet(self):
         # A machine built in full and one built as the run reaches it

@@ -394,23 +394,15 @@ def _renumbered(exported: str) -> dict:
     return doc
 
 
-def test_wide_meets_give_the_reference_classes(monkeypatch):
-    # No corpus pattern meets enough blocks to reach the sweep of
-    # ``semantics._sweep_masks``; wide alternations and intersections do,
-    # and their narrow subterms still fold pairwise.  Each state's blocks
-    # are ``derivative_classes``, an independent computation over symbol
+def test_wide_meets_give_the_reference_classes():
+    # Wide alternations and intersections fold meets that grow with every
+    # part, to states of more than 64 blocks, while their narrow subterms
+    # fold small ones.  Each state's blocks are
+    # ``derivative_classes``, an independent computation over symbol
     # sets, sorted by bounds; and a machine run on texts, then built,
     # exports as one only built, up to the numbering of its states.
-    from drex import semantics
-
-    calls = {"meet": 0, "sweep": 0}
-    for name, key in (("meet_masks", "meet"), ("_sweep_masks", "sweep")):
-        def counted(*args, fn=getattr(semantics, name), key=key):
-            calls[key] += 1
-            return fn(*args)
-        monkeypatch.setattr(semantics, name, counted)
     rnd = random.Random(35)
-    states = 0
+    states = widest = 0
     for join in "+&+&":
         pattern, pool = _wide_pattern(rnd, join)
         r, t = parse(pattern)
@@ -420,14 +412,14 @@ def test_wide_meets_give_the_reference_classes(monkeypatch):
                 want = sorted(derivative_classes(e, alphabet).blocks, key=lambda b: b.bounds)
                 assert [b for b, _, _ in row] == want, (pattern, e)
                 states += 1
+                widest = max(widest, len(row))
             run = TaggedDfa(r, t, alphabet=alphabet)
             for _ in range(4):
                 text = "".join(rnd.choice(pool) for _ in range(rnd.randint(0, 4)))
                 if alphabet.with_anchors or all(ord(c) in alphabet.working for c in text):
                     tagged_dfa_match(run, text)
             assert _renumbered(export_json(run.build())) == _renumbered(export_json(built)), pattern
-    assert states > 100 and calls["sweep"] > 50, (states, calls)
-    assert calls["meet"] > 2 * calls["sweep"], calls  # the narrow meets folded pairwise
+    assert states > 100 and widest > 64, (states, widest)
 
 
 @functools.lru_cache(maxsize=None)

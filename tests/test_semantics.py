@@ -51,6 +51,7 @@ from drex.syntax import (
     comp,
     erase_memory,
     has_memory,
+    is_memory_eps,
     is_nullable,
     order_key,
     parse,
@@ -365,6 +366,7 @@ def test_tree_functions_refuse_a_tagged_state():
         "teval with a memo": lambda: teval(state, 0, {}),
         "is_nullable": lambda: is_nullable(state),
         "has_memory": lambda: has_memory(state),
+        "is_memory_eps": lambda: is_memory_eps(state),
         "order_key": lambda: order_key(state),
         "erase_memory": lambda: erase_memory(state),
         "show": lambda: show(state),
